@@ -1,15 +1,17 @@
 """Hamiltonian derivations and the two graded Poisson brackets.
 
-The even bracket comes from the even symplectic form: solve the tabulated
-equation iota_D Theta = d^G alpha for the derivation D_alpha and apply it.
-The odd bracket comes the same way from the odd symplectic form, with an
-independent generator-operator route kept alongside as a cross-check.
+Both brackets come from one solver. Given a symplectic form Theta, the
+even one or the odd (Koszul-Schouten) one, solve the tabulated equation
+iota_D Theta = d^G alpha for the Hamiltonian derivation D_alpha and apply
+it. The odd bracket also has an independent generator-operator route,
+kept alongside as a cross-check.
 
-The solvers are degree-by-degree triangular eliminations over the chart's
-scalar field; each one finishes by re-evaluating its defining equation and
-raising if the solution does not reproduce the right-hand side exactly.
-That final check is the master invariant: every closed-form shortcut in
-this module is validated against it.
+The solver is one degree-by-degree triangular elimination over the
+chart's scalar field, in whichever basis Theta is tabulated. It finishes
+by re-evaluating its defining equation and raises if the solution does
+not reproduce the right-hand side exactly. That final check is the
+master invariant: every closed-form shortcut in this module is validated
+against it.
 
 Two calibration signs are fixed here once and used consistently:
 
@@ -26,13 +28,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import Derivation, Form, VectorField, VectorValuedForm, _d_componentwise
+from .forms import Derivation, Form, VectorField, VectorValuedForm
 from .geometry import ChartGeometry, matrix_inverse
 from .graded import (
     GradedOneForm,
     GradedTwoForm,
+    basis_shift,
     convert_one,
-    convert_two,
     dG_function,
     eval_two,
     iota,
@@ -46,42 +48,27 @@ class HamiltonianSolution:
     """Solution of iota_D Theta = d^G alpha.
 
     lie_components and ins_components hold the coefficient vector-valued
-    forms over the solve basis (covariant derivatives and insertions for
-    the even form, Lie derivatives and insertions for the odd one), keyed
-    by coefficient degree. derivation is the assembled normal form.
+    forms over Theta's basis (covariant or Lie derivatives, and
+    insertions), keyed by coefficient degree. derivation is the assembled
+    normal form.
     """
 
-    __slots__ = ("theta", "source", "lie_components", "ins_components", "derivation")
+    __slots__ = ("lie_components", "ins_components", "derivation")
 
-    def __init__(self, theta, source, lie_components, ins_components, derivation):
-        self.theta = theta
-        self.source = source
+    def __init__(self, lie_components, ins_components, derivation):
         self.lie_components = lie_components
         self.ins_components = ins_components
         self.derivation = derivation
 
 
-def _as_rhs(geom: ChartGeometry, alpha, basis: str):
+def _as_rhs(geom: ChartGeometry, alpha, basis: str) -> GradedOneForm:
     if isinstance(alpha, RationalFunction):
         alpha = Form.function(alpha)
     if isinstance(alpha, Form):
-        return dG_function(geom, alpha, basis=basis), alpha
+        return dG_function(geom, alpha, basis=basis)
     if isinstance(alpha, GradedOneForm):
-        return convert_one(alpha, basis), alpha
+        return convert_one(alpha, basis)
     raise TypeError(f"cannot solve against {type(alpha).__name__}")
-
-
-def _pure_scalar(block: Form, what: str) -> RationalFunction:
-    scalar = block.scalar_part()
-    if block != Form.function(scalar):
-        raise ValueError(f"{what} block is not a pure function: {block}")
-    return scalar
-
-
-def _degree_bounded(block: Form, allowed, what: str) -> None:
-    for degree in block.degrees():
-        if degree not in allowed:
-            raise ValueError(f"{what} block has degree {degree}: {block}")
 
 
 def _collect(field, per_degree):
@@ -103,158 +90,71 @@ def _verify(theta: GradedTwoForm, derivation: Derivation, rhs: GradedOneForm) ->
 
 
 def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
-    """Hamiltonian derivation of alpha for an even symplectic form.
+    """Hamiltonian derivation of alpha: the D with iota_D theta = d^G alpha.
 
-    Works in the covariant basis, where the insertion-insertion block is
-    the metric, the mixed block has degree 1 (zero without a compatibility
-    tensor) and the even-even block is omega plus a curvature 2-form.
-    The triangular structure: the degree-m insertion equation determines
-    the insertion coefficients from lower lie coefficients, then the
-    degree-m even equation determines the lie coefficients from strictly
-    lower data.
+    Works over theta's own basis. Write D = sum_b K_b B_b + sum_b C_b i_b
+    with B_b the even basics, and stack the degree-m parts of the
+    coefficients (K, C) into x_m. The degree-m part of the tabulated
+    equation reads A x_m = r_m, with A the degree-0 part of theta's block
+    matrix and r_m the degree-m right-hand side minus the higher-degree
+    blocks applied to lower coefficients. An insertion row picks up the
+    Koszul sign (-1)^(coefficient degree); multiplying the row by (-1)^m
+    leaves A unsigned. A singular A, i.e. a degenerate form, raises
+    ChartError.
     """
     geom = theta.geom
     dim = geom.dim
     field = geom.field
-    theta = convert_two(theta, "nabla")
-    rhs, source = _as_rhs(geom, alpha, "nabla")
+    rhs = _as_rhs(geom, alpha, theta.basis)
 
-    g_mat = [[_pure_scalar(theta.ii[c][a], "insertion-insertion") for a in range(dim)] for c in range(dim)]
-    g_inv = matrix_inverse(g_mat, field)
-    w0 = [[theta.ll[c][a].scalar_part() for a in range(dim)] for c in range(dim)]
-    w0_inv = matrix_inverse(w0, field)
-    rho = [[theta.ll[c][a].homogeneous_part(2) for a in range(dim)] for c in range(dim)]
-    for c in range(dim):
-        for a in range(dim):
-            _degree_bounded(theta.ll[c][a], (0, 2), "even-even")
-            _degree_bounded(theta.li[c][a], (1,), "mixed")
-    li_one = theta.li
-    # <i_c, nabla_a> = -<nabla_a, i_c>
-    il_one = [[-theta.li[a][c] for a in range(dim)] for c in range(dim)]
+    blocks = theta.block_matrix()
+    size = 2 * dim
+    inverse = matrix_inverse([[block.scalar_part() for block in row] for row in blocks], field)
+    higher = [
+        [[(j, part) for j, part in block.homogeneous_parts().items() if j] for block in row]
+        for row in blocks
+    ]
+    targets = rhs.on_lie + rhs.on_ins
 
-    k_forms: dict[int, list[Form]] = {}
-    m_forms: dict[int, list[Form]] = {}
+    coeffs: dict[int, list[Form]] = {}
     for m in range(dim + 1):
-        svals = []
-        for c in range(dim):
-            val = rhs.on_ins[c].homogeneous_part(m)
-            if m % 2:
+        residual = []
+        for row in range(size):
+            koszul = row >= dim
+            val = targets[row].homogeneous_part(m)
+            if koszul and m % 2:
                 val = -val
-            if m >= 1:
-                for a in range(dim):
-                    val = val + k_forms[m - 1][a].wedge(il_one[c][a])
-            svals.append(val)
-        m_forms[m] = [
-            sum((svals[c] * g_inv[b][c] for c in range(dim)), Form.zero(field))
-            for b in range(dim)
-        ]
-        rvals = []
-        for c in range(dim):
-            val = rhs.on_lie[c].homogeneous_part(m)
-            if m >= 2:
-                for a in range(dim):
-                    val = val - k_forms[m - 2][a].wedge(rho[c][a])
-            if m >= 1:
-                for a in range(dim):
-                    val = val - m_forms[m - 1][a].wedge(li_one[c][a])
-            rvals.append(val)
-        k_forms[m] = [
-            sum((rvals[c] * w0_inv[b][c] for c in range(dim)), Form.zero(field))
-            for b in range(dim)
+            for col in range(size):
+                for j, part in higher[row][col]:
+                    if j > m:
+                        continue
+                    term = coeffs[m - j][col].wedge(part)
+                    val = val + term if koszul and j % 2 else val - term
+            residual.append(val)
+        coeffs[m] = [
+            sum((r * entry for r, entry in zip(residual, inverse[col])), Form.zero(field))
+            for col in range(size)
         ]
 
-    lie_components = _collect(field, k_forms)
-    ins_components = _collect(field, m_forms)
+    lie_components = _collect(field, {m: x[:dim] for m, x in coeffs.items()})
+    ins_components = _collect(field, {m: x[dim:] for m, x in coeffs.items()})
 
-    parts = {}
-    m0 = ins_components.get(0)
-    if m0 is not None:
-        parts[-1] = (None, m0)
+    # L_K = sum K B + (-1)^k sum (d_B K) i, so the insertion part of degree
+    # k + 1 is C^(k+1) minus the shifted lie coefficient
+    shift = basis_shift(geom, theta.basis)
+    parts = {-1: (None, ins_components.get(0))}
     for k in range(dim + 1):
         kpart = lie_components.get(k)
         apart = ins_components.get(k + 1)
         if kpart is not None and k < dim:
-            shift = geom.dnabla(kpart)
+            shifted = shift(kpart)
             apart = (apart or VectorValuedForm.zero(field, k + 1)) - (
-                shift if k % 2 == 0 else -shift
+                shifted if k % 2 == 0 else -shifted
             )
-        if kpart is not None or (apart is not None and not apart.is_zero):
-            parts[k] = (kpart, apart)
+        parts[k] = (kpart, apart)
     derivation = Derivation(field, parts)
     _verify(theta, derivation, rhs)
-    return HamiltonianSolution(theta, source, lie_components, ins_components, derivation)
-
-
-def solve_hamiltonian_ks(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
-    """Hamiltonian derivation of alpha for the odd symplectic form.
-
-    Works in the Lie basis, where the insertion-insertion block vanishes,
-    the mixed block is -omega and the even-even block is a 1-form. All lie
-    coefficients come straight from the insertion equations; the insertion
-    coefficients then follow degree by degree.
-    """
-    geom = theta.geom
-    dim = geom.dim
-    field = geom.field
-    theta = convert_two(theta, "lie")
-    rhs, source = _as_rhs(geom, alpha, "lie")
-
-    for c in range(dim):
-        for a in range(dim):
-            if not theta.ii[c][a].is_zero:
-                raise ValueError("odd solve needs a vanishing insertion-insertion block")
-            _degree_bounded(theta.ll[c][a], (1,), "even-even")
-    li0 = [[_pure_scalar(theta.li[c][a], "mixed") for a in range(dim)] for c in range(dim)]
-    li0_inv = matrix_inverse(li0, field)
-    il0 = [[-li0[a][c] for a in range(dim)] for c in range(dim)]
-    il0_inv = matrix_inverse(il0, field)
-    mu = theta.ll
-
-    k_forms: dict[int, list[Form]] = {}
-    c_forms: dict[int, list[Form]] = {}
-    for m in range(dim + 1):
-        svals = []
-        for c in range(dim):
-            val = rhs.on_ins[c].homogeneous_part(m)
-            if m % 2:
-                val = -val
-            svals.append(val)
-        k_forms[m] = [
-            sum((svals[c] * il0_inv[b][c] for c in range(dim)), Form.zero(field))
-            for b in range(dim)
-        ]
-        rvals = []
-        for c in range(dim):
-            val = rhs.on_lie[c].homogeneous_part(m)
-            if m >= 1:
-                for a in range(dim):
-                    val = val - k_forms[m - 1][a].wedge(mu[c][a])
-            rvals.append(val)
-        c_forms[m] = [
-            sum((rvals[c] * li0_inv[b][c] for c in range(dim)), Form.zero(field))
-            for b in range(dim)
-        ]
-
-    lie_components = _collect(field, k_forms)
-    ins_components = _collect(field, c_forms)
-
-    parts = {}
-    c0 = ins_components.get(0)
-    if c0 is not None:
-        parts[-1] = (None, c0)
-    for k in range(dim + 1):
-        kpart = lie_components.get(k)
-        apart = ins_components.get(k + 1)
-        if kpart is not None and k < dim:
-            shift = _d_componentwise(kpart)
-            apart = (apart or VectorValuedForm.zero(field, k + 1)) - (
-                shift if k % 2 == 0 else -shift
-            )
-        if kpart is not None or (apart is not None and not apart.is_zero):
-            parts[k] = (kpart, apart)
-    derivation = Derivation(field, parts)
-    _verify(theta, derivation, rhs)
-    return HamiltonianSolution(theta, source, lie_components, ins_components, derivation)
+    return HamiltonianSolution(lie_components, ins_components, derivation)
 
 
 # -- recursion fast paths ------------------------------------------------------
@@ -346,7 +246,7 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
     if isinstance(beta, RationalFunction):
         beta = Form.function(beta)
     if method == "hamiltonian":
-        solution = solve_hamiltonian_ks(theta_ks_cached(chart), alpha)
+        solution = solve_hamiltonian(theta_ks_cached(chart), alpha)
         return -solution.derivation(beta)
     if method != "generator":
         raise ValueError(f"unknown method {method!r}")
@@ -367,22 +267,13 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
 # -- closed-form bracket fast paths ---------------------------------------------
 
 
-def _omega_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
+def _pair(chart: ChartGeometry, matrix, left: VectorValuedForm, right: VectorValuedForm) -> Form:
+    """B(left, right) for the matrix of B (chart.g or chart.w), form
+    coefficients wedged left to right."""
     total = Form.zero(chart.field)
     for a in range(chart.dim):
         for b in range(chart.dim):
-            coeff = chart.w[a][b]
-            if coeff.is_zero:
-                continue
-            total = total + left.components[a].wedge(right.components[b]) * coeff
-    return total
-
-
-def _metric_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
-    total = Form.zero(chart.field)
-    for a in range(chart.dim):
-        for b in range(chart.dim):
-            coeff = chart.g[a][b]
+            coeff = matrix[a][b]
             if coeff.is_zero:
                 continue
             total = total + left.components[a].wedge(right.components[b]) * coeff
@@ -433,7 +324,7 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
         total = Form.function(chart.classical_poisson(f, h)).d()
         for ke in evens:
             dke = chart.dnabla(ke)
-            total = total - _omega_pair(chart, dke, xh_vv)
+            total = total - _pair(chart, chart.w, dke, xh_vv)
             total = total + _curvature_pair(chart, dke, xh_vv)
             total = total + _curvature_pair(chart, ke, dxh)
         return total
@@ -443,11 +334,11 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
         dh = Form.function(h).d()
         sharp_df = chart.sharp(df)
         total = Form.function(chart.cometric_eval(df, dh))
-        total = total + _metric_pair(chart, chart.nabla_vector(sharp_df), dxh)
+        total = total + _pair(chart, chart.g, chart.nabla_vector(sharp_df), dxh)
         total = total + _curvature_pair(chart, sharp_df.as_vvform(), xh_vv)
         for ko in k_odd(chart, f):
             dko = chart.dnabla(ko)
-            total = total + _omega_pair(chart, xh_vv, dko)
+            total = total + _pair(chart, chart.w, xh_vv, dko)
             total = total + _curvature_pair(chart, dko, xh_vv)
             total = total + _curvature_pair(chart, ko, dxh)
         return total
@@ -471,7 +362,7 @@ def hamiltonian_of_differential_identity(alpha: Form, chart: ChartGeometry) -> b
     if len(degrees) > 1:
         raise ValueError("identity check needs homogeneous input")
     degree = degrees[0] if degrees else 0
-    theta = theta_even_cached(chart, "omega_g", "nabla")
+    theta = theta_even_cached(chart, "nabla")
     d_op = Derivation.exterior(chart.field)
     sol = solve_hamiltonian(theta, alpha)
     lhs = solve_hamiltonian(theta, alpha.d()).derivation
@@ -506,7 +397,7 @@ def d_defect(alpha, beta, chart: ChartGeometry):
         alpha = Form.function(alpha)
     if isinstance(beta, RationalFunction):
         beta = Form.function(beta)
-    theta = theta_even_cached(chart, "omega_g", "nabla")
+    theta = theta_even_cached(chart, "nabla")
     beta_hams = {
         q: solve_hamiltonian(theta, part).derivation
         for q, part in beta.homogeneous_parts().items()

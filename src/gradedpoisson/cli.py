@@ -70,7 +70,7 @@ def _cmd_bracket(args) -> int:
         if args.odd:
             result = ks_bracket(alpha, beta, chart)
         else:
-            result = even_bracket(alpha, beta, theta_even_cached(chart, "omega_g", "nabla"))
+            result = even_bracket(alpha, beta, theta_even_cached(chart, "nabla"))
     sys.stdout.write(f"{result}\n")
     return 0
 
@@ -86,6 +86,13 @@ def _cmd_charts(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedpoisson",
@@ -97,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("target", help="manifest path or builtin:NAME")
     check.add_argument("--suite", choices=SUITES, default="all")
     check.add_argument("--seed", type=int, default=42)
-    check.add_argument("--samples", type=int, default=8)
-    check.add_argument("--max-form-degree", type=int, default=2)
+    check.add_argument("--samples", type=positive_int, default=8)
+    check.add_argument("--max-form-degree", type=positive_int, default=2)
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.set_defaults(fn=_cmd_check)
 

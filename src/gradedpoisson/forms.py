@@ -291,9 +291,6 @@ class VectorField:
         ]
         return VectorField(self.field, comps)
 
-    def insert(self, form: Form) -> Form:
-        return form.insert_vector(self)
-
     def __add__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -388,10 +385,6 @@ class VectorValuedForm:
             degree=1,
         )
 
-    @classmethod
-    def from_vector(cls, vector: VectorField) -> "VectorValuedForm":
-        return vector.as_vvform()
-
     def insert_into(self, form: Form) -> Form:
         """The algebraic insertion derivation applied to a form."""
         out = Form.zero(self.field)
@@ -399,25 +392,6 @@ class VectorValuedForm:
             if not comp.is_zero:
                 out = out + comp.wedge(form.insert_basis(i))
         return out
-
-    def lwedge(self, form: Form) -> "VectorValuedForm":
-        """Wedge a homogeneous form onto every component from the left."""
-        degrees = form.degrees()
-        if len(degrees) > 1:
-            raise ValueError("lwedge needs a homogeneous form")
-        shift = degrees[0] if degrees else 0
-        # past top degree every component is zero anyway
-        newdeg = min(self.degree + shift, self.field.dimension)
-        return VectorValuedForm(
-            self.field, [form.wedge(c) for c in self.components], degree=newdeg
-        )
-
-    def as_vector(self) -> VectorField:
-        if self.degree != 0:
-            raise ValueError("not a degree-0 vector-valued form")
-        return VectorField(
-            self.field, [c.scalar_part() for c in self.components]
-        )
 
     @property
     def is_zero(self) -> bool:
@@ -477,6 +451,14 @@ class VectorValuedForm:
 
     def __repr__(self):
         return f"VectorValuedForm<deg {self.degree}: {self}>"
+
+
+def _d_componentwise(vvform: VectorValuedForm) -> VectorValuedForm:
+    return VectorValuedForm(
+        vvform.field,
+        [c.d() for c in vvform.components],
+        degree=min(vvform.degree + 1, vvform.field.dimension),
+    )
 
 
 def _lie_apply(kpart: VectorValuedForm, form: Form) -> Form:
@@ -544,11 +526,6 @@ class Derivation:
     def exterior(cls, field: ScalarField) -> "Derivation":
         return cls.lie(VectorValuedForm.identity(field))
 
-    @classmethod
-    def homogeneous(cls, degree, kpart, apart) -> "Derivation":
-        field = kpart.field if kpart is not None else apart.field
-        return cls(field, {degree: (kpart, apart)})
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -563,28 +540,6 @@ class Derivation:
         if len(self.parts) > 1:
             return None
         return next(iter(self.parts))
-
-    def homogeneous_piece(self, degree: int) -> "Derivation":
-        if degree in self.parts:
-            return Derivation(self.field, {degree: self.parts[degree]})
-        return Derivation.zero(self.field)
-
-    @property
-    def lie_part(self):
-        """K for a homogeneous derivation (None when absent)."""
-        if len(self.parts) > 1:
-            raise ValueError("mixed-degree derivation has no single lie part")
-        if not self.parts:
-            return None
-        return next(iter(self.parts.values()))[0]
-
-    @property
-    def alg_part(self):
-        if len(self.parts) > 1:
-            raise ValueError("mixed-degree derivation has no single alg part")
-        if not self.parts:
-            return None
-        return next(iter(self.parts.values()))[1]
 
     # -- action --------------------------------------------------------------
 
@@ -640,16 +595,16 @@ class Derivation:
             return NotImplemented
         return self.field is other.field and self.parts == other.parts
 
-    def basis_coefficients(self, covariant_d=None):
+    def basis_coefficients(self, shift=_d_componentwise):
         """Coefficients of D over the basic operators, one Form per direction.
 
         Returns (lie_coeffs, ins_coeffs) such that, as operators,
         D = sum_a lie_coeffs[a] * B_a + sum_a ins_coeffs[a] * i_a, where B_a
-        is the basic Lie derivative along coordinate a (plain basis), or the
-        basic covariant derivative when ``covariant_d`` (the exterior
-        covariant derivative on vector-valued forms) is supplied. A
-        form-coefficiented operator acts by wedging the coefficient on the
-        left of the operator's output.
+        is the basic Lie derivative along coordinate a (the default, with
+        ``shift`` the componentwise d), or the basic covariant derivative
+        when ``shift`` is the exterior covariant derivative on vector-valued
+        forms. A form-coefficiented operator acts by wedging the coefficient
+        on the left of the operator's output.
         """
         dim = self.field.dimension
         lie_coeffs = [Form.zero(self.field) for _ in range(dim)]
@@ -657,7 +612,7 @@ class Derivation:
         for degree, (kpart, apart) in self.parts.items():
             sign = -1 if degree % 2 else 1
             if kpart is not None:
-                shifted = covariant_d(kpart) if covariant_d else _d_componentwise(kpart)
+                shifted = shift(kpart)
                 for a in range(dim):
                     lie_coeffs[a] = lie_coeffs[a] + kpart.components[a]
                     correction = shifted.components[a]
@@ -683,14 +638,6 @@ class Derivation:
 
     def __repr__(self):
         return f"Derivation<{self}>"
-
-
-def _d_componentwise(vvform: VectorValuedForm) -> VectorValuedForm:
-    return VectorValuedForm(
-        vvform.field,
-        [c.d() for c in vvform.components],
-        degree=min(vvform.degree + 1, vvform.field.dimension),
-    )
 
 
 def _commutator_piece(dpiece: Derivation, p: int, epiece: Derivation, q: int) -> Derivation:

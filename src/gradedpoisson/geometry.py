@@ -136,7 +136,17 @@ class ChartGeometry:
         self.j_inv = matrix_inverse(self.j_matrix, field)
         self.kahler_expected = kahler_expected
         self.canonical_j = canonical_j
-        self._nabla_basis = {}
+        self._cache = {}
+
+    def cached(self, key, build):
+        """The value memoized under key on this chart, built by build() once.
+
+        The one cache home for everything that depends only on the chart:
+        basic derivations and tabulated symplectic forms.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # -- construction internals -------------------------------------------
 
@@ -186,18 +196,12 @@ class ChartGeometry:
 
     # -- tensor evaluation ---------------------------------------------------
 
-    def metric_eval(self, x: VectorField, y: VectorField) -> RationalFunction:
+    def bilinear_eval(self, matrix, x: VectorField, y: VectorField) -> RationalFunction:
+        """The bilinear form with the given matrix (chart.g or chart.w) on X, Y."""
         total = self.field.zero
         for i in range(self.dim):
             for j in range(self.dim):
-                total = total + self.g[i][j] * x.components[i] * y.components[j]
-        return total
-
-    def omega_eval(self, x: VectorField, y: VectorField) -> RationalFunction:
-        total = self.field.zero
-        for i in range(self.dim):
-            for j in range(self.dim):
-                total = total + self.w[i][j] * x.components[i] * y.components[j]
+                total = total + matrix[i][j] * x.components[i] * y.components[j]
         return total
 
     def cometric_eval(self, lam: Form, mu: Form) -> RationalFunction:
@@ -216,24 +220,13 @@ class ChartGeometry:
                     terms[(i, j)] = self.w[i][j]
         return Form(self.field, terms)
 
-    def metric_row_form(self, x: VectorField) -> Form:
-        """The 1-form g(X, _)."""
+    def row_form(self, matrix, x: VectorField) -> Form:
+        """The 1-form B(X, _) for the matrix of B (chart.g or chart.w)."""
         coeffs = {}
         for j in range(self.dim):
             c = self.field.zero
             for i in range(self.dim):
-                c = c + self.g[i][j] * x.components[i]
-            if not c.is_zero:
-                coeffs[(j,)] = c
-        return Form(self.field, coeffs)
-
-    def omega_row_form(self, x: VectorField) -> Form:
-        """The 1-form omega(X, _)."""
-        coeffs = {}
-        for j in range(self.dim):
-            c = self.field.zero
-            for i in range(self.dim):
-                c = c + self.w[i][j] * x.components[i]
+                c = c + matrix[i][j] * x.components[i]
             if not c.is_zero:
                 coeffs[(j,)] = c
         return Form(self.field, coeffs)
@@ -241,7 +234,7 @@ class ChartGeometry:
     # -- musical isomorphisms --------------------------------------------
 
     def flat(self, x: VectorField) -> Form:
-        return self.metric_row_form(x)
+        return self.row_form(self.g, x)
 
     def sharp(self, one_form: Form) -> VectorField:
         if not one_form.is_homogeneous(1):
@@ -391,11 +384,9 @@ class ChartGeometry:
         )
 
     def nabla_basis(self, a: int) -> Derivation:
-        cached = self._nabla_basis.get(a)
-        if cached is None:
-            cached = self.nabla_derivation(VectorField.basis(self.field, a))
-            self._nabla_basis[a] = cached
-        return cached
+        return self.cached(
+            ("nabla", a), lambda: self.nabla_derivation(VectorField.basis(self.field, a))
+        )
 
     def covariant_hessian(self, f: RationalFunction):
         """Hess_{ab} = d_a d_b f - Gamma^m_{ab} d_m f (symmetric)."""
@@ -425,7 +416,9 @@ class ChartGeometry:
         return VectorField(self.field, comps)
 
     def classical_poisson(self, f, h) -> RationalFunction:
-        return self.omega_eval(self.classical_hamiltonian(f), self.classical_hamiltonian(h))
+        return self.bilinear_eval(
+            self.w, self.classical_hamiltonian(f), self.classical_hamiltonian(h)
+        )
 
     # -- compatibility tensor ----------------------------------------------
 

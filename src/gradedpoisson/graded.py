@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import Derivation, Form, VectorField, VectorValuedForm
+from .forms import Derivation, Form, VectorField, _d_componentwise
 from .geometry import ChartGeometry, matrix_det
 from .scalars import RationalFunction
 
@@ -33,39 +33,31 @@ from .scalars import RationalFunction
 # -- basic derivations -------------------------------------------------------
 
 
-def _basic_cache(geom: ChartGeometry) -> dict:
-    cache = getattr(geom, "_graded_basics", None)
-    if cache is None:
-        cache = {}
-        geom._graded_basics = cache
-    return cache
-
-
 def basic_ins(geom: ChartGeometry, a: int) -> Derivation:
-    cache = _basic_cache(geom)
-    key = ("ins", a)
-    if key not in cache:
-        cache[key] = Derivation.insertion(VectorField.basis(geom.field, a))
-    return cache[key]
+    return geom.cached(("ins", a), lambda: Derivation.insertion(VectorField.basis(geom.field, a)))
 
 
 def basic_lie(geom: ChartGeometry, a: int) -> Derivation:
-    cache = _basic_cache(geom)
-    key = ("lie", a)
-    if key not in cache:
-        cache[key] = Derivation.lie(VectorField.basis(geom.field, a))
-    return cache[key]
+    return geom.cached(("lie", a), lambda: Derivation.lie(VectorField.basis(geom.field, a)))
 
 
 def basic_even(geom: ChartGeometry, a: int, basis: str) -> Derivation:
     return geom.nabla_basis(a) if basis == "nabla" else basic_lie(geom, a)
 
 
+def basis_shift(geom: ChartGeometry, basis: str):
+    """The map K -> d_B K on vector-valued forms that ties a basis to normal form.
+
+    L_K = sum_a K_a B_a + (-1)^k sum_a (d_B K)_a i_a for a vector-valued
+    k-form K, where d_B is the exterior covariant derivative for the nabla
+    basis and the componentwise d for the lie basis.
+    """
+    return geom.dnabla if basis == "nabla" else _d_componentwise
+
+
 def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str):
     """Coefficient forms of a derivation over {even basics, insertions}."""
-    if basis == "nabla":
-        return derivation.basis_coefficients(covariant_d=geom.dnabla)
-    return derivation.basis_coefficients()
+    return derivation.basis_coefficients(basis_shift(geom, basis))
 
 
 def _parity(derivation: Derivation) -> int:
@@ -223,6 +215,12 @@ class GradedTwoForm:
             return -self.li[b][a]
         return self.ii[a][b]
 
+    def block_matrix(self) -> list[list[Form]]:
+        """All 2n x 2n blocks <E_r, E_s>, even basics first, then insertions."""
+        dim = self.geom.dim
+        kinds = [("lie", a) for a in range(dim)] + [("ins", a) for a in range(dim)]
+        return [[self.block(k1, a, k2, b) for k2, b in kinds] for k1, a in kinds]
+
     @property
     def is_zero(self) -> bool:
         return all(
@@ -331,7 +329,6 @@ def _basic_decomposition(geom, kind, index):
     zero = [Form.zero(geom.field)] * geom.dim
     coeffs = list(zero)
     coeffs[index] = Form.function(geom.field.one)
-    par = 1 if kind == "ins" else 0
     if kind == "ins":
         return (("lie", 0, zero), ("ins", 1, coeffs))
     return (("lie", 0, coeffs), ("ins", 1, zero))
@@ -524,7 +521,7 @@ def lambda_omega(geom: ChartGeometry) -> GradedOneForm:
     """The odd potential: <i_X> = 0, <L_X> = omega(X, _); bidegree (1, -1)."""
     zero = Form.zero(geom.field)
     on_lie = [
-        geom.omega_row_form(VectorField.basis(geom.field, a)) for a in range(geom.dim)
+        geom.row_form(geom.w, VectorField.basis(geom.field, a)) for a in range(geom.dim)
     ]
     return GradedOneForm(geom, "lie", on_lie, [zero] * geom.dim, -1)
 
@@ -645,35 +642,17 @@ def theta_ks_closed(geom: ChartGeometry) -> GradedTwoForm:
     return GradedTwoForm(geom, "lie", ll, li, ii, -1)
 
 
-def theta_even_cached(geom: ChartGeometry, variant: str = "omega_g", basis: str = "lie") -> GradedTwoForm:
-    """theta_even memoized per chart; builds the lie tabulation once."""
-    cache = _basic_cache(geom)
-    key = ("theta_even", variant, basis)
-    if key not in cache:
-        lie_key = ("theta_even", variant, "lie")
-        if lie_key not in cache:
-            cache[lie_key] = theta_even(geom, variant, "lie")
-        cache[key] = convert_two(cache[lie_key], basis)
-    return cache[key]
+def theta_even_cached(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:
+    """theta_even (variant omega_g) memoized per chart; builds the lie tabulation once."""
+    lie = geom.cached(("theta_even", "lie"), lambda: theta_even(geom, "omega_g", "lie"))
+    return geom.cached(("theta_even", basis), lambda: convert_two(lie, basis))
 
 
 def theta_ks_cached(geom: ChartGeometry) -> GradedTwoForm:
-    cache = _basic_cache(geom)
-    if "theta_ks" not in cache:
-        cache["theta_ks"] = theta_ks(geom)
-    return cache["theta_ks"]
+    return geom.cached("theta_ks", lambda: theta_ks(geom))
 
 
 def scalar_block_det(theta: GradedTwoForm) -> RationalFunction:
     """Determinant of the degree-0 part of the full block matrix."""
-    geom = theta.geom
-    dim = geom.dim
-    size = 2 * dim
-    rows = []
-    kinds = [("lie", a) for a in range(dim)] + [("ins", a) for a in range(dim)]
-    for k1, a in kinds:
-        row = []
-        for k2, b in kinds:
-            row.append(theta.block(k1, a, k2, b).scalar_part())
-        rows.append(row)
-    return matrix_det(rows, geom.field)
+    rows = [[block.scalar_part() for block in row] for row in theta.block_matrix()]
+    return matrix_det(rows, theta.geom.field)

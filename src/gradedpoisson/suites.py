@@ -94,7 +94,7 @@ class SuiteContext:
             self.forms_by_degree[degree] = [
                 _random_form(rng, chart.field, degree) for _ in range(samples)
             ]
-        self.theta = theta_even_cached(chart, "omega_g", "nabla")
+        self.theta = theta_even_cached(chart, "nabla")
 
     def pairs(self):
         """Deterministic homogeneous pairs covering the whole corpus."""
@@ -254,7 +254,7 @@ def check_poisson_extension(ctx):
 
 def check_exterior_insertion(ctx):
     chart = ctx.chart
-    theta = theta_even_cached(chart, "omega_g", "lie")
+    theta = theta_even_cached(chart, "lie")
     got = iota(Derivation.exterior(chart.field), theta)
     want = lambda_omega(chart)
     if got == want:
@@ -264,7 +264,7 @@ def check_exterior_insertion(ctx):
 
 def check_exterior_lie(ctx):
     chart = ctx.chart
-    theta = theta_even_cached(chart, "omega_g", "lie")
+    theta = theta_even_cached(chart, "lie")
     got = lieG_two(Derivation.exterior(chart.field), theta)
     want = theta_ks_cached(chart)
     if got == want:
@@ -311,7 +311,7 @@ def _with_l(chart, rows, tag):
 def check_tensor_insertion_characterization(ctx):
     chart = ctx.chart
     d_op = Derivation.exterior(chart.field)
-    base = iota(d_op, theta_even_cached(chart, "omega_g", "lie"))
+    base = iota(d_op, theta_even_cached(chart, "lie"))
     if base != lambda_omega(chart):
         return False, "the tensor-free form already misses the odd potential"
     for index, rows in enumerate(_l_samples(chart)):
@@ -424,7 +424,7 @@ def check_construction_consistency(ctx):
 
 def check_theta_determinant(ctx):
     chart = ctx.chart
-    det = scalar_block_det(theta_even_cached(chart, "omega_g", "lie"))
+    det = scalar_block_det(theta_even_cached(chart, "lie"))
     want = chart.det_w * chart.det_g
     if det == want and not det.is_zero:
         return True, None
@@ -706,12 +706,12 @@ class CheckRecord:
 
 
 class Report:
-    def __init__(self, chart, suite, seed, samples, max_form_degree, ctx, records):
+    def __init__(self, chart, suite, ctx, records):
         self.chart = chart.name
         self.suite = suite
-        self.seed = seed
-        self.samples = samples
-        self.max_form_degree = max_form_degree
+        self.seed = ctx.seed
+        self.samples = ctx.samples
+        self.max_form_degree = ctx.max_form_degree
         self.corpus_functions = [str(f) for f in ctx.functions]
         self.corpus_one_forms = [str(f) for f in ctx.forms_by_degree.get(1, ())]
         self.records = records
@@ -792,4 +792,4 @@ def run_suite(
             continue
         ok, witness = check.fn(ctx)
         records.append(CheckRecord(check.id, check.anchor, "pass" if ok else "fail", witness))
-    return Report(chart, suite, seed, samples, max_form_degree, ctx, records)
+    return Report(chart, suite, ctx, records)

@@ -3,8 +3,11 @@
 Each criterion reads the deterministic suite reports (seed 42, eight
 corpus members per chart) and asserts exact symbolic equality; there is
 no tolerance anywhere. The printed lines bypass capture so a plain
-pytest run shows the verdict table inline.
+pytest run shows the verdict table inline. The same reports must also
+match the committed golden texts under tests/golden byte for byte.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,17 @@ def reports():
         name: run_suite(builtin_chart(name), suite="all", seed=42, samples=8)
         for name in ALL_CHARTS
     }
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ALL_CHARTS)
+def test_reports_match_golden(reports, name):
+    # the text of check builtin:<name> --suite all --seed 42 --samples 8;
+    # a refactor must keep it byte for byte
+    want = (GOLDEN / f"check-{name}-seed42.txt").read_text(encoding="utf-8")
+    assert reports[name].to_text() == want
 
 
 def _record(reports, chart, check_id):

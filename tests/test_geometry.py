@@ -119,8 +119,8 @@ def test_j_defining_identity_and_antisymmetry(name):
     for x in basis:
         for y in basis:
             jx, jy = ch.j_apply(x), ch.j_apply(y)
-            assert ch.omega_eval(x, y) == ch.metric_eval(jx, y)
-            assert ch.metric_eval(jx, y) == -ch.metric_eval(x, jy)
+            assert ch.bilinear_eval(ch.w, x, y) == ch.bilinear_eval(ch.g, jx, y)
+            assert ch.bilinear_eval(ch.g, jx, y) == -ch.bilinear_eval(ch.g, x, jy)
 
 
 def test_j_examples():
@@ -177,7 +177,7 @@ def test_nabla_j_antisymmetry_with_generic_metric():
                     chart.nabla_direction(u, z)
                 )
                 nonzero = nonzero or not nj_y.is_zero
-                assert chart.metric_eval(nj_y, z) == -chart.metric_eval(nj_z, yv)
+                assert chart.bilinear_eval(chart.g, nj_y, z) == -chart.bilinear_eval(chart.g, nj_z, yv)
     assert nonzero
 
 
@@ -275,8 +275,8 @@ def test_tangent_lift_structure(name):
     for a in basis:
         for b in basis:
             ja, jb = ch.j_apply(a), ch.j_apply(b)
-            assert ch.omega_eval(a, b) == ch.metric_eval(ja, b)
-            assert ch.metric_eval(ja, jb) == -ch.metric_eval(a, b)
+            assert ch.bilinear_eval(ch.w, a, b) == ch.bilinear_eval(ch.g, ja, b)
+            assert ch.bilinear_eval(ch.g, ja, jb) == -ch.bilinear_eval(ch.g, a, b)
 
 
 def test_chart_validation_errors():

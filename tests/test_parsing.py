@@ -242,7 +242,17 @@ def test_cli_usage_errors_exit_two(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_rejects_unknown_command():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["check", "builtin:flat2", "--samples", "0"],
+        ["check", "builtin:flat2", "--samples", "-3"],
+        ["check", "builtin:flat2", "--max-form-degree", "0"],
+    ],
+)
+def test_cli_rejects_unknown_command(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["bogus"])
+        main(argv)
     assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
