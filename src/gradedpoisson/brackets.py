@@ -13,6 +13,13 @@ not reproduce the right-hand side exactly. That final check is the
 master invariant: every closed-form shortcut in this module is validated
 against it.
 
+The elimination's plan, the inverse of Theta's degree-0 block matrix and
+the positive-degree parts of its blocks, is built once per form and kept
+in the chart's cache, together with a memo of the solutions found so far.
+The memo stores a solution only after the final check has passed, so the
+check runs once for every distinct solve on a chart, and a repeated solve
+returns the shared, read-only solution.
+
 Two calibration signs are fixed here once and used consistently:
 
   * the even solve seeds its degree-0 component at minus the classical
@@ -61,14 +68,25 @@ class HamiltonianSolution:
         self.derivation = derivation
 
 
-def _as_rhs(geom: ChartGeometry, alpha, basis: str) -> GradedOneForm:
+def _operand(alpha):
+    """alpha as a Form or a GradedOneForm, with its key in the solve memo.
+
+    Equal keys mean equal right-hand sides: a function keys as the 0-form
+    it is, a form by value, a tabulated 1-form by its tabulation.
+    """
     if isinstance(alpha, RationalFunction):
         alpha = Form.function(alpha)
     if isinstance(alpha, Form):
-        return dG_function(geom, alpha, basis=basis)
+        return alpha, alpha
     if isinstance(alpha, GradedOneForm):
-        return convert_one(alpha, basis)
+        return alpha, (alpha.basis, alpha.on_lie, alpha.on_ins)
     raise TypeError(f"cannot solve against {type(alpha).__name__}")
+
+
+def _as_rhs(geom: ChartGeometry, alpha, basis: str) -> GradedOneForm:
+    if isinstance(alpha, Form):
+        return dG_function(geom, alpha, basis=basis)
+    return convert_one(alpha, basis)
 
 
 def _collect(field, per_degree):
@@ -89,6 +107,29 @@ def _verify(theta: GradedTwoForm, derivation: Derivation, rhs: GradedOneForm) ->
         )
 
 
+def _plan(theta: GradedTwoForm):
+    """theta's solver plan, built once per chart: (inverse, higher, memo).
+
+    inverse is the inverse of the degree-0 part of theta's block matrix,
+    higher[row][col] lists the (degree, part) pairs of positive degree of
+    block (row, col), and memo maps an operand key to its verified
+    solution. A degenerate form raises ChartError and leaves no plan behind.
+    """
+
+    def build():
+        blocks = theta.block_matrix()
+        inverse = matrix_inverse(
+            [[block.scalar_part() for block in row] for row in blocks], theta.geom.field
+        )
+        higher = [
+            [[(j, part) for j, part in block.homogeneous_parts().items() if j] for block in row]
+            for row in blocks
+        ]
+        return inverse, higher, {}
+
+    return theta.geom.cached(("solve-plan", theta), build)
+
+
 def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
     """Hamiltonian derivation of alpha: the D with iota_D theta = d^G alpha.
 
@@ -101,19 +142,21 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
     Koszul sign (-1)^(coefficient degree); multiplying the row by (-1)^m
     leaves A unsigned. A singular A, i.e. a degenerate form, raises
     ChartError.
+
+    A and the higher blocks come from theta's plan, built once per chart.
+    Solutions are memoized on the plan after _verify has passed, so
+    _verify runs once per distinct solve and a repeated solve returns the
+    same HamiltonianSolution; callers must treat it as read-only.
     """
+    alpha, key = _operand(alpha)
+    inverse, higher, memo = _plan(theta)
+    if key in memo:
+        return memo[key]
     geom = theta.geom
     dim = geom.dim
     field = geom.field
     rhs = _as_rhs(geom, alpha, theta.basis)
-
-    blocks = theta.block_matrix()
     size = 2 * dim
-    inverse = matrix_inverse([[block.scalar_part() for block in row] for row in blocks], field)
-    higher = [
-        [[(j, part) for j, part in block.homogeneous_parts().items() if j] for block in row]
-        for row in blocks
-    ]
     targets = rhs.on_lie + rhs.on_ins
 
     coeffs: dict[int, list[Form]] = {}
@@ -154,7 +197,8 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
         parts[k] = (kpart, apart)
     derivation = Derivation(field, parts)
     _verify(theta, derivation, rhs)
-    return HamiltonianSolution(lie_components, ins_components, derivation)
+    memo[key] = HamiltonianSolution(lie_components, ins_components, derivation)
+    return memo[key]
 
 
 # -- recursion fast paths ------------------------------------------------------

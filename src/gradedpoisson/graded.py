@@ -273,6 +273,9 @@ class GradedTwoForm:
             and self.ii == other.ii
         )
 
+    def __hash__(self):
+        return hash((self.geom, self.basis, self.ll, self.li, self.ii))
+
     def __repr__(self):
         return (
             f"GradedTwoForm(chart={self.geom.name}, basis={self.basis}, "

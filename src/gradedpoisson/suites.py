@@ -81,10 +81,15 @@ class SuiteContext:
     """Seeded corpus plus per-run caches shared by the checks."""
 
     def __init__(self, chart: ChartGeometry, seed: int, samples: int, max_form_degree: int):
+        # an empty corpus would let every check pass vacuously
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if max_form_degree < 1:
+            raise ValueError(f"max_form_degree must be at least 1, got {max_form_degree}")
         self.chart = chart
         self.seed = seed
         self.samples = samples
-        self.max_form_degree = max(1, min(max_form_degree, chart.dim))
+        self.max_form_degree = min(max_form_degree, chart.dim)
         rng = random.Random(seed)
         self.functions = [_random_poly(rng, chart.field) for _ in range(samples)]
         self.forms_by_degree = {
@@ -718,7 +723,8 @@ class Report:
 
     @property
     def failed(self) -> int:
-        return sum(1 for r in self.records if r.status == "fail")
+        """Checks that failed or raised."""
+        return sum(1 for r in self.records if r.status != "pass")
 
     @property
     def ok(self) -> bool:
@@ -738,7 +744,7 @@ class Report:
         for record in self.records:
             line = f"{record.status.upper():4s} {record.id} :: {record.anchor}"
             if record.witness:
-                tag = "witness" if record.status == "fail" else "note"
+                tag = "note" if record.status == "pass" else "witness"
                 line += f" :: {tag}: {record.witness}"
             lines.append(line)
         lines.append(
@@ -790,6 +796,11 @@ def run_suite(
     for check in CHECKS:
         if suite != "all" and suite not in check.suites:
             continue
-        ok, witness = check.fn(ctx)
-        records.append(CheckRecord(check.id, check.anchor, "pass" if ok else "fail", witness))
+        try:
+            ok, witness = check.fn(ctx)
+        except Exception as err:  # one broken check must not end the run
+            status, witness = "error", f"{type(err).__name__}: {err}"
+        else:
+            status = "pass" if ok else "fail"
+        records.append(CheckRecord(check.id, check.anchor, status, witness))
     return Report(chart, suite, ctx, records)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gradedpoisson import brackets
 from gradedpoisson.brackets import (
     bracket_fastpath,
     d_defect,
@@ -17,7 +18,15 @@ from gradedpoisson.brackets import (
 )
 from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
 from gradedpoisson.geometry import builtin_chart, builtin_names
-from gradedpoisson.graded import theta_even_cached, theta_ks_cached, theta_omega
+from gradedpoisson.graded import (
+    convert_two,
+    iota,
+    theta_even,
+    theta_even_cached,
+    theta_even_closed_nabla,
+    theta_ks_cached,
+    theta_omega,
+)
 
 FLAT2 = builtin_chart("flat2")
 HALF = builtin_chart("halfplane")
@@ -84,8 +93,6 @@ def test_curved_function_solution_carries_curvature_tail():
 
 def test_solver_accepts_tabulated_right_hand_side():
     lam = theta_ks_cached(FLAT2)
-    from gradedpoisson.graded import iota
-
     d_op = Derivation.exterior(FLAT2.field)
     rhs = iota(d_op, even_theta(FLAT2))
     sol = solve_hamiltonian(even_theta(FLAT2), rhs)
@@ -432,9 +439,72 @@ def test_odd_bracket_routes_agree(name):
 
 
 def test_solver_rejects_degenerate_form():
-    # the naive lift of omega has a zero insertion block: no solve exists
-    with pytest.raises(ValueError):
-        solve_hamiltonian(theta_omega(FLAT2, "nabla"), FLAT2.field.gens[0])
+    # the naive lift of omega has a zero insertion block: no solve exists,
+    # and a failed plan is not cached, so every solve raises again
+    theta = theta_omega(FLAT2, "nabla")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            solve_hamiltonian(theta, FLAT2.field.gens[0])
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts the solver's _verify calls; the check itself still runs."""
+    calls = []
+    verify = brackets._verify
+
+    def counting(*args):
+        calls.append(args)
+        verify(*args)
+
+    monkeypatch.setattr(brackets, "_verify", counting)
+    return calls
+
+
+def test_repeated_solves_are_verified_once(verify_calls):
+    chart = builtin_chart("sphere2")
+    theta = even_theta(chart)
+    x, y = chart.field.gens
+    f = x * y + y
+    first = solve_hamiltonian(theta, f)
+    assert solve_hamiltonian(theta, f) is first
+    assert solve_hamiltonian(theta, Form.function(f)) is first
+    assert len(verify_calls) == 1
+    tabulated = iota(first.derivation, theta)
+    second = solve_hamiltonian(theta, tabulated)
+    assert solve_hamiltonian(theta, tabulated) is second
+    assert second.derivation == first.derivation
+    assert len(verify_calls) == 2
+
+
+def test_even_and_odd_forms_keep_separate_solutions(verify_calls):
+    chart = builtin_chart("sphere2")
+    alpha = Form.coordinate_diff(chart.field, 0)
+    even = solve_hamiltonian(even_theta(chart), alpha)
+    odd = solve_hamiltonian(theta_ks_cached(chart), alpha)
+    assert even.derivation != odd.derivation
+    assert solve_hamiltonian(even_theta(chart), alpha) is even
+    assert solve_hamiltonian(theta_ks_cached(chart), alpha) is odd
+    assert len(verify_calls) == 2
+
+
+def test_rebuilt_chart_solves_and_verifies_again(verify_calls):
+    for _ in range(2):
+        chart = builtin_chart("sphere2")
+        solve_hamiltonian(even_theta(chart), chart.field.gens[0])
+    assert len(verify_calls) == 2
+
+
+def test_equal_graded_two_forms_hash_equal():
+    chart = builtin_chart("sphere2")
+    cached = theta_even_cached(chart, "nabla")
+    for other in (
+        theta_even_closed_nabla(chart),
+        convert_two(theta_even(chart, "omega_g", "lie"), "nabla"),
+    ):
+        assert other is not cached
+        assert other == cached
+        assert hash(other) == hash(cached)
 
 
 # -- odd bracket axioms -------------------------------------------------------------

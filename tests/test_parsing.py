@@ -9,6 +9,7 @@ from gradedpoisson.exprparse import ExprError, parse_form_expr, parse_scalar_exp
 from gradedpoisson.forms import Form
 from gradedpoisson.geometry import ChartError, builtin_chart
 from gradedpoisson.manifest import ManifestError, parse_manifest
+from gradedpoisson import suites
 from gradedpoisson.suites import run_suite
 
 CHART = builtin_chart("flat2")
@@ -157,6 +158,35 @@ def test_reports_are_deterministic():
     assert first.to_json() == second.to_json()
     other = run_suite(CHART, suite="axioms", seed=8, samples=3)
     assert other.to_json() != first.to_json()
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"samples": 0}, {"samples": -3}, {"max_form_degree": 0}]
+)
+def test_run_suite_rejects_an_empty_corpus(kwargs):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite(CHART, suite="axioms", **kwargs)
+
+
+def test_a_raising_check_is_an_error_not_a_crash(monkeypatch, capsys):
+    def broken(ctx):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(suites.CHECKS[0], "fn", broken)
+    argv = ["check", "builtin:flat2", "--suite", "axioms", "--samples", "2"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert (
+        "ERROR even-bilinearity :: [[a+b,c]] = [[a,c]] + [[b,c]] (even bracket)"
+        " :: witness: ZeroDivisionError: division by zero\n"
+    ) in out
+    assert "PASS even-degree" in out
+    assert out.endswith("summary: 11 checks, 10 passed, 1 failed\n")
+    assert main(argv + ["--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"][0]["status"] == "error"
+    assert payload["checks"][0]["witness"] == "ZeroDivisionError: division by zero"
+    assert payload["summary"] == {"checks": 11, "passed": 10, "failed": 1}
 
 
 def test_cli_charts_lists_builtins(capsys):
