@@ -14,6 +14,7 @@ from .exprparse import ExprError, parse_form_expr, parse_scalar_expr
 from .geometry import ChartError, builtin_chart, builtin_names
 from .graded import theta_even_cached
 from .manifest import ManifestError, parse_manifest
+from .scalars import clear_memos
 from .suites import SUITES, run_suite
 
 
@@ -134,6 +135,8 @@ def main(argv=None) -> int:
     except (ManifestError, ExprError, ChartError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    finally:
+        clear_memos()
 
 
 if __name__ == "__main__":

@@ -137,6 +137,8 @@ class _Parser:
                     )
                 if rhs_literal < 0 and base.is_zero:
                     raise ExprError("division by zero", position)
+                if rhs_literal == 0 and base.is_zero:
+                    raise ExprError("zero to the power zero is undefined", position)
                 value = Form.function(base**rhs_literal)
             elif rhs.degrees() and rhs.degrees() != [0]:
                 value = value.wedge(rhs)

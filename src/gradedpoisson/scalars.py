@@ -11,6 +11,17 @@ identity check in the test harness relies on.
 Backed by sympy's sparse rational function fields; the wrapper pins the
 public surface and keeps sympy types from leaking into the rest of the
 package.
+
+Every sympy multiply or derivative renormalizes through a gcd, and the
+brackets differentiate and multiply the same few values again and again.
+So each interned field (see ``coordinate_field``) keeps one memo dict of
+results, keyed by value: a product by its two operand elements in order, a
+partial derivative by its coordinate index and operand element. A hit
+returns the same normalized value a fresh computation would, and values
+are never mutated, so one result object can serve every caller.
+``clear_memos`` empties every field's memo; ``cli.main`` and
+``suites.run_suite`` call it when they end, so no call reuses the work
+of an earlier one.
 """
 
 from __future__ import annotations
@@ -37,6 +48,12 @@ def coordinate_field(coords) -> "ScalarField":
     return field
 
 
+def clear_memos() -> None:
+    """Empty the product and derivative memo of every interned field."""
+    for field in _FIELDS.values():
+        field._memo.clear()
+
+
 class ScalarField:
     """The rational function field Q(x_1, ..., x_n) over named coordinates."""
 
@@ -49,6 +66,7 @@ class ScalarField:
         self.coords = coords
         self._field = FracField(coords, QQ, order="grlex")
         self._ring = self._field.ring
+        self._memo = {}
         self.zero = RationalFunction(self, self._field.zero)
         self.one = RationalFunction(self, self._field.one)
         self.gens = tuple(RationalFunction(self, g) for g in self._field.gens)
@@ -57,11 +75,15 @@ class ScalarField:
     def dimension(self) -> int:
         return len(self.coords)
 
-    def coordinate(self, name: str) -> "RationalFunction":
+    def index(self, name: str) -> int:
+        """0-based position of a coordinate name; KeyError if unknown."""
         try:
-            return self.gens[self.coords.index(name)]
+            return self.coords.index(name)
         except ValueError:
             raise KeyError(f"unknown coordinate {name!r}") from None
+
+    def coordinate(self, name: str) -> "RationalFunction":
+        return self.gens[self.index(name)]
 
     def constant(self, value) -> "RationalFunction":
         q = Fraction(value)
@@ -141,7 +163,12 @@ class RationalFunction:
         elem = self._coerce(other)
         if elem is None:
             return NotImplemented
-        return RationalFunction(self.field, self._elem * elem)
+        memo = self.field._memo
+        key = (self._elem, elem)
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = RationalFunction(self.field, self._elem * elem)
+        return result
 
     __rmul__ = __mul__
 
@@ -178,14 +205,20 @@ class RationalFunction:
 
     def partial(self, coord) -> "RationalFunction":
         """Exact partial derivative. ``coord`` is a 0-based index or a name."""
+        field = self.field
         if isinstance(coord, str):
-            index = self.field.coords.index(coord)
+            index = field.index(coord)
         else:
             index = coord
-            if not 0 <= index < self.field.dimension:
+            if not 0 <= index < field.dimension:
                 raise IndexError(f"coordinate index {coord} out of range")
-        gen = self.field._field.gens[index]
-        return RationalFunction(self.field, self._elem.diff(gen))
+        # three entries, so no product key (two entries) can ever equal it
+        key = ("partial", index, self._elem)
+        result = field._memo.get(key)
+        if result is None:
+            gen = field._field.gens[index]
+            result = field._memo[key] = RationalFunction(field, self._elem.diff(gen))
+        return result
 
     def eval_at(self, point) -> Fraction:
         """Exact value at a rational point.

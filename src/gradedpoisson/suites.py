@@ -44,6 +44,7 @@ from .graded import (
     theta_ks_cached,
     theta_ks_closed,
 )
+from .scalars import clear_memos
 
 SUITES = ("axioms", "theorems", "recursion", "kahler", "paracomplex", "all")
 
@@ -791,16 +792,19 @@ def run_suite(
 ) -> Report:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
-    ctx = SuiteContext(chart, seed, samples, max_form_degree)
-    records = []
-    for check in CHECKS:
-        if suite != "all" and suite not in check.suites:
-            continue
-        try:
-            ok, witness = check.fn(ctx)
-        except Exception as err:  # one broken check must not end the run
-            status, witness = "error", f"{type(err).__name__}: {err}"
-        else:
-            status = "pass" if ok else "fail"
-        records.append(CheckRecord(check.id, check.anchor, status, witness))
-    return Report(chart, suite, ctx, records)
+    try:
+        ctx = SuiteContext(chart, seed, samples, max_form_degree)
+        records = []
+        for check in CHECKS:
+            if suite != "all" and suite not in check.suites:
+                continue
+            try:
+                ok, witness = check.fn(ctx)
+            except Exception as err:  # one broken check must not end the run
+                status, witness = "error", f"{type(err).__name__}: {err}"
+            else:
+                status = "pass" if ok else "fail"
+            records.append(CheckRecord(check.id, check.anchor, status, witness))
+        return Report(chart, suite, ctx, records)
+    finally:
+        clear_memos()

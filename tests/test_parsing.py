@@ -1,9 +1,13 @@
 """Expression grammar, chart manifests and the command-line surface."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gradedpoisson import scalars
 from gradedpoisson.cli import main
 from gradedpoisson.exprparse import ExprError, parse_form_expr, parse_scalar_expr
 from gradedpoisson.forms import Form
@@ -59,6 +63,8 @@ def test_power_joins_wedge_factors():
         ("x^y", 2, "integer literal"),
         ("(x", 3, "expected ')'"),
         ("x y", 3, "unexpected 'y'"),
+        ("0^0", 2, "power zero"),
+        ("(x-x)^0", 6, "power zero"),
     ],
 )
 def test_expression_errors_carry_columns(text, column, fragment):
@@ -122,6 +128,7 @@ def test_manifest_flags_and_tensor_fill():
         ("[chart\n", 1, "unterminated"),
         ("[chart]\nplane\n", 2, "expected key=value"),
         ("[metric]\ng=1\n", 2, "g.i.i style key"),
+        ("[chart] name=p, coords=x,y\n[symplectic]\nw.1.2=0^0\n", 3, "power zero"),
     ],
 )
 def test_manifest_errors_carry_line_numbers(text, line, fragment):
@@ -160,12 +167,55 @@ def test_reports_are_deterministic():
     assert other.to_json() != first.to_json()
 
 
+def _memo_entries():
+    return sum(len(field._memo) for field in scalars._FIELDS.values())
+
+
 @pytest.mark.parametrize(
     "kwargs", [{"samples": 0}, {"samples": -3}, {"max_form_degree": 0}]
 )
 def test_run_suite_rejects_an_empty_corpus(kwargs):
+    X * Y
     with pytest.raises(ValueError, match="at least 1"):
         run_suite(CHART, suite="axioms", **kwargs)
+    assert _memo_entries() == 0
+
+
+def test_run_suite_leaves_the_scalar_memos_empty():
+    X * Y
+    assert _memo_entries() > 0
+    assert run_suite(CHART, suite="axioms", samples=1).ok
+    assert _memo_entries() == 0
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["bracket", "builtin:halfplane", "--alpha=x*dx", "--beta=y"], 0),
+        (["check", "builtin:flat2", "--suite", "axioms", "--samples", "1"], 1),
+        (["bracket", "builtin:halfplane", "--alpha=x*y/(x-x)", "--beta=y"], 2),
+    ],
+)
+def test_cli_leaves_the_scalar_memos_empty(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(suites.CHECKS[0], "fn", lambda ctx: (False, "forced"))
+    X * Y
+    assert _memo_entries() > 0
+    assert main(argv) == code
+    assert _memo_entries() == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "builtin:halfplane", "--suite", "axioms", "--samples", "2"],
+        ["bracket", "builtin:sphere2", "--alpha=x*dy", "--beta=y^2*dx", "--odd"],
+    ],
+)
+def test_repeated_cli_calls_print_the_same_bytes(argv, capsys):
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
 
 
 def test_a_raising_check_is_an_error_not_a_crash(monkeypatch, capsys):
@@ -263,6 +313,7 @@ def test_cli_fastpath_matches_solver(capsys):
         ["check", "builtin:nosuch"],
         ["check", "/nonexistent/path.chart"],
         ["bracket", "builtin:flat2", "--alpha", "x +", "--beta", "y"],
+        ["bracket", "builtin:flat2", "--alpha=0^0", "--beta=y"],
         ["bracket", "builtin:flat2", "--alpha", "d(x)", "--beta", "y", "--fastpath"],
         ["bracket", "builtin:flat2", "--alpha", "x", "--beta", "y", "--fastpath", "--odd"],
     ],
@@ -286,3 +337,56 @@ def test_cli_rejects_unknown_command(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- exit-code fuzzing ------------------------------------------------------------
+
+# Integer literals stay in 0..3 and tokens are joined by spaces, so no
+# exponent exceeds 3 in size and no call takes long. Powers come first among
+# the leaves, which hypothesis then draws often: literal exponents are where
+# the grammar has its edge cases.
+_TOKENS = ("0", "1", "2", "3", "x", "y", "dx", "dy", "+", "-", "*", "/", "^", "(", ")")
+_ATOMS = st.sampled_from(_TOKENS[:8])
+_BASES = st.one_of(_ATOMS, st.builds("({} {} {})".format, _ATOMS, st.sampled_from("+-"), _ATOMS))
+EXPRESSIONS = st.one_of(
+    st.recursive(
+        st.one_of(st.builds("{}^{}".format, _BASES, st.integers(-3, 3)), _ATOMS),
+        lambda inner: st.one_of(
+            st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+            inner.map("-{}".format),
+        ),
+        max_leaves=10,
+    ),
+    st.lists(st.sampled_from(_TOKENS), max_size=10).map(" ".join),
+)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXPRESSIONS, EXPRESSIONS, st.sampled_from(([], ["--odd"], ["--fastpath"])))
+def test_any_bracket_operand_exits_cleanly(alpha, beta, route):
+    code, err = _run_cli(["bracket", "builtin:flat2", f"--alpha={alpha}", f"--beta={beta}", *route])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXPRESSIONS, st.sampled_from(("g.1.1", "w.1.2")), st.booleans())
+def test_any_manifest_entry_exits_cleanly(tmp_path_factory, entry, key, odd):
+    values = {"g.1.1": "1", "w.1.2": "1", key: entry}
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.chart"
+    path.write_text(
+        "[chart] name=fuzz, coords=x,y\n"
+        f"[metric]\ng.1.1={values['g.1.1']}\ng.2.2=1\n"
+        f"[symplectic]\nw.1.2={values['w.1.2']}\n"
+    )
+    argv = ["bracket", str(path), "--alpha=x*dy", "--beta=y"] + (["--odd"] if odd else [])
+    code, err = _run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gradedpoisson.scalars import coordinate_field
+from gradedpoisson.scalars import RationalFunction, clear_memos, coordinate_field
 
 F = coordinate_field(("x", "y"))
 X, Y = F.gens
@@ -96,6 +96,30 @@ def test_quotient_rule(f, g):
     lhs = (f / g).partial(0)
     rhs = (f.partial(0) * g - f * g.partial(0)) / g**2
     assert lhs == rhs
+
+
+@given(scalars(), scalars())
+def test_memoized_results_equal_fresh_sympy(a, b):
+    clear_memos()
+    product = RationalFunction(F, a._elem * b._elem)
+    derivatives = [RationalFunction(F, a._elem.diff(gen)) for gen in F._field.gens]
+    for _ in range(2):  # misses, then hits
+        assert a * b == product
+        for index, name in enumerate(F.coords):
+            assert a.partial(index) == derivatives[index]
+            assert a.partial(name) == derivatives[index]
+
+
+def test_partial_resolves_names_like_coordinate():
+    clear_memos()
+    f = X * Y
+    entries = len(F._memo)
+    assert f.partial("x") is f.partial(0)
+    assert len(F._memo) == entries + 1
+    with pytest.raises(KeyError, match="unknown coordinate 'z'"):
+        f.partial("z")
+    with pytest.raises(KeyError, match="unknown coordinate 'z'"):
+        F.coordinate("z")
 
 
 @given(scalars(), scalars(), points)
