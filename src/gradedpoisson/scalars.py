@@ -2,15 +2,19 @@
 
 Every scalar that appears anywhere in the kernel (metric entries, symplectic
 entries, Christoffel symbols, Hamiltonians, bracket values...) is an element
-of Q(x_1, ..., x_n) for the chart coordinates x_i. Representations are kept
-normalized at all times: gcd(numerator, denominator) is a unit and the
-denominator's leading coefficient under graded-lex order is positive. That
-makes equality a plain representation comparison, which is what every
+of Q(x_1, ..., x_n) for the chart coordinates x_i, stored as an element of
+Frac(Z[x_1, ..., x_n]): a numerator and a denominator with integer
+coefficients. Representations are kept canonical at all times: the two
+polynomials are coprime in Z[x_1, ..., x_n], integer content included, and
+the denominator's leading coefficient under graded-lex order is positive.
+That makes equality a plain representation comparison, which is what every
 identity check in the test harness relies on.
 
-Backed by sympy's sparse rational function fields; the wrapper pins the
-public surface and keeps sympy types from leaking into the rest of the
-package.
+Backed by sympy's sparse rational function fields over ``ZZ``. Over ``QQ``
+sympy would reach the same canonical form, but every gcd would first clear
+denominators and convert both polynomials into a ``ZZ`` ring and back. The
+wrapper pins the public surface and keeps sympy types from leaking into the
+rest of the package.
 
 Every sympy multiply or derivative renormalizes through a gcd, and the
 brackets differentiate and multiply the same few values again and again.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracField
 
 _FIELDS: dict[tuple[str, ...], "ScalarField"] = {}
@@ -55,7 +59,8 @@ def clear_memos() -> None:
 
 
 class ScalarField:
-    """The rational function field Q(x_1, ..., x_n) over named coordinates."""
+    """The rational function field Q(x_1, ..., x_n) = Frac(Z[x_1, ..., x_n])
+    over named coordinates."""
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -64,7 +69,7 @@ class ScalarField:
         if not coords:
             raise ValueError("a chart needs at least one coordinate")
         self.coords = coords
-        self._field = FracField(coords, QQ, order="grlex")
+        self._field = FracField(coords, ZZ, order="grlex")
         self._ring = self._field.ring
         self._memo = {}
         self.zero = RationalFunction(self, self._field.zero)
@@ -86,8 +91,12 @@ class ScalarField:
         return self.gens[self.index(name)]
 
     def constant(self, value) -> "RationalFunction":
+        # a Fraction is reduced with a positive denominator: already canonical
         q = Fraction(value)
-        elem = self._field.ground_new(QQ(q.numerator, q.denominator))
+        ring = self._ring
+        elem = self._field.raw_new(
+            ring.ground_new(q.numerator), ring.ground_new(q.denominator)
+        )
         return RationalFunction(self, elem)
 
     def wrap(self, value) -> "RationalFunction":
@@ -193,7 +202,12 @@ class RationalFunction:
             return NotImplemented
         if exponent < 0 and not self._elem:
             raise ZeroDivisionError("negative power of zero")
-        return RationalFunction(self.field, self._elem**exponent)
+        elem = self._elem**exponent
+        # sympy swaps the parts of a negative power without a sign fix; they
+        # stay coprime, so negating both restores the canonical form
+        if elem.denom.LC < 0:
+            elem = elem.raw_new(-elem.numer, -elem.denom)
+        return RationalFunction(self.field, elem)
 
     def __neg__(self):
         return RationalFunction(self.field, -self._elem)

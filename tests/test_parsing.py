@@ -278,6 +278,16 @@ def test_cli_check_fails_on_incompatible_tensor(tmp_path, capsys):
     assert "witness" in out
 
 
+def test_negative_power_and_quotient_give_the_same_report(tmp_path, capsys):
+    reports = []
+    for name, entry in (("pow", "(1-x)^-1"), ("div", "1/(1-x)")):
+        path = tmp_path / f"{name}.chart"
+        path.write_text(PLANE.replace("w.1.2=1", f"w.1.2={entry}"))
+        code = main(["check", str(path), "--suite", "all", "--samples", "2"])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1]
+
+
 def test_cli_json_report(capsys):
     code = main(
         ["check", "builtin:flat2", "--suite", "axioms", "--samples", "3", "--format", "json"]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
 
 from gradedpoisson.scalars import RationalFunction, clear_memos, coordinate_field
 
@@ -68,6 +70,13 @@ def test_normalization_is_canonical():
     assert X / (-1 - Y) == (-X) / (1 + Y)
     assert hash(X + Y) == hash(Y + X)
     assert str(F.zero) == "0"
+    for power, quotient in (
+        ((Y - X) ** -1, 1 / (Y - X)),
+        ((-X) ** -1, 1 / (-X)),
+        ((-X) ** -2, 1 / X**2),
+    ):
+        assert power == quotient
+        assert hash(power) == hash(quotient)
 
 
 def test_field_mismatch_rejected():
@@ -108,6 +117,45 @@ def test_memoized_results_equal_fresh_sympy(a, b):
         for index, name in enumerate(F.coords):
             assert a.partial(index) == derivatives[index]
             assert a.partial(name) == derivatives[index]
+
+
+ORACLE = FracField(F.coords, QQ, order="grlex")
+
+
+def _terms(poly):
+    return {m: Fraction(int(c.numerator), int(c.denominator)) for m, c in poly.terms()}
+
+
+def _to_oracle(value):
+    numer, denom = (
+        ORACLE.ring.from_dict({m: QQ(c) for m, c in _terms(poly).items()})
+        for poly in (value._elem.numer, value._elem.denom)
+    )
+    return ORACLE.new(numer, denom)
+
+
+def _assert_canonical(value, expected):
+    numer, denom = _terms(value._elem.numer), _terms(value._elem.denom)
+    assert (numer, denom) == (_terms(expected.numer), _terms(expected.denom))
+    assert all(c.denominator == 1 for c in (*numer.values(), *denom.values()))
+    assert value._elem.numer.gcd(value._elem.denom) == 1
+    assert denom[max(denom, key=lambda m: (sum(m), m))] > 0
+
+
+@given(scalars(), scalars())
+def test_integer_field_agrees_with_a_rational_oracle(a, b):
+    qa, qb = _to_oracle(a), _to_oracle(b)
+    _assert_canonical(a + b, qa + qb)
+    _assert_canonical(a - b, qa - qb)
+    _assert_canonical(a * b, qa * qb)
+    if b:
+        _assert_canonical(a / b, qa / qb)
+    for index, gen in enumerate(ORACLE.gens):
+        _assert_canonical(a.partial(index), qa.diff(gen))
+    if a:
+        for k in range(-3, 4):
+            expected = qa**k if k >= 0 else ORACLE.one / qa**-k
+            _assert_canonical(a**k, expected)
 
 
 def test_partial_resolves_names_like_coordinate():
