@@ -1,16 +1,20 @@
 """Pseudoriemannian and symplectic structure on a coordinate chart.
 
 A ChartGeometry bundles a metric and a symplectic form (plus an optional
-compatibility tensor) and precomputes everything downstream code contracts
-against: Christoffel symbols, curvature, the endomorphism J relating the two
+compatibility tensor) with what downstream code contracts against:
+Christoffel symbols, curvature, the endomorphism J relating the two
 structures, musical isomorphisms, and classical Hamiltonian mechanics.
 Construction validates symmetry, antisymmetry, closedness and
-non-degeneracy, so no degenerate chart ever circulates.
+non-degeneracy, so no degenerate chart ever circulates. The derived tensors
+(gamma, riemann, j_matrix, j_inv) are built on first read, so a computation
+that never reads curvature, such as the Koszul-Schouten bracket, never pays
+for it; none of them can fail once construction has passed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .forms import Derivation, Form, VectorField, VectorValuedForm
 from .scalars import RationalFunction, ScalarField, coordinate_field
@@ -100,9 +104,9 @@ class ChartGeometry:
             raise ChartError("metric is degenerate: det g = 0")
         if self.det_w.is_zero:
             raise ChartError("symplectic matrix is degenerate: det w = 0")
-        if not self.omega_form().d().is_zero:
-            witness = self.omega_form().d()
-            raise ChartError(f"symplectic form is not closed: d(omega) = {witness}")
+        d_omega = self.omega_form().d()
+        if not d_omega.is_zero:
+            raise ChartError(f"symplectic form is not closed: d(omega) = {d_omega}")
 
         if l_tensor is not None:
             l_tensor = tuple(
@@ -123,17 +127,6 @@ class ChartGeometry:
         # bivector normalized so that {f,h} = lam^{ab} d_a f d_b h
         self.lam = tuple(tuple(-e for e in row) for row in self.w_inv)
 
-        self.gamma = self._christoffel()
-        self.riemann = self._riemann()
-        # J e_j = J^b_j e_b with omega(X,Y) = g(JX,Y)
-        self.j_matrix = tuple(
-            tuple(
-                sum((self.g_inv[b][l] * self.w[j][l] for l in range(dim)), field.zero)
-                for j in range(dim)
-            )
-            for b in range(dim)
-        )
-        self.j_inv = matrix_inverse(self.j_matrix, field)
         self.kahler_expected = kahler_expected
         self.canonical_j = canonical_j
         self._cache = {}
@@ -148,9 +141,11 @@ class ChartGeometry:
             self._cache[key] = build()
         return self._cache[key]
 
-    # -- construction internals -------------------------------------------
+    # -- derived tensors, built on first read ----------------------------
 
-    def _christoffel(self):
+    @cached_property
+    def gamma(self):
+        """Christoffel symbols Gamma^i_{jk} of the Levi-Civita connection."""
         dim, field = self.dim, self.field
         half = Fraction(1, 2)
         gamma = []
@@ -171,28 +166,45 @@ class ChartGeometry:
             gamma.append(tuple(gi))
         return tuple(gamma)
 
-    def _riemann(self):
-        # R^i_{juv}: coefficient of e_i in R(e_u, e_v) e_j
-        dim, field = self.dim, self.field
-        out = []
+    @cached_property
+    def riemann(self):
+        """R^i_{juv}: the coefficient of e_i in R(e_u, e_v) e_j.
+
+        Antisymmetric in (u, v), so only u < v is computed.
+        """
+        dim, field, gamma = self.dim, self.field, self.gamma
+        out = [[[[field.zero] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
         for i in range(dim):
-            bi = []
             for j in range(dim):
-                bj = []
+                block = out[i][j]
                 for u in range(dim):
-                    bu = []
-                    for v in range(dim):
-                        total = self.gamma[i][v][j].partial(u) - self.gamma[i][u][j].partial(v)
+                    for v in range(u + 1, dim):
+                        total = gamma[i][v][j].partial(u) - gamma[i][u][j].partial(v)
                         for m in range(dim):
                             total = total + (
-                                self.gamma[i][u][m] * self.gamma[m][v][j]
-                                - self.gamma[i][v][m] * self.gamma[m][u][j]
+                                gamma[i][u][m] * gamma[m][v][j]
+                                - gamma[i][v][m] * gamma[m][u][j]
                             )
-                        bu.append(total)
-                    bj.append(tuple(bu))
-                bi.append(tuple(bj))
-            out.append(tuple(bi))
-        return tuple(out)
+                        block[u][v] = total
+                        block[v][u] = -total
+        return tuple(tuple(tuple(tuple(row) for row in bj) for bj in bi) for bi in out)
+
+    @cached_property
+    def j_matrix(self):
+        """J e_j = J^b_j e_b with omega(X,Y) = g(JX,Y), that is J = g^-1 omega."""
+        dim, field = self.dim, self.field
+        return tuple(
+            tuple(
+                sum((self.g_inv[b][l] * self.w[j][l] for l in range(dim)), field.zero)
+                for j in range(dim)
+            )
+            for b in range(dim)
+        )
+
+    @cached_property
+    def j_inv(self):
+        # nonsingular: det g and det w are nonzero
+        return matrix_inverse(self.j_matrix, self.field)
 
     # -- tensor evaluation ---------------------------------------------------
 

@@ -200,8 +200,11 @@ class RationalFunction:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0 and not self._elem:
-            raise ZeroDivisionError("negative power of zero")
+        if not self._elem:
+            if exponent < 0:
+                raise ZeroDivisionError("negative power of zero")
+            if exponent == 0:
+                raise ValueError("zero to the power zero is undefined")
         elem = self._elem**exponent
         # sympy swaps the parts of a negative power without a sign fix; they
         # stay coprime, so negating both restores the canonical form

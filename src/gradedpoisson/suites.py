@@ -29,7 +29,6 @@ from .brackets import (
 from .forms import Derivation, Form
 from .geometry import ChartGeometry
 from .graded import (
-    convert_two,
     eval_one,
     iota,
     lambda_metric,
@@ -40,7 +39,6 @@ from .graded import (
     theta_even_cached,
     theta_even_closed_lie,
     theta_even_closed_nabla,
-    theta_ks,
     theta_ks_cached,
     theta_ks_closed,
 )
@@ -399,8 +397,10 @@ def check_nabla_j_symmetry(ctx):
 
 def check_locally_hamiltonian(ctx):
     chart = ctx.chart
-    variant = "omega_g_l" if chart.l_tensor is not None else "omega_g"
-    theta = theta_even(chart, variant)
+    if chart.l_tensor is not None:
+        theta = theta_even(chart, "omega_g_l")
+    else:
+        theta = theta_even_cached(chart, "lie")
     value = lieG_two(Derivation.insertion(chart.j_vvform()), theta)
     if value.is_zero:
         return True, None
@@ -418,12 +418,11 @@ def check_locally_hamiltonian(ctx):
 
 def check_construction_consistency(ctx):
     chart = ctx.chart
-    built = theta_even(chart, "omega_g")
-    if built != theta_even_closed_lie(chart):
+    if theta_even_cached(chart, "lie") != theta_even_closed_lie(chart):
         return False, "definition path differs from the closed-form blocks"
-    if convert_two(built, "nabla") != theta_even_closed_nabla(chart):
+    if theta_even_cached(chart, "nabla") != theta_even_closed_nabla(chart):
         return False, "covariant-basis closed form differs after conversion"
-    if theta_ks(chart) != theta_ks_closed(chart):
+    if theta_ks_cached(chart) != theta_ks_closed(chart):
         return False, "odd form differs from its closed-form blocks"
     return True, None
 

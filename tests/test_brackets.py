@@ -27,6 +27,7 @@ from gradedpoisson.graded import (
     theta_ks_cached,
     theta_omega,
 )
+from gradedpoisson.manifest import parse_manifest
 
 FLAT2 = builtin_chart("flat2")
 HALF = builtin_chart("halfplane")
@@ -664,3 +665,33 @@ def test_defect_vanishes_for_flat_functions():
         Form.function(field.gens[0]), Form.function(field.gens[1]), FLAT2
     )
     assert left.is_zero and right.is_zero
+
+
+CURVED = """\
+[chart] name=curved, dim=2, coords=x,y
+[metric]
+g.1.1=1/(1+x^2+y^2)
+g.2.2=1/(1+x^2+y^2)
+[symplectic]
+w.1.2=1/(1+x^2+y^2)
+"""
+
+DERIVED = {"gamma", "riemann", "j_matrix", "j_inv"}
+BUILT_BY = {"odd": set(), "even": {"gamma"}, "fastpath": DERIVED}
+
+
+def _bracket_on(route, chart):
+    x, y = chart.field.gens
+    if route == "odd":
+        return ks_bracket(x, x * y, chart)
+    if route == "even":
+        return even_bracket(x, x * y, theta_even_cached(chart, "nabla"))
+    return bracket_fastpath("ff", x, x * y, chart)
+
+
+@pytest.mark.parametrize("route", BUILT_BY)
+def test_only_the_fastpath_builds_curvature(route):
+    chart = parse_manifest(CURVED)
+    assert DERIVED.isdisjoint(vars(chart))
+    _bracket_on(route, chart)
+    assert DERIVED & set(vars(chart)) == BUILT_BY[route]

@@ -98,6 +98,21 @@ def test_curvature_symmetries(name):
                     assert total.is_zero
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_riemann_matches_the_full_formula(name):
+    ch = CHARTS[name]
+    rng = range(ch.dim)
+    gam = ch.gamma
+    for i in rng:
+        for j in rng:
+            for u in rng:
+                for v in rng:
+                    want = gam[i][v][j].partial(u) - gam[i][u][j].partial(v)
+                    for m in rng:
+                        want = want + gam[i][u][m] * gam[m][v][j] - gam[i][v][m] * gam[m][u][j]
+                    assert ch.riemann[i][j][u][v] == want
+
+
 def test_flat_charts_have_no_curvature():
     for name in ("flat2", "flat4", "tlift1"):
         ch = CHARTS[name]

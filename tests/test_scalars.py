@@ -63,6 +63,11 @@ def test_zero_division():
         (1 / X).eval_at([0, 1])
     with pytest.raises(ZeroDivisionError):
         X ** (-1) * 0 / (Y - Y)
+    with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+        F.zero ** -2
+    with pytest.raises(ValueError, match="zero to the power zero is undefined"):
+        F.zero ** 0
+    assert F.zero ** 3 == F.zero
 
 
 def test_normalization_is_canonical():
