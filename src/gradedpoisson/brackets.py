@@ -68,18 +68,21 @@ class HamiltonianSolution:
         self.derivation = derivation
 
 
-def _operand(alpha):
-    """alpha as a Form or a GradedOneForm, with its key in the solve memo.
+def _operand(alpha, geom: ChartGeometry):
+    """alpha as a Form or a GradedOneForm, with its key in geom's solve memo.
 
     Equal keys mean equal right-hand sides: a function keys as the 0-form
-    it is, a form by value, a tabulated 1-form by its tabulation.
+    it is, a form by value, a tabulated 1-form by its tabulation, which
+    must be one of geom's.
     """
     if isinstance(alpha, RationalFunction):
         alpha = Form.function(alpha)
     if isinstance(alpha, Form):
         return alpha, alpha
     if isinstance(alpha, GradedOneForm):
-        return alpha, (alpha.basis, alpha.on_lie, alpha.on_ins)
+        if alpha.geom is not geom:
+            raise ValueError("the form and the right-hand side live on different tabulations")
+        return alpha, (alpha.basis, alpha.values)
     raise TypeError(f"cannot solve against {type(alpha).__name__}")
 
 
@@ -100,7 +103,7 @@ def _collect(field, per_degree):
 
 def _verify(theta: GradedTwoForm, derivation: Derivation, rhs: GradedOneForm) -> None:
     got = iota(derivation, theta)
-    if got.on_lie != rhs.on_lie or got.on_ins != rhs.on_ins:
+    if got.values != rhs.values:
         raise RuntimeError(
             "hamiltonian solve failed its defining equation; "
             "this signals a convention bug, not bad input"
@@ -117,13 +120,12 @@ def _plan(theta: GradedTwoForm):
     """
 
     def build():
-        blocks = theta.block_matrix()
         inverse = matrix_inverse(
-            [[block.scalar_part() for block in row] for row in blocks], theta.geom.field
+            [[block.scalar_part() for block in row] for row in theta.blocks], theta.geom.field
         )
         higher = [
             [[(j, part) for j, part in block.homogeneous_parts().items() if j] for block in row]
-            for row in blocks
+            for row in theta.blocks
         ]
         return inverse, higher, {}
 
@@ -148,7 +150,7 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
     _verify runs once per distinct solve and a repeated solve returns the
     same HamiltonianSolution; callers must treat it as read-only.
     """
-    alpha, key = _operand(alpha)
+    alpha, key = _operand(alpha, theta.geom)
     inverse, higher, memo = _plan(theta)
     if key in memo:
         return memo[key]
@@ -157,7 +159,7 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
     field = geom.field
     rhs = _as_rhs(geom, alpha, theta.basis)
     size = 2 * dim
-    targets = rhs.on_lie + rhs.on_ins
+    targets = rhs.values
 
     coeffs: dict[int, list[Form]] = {}
     for m in range(dim + 1):

@@ -270,10 +270,6 @@ class VectorField:
         comps[index] = field.one
         return cls(field, comps)
 
-    @classmethod
-    def zero(cls, field: ScalarField) -> "VectorField":
-        return cls(field, [field.zero] * field.dimension)
-
     def __call__(self, scalar) -> RationalFunction:
         """Directional derivative of a scalar."""
         scalar = self.field.wrap(scalar)

@@ -395,11 +395,6 @@ class ChartGeometry:
             {0: (x.as_vvform(), -self.nabla_vector(x))},
         )
 
-    def nabla_basis(self, a: int) -> Derivation:
-        return self.cached(
-            ("nabla", a), lambda: self.nabla_derivation(VectorField.basis(self.field, a))
-        )
-
     def covariant_hessian(self, f: RationalFunction):
         """Hess_{ab} = d_a d_b f - Gamma^m_{ab} d_m f (symmetric)."""
         f = self.field.wrap(f)

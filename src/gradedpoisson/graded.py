@@ -1,24 +1,31 @@
 """Graded forms over the algebra of differential forms of a chart.
 
 Forms are the graded functions; derivations of the form algebra are the
-graded vector fields. A graded one- or two-form is tabulated by its values
-on the basic derivations along coordinate directions: insertion i_a paired
-with either the Lie derivative L_a (basis "lie") or the covariant
-derivative nabla_a (basis "nabla"). Evaluation on arbitrary derivations
-decomposes the argument over the tabulated basis and contracts with Koszul
-signs: for basic E1, E2 and homogeneous coefficients beta, gamma,
+graded vector fields. A chart of dimension n has 2n basic derivations E_r,
+listed by basics(): first the n even ones along the coordinate directions,
+the Lie derivatives L_a (basis "lie") or the covariant derivatives nabla_a
+(basis "nabla"), then the n insertions i_a. Basic r is odd exactly when
+r >= n. A graded 1-form is tabulated by its 2n values <E_r>, a graded
+2-form by its 2n x 2n matrix of values <E_r, E_s>, which is graded
+antisymmetric:
 
-    <beta E1, gamma E2> = (-1)^{|gamma| |E1|} beta ^ gamma ^ <E1, E2>
+    <E_r, E_s> = -(-1)^{|E_r| |E_s|} <E_s, E_r>
 
-with |E1| the parity of the basic derivation (insertions are odd). The
-single-slot case carries no sign. This is the one extension convention used
-everywhere; the alternation, closedness and Jacobi test suites all break if
-any evaluation path deviates from it.
+Evaluation on arbitrary derivations decomposes the argument over the
+basics and contracts with Koszul signs: for homogeneous coefficients beta,
+gamma,
 
-The stored weight is the second component of the bidegree. Sums of
-tabulated forms can mix representatives that agree mod 2 (the even
-symplectic form is such a sum), so validation is parity-only and the stored
-integer is a conventional representative.
+    <beta E_r, gamma E_s> = (-1)^{|gamma| |E_r|} beta ^ gamma ^ <E_r, E_s>
+
+The single-slot case carries no sign. This is the one extension convention
+used everywhere; the alternation, closedness and Jacobi test suites all
+break if any evaluation path deviates from it.
+
+The stored weight is the second component of the bidegree: the value
+<E_r, E_s> has the parity of weight + |E_r| + |E_s| (weight + |E_r| for a
+1-form). Sums of tabulated forms can mix representatives that agree mod 2
+(the even symplectic form is such a sum), so validation is parity-only and
+the stored integer is a conventional representative.
 """
 
 from __future__ import annotations
@@ -33,16 +40,15 @@ from .scalars import RationalFunction
 # -- basic derivations -------------------------------------------------------
 
 
-def basic_ins(geom: ChartGeometry, a: int) -> Derivation:
-    return geom.cached(("ins", a), lambda: Derivation.insertion(VectorField.basis(geom.field, a)))
+def basics(geom: ChartGeometry, basis: str) -> tuple[Derivation, ...]:
+    """The 2n basic derivations E_r of the chart: even ones first, then insertions."""
 
+    def build():
+        units = [VectorField.basis(geom.field, a) for a in range(geom.dim)]
+        even = geom.nabla_derivation if basis == "nabla" else Derivation.lie
+        return tuple(map(even, units)) + tuple(map(Derivation.insertion, units))
 
-def basic_lie(geom: ChartGeometry, a: int) -> Derivation:
-    return geom.cached(("lie", a), lambda: Derivation.lie(VectorField.basis(geom.field, a)))
-
-
-def basic_even(geom: ChartGeometry, a: int, basis: str) -> Derivation:
-    return geom.nabla_basis(a) if basis == "nabla" else basic_lie(geom, a)
+    return geom.cached(("basics", basis), build)
 
 
 def basis_shift(geom: ChartGeometry, basis: str):
@@ -55,9 +61,10 @@ def basis_shift(geom: ChartGeometry, basis: str):
     return geom.dnabla if basis == "nabla" else _d_componentwise
 
 
-def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str):
-    """Coefficient forms of a derivation over {even basics, insertions}."""
-    return derivation.basis_coefficients(basis_shift(geom, basis))
+def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str) -> list[Form]:
+    """Coefficient forms of a derivation over the basics, one per E_r."""
+    lie_coeffs, ins_coeffs = derivation.basis_coefficients(basis_shift(geom, basis))
+    return lie_coeffs + ins_coeffs
 
 
 def _parity(derivation: Derivation) -> int:
@@ -70,45 +77,38 @@ def _parity(derivation: Derivation) -> int:
 # -- tabulated graded forms --------------------------------------------------
 
 
-def _check_parity(values, expected, weight, what):
-    if weight is None:
-        return
-    want = expected % 2
-    for value in values:
-        for degree in value.degrees():
-            if degree % 2 != want:
-                raise ValueError(
-                    f"{what} value {value} has degree {degree}, "
-                    f"incompatible with weight {weight}"
-                )
+def _check_parity(value: Form, parity: int, weight, where) -> None:
+    for degree in value.degrees():
+        if (degree - parity) % 2:
+            raise ValueError(
+                f"value {value} at {where} has degree {degree}, "
+                f"incompatible with weight {weight}"
+            )
 
 
 class GradedOneForm:
-    """A graded 1-form tabulated on the basic derivations."""
+    """A graded 1-form tabulated on the basics: values[r] = <E_r>."""
 
-    __slots__ = ("geom", "basis", "on_lie", "on_ins", "weight")
+    __slots__ = ("geom", "basis", "values", "weight")
 
-    def __init__(self, geom: ChartGeometry, basis: str, on_lie, on_ins, weight):
+    def __init__(self, geom: ChartGeometry, basis: str, values, weight):
         if basis not in ("lie", "nabla"):
             raise ValueError(f"unknown basis {basis!r}")
-        on_lie = tuple(on_lie)
-        on_ins = tuple(on_ins)
-        if len(on_lie) != geom.dim or len(on_ins) != geom.dim:
+        values = tuple(values)
+        dim = geom.dim
+        if len(values) != 2 * dim:
             raise ValueError("tabulation size does not match chart dimension")
         if weight is not None:
-            _check_parity(on_lie, weight, weight, "even-slot")
-            _check_parity(on_ins, weight - 1, weight, "insertion-slot")
+            for r, value in enumerate(values):
+                _check_parity(value, weight + (r >= dim), weight, r)
         self.geom = geom
         self.basis = basis
-        self.on_lie = on_lie
-        self.on_ins = on_ins
+        self.values = values
         self.weight = weight
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.on_lie) and all(
-            v.is_zero for v in self.on_ins
-        )
+        return all(v.is_zero for v in self.values)
 
     def __add__(self, other):
         if not isinstance(other, GradedOneForm):
@@ -124,8 +124,7 @@ class GradedOneForm:
         return GradedOneForm(
             self.geom,
             self.basis,
-            [a + b for a, b in zip(self.on_lie, other.on_lie)],
-            [a + b for a, b in zip(self.on_ins, other.on_ins)],
+            [a + b for a, b in zip(self.values, other.values)],
             weight,
         )
 
@@ -136,11 +135,7 @@ class GradedOneForm:
 
     def scale(self, factor) -> "GradedOneForm":
         return GradedOneForm(
-            self.geom,
-            self.basis,
-            [v * factor for v in self.on_lie],
-            [v * factor for v in self.on_ins],
-            self.weight,
+            self.geom, self.basis, [v * factor for v in self.values], self.weight
         )
 
     def __eq__(self, other):
@@ -149,15 +144,13 @@ class GradedOneForm:
         return (
             self.geom is other.geom
             and self.basis == other.basis
-            and self.on_lie == other.on_lie
-            and self.on_ins == other.on_ins
+            and self.values == other.values
         )
 
     def __repr__(self):
-        rows = []
-        for a, name in enumerate(self.geom.field.coords):
-            rows.append(f"<{self.basis}_{name}> = {self.on_lie[a]}")
-            rows.append(f"<i_{name}> = {self.on_ins[a]}")
+        coords = self.geom.field.coords
+        names = [f"{self.basis}_{c}" for c in coords] + [f"i_{c}" for c in coords]
+        rows = [f"<{name}> = {value}" for name, value in zip(names, self.values)]
         return "GradedOneForm(" + "; ".join(rows) + ")"
 
 
@@ -170,65 +163,41 @@ def _merge_weights(a, b):
 
 
 class GradedTwoForm:
-    """A graded 2-form tabulated on ordered pairs of basic derivations.
+    """A graded 2-form tabulated on ordered pairs of basics:
+    blocks[r][s] = <E_r, E_s>.
 
-    Only the (even, even), (even, ins) and (ins, ins) blocks are stored;
-    the (ins, even) block is recovered through graded antisymmetry. The
-    stored blocks must satisfy it too: the even-even block is antisymmetric
-    and the ins-ins block symmetric.
+    The matrix must be graded antisymmetric: antisymmetric wherever an even
+    basic takes part, symmetric on pairs of insertions.
     """
 
-    __slots__ = ("geom", "basis", "ll", "li", "ii", "weight")
+    __slots__ = ("geom", "basis", "blocks", "weight")
 
-    def __init__(self, geom: ChartGeometry, basis: str, ll, li, ii, weight):
+    def __init__(self, geom: ChartGeometry, basis: str, blocks, weight):
         if basis not in ("lie", "nabla"):
             raise ValueError(f"unknown basis {basis!r}")
-        ll = tuple(tuple(row) for row in ll)
-        li = tuple(tuple(row) for row in li)
-        ii = tuple(tuple(row) for row in ii)
+        blocks = tuple(tuple(row) for row in blocks)
         dim = geom.dim
-        for block, rows in (("even-even", ll), ("even-ins", li), ("ins-ins", ii)):
-            if len(rows) != dim or any(len(r) != dim for r in rows):
-                raise ValueError(f"{block} block is not dim x dim")
-        for a in range(dim):
-            for b in range(dim):
-                if ll[a][b] != -ll[b][a]:
-                    raise ValueError(f"even-even block breaks antisymmetry at ({a},{b})")
-                if ii[a][b] != ii[b][a]:
-                    raise ValueError(f"ins-ins block breaks symmetry at ({a},{b})")
+        size = 2 * dim
+        if len(blocks) != size or any(len(row) != size for row in blocks):
+            raise ValueError("block matrix is not 2dim x 2dim")
+        for r in range(size):
+            for s in range(r, size):
+                # s >= r, so both basics are insertions exactly when r is one
+                mirror = blocks[s][r] if r >= dim else -blocks[s][r]
+                if blocks[r][s] != mirror:
+                    raise ValueError(f"blocks break graded antisymmetry at ({r},{s})")
         if weight is not None:
-            flat = [v for row in ll for v in row] + [v for row in ii for v in row]
-            _check_parity(flat, weight, weight, "even-parity block")
-            _check_parity([v for row in li for v in row], weight - 1, weight, "mixed block")
+            for r, row in enumerate(blocks):
+                for s, value in enumerate(row):
+                    _check_parity(value, weight + (r >= dim) + (s >= dim), weight, (r, s))
         self.geom = geom
         self.basis = basis
-        self.ll = ll
-        self.li = li
-        self.ii = ii
+        self.blocks = blocks
         self.weight = weight
-
-    def block(self, kind1: str, a: int, kind2: str, b: int) -> Form:
-        if kind1 == "lie":
-            return self.ll[a][b] if kind2 == "lie" else self.li[a][b]
-        if kind2 == "lie":
-            # <i_a, B_b> = -<B_b, i_a>
-            return -self.li[b][a]
-        return self.ii[a][b]
-
-    def block_matrix(self) -> list[list[Form]]:
-        """All 2n x 2n blocks <E_r, E_s>, even basics first, then insertions."""
-        dim = self.geom.dim
-        kinds = [("lie", a) for a in range(dim)] + [("ins", a) for a in range(dim)]
-        return [[self.block(k1, a, k2, b) for k2, b in kinds] for k1, a in kinds]
 
     @property
     def is_zero(self) -> bool:
-        return all(
-            v.is_zero
-            for rows in (self.ll, self.li, self.ii)
-            for row in rows
-            for v in row
-        )
+        return all(v.is_zero for row in self.blocks for v in row)
 
     def __add__(self, other):
         if not isinstance(other, GradedTwoForm):
@@ -241,13 +210,10 @@ class GradedTwoForm:
             weight = self.weight
         else:
             weight = _merge_weights(self.weight, other.weight)
-        add = lambda x, y: [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
         return GradedTwoForm(
             self.geom,
             self.basis,
-            add(self.ll, other.ll),
-            add(self.li, other.li),
-            add(self.ii, other.ii),
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.blocks, other.blocks)],
             weight,
         )
 
@@ -257,9 +223,11 @@ class GradedTwoForm:
         return self + other.scale(-1)
 
     def scale(self, factor) -> "GradedTwoForm":
-        scl = lambda rows: [[v * factor for v in row] for row in rows]
         return GradedTwoForm(
-            self.geom, self.basis, scl(self.ll), scl(self.li), scl(self.ii), self.weight
+            self.geom,
+            self.basis,
+            [[v * factor for v in row] for row in self.blocks],
+            self.weight,
         )
 
     def __eq__(self, other):
@@ -268,13 +236,11 @@ class GradedTwoForm:
         return (
             self.geom is other.geom
             and self.basis == other.basis
-            and self.ll == other.ll
-            and self.li == other.li
-            and self.ii == other.ii
+            and self.blocks == other.blocks
         )
 
     def __hash__(self):
-        return hash((self.geom, self.basis, self.ll, self.li, self.ii))
+        return hash((self.geom, self.basis, self.blocks))
 
     def __repr__(self):
         return (
@@ -283,82 +249,74 @@ class GradedTwoForm:
         )
 
 
+def tabulate_two(geom: ChartGeometry, basis: str, entry, weight) -> GradedTwoForm:
+    """The graded 2-form with <E_r, E_s> = entry(r, s).
+
+    entry is called on every pair whose first basic is even and on every
+    pair of insertions; the (insertion, even) values follow by graded
+    antisymmetry.
+    """
+    dim = geom.dim
+    size = 2 * dim
+    blocks = [[entry(r, s) for s in range(size)] for r in range(dim)]
+    for r in range(dim, size):
+        blocks.append(
+            [-blocks[s][r] for s in range(dim)] + [entry(r, s) for s in range(dim, size)]
+        )
+    return GradedTwoForm(geom, basis, blocks, weight)
+
+
 # -- evaluation ----------------------------------------------------------------
 
 
 def eval_one(lam: GradedOneForm, derivation: Derivation) -> Form:
     """<D; lam> for an arbitrary derivation."""
-    lie_coeffs, ins_coeffs = _decompose(lam.geom, derivation, lam.basis)
     total = Form.zero(lam.geom.field)
-    for a in range(lam.geom.dim):
-        if not lie_coeffs[a].is_zero and not lam.on_lie[a].is_zero:
-            total = total + lie_coeffs[a].wedge(lam.on_lie[a])
-        if not ins_coeffs[a].is_zero and not lam.on_ins[a].is_zero:
-            total = total + ins_coeffs[a].wedge(lam.on_ins[a])
+    for beta, value in zip(_decompose(lam.geom, derivation, lam.basis), lam.values):
+        if not beta.is_zero and not value.is_zero:
+            total = total + beta.wedge(value)
     return total
 
 
-def _contract_two(theta: GradedTwoForm, dec1, dec2) -> Form:
-    geom = theta.geom
-    total = Form.zero(geom.field)
-    for kind1, par1, coeffs1 in dec1:
-        for a in range(geom.dim):
-            beta = coeffs1[a]
-            if beta.is_zero:
-                continue
-            for kind2, _, coeffs2 in dec2:
-                for b in range(geom.dim):
-                    gamma = coeffs2[b]
-                    if gamma.is_zero:
-                        continue
-                    block = theta.block(kind1, a, kind2, b)
-                    if block.is_zero:
-                        continue
-                    if par1 == 0:
-                        total = total + beta.wedge(gamma).wedge(block)
-                        continue
-                    for pg, gpart in gamma.homogeneous_parts().items():
-                        term = beta.wedge(gpart).wedge(block)
-                        total = total + (-term if pg % 2 else term)
+def _contract_row(theta: GradedTwoForm, r: int, coeffs) -> Form:
+    """<E_r, D; theta> from the coefficients of D over the basics.
+
+    A coefficient gamma passes E_r on its way to the second slot, so an
+    insertion E_r brings the Koszul sign (-1)^{|gamma|}.
+    """
+    total = Form.zero(theta.geom.field)
+    odd = r >= theta.geom.dim
+    for gamma, block in zip(coeffs, theta.blocks[r]):
+        if gamma.is_zero or block.is_zero:
+            continue
+        if not odd:
+            total = total + gamma.wedge(block)
+            continue
+        for pg, gpart in gamma.homogeneous_parts().items():
+            term = gpart.wedge(block)
+            total = total + (-term if pg % 2 else term)
     return total
-
-
-def _full_decomposition(geom, derivation, basis):
-    lie_coeffs, ins_coeffs = _decompose(geom, derivation, basis)
-    return (("lie", 0, lie_coeffs), ("ins", 1, ins_coeffs))
-
-
-def _basic_decomposition(geom, kind, index):
-    zero = [Form.zero(geom.field)] * geom.dim
-    coeffs = list(zero)
-    coeffs[index] = Form.function(geom.field.one)
-    if kind == "ins":
-        return (("lie", 0, zero), ("ins", 1, coeffs))
-    return (("lie", 0, coeffs), ("ins", 1, zero))
 
 
 def eval_two(theta: GradedTwoForm, d1: Derivation, d2: Derivation) -> Form:
     """<D1, D2; theta> for arbitrary derivations."""
-    dec1 = _full_decomposition(theta.geom, d1, theta.basis)
-    dec2 = _full_decomposition(theta.geom, d2, theta.basis)
-    return _contract_two(theta, dec1, dec2)
+    coeffs2 = _decompose(theta.geom, d2, theta.basis)
+    total = Form.zero(theta.geom.field)
+    for r, beta in enumerate(_decompose(theta.geom, d1, theta.basis)):
+        if not beta.is_zero:
+            total = total + beta.wedge(_contract_row(theta, r, coeffs2))
+    return total
 
 
 def iota(derivation: Derivation, theta: GradedTwoForm) -> GradedOneForm:
     """Insertion into the last slot: <E; iota_D theta> = <E, D; theta>."""
     geom = theta.geom
-    dec2 = _full_decomposition(geom, derivation, theta.basis)
-    on_lie = []
-    on_ins = []
-    for c in range(geom.dim):
-        dec_lie = _basic_decomposition(geom, "lie", c)
-        dec_ins = _basic_decomposition(geom, "ins", c)
-        on_lie.append(_contract_two(theta, dec_lie, dec2))
-        on_ins.append(_contract_two(theta, dec_ins, dec2))
+    coeffs = _decompose(geom, derivation, theta.basis)
+    values = [_contract_row(theta, r, coeffs) for r in range(2 * geom.dim)]
     weight = None
     if theta.weight is not None and derivation.degree is not None:
         weight = theta.weight + derivation.degree
-    return GradedOneForm(geom, theta.basis, on_lie, on_ins, weight)
+    return GradedOneForm(geom, theta.basis, values, weight)
 
 
 # -- graded exterior derivative ------------------------------------------------
@@ -368,11 +326,11 @@ def dG_function(geom: ChartGeometry, alpha, basis: str = "lie") -> GradedOneForm
     """d^G of a graded function: tabulates D(alpha) on the basics."""
     if isinstance(alpha, RationalFunction):
         alpha = Form.function(alpha)
-    on_lie = [basic_even(geom, a, basis)(alpha) for a in range(geom.dim)]
-    on_ins = [alpha.insert_basis(a) for a in range(geom.dim)]
+    evens = basics(geom, basis)[: geom.dim]
+    values = [e(alpha) for e in evens] + [alpha.insert_basis(a) for a in range(geom.dim)]
     degrees = alpha.degrees()
     weight = degrees[0] if len(degrees) == 1 else (0 if not degrees else None)
-    return GradedOneForm(geom, basis, on_lie, on_ins, weight)
+    return GradedOneForm(geom, basis, values, weight)
 
 
 def dG_one(lam: GradedOneForm) -> GradedTwoForm:
@@ -384,30 +342,15 @@ def dG_one(lam: GradedOneForm) -> GradedTwoForm:
     """
     geom = lam.geom
     dim = geom.dim
-    evens = [basic_even(geom, a, lam.basis) for a in range(dim)]
-    odds = [basic_ins(geom, a) for a in range(dim)]
-    val_even = [eval_one(lam, d) for d in evens]
-    val_odd = [eval_one(lam, d) for d in odds]
+    basic = basics(geom, lam.basis)
+    values = lam.values
 
-    def entry(d1, v1, p1, d2, v2, p2):
-        sign = -1 if (p1 % 2 and p2 % 2) else 1
-        second = d2(v1)
-        out = d1(v2) - (second if sign > 0 else -second)
-        return out - eval_one(lam, d1.commutator(d2))
+    def entry(r, s):
+        second = basic[s](values[r])
+        out = basic[r](values[s]) - (-second if r >= dim and s >= dim else second)
+        return out - eval_one(lam, basic[r].commutator(basic[s]))
 
-    ll = [
-        [entry(evens[a], val_even[a], 0, evens[b], val_even[b], 0) for b in range(dim)]
-        for a in range(dim)
-    ]
-    li = [
-        [entry(evens[a], val_even[a], 0, odds[b], val_odd[b], 1) for b in range(dim)]
-        for a in range(dim)
-    ]
-    ii = [
-        [entry(odds[a], val_odd[a], 1, odds[b], val_odd[b], 1) for b in range(dim)]
-        for a in range(dim)
-    ]
-    return GradedTwoForm(geom, lam.basis, ll, li, ii, lam.weight)
+    return tabulate_two(geom, lam.basis, entry, lam.weight)
 
 
 def dG_two_eval(theta: GradedTwoForm, d1: Derivation, d2: Derivation, d3: Derivation) -> Form:
@@ -445,36 +388,16 @@ def lieG_one(derivation: Derivation, lam: GradedOneForm) -> GradedOneForm:
 def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
     """L^G_D on a tabulated graded 2-form, by the Cartan formula."""
     geom = theta.geom
-    dim = geom.dim
     exact_part = dG_one(iota(derivation, theta))
-    evens = [basic_even(geom, a, theta.basis) for a in range(dim)]
-    odds = [basic_ins(geom, a) for a in range(dim)]
+    basic = basics(geom, theta.basis)
 
-    ll = [
-        [
-            exact_part.ll[a][b] + dG_two_eval(theta, evens[a], evens[b], derivation)
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
-    li = [
-        [
-            exact_part.li[a][b] + dG_two_eval(theta, evens[a], odds[b], derivation)
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
-    ii = [
-        [
-            exact_part.ii[a][b] + dG_two_eval(theta, odds[a], odds[b], derivation)
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
+    def entry(r, s):
+        return exact_part.blocks[r][s] + dG_two_eval(theta, basic[r], basic[s], derivation)
+
     weight = None
     if theta.weight is not None and derivation.degree is not None:
         weight = theta.weight + derivation.degree
-    return GradedTwoForm(geom, theta.basis, ll, li, ii, weight)
+    return tabulate_two(geom, theta.basis, entry, weight)
 
 
 # -- basis conversion ----------------------------------------------------------
@@ -483,23 +406,17 @@ def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
 def convert_one(lam: GradedOneForm, basis: str) -> GradedOneForm:
     if lam.basis == basis:
         return lam
-    geom = lam.geom
-    on_lie = [eval_one(lam, basic_even(geom, a, basis)) for a in range(geom.dim)]
-    on_ins = [eval_one(lam, basic_ins(geom, a)) for a in range(geom.dim)]
-    return GradedOneForm(geom, basis, on_lie, on_ins, lam.weight)
+    values = [eval_one(lam, e) for e in basics(lam.geom, basis)]
+    return GradedOneForm(lam.geom, basis, values, lam.weight)
 
 
 def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
     if theta.basis == basis:
         return theta
-    geom = theta.geom
-    dim = geom.dim
-    evens = [basic_even(geom, a, basis) for a in range(dim)]
-    odds = [basic_ins(geom, a) for a in range(dim)]
-    ll = [[eval_two(theta, evens[a], evens[b]) for b in range(dim)] for a in range(dim)]
-    li = [[eval_two(theta, evens[a], odds[b]) for b in range(dim)] for a in range(dim)]
-    ii = [[eval_two(theta, odds[a], odds[b]) for b in range(dim)] for a in range(dim)]
-    return GradedTwoForm(geom, basis, ll, li, ii, theta.weight)
+    basic = basics(theta.geom, basis)
+    return tabulate_two(
+        theta.geom, basis, lambda r, s: eval_two(theta, basic[r], basic[s]), theta.weight
+    )
 
 
 # -- builders -------------------------------------------------------------------
@@ -508,46 +425,42 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
 def lambda_metric(geom: ChartGeometry, include_l: bool = False) -> GradedOneForm:
     """The graded 1-form with <i_X> = flat(X) and <L_X> = d flat(X), plus the
     compatibility-tensor slice on the Lie slot when requested."""
-    on_ins = [geom.flat(VectorField.basis(geom.field, a)) for a in range(geom.dim)]
-    on_lie = [v.d() for v in on_ins]
+    units = [VectorField.basis(geom.field, a) for a in range(geom.dim)]
+    flats = [geom.flat(u) for u in units]
+    on_even = [v.d() for v in flats]
     if include_l:
         if geom.l_tensor is None:
             raise ValueError(f"chart {geom.name} has no compatibility tensor")
-        on_lie = [
-            v + geom.l_slice(VectorField.basis(geom.field, a))
-            for a, v in enumerate(on_lie)
-        ]
-    return GradedOneForm(geom, "lie", on_lie, on_ins, 2)
+        on_even = [v + geom.l_slice(u) for v, u in zip(on_even, units)]
+    return GradedOneForm(geom, "lie", on_even + flats, 2)
 
 
 def lambda_omega(geom: ChartGeometry) -> GradedOneForm:
     """The odd potential: <i_X> = 0, <L_X> = omega(X, _); bidegree (1, -1)."""
-    zero = Form.zero(geom.field)
-    on_lie = [
+    on_even = [
         geom.row_form(geom.w, VectorField.basis(geom.field, a)) for a in range(geom.dim)
     ]
-    return GradedOneForm(geom, "lie", on_lie, [zero] * geom.dim, -1)
+    return GradedOneForm(geom, "lie", on_even + [Form.zero(geom.field)] * geom.dim, -1)
 
 
 def theta_omega(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:
     """The naive lift of omega: <D1, D2> = omega on the even-even block only."""
     dim = geom.dim
     zero = Form.zero(geom.field)
-    ll = [[Form.function(geom.w[a][b]) for b in range(dim)] for a in range(dim)]
-    li = [[zero] * dim for _ in range(dim)]
-    ii = [[zero] * dim for _ in range(dim)]
-    return GradedTwoForm(geom, basis, ll, li, ii, 0)
+
+    def entry(r, s):
+        return Form.function(geom.w[r][s]) if s < dim else zero
+
+    return tabulate_two(geom, basis, entry, 0)
 
 
 def theta_even(geom: ChartGeometry, variant: str = "omega_g", basis: str = "lie") -> GradedTwoForm:
     """The even symplectic form, built from its definition.
 
-    variant "omega_only" is the naive lift; "omega_g" adds half the exact
-    correction from the metric potential; "omega_g_l" uses the potential
+    variant "omega_g" adds half the exact correction from the metric
+    potential to the naive lift of omega; "omega_g_l" uses the potential
     with the compatibility tensor included.
     """
-    if variant == "omega_only":
-        return theta_omega(geom, basis)
     if variant not in ("omega_g", "omega_g_l"):
         raise ValueError(f"unknown variant {variant!r}")
     lam = lambda_metric(geom, include_l=(variant == "omega_g_l"))
@@ -586,13 +499,14 @@ def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:
                 coeffs[(u,)] = c
         return Form(field, coeffs)
 
-    ll = [
-        [Form.function(geom.w[a][b]) + alpha(a, b) for b in range(dim)]
-        for a in range(dim)
-    ]
-    li = [[mixed(a, b) for b in range(dim)] for a in range(dim)]
-    ii = [[Form.function(geom.g[a][b]) for b in range(dim)] for a in range(dim)]
-    return GradedTwoForm(geom, "lie", ll, li, ii, 2)
+    def entry(r, s):
+        if s < dim:
+            return Form.function(geom.w[r][s]) + alpha(r, s)
+        if r < dim:
+            return mixed(r, s - dim)
+        return Form.function(geom.g[r - dim][s - dim])
+
+    return tabulate_two(geom, "lie", entry, 2)
 
 
 def theta_even_closed_nabla(geom: ChartGeometry) -> GradedTwoForm:
@@ -603,19 +517,17 @@ def theta_even_closed_nabla(geom: ChartGeometry) -> GradedTwoForm:
     """
     dim = geom.dim
     zero = Form.zero(geom.field)
-    ll = [
-        [
-            Form.function(geom.w[a][b])
-            - geom.riemann4_form(
-                VectorField.basis(geom.field, a), VectorField.basis(geom.field, b)
+
+    def entry(r, s):
+        if s < dim:
+            return Form.function(geom.w[r][s]) - geom.riemann4_form(
+                VectorField.basis(geom.field, r), VectorField.basis(geom.field, s)
             )
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
-    li = [[zero] * dim for _ in range(dim)]
-    ii = [[Form.function(geom.g[a][b]) for b in range(dim)] for a in range(dim)]
-    return GradedTwoForm(geom, "nabla", ll, li, ii, 2)
+        if r < dim:
+            return zero
+        return Form.function(geom.g[r - dim][s - dim])
+
+    return tabulate_two(geom, "nabla", entry, 2)
 
 
 def theta_ks(geom: ChartGeometry) -> GradedTwoForm:
@@ -639,10 +551,14 @@ def theta_ks_closed(geom: ChartGeometry) -> GradedTwoForm:
                 coeffs[(c,)] = val
         return Form(field, coeffs)
 
-    ll = [[mu(a, b) for b in range(dim)] for a in range(dim)]
-    li = [[Form.function(-geom.w[a][b]) for b in range(dim)] for a in range(dim)]
-    ii = [[zero] * dim for _ in range(dim)]
-    return GradedTwoForm(geom, "lie", ll, li, ii, -1)
+    def entry(r, s):
+        if s < dim:
+            return mu(r, s)
+        if r < dim:
+            return Form.function(-geom.w[r][s - dim])
+        return zero
+
+    return tabulate_two(geom, "lie", entry, -1)
 
 
 def theta_even_cached(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:
@@ -656,6 +572,6 @@ def theta_ks_cached(geom: ChartGeometry) -> GradedTwoForm:
 
 
 def scalar_block_det(theta: GradedTwoForm) -> RationalFunction:
-    """Determinant of the degree-0 part of the full block matrix."""
-    rows = [[block.scalar_part() for block in row] for row in theta.block_matrix()]
+    """Determinant of the degree-0 part of the 2n x 2n block matrix."""
+    rows = [[block.scalar_part() for block in row] for row in theta.blocks]
     return matrix_det(rows, theta.geom.field)

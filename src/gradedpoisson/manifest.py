@@ -43,9 +43,9 @@ class ChartManifest:
         self.dim = None
         self.coords = None
         self.kahler_expected = None
-        self.metric_entries = []  # (i, j, expr_text, line)
+        self.metric_entries = []  # (key, i, j, expr_text, line)
         self.symplectic_entries = []
-        self.l_entries = []  # (i, j, k, expr_text, line)
+        self.l_entries = []  # (key, i, j, k, expr_text, line)
 
     def build(self) -> ChartGeometry:
         if self.name is None:
@@ -58,6 +58,15 @@ class ChartManifest:
             )
         field = coordinate_field(self.coords)
         dim = field.dimension
+        # indices are range-checked here, where the coordinates are known:
+        # an entry may come before the [chart] line that fixes them
+        entries = self.metric_entries + self.symplectic_entries + self.l_entries
+        for key, *indices, _, line in sorted(entries, key=lambda entry: entry[-1]):
+            for index in indices:
+                if not 0 <= index < dim:
+                    raise ManifestError(
+                        f"index {index + 1} out of range 1..{dim} in {key!r}", line
+                    )
 
         def parse_entry(text, line):
             try:
@@ -67,7 +76,7 @@ class ChartManifest:
 
         g = [[field.zero] * dim for _ in range(dim)]
         seen = {}
-        for i, j, text, line in self.metric_entries:
+        for _, i, j, text, line in self.metric_entries:
             value = parse_entry(text, line)
             pair = (min(i, j), max(i, j))
             if pair in seen and seen[pair] != value:
@@ -82,7 +91,7 @@ class ChartManifest:
             raise ManifestError("missing [symplectic] entries", 1)
         w = [[field.zero] * dim for _ in range(dim)]
         seen = {}
-        for i, j, text, line in self.symplectic_entries:
+        for _, i, j, text, line in self.symplectic_entries:
             value = parse_entry(text, line)
             if i == j:
                 if not value.is_zero:
@@ -105,7 +114,7 @@ class ChartManifest:
             l_tensor = [
                 [[field.zero] * dim for _ in range(dim)] for _ in range(dim)
             ]
-            for i, j, k, text, line in self.l_entries:
+            for _, i, j, k, text, line in self.l_entries:
                 value = parse_entry(text, line)
                 if j == k:
                     if not value.is_zero:
@@ -153,22 +162,16 @@ def _split_assignments(text: str, line: int):
     return out
 
 
-def _indices(key: str, prefix: str, count: int, dim, line: int):
+def _indices(key: str, prefix: str, count: int, line: int):
     parts = key.split(".")
     if len(parts) != count + 1 or parts[0] != prefix:
         raise ManifestError(
             f"expected {prefix}.{'.'.join('i' * count)} style key, got {key!r}", line
         )
     try:
-        idx = [int(p) for p in parts[1:]]
+        return [int(p) - 1 for p in parts[1:]]
     except ValueError:
         raise ManifestError(f"non-integer index in {key!r}", line) from None
-    for value in idx:
-        if value < 1 or (dim is not None and value > dim):
-            raise ManifestError(
-                f"index {value} out of range 1..{dim} in {key!r}", line
-            )
-    return [value - 1 for value in idx]
 
 
 def parse_manifest_document(text: str) -> ChartManifest:
@@ -229,16 +232,12 @@ def _apply(manifest: ChartManifest, section: str, key: str, value: str, line: in
         else:
             raise ManifestError(f"unknown [chart] key {key!r}", line)
         return
-    dim = len(manifest.coords) if manifest.coords else manifest.dim
     if section == "metric":
-        i, j = _indices(key, "g", 2, dim, line)
-        manifest.metric_entries.append((i, j, value, line))
+        manifest.metric_entries.append((key, *_indices(key, "g", 2, line), value, line))
     elif section == "symplectic":
-        i, j = _indices(key, "w", 2, dim, line)
-        manifest.symplectic_entries.append((i, j, value, line))
+        manifest.symplectic_entries.append((key, *_indices(key, "w", 2, line), value, line))
     else:
-        i, j, k = _indices(key, "L", 3, dim, line)
-        manifest.l_entries.append((i, j, k, value, line))
+        manifest.l_entries.append((key, *_indices(key, "L", 3, line), value, line))
 
 
 def parse_manifest(text: str) -> ChartGeometry:

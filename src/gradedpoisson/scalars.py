@@ -240,8 +240,7 @@ class RationalFunction:
     def eval_at(self, point) -> Fraction:
         """Exact value at a rational point.
 
-        Raises ZeroDivisionError when the denominator vanishes there; the
-        randomized identity checks catch that and retry elsewhere.
+        Raises ZeroDivisionError when the denominator vanishes there.
         """
         values = [Fraction(p) for p in point]
         if len(values) != self.field.dimension:
@@ -259,16 +258,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return not self._elem
-
-    @property
-    def is_constant(self) -> bool:
-        return self._elem.numer.is_ground and self._elem.denom.is_ground
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational; only for constants."""
-        if not self.is_constant:
-            raise ValueError(f"{self} is not constant")
-        return self.eval_at([0] * self.field.dimension)
 
     def transplant(self, target: ScalarField) -> "RationalFunction":
         """Re-express this scalar in a larger field containing the same

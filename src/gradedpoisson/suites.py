@@ -263,7 +263,7 @@ def check_exterior_insertion(ctx):
     want = lambda_omega(chart)
     if got == want:
         return True, None
-    return False, f"difference on lie tabulation: {[str(a - b) for a, b in zip(got.on_lie, want.on_lie)]}"
+    return False, f"difference on lie tabulation: {[str(a - b) for a, b in zip(got.values[: chart.dim], want.values)]}"
 
 
 def check_exterior_lie(ctx):
@@ -406,10 +406,10 @@ def check_locally_hamiltonian(ctx):
         return True, None
     witness = next(
         (
-            f"<L_{a}, L_{b}> component {value.ll[a][b]}"
+            f"<L_{a}, L_{b}> component {value.blocks[a][b]}"
             for a in range(chart.dim)
             for b in range(chart.dim)
-            if not value.ll[a][b].is_zero
+            if not value.blocks[a][b].is_zero
         ),
         "nonzero mixed or insertion block",
     )

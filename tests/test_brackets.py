@@ -20,6 +20,7 @@ from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
 from gradedpoisson.geometry import builtin_chart, builtin_names
 from gradedpoisson.graded import (
     convert_two,
+    dG_function,
     iota,
     theta_even,
     theta_even_cached,
@@ -99,6 +100,17 @@ def test_solver_accepts_tabulated_right_hand_side():
     sol = solve_hamiltonian(even_theta(FLAT2), rhs)
     assert sol.derivation == d_op
     assert lam.geom is FLAT2
+
+
+def test_solver_rejects_right_hand_side_from_another_chart():
+    # flat2 and sphere2 share the coordinates x, y, so only the charts differ
+    x = FLAT2.field.coordinate("x")
+    theta = even_theta(SPHERE)
+    with pytest.raises(ValueError, match="different tabulations"):
+        solve_hamiltonian(theta, dG_function(FLAT2, x, "nabla"))
+    assert solve_hamiltonian(theta, dG_function(SPHERE, x, "nabla")).derivation == (
+        solve_hamiltonian(theta, x).derivation
+    )
 
 
 @pytest.mark.parametrize("name", ["flat2", "sphere2", "tlift1q"])

@@ -10,8 +10,7 @@ from gradedpoisson.geometry import ChartGeometry, builtin_chart
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
-    basic_ins,
-    basic_lie,
+    basics,
     convert_one,
     convert_two,
     dG_function,
@@ -89,10 +88,10 @@ def test_first_slot_coefficient_pulls_out():
     scaled = Derivation.insertion(
         VectorValuedForm(f, [beta, Form.zero(f)], degree=1)
     )
-    for kind, b in (("lie", 0), ("lie", 1), ("ins", 0), ("ins", 1)):
-        other = basic_lie(HALF, b) if kind == "lie" else basic_ins(HALF, b)
+    basic = basics(HALF, "lie")
+    for other in basic:
         direct = eval_two(theta, scaled, other)
-        want = beta.wedge(eval_two(theta, basic_ins(HALF, 0), other))
+        want = beta.wedge(eval_two(theta, basic[HALF.dim], other))
         assert direct == want
 
 
@@ -101,10 +100,9 @@ def test_second_slot_coefficient_brings_koszul_sign(beta):
     theta = theta_even(HALF, "omega_g")
     f = HALF.field
     scaled = Derivation.insertion(VectorValuedForm(f, [Form.zero(f), beta]))
-    base = basic_ins(HALF, 1)
-    for kind, a in (("lie", 0), ("ins", 0)):
-        first = basic_lie(HALF, a) if kind == "lie" else basic_ins(HALF, a)
-        par1 = 0 if kind == "lie" else 1
+    basic = basics(HALF, "lie")
+    base = basic[HALF.dim + 1]
+    for first, par1 in ((basic[0], 0), (basic[HALF.dim], 1)):
         direct = eval_two(theta, first, scaled)
         want = Form.zero(f)
         for deg, part in beta.homogeneous_parts().items():
@@ -134,9 +132,10 @@ def test_iota_is_last_slot_insertion(d, e):
 def test_mixed_block_signs_of_odd_form():
     ks = theta_ks(FLAT2)
     w01 = FLAT2.w[0][1]
-    assert ks.li[0][1] == Form.function(-w01)
-    assert ks.block("ins", 1, "lie", 0) == Form.function(w01)
-    assert ks.ii[0][0].is_zero and ks.ii[1][1].is_zero
+    dim = FLAT2.dim
+    assert ks.blocks[0][dim + 1] == Form.function(-w01)
+    assert ks.blocks[dim + 1][0] == Form.function(w01)
+    assert ks.blocks[dim][dim].is_zero and ks.blocks[dim + 1][dim + 1].is_zero
 
 
 # -- d^G ----------------------------------------------------------------------
@@ -151,24 +150,20 @@ def test_dG_squares_to_zero(alpha):
 def test_exact_two_forms_are_closed(chart):
     lam = lambda_metric(chart)
     theta = dG_one(lam)
-    basics = [basic_lie(chart, a) for a in range(chart.dim)] + [
-        basic_ins(chart, a) for a in range(chart.dim)
-    ]
-    for d1 in basics:
-        for d2 in basics:
-            for d3 in basics:
+    basic = basics(chart, "lie")
+    for d1 in basic:
+        for d2 in basic:
+            for d3 in basic:
                 assert dG_two_eval(theta, d1, d2, d3).is_zero
 
 
 @pytest.mark.parametrize("chart", [FLAT2, HALF, SPHERE])
 def test_even_symplectic_form_is_closed(chart):
     theta = theta_even(chart, "omega_g")
-    basics = [basic_lie(chart, a) for a in range(chart.dim)] + [
-        basic_ins(chart, a) for a in range(chart.dim)
-    ]
-    for d1 in basics:
-        for d2 in basics:
-            for d3 in basics:
+    basic = basics(chart, "lie")
+    for d1 in basic:
+        for d2 in basic:
+            for d3 in basic:
                 assert dG_two_eval(theta, d1, d2, d3).is_zero
 
 
@@ -187,9 +182,10 @@ def test_halfplane_covariant_block_value():
     y = f.coordinate("y")
     th = convert_two(theta_even(HALF, "omega_g"), "nabla")
     want = Form.function(1 / (y * y)) + Form(f, {(0, 1): 1 / y**4})
-    assert th.ll[0][1] == want
-    assert th.li[0][1].is_zero and th.li[1][0].is_zero
-    assert th.ii[0][0] == Form.function(HALF.g[0][0])
+    dim = HALF.dim
+    assert th.blocks[0][1] == want
+    assert th.blocks[0][dim + 1].is_zero and th.blocks[1][dim].is_zero
+    assert th.blocks[dim][dim] == Form.function(HALF.g[0][0])
 
 
 @pytest.mark.parametrize("chart", [FLAT2, HALF, SPHERE])
@@ -209,6 +205,17 @@ def test_basis_conversion_round_trip():
     assert convert_two(convert_two(theta, "nabla"), "lie") == theta
     lam = lambda_metric(HALF)
     assert convert_one(convert_one(lam, "nabla"), "lie") == lam
+
+
+@pytest.mark.parametrize("basis", ["lie", "nabla"])
+def test_evaluation_on_basics_reads_the_tabulation(basis):
+    lam = convert_one(lambda_metric(HALF), basis)
+    theta = convert_two(theta_even(HALF, "omega_g"), basis)
+    basic = basics(HALF, basis)
+    for r, e_r in enumerate(basic):
+        assert eval_one(lam, e_r) == lam.values[r]
+        for s, e_s in enumerate(basic):
+            assert eval_two(theta, e_r, e_s) == theta.blocks[r][s]
 
 
 # -- the potentials and the exterior derivation ------------------------------
@@ -239,7 +246,7 @@ def test_lie_one_matches_cartan_pieces():
     d = Derivation.exterior(HALF.field)
     got = lieG_one(d, lam)
     want = iota(d, dG_one(lam))
-    assert got.on_lie == want.on_lie and got.on_ins == want.on_ins
+    assert got.values == want.values
 
 
 # -- paracomplex insertion ----------------------------------------------------
@@ -292,27 +299,31 @@ def test_tensor_variant_covariant_mixed_block():
     for a in range(4):
         for b in range(4):
             want = chart.l_slice(VectorField.basis(chart.field, a)).insert_basis(b)
-            assert th.li[a][b] == want * Fraction(-1, 2)
+            assert th.blocks[a][chart.dim + b] == want * Fraction(-1, 2)
 
 
 # -- validation ----------------------------------------------------------------
 
 
+def _flat2_blocks(entries):
+    rows = [[Form.zero(FLAT2.field)] * 4 for _ in range(4)]
+    for (r, s), value in entries.items():
+        rows[r][s] = value
+    return rows
+
+
 def test_two_form_blocks_must_be_graded_antisymmetric():
-    f = FLAT2.field
-    zero = Form.zero(f)
-    one = Form.function(f.one)
+    one = Form.function(FLAT2.field.one)
+    even_even = {(r, s): one for r in range(2) for s in range(2)}
     with pytest.raises(ValueError, match="antisymmetry"):
-        GradedTwoForm(FLAT2, "lie", [[one, one], [one, one]], [[zero] * 2] * 2, [[zero] * 2] * 2, None)
+        GradedTwoForm(FLAT2, "lie", _flat2_blocks(even_even), None)
+    # two insertions: the block is symmetric, so an antisymmetric one fails
     with pytest.raises(ValueError, match="symmetry"):
-        GradedTwoForm(
-            FLAT2,
-            "lie",
-            [[zero] * 2] * 2,
-            [[zero] * 2] * 2,
-            [[zero, one], [-one, zero]],
-            None,
-        )
+        GradedTwoForm(FLAT2, "lie", _flat2_blocks({(2, 3): one, (3, 2): -one}), None)
+    # (ins, even) must be minus its (even, ins) mirror
+    with pytest.raises(ValueError, match="antisymmetry"):
+        GradedTwoForm(FLAT2, "lie", _flat2_blocks({(0, 2): one, (2, 0): one}), None)
+    GradedTwoForm(FLAT2, "lie", _flat2_blocks({(0, 2): one, (2, 0): -one}), None)
 
 
 def test_weight_parity_is_validated():
@@ -320,8 +331,8 @@ def test_weight_parity_is_validated():
     dx = Form.coordinate_diff(f, 0)
     zero = Form.zero(f)
     with pytest.raises(ValueError, match="weight"):
-        GradedOneForm(FLAT2, "lie", [dx, zero], [zero, zero], 2)
-    GradedOneForm(FLAT2, "lie", [dx, zero], [zero, zero], 1)
+        GradedOneForm(FLAT2, "lie", [dx, zero, zero, zero], 2)
+    GradedOneForm(FLAT2, "lie", [dx, zero, zero, zero], 1)
 
 
 def test_mismatched_tabulations_do_not_add():

@@ -122,6 +122,9 @@ def test_manifest_flags_and_tensor_fill():
         (PLANE + "[metric]\ng.1.2=1\ng.2.1=2\n", 10, "conflicts"),
         (PLANE + "w.2.1=1\n", 8, "conflicts"),
         (PLANE + "[metric]\ng.1.5=1\n", 9, "out of range"),
+        # an index is checked against the coordinates even when it comes first
+        ("[metric]\ng.3.3=1\n" + PLANE, 2, "index 3 out of range 1..2"),
+        ("[ltensor]\nL.1.1.3=1\n" + PLANE, 2, "index 3 out of range 1..2"),
         (PLANE + "[metric]\ng.1.q=1\n", 9, "non-integer index"),
         (PLANE + "[ltensor]\nL.1.2.2=x\n", 9, "must vanish"),
         (PLANE + "[metric]\ng.1.1=x+\n", 9, "unexpected end"),
