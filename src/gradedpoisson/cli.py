@@ -42,6 +42,18 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
+class CliError(ValueError):
+    """A bracket command line that cannot run, reported in one line."""
+
+
+def _operand(flag: str, parse, *args):
+    """parse(*args), naming the operand's option in an expression error."""
+    try:
+        return parse(*args)
+    except ExprError as err:
+        raise CliError(f"{flag}: {err}") from None
+
+
 def _fastpath_operand(text: str, chart):
     """A scalar, or d(scalar) marking the exact-differential slot."""
     stripped = text.strip()
@@ -54,20 +66,18 @@ def _cmd_bracket(args) -> int:
     chart = load_chart(args.target)
     if args.fastpath:
         if args.odd:
-            raise ExprError("--fastpath computes even brackets only", 1)
-        f, df = _fastpath_operand(args.alpha, chart)
-        h, dh = _fastpath_operand(args.beta, chart)
+            raise CliError("--fastpath computes even brackets only")
+        f, df = _operand("--alpha", _fastpath_operand, args.alpha, chart)
+        h, dh = _operand("--beta", _fastpath_operand, args.beta, chart)
         kind = {(False, False): "ff", (False, True): "f_dh", (True, True): "df_dh"}.get(
             (df, dh)
         )
         if kind is None:
-            raise ExprError(
-                "no closed form for [[df,h]]; swap the slots or drop --fastpath", 1
-            )
+            raise CliError("no closed form for [[df,h]]; swap the slots or drop --fastpath")
         result = bracket_fastpath(kind, f, h, chart)
     else:
-        alpha = parse_form_expr(args.alpha, chart)
-        beta = parse_form_expr(args.beta, chart)
+        alpha = _operand("--alpha", parse_form_expr, args.alpha, chart)
+        beta = _operand("--beta", parse_form_expr, args.beta, chart)
         if args.odd:
             result = ks_bracket(alpha, beta, chart)
         else:
@@ -132,7 +142,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ManifestError, ExprError, ChartError) as err:
+    except (ManifestError, ExprError, ChartError, CliError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     finally:

@@ -21,6 +21,14 @@ The single-slot case carries no sign. This is the one extension convention
 used everywhere; the alternation, closedness and Jacobi test suites all
 break if any evaluation path deviates from it.
 
+d^G and the graded Lie derivative L^G work on lie-basis tabulations only.
+The lie basics commute: [L_X, L_Y] = L_[X,Y], [L_X, i_Y] = i_[X,Y] and
+[i_X, i_Y] = 0, and coordinate vector fields commute. So every commutator
+[E_r, E_s] of two lie basics is zero: dG_one has no bracket term, and
+lieG_two computes only the 2n commutators [E_r, D]. In the nabla basis
+these commutators are curvature terms, so tabulations there are converted
+with convert_one / convert_two first.
+
 The stored weight is the second component of the bidegree: the value
 <E_r, E_s> has the parity of weight + |E_r| + |E_s| (weight + |E_r| for a
 1-form). Sums of tabulated forms can mix representatives that agree mod 2
@@ -333,28 +341,38 @@ def dG_function(geom: ChartGeometry, alpha, basis: str = "lie") -> GradedOneForm
     return GradedOneForm(geom, basis, values, weight)
 
 
+def _require_lie(basis: str, name: str) -> None:
+    if basis != "lie":
+        raise ValueError(
+            f"{name} needs a lie-basis tabulation, got {basis!r}; "
+            "convert with convert_one/convert_two"
+        )
+
+
 def dG_one(lam: GradedOneForm) -> GradedTwoForm:
-    """d^G of a tabulated graded 1-form.
+    """d^G of a graded 1-form tabulated in the lie basis.
 
     <D1, D2; dG lam> = D1<D2; lam> - (-1)^{|D1||D2|} D2<D1; lam>
                        - <[D1, D2]; lam>
-    evaluated on all basic pairs.
+    evaluated on all basic pairs. The lie basics commute, so the bracket
+    term is zero on every pair and is not computed.
     """
+    _require_lie(lam.basis, "dG_one")
     geom = lam.geom
     dim = geom.dim
-    basic = basics(geom, lam.basis)
+    basic = basics(geom, "lie")
     values = lam.values
 
     def entry(r, s):
         second = basic[s](values[r])
-        out = basic[r](values[s]) - (-second if r >= dim and s >= dim else second)
-        return out - eval_one(lam, basic[r].commutator(basic[s]))
+        return basic[r](values[s]) - (-second if r >= dim and s >= dim else second)
 
-    return tabulate_two(geom, lam.basis, entry, lam.weight)
+    return tabulate_two(geom, "lie", entry, lam.weight)
 
 
-def dG_two_eval(theta: GradedTwoForm, d1: Derivation, d2: Derivation, d3: Derivation) -> Form:
-    """<D1, D2, D3; d^G theta> by the graded Palais formula."""
+def _palais(theta, d1, d2, d3, c12, c13, c23) -> Form:
+    """<D1, D2, D3; d^G theta> by the graded Palais formula, given the
+    graded commutators c12 = [D1, D2], c13 = [D1, D3] and c23 = [D2, D3]."""
     p1, p2, p3 = _parity(d1), _parity(d2), _parity(d3)
 
     def sgn(bit):
@@ -365,39 +383,55 @@ def dG_two_eval(theta: GradedTwoForm, d1: Derivation, d2: Derivation, d3: Deriva
     total = total - (t2 if sgn(p1 * p2) > 0 else -t2)
     t3 = d3(eval_two(theta, d1, d2))
     total = total + (t3 if sgn(p3 * (p1 + p2)) > 0 else -t3)
-    c12 = eval_two(theta, d1.commutator(d2), d3)
-    total = total - c12
-    c13 = eval_two(theta, d1.commutator(d3), d2)
-    total = total + (c13 if sgn(p2 * p3) > 0 else -c13)
-    c23 = eval_two(theta, d2.commutator(d3), d1)
-    total = total - (c23 if sgn(p1 * (p2 + p3)) > 0 else -c23)
+    total = total - eval_two(theta, c12, d3)
+    t13 = eval_two(theta, c13, d2)
+    total = total + (t13 if sgn(p2 * p3) > 0 else -t13)
+    t23 = eval_two(theta, c23, d1)
+    total = total - (t23 if sgn(p1 * (p2 + p3)) > 0 else -t23)
     return total
+
+
+def dG_two_eval(theta: GradedTwoForm, d1: Derivation, d2: Derivation, d3: Derivation) -> Form:
+    """<D1, D2, D3; d^G theta> by the graded Palais formula."""
+    return _palais(
+        theta, d1, d2, d3, d1.commutator(d2), d1.commutator(d3), d2.commutator(d3)
+    )
 
 
 # -- graded Lie derivative -----------------------------------------------------
 
 
 def lieG_one(derivation: Derivation, lam: GradedOneForm) -> GradedOneForm:
-    """L^G_D on a tabulated graded 1-form, by the Cartan formula."""
+    """L^G_D on a lie-basis graded 1-form, by the Cartan formula."""
     contraction = eval_one(lam, derivation)
-    return iota(derivation, dG_one(lam)) + dG_function(
-        lam.geom, contraction, basis=lam.basis
-    )
+    return iota(derivation, dG_one(lam)) + dG_function(lam.geom, contraction)
 
 
 def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
-    """L^G_D on a tabulated graded 2-form, by the Cartan formula."""
+    """L^G_D on a lie-basis graded 2-form, by the Cartan formula.
+
+    <E_r, E_s; L^G_D theta> = <E_r, E_s; d^G iota_D theta>
+                              + <E_r, E_s, D; d^G theta>
+    The Palais formula for the last term needs [E_r, E_s], which is zero
+    for lie basics, and [E_r, D], which is computed once per basic.
+    """
+    _require_lie(theta.basis, "lieG_two")
     geom = theta.geom
     exact_part = dG_one(iota(derivation, theta))
-    basic = basics(geom, theta.basis)
+    basic = basics(geom, "lie")
+    with_d = [e.commutator(derivation) for e in basic]
+    zero = Derivation.zero(geom.field)
 
     def entry(r, s):
-        return exact_part.blocks[r][s] + dG_two_eval(theta, basic[r], basic[s], derivation)
+        closed_part = _palais(
+            theta, basic[r], basic[s], derivation, zero, with_d[r], with_d[s]
+        )
+        return exact_part.blocks[r][s] + closed_part
 
     weight = None
     if theta.weight is not None and derivation.degree is not None:
         weight = theta.weight + derivation.degree
-    return tabulate_two(geom, theta.basis, entry, weight)
+    return tabulate_two(geom, "lie", entry, weight)
 
 
 # -- basis conversion ----------------------------------------------------------

@@ -263,7 +263,12 @@ def check_exterior_insertion(ctx):
     want = lambda_omega(chart)
     if got == want:
         return True, None
-    return False, f"difference on lie tabulation: {[str(a - b) for a, b in zip(got.values[: chart.dim], want.values)]}"
+    coords = chart.field.coords
+    names = [f"L_{c}" for c in coords] + [f"i_{c}" for c in coords]
+    name, diff = next(
+        (name, a - b) for name, a, b in zip(names, got.values, want.values) if a != b
+    )
+    return False, f"difference at <{name}>: {diff}"
 
 
 def check_exterior_lie(ctx):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
-from gradedpoisson.geometry import ChartGeometry, builtin_chart
+from gradedpoisson import suites
+from gradedpoisson.geometry import ChartGeometry, builtin_chart, builtin_names
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -234,6 +235,19 @@ def test_insert_exterior_into_even_form_gives_odd_potential(chart):
     assert iota(d, theta) == lambda_omega(chart)
 
 
+def test_exterior_insertion_witness_names_the_differing_basic(monkeypatch):
+    def shifted(chart):
+        lam = lambda_omega(chart)
+        values = list(lam.values)
+        values[chart.dim] = values[chart.dim] + Form.function(chart.field.one)
+        return GradedOneForm(chart, "lie", values, lam.weight)
+
+    monkeypatch.setattr(suites, "lambda_omega", shifted)
+    ok, witness = suites.check_exterior_insertion(suites.SuiteContext(HALF, 42, 1, 1))
+    assert not ok
+    assert witness == "difference at <i_x>: (-1)"
+
+
 @pytest.mark.parametrize("chart", [FLAT2, HALF])
 def test_lie_along_exterior_turns_even_into_odd(chart):
     theta = theta_even(chart, "omega_g")
@@ -247,6 +261,78 @@ def test_lie_one_matches_cartan_pieces():
     got = lieG_one(d, lam)
     want = iota(d, dG_one(lam))
     assert got.values == want.values
+
+
+# -- the lie basics commute ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_lie_basics_commute(name):
+    basic = basics(builtin_chart(name), "lie")
+    for e_r in basic:
+        for e_s in basic:
+            assert e_r.commutator(e_s).is_zero
+
+
+def _lie_derivative_reference(derivation, theta):
+    """<E_r, E_s; L^G_D theta> from d^G iota_D theta and dG_two_eval, with
+    every commutator computed by Derivation.commutator."""
+    basic = basics(theta.geom, "lie")
+    lam = iota(derivation, theta)
+    dim = theta.geom.dim
+
+    def entry(r, s):
+        second = basic[s](eval_one(lam, basic[r]))
+        exact = basic[r](eval_one(lam, basic[s])) - (
+            -second if r >= dim and s >= dim else second
+        )
+        exact = exact - eval_one(lam, basic[r].commutator(basic[s]))
+        return exact + dG_two_eval(theta, basic[r], basic[s], derivation)
+
+    return [[entry(r, s) for s in range(2 * dim)] for r in range(2 * dim)]
+
+
+@pytest.mark.parametrize("chart", [HALF, SPHERE])
+@pytest.mark.parametrize("kind", ["d", "i_J", "L_X", "i_Y"])
+def test_lie_derivative_matches_generic_commutators(chart, kind):
+    field = chart.field
+    x, y = field.gens
+    derivation = {
+        "d": Derivation.exterior(field),
+        "i_J": Derivation.insertion(chart.j_vvform()),
+        "L_X": Derivation.lie(VectorField(field, [x * y, x + field.one])),
+        "i_Y": Derivation.insertion(VectorField(field, [y * y, x])),
+    }[kind]
+    theta = theta_even(chart, "omega_g")
+    got = lieG_two(derivation, theta)
+    assert [list(row) for row in got.blocks] == _lie_derivative_reference(derivation, theta)
+
+
+def test_closed_form_commutator_calls(monkeypatch):
+    calls = []
+    generic = Derivation.commutator
+
+    def counting(self, other):
+        calls.append((self, other))
+        return generic(self, other)
+
+    monkeypatch.setattr(Derivation, "commutator", counting)
+    theta = theta_even(HALF, "omega_g")
+    assert not calls
+    lieG_two(Derivation.exterior(HALF.field), theta)
+    assert len(calls) == 2 * HALF.dim
+
+
+def test_graded_calculus_needs_the_lie_basis():
+    lam = convert_one(lambda_metric(HALF), "nabla")
+    theta = convert_two(theta_even(HALF, "omega_g"), "nabla")
+    d = Derivation.exterior(HALF.field)
+    with pytest.raises(ValueError, match="lie-basis"):
+        dG_one(lam)
+    with pytest.raises(ValueError, match="lie-basis"):
+        lieG_one(d, lam)
+    with pytest.raises(ValueError, match="lie-basis"):
+        lieG_two(d, theta)
 
 
 # -- paracomplex insertion ----------------------------------------------------

@@ -337,6 +337,23 @@ def test_cli_usage_errors_exit_two(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--alpha=x", "--beta=1/(x-x)"], "--beta: division by zero (column 2)"),
+        (["--alpha=x +", "--beta=y"], "--alpha: unexpected end of expression (column 4)"),
+        (["--alpha=x", "--beta=y/0", "--fastpath"], "--beta: division by zero (column 2)"),
+        (["--alpha=x", "--beta=y", "--fastpath", "--odd"], "--fastpath computes even brackets only"),
+        (
+            ["--alpha=d(x)", "--beta=y", "--fastpath"],
+            "no closed form for [[df,h]]; swap the slots or drop --fastpath",
+        ),
+    ],
+)
+def test_cli_bracket_error_lines(argv, line):
+    assert _run_cli(["bracket", "builtin:flat2", *argv]) == (2, f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bogus"],
