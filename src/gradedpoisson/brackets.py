@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import Derivation, Form, VectorField, VectorValuedForm
+from .forms import Derivation, Form, VectorValuedForm
 from .geometry import ChartGeometry, matrix_inverse
 from .graded import (
     GradedOneForm,
@@ -329,14 +329,13 @@ def _pair(chart: ChartGeometry, matrix, left: VectorValuedForm, right: VectorVal
 def _curvature_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
     """R4(left, right, _, _) with form coefficients wedged on the left."""
     total = Form.zero(chart.field)
-    basis = [VectorField.basis(chart.field, a) for a in range(chart.dim)]
     for a in range(chart.dim):
         if left.components[a].is_zero:
             continue
         for b in range(chart.dim):
             if right.components[b].is_zero:
                 continue
-            block = chart.riemann4_form(basis[a], basis[b])
+            block = chart.riemann4_form(a, b)
             if block.is_zero:
                 continue
             total = total + left.components[a].wedge(right.components[b]).wedge(block)

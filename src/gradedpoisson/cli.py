@@ -55,11 +55,13 @@ def _operand(flag: str, parse, *args):
 
 
 def _fastpath_operand(text: str, chart):
-    """A scalar, or d(scalar) marking the exact-differential slot."""
-    stripped = text.strip()
-    if stripped.startswith("d(") and stripped.endswith(")"):
-        return parse_scalar_expr(stripped[2:-1], chart.field), True
-    return parse_scalar_expr(stripped, chart.field), False
+    """A scalar, or d(scalar) marking the exact-differential slot. The d( )
+    wrapper is blanked, not cut, so error columns count in the text as typed."""
+    body = text.rstrip()
+    lead = len(body) - len(body.lstrip())
+    if body.startswith("d(", lead) and body.endswith(")"):
+        return parse_scalar_expr(" " * (lead + 2) + body[lead + 2 : -1], chart.field), True
+    return parse_scalar_expr(text, chart.field), False
 
 
 def _cmd_bracket(args) -> int:

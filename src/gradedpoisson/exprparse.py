@@ -193,5 +193,7 @@ def parse_scalar_expr(text: str, field: ScalarField) -> RationalFunction:
     form = _Parser(text, field).parse()
     scalar = form.scalar_part()
     if form != Form.function(scalar):
-        raise ExprError("expected a scalar expression, got a form of positive degree", 1)
+        # point at the first differential: every parsed non-coordinate name is one
+        column = next(p for kind, name, p in _tokenize(text) if kind == "name" and name not in field.coords)
+        raise ExprError("expected a scalar expression, got a form of positive degree", column)
     return scalar

@@ -324,15 +324,12 @@ class ChartGeometry:
             total = total + self.riemann[i][w][u][v] * self.g[i][z]
         return -total
 
-    def riemann4_form(self, x: VectorField, y: VectorField) -> Form:
-        """The 2-form R4(X, Y, _, _)."""
+    def riemann4_form(self, u: int, v: int) -> Form:
+        """The 2-form R4(e_u, e_v, _, _)."""
         terms = {}
         for w in range(self.dim):
             for z in range(w + 1, self.dim):
-                c = self.field.zero
-                for u in range(self.dim):
-                    for v in range(self.dim):
-                        c = c + self.riemann4(u, v, w, z) * x.components[u] * y.components[v]
+                c = self.riemann4(u, v, w, z)
                 if not c.is_zero:
                     terms[(w, z)] = c
         return Form(self.field, terms)

@@ -24,10 +24,13 @@ break if any evaluation path deviates from it.
 d^G and the graded Lie derivative L^G work on lie-basis tabulations only.
 The lie basics commute: [L_X, L_Y] = L_[X,Y], [L_X, i_Y] = i_[X,Y] and
 [i_X, i_Y] = 0, and coordinate vector fields commute. So every commutator
-[E_r, E_s] of two lie basics is zero: dG_one has no bracket term, and
-lieG_two computes only the 2n commutators [E_r, D]. In the nabla basis
-these commutators are curvature terms, so tabulations there are converted
-with convert_one / convert_two first.
+[E_r, E_s] of two lie basics is zero, and dG_one has no bracket term. In
+the nabla basis these commutators are curvature terms, so tabulations
+there are converted with convert_one / convert_two first.
+
+lieG_two takes L^G_D as a derivation of the pairing, so it needs only the
+2n commutators [D, E_r]. No [E_r, E_s] enters: in the Cartan formula its
+terms cancel between d^G iota_D theta and iota_D d^G theta.
 
 The stored weight is the second component of the bidegree: the value
 <E_r, E_s> has the parity of weight + |E_r| + |E_s| (weight + |E_r| for a
@@ -370,9 +373,8 @@ def dG_one(lam: GradedOneForm) -> GradedTwoForm:
     return tabulate_two(geom, "lie", entry, lam.weight)
 
 
-def _palais(theta, d1, d2, d3, c12, c13, c23) -> Form:
-    """<D1, D2, D3; d^G theta> by the graded Palais formula, given the
-    graded commutators c12 = [D1, D2], c13 = [D1, D3] and c23 = [D2, D3]."""
+def dG_two_eval(theta: GradedTwoForm, d1: Derivation, d2: Derivation, d3: Derivation) -> Form:
+    """<D1, D2, D3; d^G theta> by the graded Palais formula."""
     p1, p2, p3 = _parity(d1), _parity(d2), _parity(d3)
 
     def sgn(bit):
@@ -383,19 +385,12 @@ def _palais(theta, d1, d2, d3, c12, c13, c23) -> Form:
     total = total - (t2 if sgn(p1 * p2) > 0 else -t2)
     t3 = d3(eval_two(theta, d1, d2))
     total = total + (t3 if sgn(p3 * (p1 + p2)) > 0 else -t3)
-    total = total - eval_two(theta, c12, d3)
-    t13 = eval_two(theta, c13, d2)
+    total = total - eval_two(theta, d1.commutator(d2), d3)
+    t13 = eval_two(theta, d1.commutator(d3), d2)
     total = total + (t13 if sgn(p2 * p3) > 0 else -t13)
-    t23 = eval_two(theta, c23, d1)
+    t23 = eval_two(theta, d2.commutator(d3), d1)
     total = total - (t23 if sgn(p1 * (p2 + p3)) > 0 else -t23)
     return total
-
-
-def dG_two_eval(theta: GradedTwoForm, d1: Derivation, d2: Derivation, d3: Derivation) -> Form:
-    """<D1, D2, D3; d^G theta> by the graded Palais formula."""
-    return _palais(
-        theta, d1, d2, d3, d1.commutator(d2), d1.commutator(d3), d2.commutator(d3)
-    )
 
 
 # -- graded Lie derivative -----------------------------------------------------
@@ -408,25 +403,30 @@ def lieG_one(derivation: Derivation, lam: GradedOneForm) -> GradedOneForm:
 
 
 def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
-    """L^G_D on a lie-basis graded 2-form, by the Cartan formula.
+    """L^G_D on a lie-basis graded 2-form, as a derivation of the pairing.
 
-    <E_r, E_s; L^G_D theta> = <E_r, E_s; d^G iota_D theta>
-                              + <E_r, E_s, D; d^G theta>
-    The Palais formula for the last term needs [E_r, E_s], which is zero
-    for lie basics, and [E_r, D], which is computed once per basic.
+    <E_r, E_s; L^G_D theta> = -(-1)^{|D|(|E_r| + |E_s|)} (D<E_r, E_s>
+        - <[D, E_r], E_s> - (-1)^{|D||E_r|} <E_r, [D, E_s]>)
+    Only the 2n commutators [D, E_r] enter, each once: pulled[r] is
+    iota_[D, E_r] theta, so pulled[r][s] = <E_s, [D, E_r]>, and graded
+    antisymmetry turns it into <[D, E_r], E_s>. No [E_r, E_s] enters: its
+    terms in the Cartan formula cancel.
     """
     _require_lie(theta.basis, "lieG_two")
     geom = theta.geom
-    exact_part = dG_one(iota(derivation, theta))
-    basic = basics(geom, "lie")
-    with_d = [e.commutator(derivation) for e in basic]
-    zero = Derivation.zero(geom.field)
+    dim = geom.dim
+    p = _parity(derivation)
+    pulled = [iota(derivation.commutator(e), theta).values for e in basics(geom, "lie")]
 
     def entry(r, s):
-        closed_part = _palais(
-            theta, basic[r], basic[s], derivation, zero, with_d[r], with_d[s]
-        )
-        return exact_part.blocks[r][s] + closed_part
+        pr, ps = r >= dim, s >= dim
+        inner = derivation(theta.blocks[r][s])
+        # <[D, E_r], E_s> = -(-1)^{(|D| + |E_r|)|E_s|} pulled[r][s]
+        back = pulled[r][s]
+        inner = inner + (-back if (p + pr) * ps % 2 else back)
+        ahead = pulled[s][r]
+        inner = inner - (-ahead if p * pr % 2 else ahead)
+        return inner if p * (pr + ps) % 2 else -inner
 
     weight = None
     if theta.weight is not None and derivation.degree is not None:
@@ -554,9 +554,7 @@ def theta_even_closed_nabla(geom: ChartGeometry) -> GradedTwoForm:
 
     def entry(r, s):
         if s < dim:
-            return Form.function(geom.w[r][s]) - geom.riemann4_form(
-                VectorField.basis(geom.field, r), VectorField.basis(geom.field, s)
-            )
+            return Form.function(geom.w[r][s]) - geom.riemann4_form(r, s)
         if r < dim:
             return zero
         return Form.function(geom.g[r - dim][s - dim])

@@ -85,6 +85,13 @@ def test_curvature_symmetries(name):
                     assert r == -ch.riemann4(v, u, w, z)
                     assert r == -ch.riemann4(u, v, z, w)
                     assert r == ch.riemann4(w, z, u, v)
+    # R4(e_u, e_v, _, _) holds exactly the entries with w < z
+    for u in rng:
+        for v in rng:
+            entries = {
+                (w, z): ch.riemann4(u, v, w, z) for w in rng for z in rng if w < z
+            }
+            assert ch.riemann4_form(u, v) == Form(ch.field, entries)
     # first Bianchi on the endomorphism
     for u in rng:
         for v in rng:

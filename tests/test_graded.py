@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
-from gradedpoisson import suites
+from gradedpoisson import graded, suites
 from gradedpoisson.geometry import ChartGeometry, builtin_chart, builtin_names
 from gradedpoisson.graded import (
     GradedOneForm,
@@ -292,20 +292,22 @@ def _lie_derivative_reference(derivation, theta):
     return [[entry(r, s) for s in range(2 * dim)] for r in range(2 * dim)]
 
 
-@pytest.mark.parametrize("chart", [HALF, SPHERE])
+@pytest.mark.parametrize("chart", [HALF, SPHERE, builtin_chart("flat4")])
 @pytest.mark.parametrize("kind", ["d", "i_J", "L_X", "i_Y"])
 def test_lie_derivative_matches_generic_commutators(chart, kind):
     field = chart.field
-    x, y = field.gens
+    x, y = field.gens[:2]
+    pad = [field.zero] * (chart.dim - 2)
     derivation = {
         "d": Derivation.exterior(field),
         "i_J": Derivation.insertion(chart.j_vvform()),
-        "L_X": Derivation.lie(VectorField(field, [x * y, x + field.one])),
-        "i_Y": Derivation.insertion(VectorField(field, [y * y, x])),
+        "L_X": Derivation.lie(VectorField(field, [x * y, x + field.one, *pad])),
+        "i_Y": Derivation.insertion(VectorField(field, [y * y, x, *pad])),
     }[kind]
-    theta = theta_even(chart, "omega_g")
-    got = lieG_two(derivation, theta)
-    assert [list(row) for row in got.blocks] == _lie_derivative_reference(derivation, theta)
+    for theta in (theta_even(chart, "omega_g"), theta_ks(chart)):
+        got = lieG_two(derivation, theta)
+        want = _lie_derivative_reference(derivation, theta)
+        assert [list(row) for row in got.blocks] == want, theta
 
 
 def test_closed_form_commutator_calls(monkeypatch):
@@ -321,6 +323,17 @@ def test_closed_form_commutator_calls(monkeypatch):
     assert not calls
     lieG_two(Derivation.exterior(HALF.field), theta)
     assert len(calls) == 2 * HALF.dim
+
+
+def test_lie_derivative_needs_no_generic_evaluation(monkeypatch):
+    theta, want = theta_even(HALF, "omega_g"), theta_ks(HALF)
+
+    def forbidden(*args):
+        raise AssertionError("lieG_two took the Cartan route")
+
+    for name in ("dG_one", "eval_two", "dG_two_eval"):
+        monkeypatch.setattr(graded, name, forbidden)
+    assert lieG_two(Derivation.exterior(HALF.field), theta) == want
 
 
 def test_graded_calculus_needs_the_lie_basis():

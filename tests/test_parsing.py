@@ -80,6 +80,23 @@ def test_scalar_parse_rejects_positive_degree():
         parse_scalar_expr("dx", F)
 
 
+@pytest.mark.parametrize(
+    "text,column,fragment",
+    [
+        ("dx", 1, "form of positive degree"),
+        ("x*dy", 3, "form of positive degree"),
+        ("  x + y*dx", 9, "form of positive degree"),
+        ("x^dy + dx", 3, "form of positive degree"),
+        ("  x/0", 4, "division by zero"),
+    ],
+)
+def test_scalar_expression_errors_carry_columns(text, column, fragment):
+    with pytest.raises(ExprError) as err:
+        parse_scalar_expr(text, F)
+    assert err.value.position == column
+    assert fragment in str(err.value)
+
+
 def test_manifest_round_trip():
     chart = parse_manifest(PLANE)
     assert chart.name == "plane"
@@ -132,6 +149,7 @@ def test_manifest_flags_and_tensor_fill():
         ("[chart]\nplane\n", 2, "expected key=value"),
         ("[metric]\ng=1\n", 2, "g.i.i style key"),
         ("[chart] name=p, coords=x,y\n[symplectic]\nw.1.2=0^0\n", 3, "power zero"),
+        (PLANE + "[metric]\ng.1.1=x*dy\n", 9, "positive degree (column 3)"),
     ],
 )
 def test_manifest_errors_carry_line_numbers(text, line, fragment):
@@ -346,6 +364,17 @@ def test_cli_usage_errors_exit_two(argv, capsys):
         (
             ["--alpha=d(x)", "--beta=y", "--fastpath"],
             "no closed form for [[df,h]]; swap the slots or drop --fastpath",
+        ),
+        # fastpath columns count in the operand as typed
+        (["--alpha=d(x/0)", "--beta=y", "--fastpath"], "--alpha: division by zero (column 4)"),
+        (["--alpha=  x/0", "--beta=y", "--fastpath"], "--alpha: division by zero (column 4)"),
+        (
+            ["--alpha=x*dy", "--beta=y", "--fastpath"],
+            "--alpha: expected a scalar expression, got a form of positive degree (column 3)",
+        ),
+        (
+            ["--alpha=d(x*dy)", "--beta=y", "--fastpath"],
+            "--alpha: expected a scalar expression, got a form of positive degree (column 5)",
         ),
     ],
 )
