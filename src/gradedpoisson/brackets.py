@@ -255,7 +255,11 @@ def k_odd(chart: ChartGeometry, f) -> list[VectorValuedForm]:
 
 
 def even_bracket(alpha, beta, theta: GradedTwoForm) -> Form:
-    """[[alpha, beta]] = D_alpha(beta) for the even symplectic form."""
+    """[[alpha, beta]] = D_alpha(beta) for the even symplectic form.
+
+    theta may be tabulated in either basis: D_alpha is the unique
+    derivation with iota_D theta = d^G alpha, so the result is the same.
+    """
     if isinstance(beta, RationalFunction):
         beta = Form.function(beta)
     solution = solve_hamiltonian(theta, alpha)

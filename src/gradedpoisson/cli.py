@@ -2,6 +2,13 @@
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
 usage, manifest, or expression errors.
+
+bracket solves the even bracket over the lie tabulation of the even
+symplectic form. D_alpha is the unique derivation with
+iota_D Theta = d^G alpha, so the basis of the solve does not change the
+answer, and the lie tabulation is built straight from the definition: no
+basis conversion, and no derived chart tensor such as the Christoffel
+symbols.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ def _cmd_bracket(args) -> int:
         if args.odd:
             result = ks_bracket(alpha, beta, chart)
         else:
-            result = even_bracket(alpha, beta, theta_even_cached(chart, "nabla"))
+            result = even_bracket(alpha, beta, theta_even_cached(chart, "lie"))
     sys.stdout.write(f"{result}\n")
     return 0
 

@@ -28,6 +28,11 @@ The lie basics commute: [L_X, L_Y] = L_[X,Y], [L_X, i_Y] = i_[X,Y] and
 the nabla basis these commutators are curvature terms, so tabulations
 there are converted with convert_one / convert_two first.
 
+The lie basics also act in closed form (_lie_basic), which dG_function
+and dG_one use instead of the generic Derivation action. convert_two
+decomposes each target basic over the source basics once and contracts
+each (source, target) row once, so every entry is one wedge-sum.
+
 lieG_two takes L^G_D as a derivation of the pairing, so it needs only the
 2n commutators [D, E_r]. No [E_r, E_s] enters: in the Cartan formula its
 terms cancel between d^G iota_D theta and iota_D d^G theta.
@@ -60,6 +65,22 @@ def basics(geom: ChartGeometry, basis: str) -> tuple[Derivation, ...]:
         return tuple(map(even, units)) + tuple(map(Derivation.insertion, units))
 
     return geom.cached(("basics", basis), build)
+
+
+def _lie_basic(geom: ChartGeometry, r: int, form: Form) -> Form:
+    """basics(geom, "lie")[r] applied to form, in closed form.
+
+    L_a differentiates each coefficient along x_a, because
+    L_{d_a} dx^i = d(d_a x^i) = 0; i_a is insert_basis(a).
+    """
+    if r >= geom.dim:
+        return form.insert_basis(r - geom.dim)
+    terms = {}
+    for idx, coeff in form.terms.items():
+        value = coeff.partial(r)
+        if not value.is_zero:
+            terms[idx] = value
+    return Form._raw(form.field, terms)
 
 
 def basis_shift(geom: ChartGeometry, basis: str):
@@ -181,7 +202,7 @@ class GradedTwoForm:
     basic takes part, symmetric on pairs of insertions.
     """
 
-    __slots__ = ("geom", "basis", "blocks", "weight")
+    __slots__ = ("geom", "basis", "blocks", "weight", "_hash")
 
     def __init__(self, geom: ChartGeometry, basis: str, blocks, weight):
         if basis not in ("lie", "nabla"):
@@ -205,6 +226,7 @@ class GradedTwoForm:
         self.basis = basis
         self.blocks = blocks
         self.weight = weight
+        self._hash = None
 
     @property
     def is_zero(self) -> bool:
@@ -251,7 +273,10 @@ class GradedTwoForm:
         )
 
     def __hash__(self):
-        return hash((self.geom, self.basis, self.blocks))
+        # the form is immutable, so its table is hashed once
+        if self._hash is None:
+            self._hash = hash((self.geom, self.basis, self.blocks))
+        return self._hash
 
     def __repr__(self):
         return (
@@ -280,13 +305,18 @@ def tabulate_two(geom: ChartGeometry, basis: str, entry, weight) -> GradedTwoFor
 # -- evaluation ----------------------------------------------------------------
 
 
-def eval_one(lam: GradedOneForm, derivation: Derivation) -> Form:
-    """<D; lam> for an arbitrary derivation."""
-    total = Form.zero(lam.geom.field)
-    for beta, value in zip(_decompose(lam.geom, derivation, lam.basis), lam.values):
+def _wedge_sum(field, coeffs, values) -> Form:
+    """The sum of coeffs[k] ^ values[k] over k."""
+    total = Form.zero(field)
+    for beta, value in zip(coeffs, values):
         if not beta.is_zero and not value.is_zero:
             total = total + beta.wedge(value)
     return total
+
+
+def eval_one(lam: GradedOneForm, derivation: Derivation) -> Form:
+    """<D; lam> for an arbitrary derivation."""
+    return _wedge_sum(lam.geom.field, _decompose(lam.geom, derivation, lam.basis), lam.values)
 
 
 def _contract_row(theta: GradedTwoForm, r: int, coeffs) -> Form:
@@ -337,8 +367,11 @@ def dG_function(geom: ChartGeometry, alpha, basis: str = "lie") -> GradedOneForm
     """d^G of a graded function: tabulates D(alpha) on the basics."""
     if isinstance(alpha, RationalFunction):
         alpha = Form.function(alpha)
-    evens = basics(geom, basis)[: geom.dim]
-    values = [e(alpha) for e in evens] + [alpha.insert_basis(a) for a in range(geom.dim)]
+    if basis == "lie":
+        values = [_lie_basic(geom, r, alpha) for r in range(2 * geom.dim)]
+    else:
+        evens = basics(geom, basis)[: geom.dim]
+        values = [e(alpha) for e in evens] + [alpha.insert_basis(a) for a in range(geom.dim)]
     degrees = alpha.degrees()
     weight = degrees[0] if len(degrees) == 1 else (0 if not degrees else None)
     return GradedOneForm(geom, basis, values, weight)
@@ -363,12 +396,11 @@ def dG_one(lam: GradedOneForm) -> GradedTwoForm:
     _require_lie(lam.basis, "dG_one")
     geom = lam.geom
     dim = geom.dim
-    basic = basics(geom, "lie")
     values = lam.values
 
     def entry(r, s):
-        second = basic[s](values[r])
-        return basic[r](values[s]) - (-second if r >= dim and s >= dim else second)
+        second = _lie_basic(geom, s, values[r])
+        return _lie_basic(geom, r, values[s]) - (-second if r >= dim and s >= dim else second)
 
     return tabulate_two(geom, "lie", entry, lam.weight)
 
@@ -445,11 +477,19 @@ def convert_one(lam: GradedOneForm, basis: str) -> GradedOneForm:
 
 
 def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
+    """theta tabulated on the other basis's basics F_r.
+
+    Each F_r is decomposed over theta's basics E_k once, and each row
+    rows[s][k] = <E_k, F_s; theta> is contracted once, so an entry
+    <F_r, F_s> is the one wedge-sum of coeffs[r][k] ^ rows[s][k] over k.
+    """
     if theta.basis == basis:
         return theta
-    basic = basics(theta.geom, basis)
+    geom = theta.geom
+    coeffs = [_decompose(geom, f, theta.basis) for f in basics(geom, basis)]
+    rows = [[_contract_row(theta, k, c) for k in range(2 * geom.dim)] for c in coeffs]
     return tabulate_two(
-        theta.geom, basis, lambda r, s: eval_two(theta, basic[r], basic[s]), theta.weight
+        geom, basis, lambda r, s: _wedge_sum(geom.field, coeffs[r], rows[s]), theta.weight
     )
 
 

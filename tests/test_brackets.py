@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gradedpoisson import brackets
+from gradedpoisson import brackets, cli
 from gradedpoisson.brackets import (
     bracket_fastpath,
     d_defect,
@@ -28,6 +28,7 @@ from gradedpoisson.graded import (
     theta_ks_cached,
     theta_omega,
 )
+from gradedpoisson.exprparse import parse_form_expr
 from gradedpoisson.manifest import parse_manifest
 
 FLAT2 = builtin_chart("flat2")
@@ -707,3 +708,51 @@ def test_only_the_fastpath_builds_curvature(route):
     assert DERIVED.isdisjoint(vars(chart))
     _bracket_on(route, chart)
     assert DERIVED & set(vars(chart)) == BUILT_BY[route]
+
+
+# operands of degree 0, 1 and 2 in the chart's first two coordinates
+CLI_OPERANDS = ("{0}^2*{1} + 1", "{1}*d{0} - {0}^2*d{1}", "{1}/(1+{0}^2)*d{0}^d{1}")
+
+
+def _cli_target(name, tmp_path):
+    """The bracket command's target for name and a chart equal to the one it loads."""
+    if name == "curved":
+        path = tmp_path / "curved.chart"
+        path.write_text(CURVED)
+        return str(path), parse_manifest(CURVED)
+    return f"builtin:{name}", builtin_chart(name)
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["curved"])
+def test_cli_even_bracket_matches_the_nabla_solve(name, tmp_path, capsys):
+    target, chart = _cli_target(name, tmp_path)
+    coords = chart.field.coords
+    theta = theta_even_cached(chart, "nabla")
+    for alpha in CLI_OPERANDS:
+        for beta in CLI_OPERANDS:
+            alpha_text, beta_text = alpha.format(*coords), beta.format(*coords)
+            want = even_bracket(
+                parse_form_expr(alpha_text, chart), parse_form_expr(beta_text, chart), theta
+            )
+            argv = ["bracket", target, f"--alpha={alpha_text}", f"--beta={beta_text}"]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == f"{want}\n", (alpha_text, beta_text)
+
+
+def test_cli_even_route_builds_no_derived_tensor(tmp_path, monkeypatch, capsys):
+    target, _ = _cli_target("curved", tmp_path)
+    loaded = []
+    load = cli.load_chart
+
+    def recording(text):
+        loaded.append(load(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_chart", recording)
+    for alpha in CLI_OPERANDS:
+        argv = ["bracket", target, f"--alpha={alpha.format('x', 'y')}", "--beta=x*dy"]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(loaded) == len(CLI_OPERANDS)
+    for chart in loaded:
+        assert DERIVED.isdisjoint(vars(chart))

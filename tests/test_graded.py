@@ -25,6 +25,7 @@ from gradedpoisson.graded import (
     lieG_one,
     lieG_two,
     scalar_block_det,
+    tabulate_two,
     theta_even,
     theta_even_closed_lie,
     theta_even_closed_nabla,
@@ -272,6 +273,60 @@ def test_lie_basics_commute(name):
     for e_r in basic:
         for e_s in basic:
             assert e_r.commutator(e_s).is_zero
+
+
+def _rational_forms(field):
+    """One form of each degree 0..dim, every coefficient a rational function."""
+    from itertools import combinations
+
+    gens = field.gens
+    denominator = field.one + gens[-1] * gens[-1]
+    out = []
+    for degree in range(field.dimension + 1):
+        terms = {}
+        for k, idx in enumerate(combinations(range(field.dimension), degree)):
+            terms[idx] = (gens[k % len(gens)] * gens[0] + field.constant(k + 1)) / denominator
+        out.append(Form(field, terms))
+    return out
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_lie_basic_is_the_generic_action(name):
+    chart = builtin_chart(name)
+    for form in _rational_forms(chart.field):
+        for r, e_r in enumerate(basics(chart, "lie")):
+            assert graded._lie_basic(chart, r, form) == e_r(form), (r, form)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_convert_two_matches_entrywise_evaluation(name):
+    chart = builtin_chart(name)
+
+    def reference(theta, basis):
+        basic = basics(chart, basis)
+        return tabulate_two(
+            chart, basis, lambda r, s: eval_two(theta, basic[r], basic[s]), theta.weight
+        )
+
+    for theta in (theta_even(chart), theta_ks(chart), theta_omega(chart)):
+        nabla = reference(theta, "nabla")
+        assert convert_two(theta, "nabla") == nabla, theta
+        assert convert_two(nabla, "lie") == reference(nabla, "lie"), theta
+
+
+def test_lie_tabulations_apply_no_derivation(monkeypatch):
+    form = _rational_forms(SPHERE.field)[1]
+    lam, theta = lambda_metric(SPHERE), theta_even(SPHERE)
+    want = dG_function(SPHERE, form), dG_one(lam), convert_two(theta, "nabla")
+
+    def forbidden(*args):
+        raise AssertionError("generic evaluation or derivation action taken")
+
+    monkeypatch.setattr(graded, "eval_two", forbidden)
+    monkeypatch.setattr(Derivation, "__call__", forbidden)
+    got = dG_function(SPHERE, form), dG_one(lam), convert_two(theta, "nabla")
+    assert got == want
+    assert convert_two(want[2], "lie") == theta
 
 
 def _lie_derivative_reference(derivation, theta):
