@@ -360,17 +360,20 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
     h = field.wrap(h)
     x_h = chart.classical_hamiltonian(h)
     xh_vv = x_h.as_vvform()
-    dxh = chart.nabla_vector(x_h)
-    evens = [-k for k in k_even(chart, f)]  # displayed seeding: first entry X_f
 
+    # each slot pattern builds only what it reads: [[f, h]] reads no dxh,
+    # [[df, dh]] no even chain
     if kind == "ff":
         total = Form.function(chart.classical_poisson(f, h))
+        evens = [-k for k in k_even(chart, f)]  # displayed seeding: first entry X_f
         for ke in evens:
             total = total + _curvature_pair(chart, ke, xh_vv)
         return total
 
+    dxh = chart.nabla_vector(x_h)
     if kind == "f_dh":
         total = Form.function(chart.classical_poisson(f, h)).d()
+        evens = [-k for k in k_even(chart, f)]
         for ke in evens:
             dke = chart.dnabla(ke)
             total = total - _pair(chart, chart.w, dke, xh_vv)

@@ -1,13 +1,16 @@
 """Field arithmetic, differentiation and evaluation of exact scalars."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
+from sympy.polys.rings import PolyElement
 
-from gradedpoisson.scalars import RationalFunction, clear_memos, coordinate_field
+from gradedpoisson.cli import main
+from gradedpoisson.scalars import clear_memos, coordinate_field
 
 F = coordinate_field(("x", "y"))
 X, Y = F.gens
@@ -115,13 +118,13 @@ def test_quotient_rule(f, g):
 @given(scalars(), scalars())
 def test_memoized_results_equal_fresh_sympy(a, b):
     clear_memos()
-    product = RationalFunction(F, a._elem * b._elem)
-    derivatives = [RationalFunction(F, a._elem.diff(gen)) for gen in F._field.gens]
+    product = a._elem * b._elem
+    derivatives = [a._elem.diff(gen) for gen in F._field.gens]
     for _ in range(2):  # misses, then hits
-        assert a * b == product
+        assert (a * b)._elem == product
         for index, name in enumerate(F.coords):
-            assert a.partial(index) == derivatives[index]
-            assert a.partial(name) == derivatives[index]
+            assert a.partial(index)._elem == derivatives[index]
+            assert a.partial(name)._elem == derivatives[index]
 
 
 ORACLE = FracField(F.coords, QQ, order="grlex")
@@ -193,3 +196,76 @@ def test_transplant_preserves_values():
     lifted = f.transplant(big)
     assert lifted.field is big
     assert lifted.eval_at([9, 9, 2, 3]) == f.eval_at([2, 3])
+
+
+def _assert_factored_canonical(value):
+    """The stored form is the canonical one the module docstring defines."""
+    orders = [factor.order for factor, _ in value.facs]
+    assert orders == sorted(orders) and len(set(orders)) == len(orders)
+    for factor, exp in value.facs:
+        poly = factor.poly
+        assert exp > 0
+        assert poly.LC > 0
+        # irreducible and primitive: its own single factor, up to sign
+        coeff, pairs = poly.factor_list()
+        assert abs(coeff) == 1 and len(pairs) == 1 and pairs[0][1] == 1
+        assert pairs[0][0] * coeff == poly
+        assert value.num.div(poly)[1] != 0
+    assert value.cont > 0
+    assert gcd(int(value.num.content()), value.cont) == 1
+
+
+@given(scalars(), scalars(), st.integers(-3, 3))
+def test_factored_form_stays_canonical(a, b, k):
+    results = [a + b, a - b, b - a, a * b, -a, a.partial(0), a.partial(1)]
+    if b:
+        results += [a / b, 1 / b, (a * b).partial(0) / b]
+    if a:
+        results.append(a**k)
+    for value in results:
+        _assert_factored_canonical(value)
+
+
+def test_factor_signs_follow_graded_lex_order():
+    # factor_list makes the lex leading coefficient positive; for x - y**2
+    # the graded-lex one is -1, so the stored factor must be y**2 - x
+    value = 1 / (X - Y**2)
+    assert [str(factor.poly) for factor, _ in value.facs] == ["y**2 - x"]
+    assert str(value) == "-1/(y**2 - x)"
+    assert value == -1 / (Y**2 - X)
+    assert hash(value) == hash(-1 / (Y**2 - X))
+    # with the coordinates swapped, x - y leads with -y: transplant renormalizes
+    swapped = coordinate_field(("y", "x"))
+    lifted = (1 / (X - Y)).transplant(swapped)
+    direct = 1 / (swapped.coordinate("x") - swapped.coordinate("y"))
+    assert lifted == direct and hash(lifted) == hash(direct)
+    assert str(lifted) == str(direct) == "-1/(y - x)"
+
+def test_values_outlive_the_memos():
+    def build():
+        return (X - Y) / (1 + X**2) ** 2 + 1 / (X * (2 + Y**2)) - (3 * Y / (1 + X**2)).partial(0)
+
+    clear_memos()
+    before = build()
+    clear_memos()
+    after = build()
+    assert before is not after
+    assert before == after
+    assert hash(before) == hash(after)
+    assert (before - after).is_zero
+    assert before / after == 1
+
+
+def test_a_curved_check_takes_no_polynomial_gcd(monkeypatch, capsys):
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting_cancel(f, g):
+        calls.append(1)
+        return cancel(f, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting_cancel)
+    argv = ["check", "builtin:sphere2", "--suite", "all", "--seed", "42", "--samples", "2"]
+    assert main(argv) == 0
+    assert "summary:" in capsys.readouterr().out
+    assert len(calls) == 0
