@@ -59,6 +59,7 @@ an earlier one.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from sympy.polys.domains import ZZ
@@ -186,29 +187,46 @@ def _positive(poly):
     return (-poly, -1) if poly.LC < 0 else (poly, 1)
 
 
+def _descending(monom):
+    """Heap key that pops monomials from the largest down in graded-lex
+    order, the order of every field here."""
+    return (-sum(monom), tuple(-e for e in monom)), monom
+
+
 def _exact_quotient(num, factor):
     """num / factor if factor divides num in Z[x], else None.
 
     Stops at the first leading term that the factor's leading term does not
     divide: the running remainder of an exact division is itself a multiple
-    of the factor, so its leading term would be divisible.
+    of the factor, so its leading term would be divisible. A heap yields
+    the leading terms, so the division costs O(t log t) in the t terms it
+    touches, where a fresh maximum per step would cost O(t**2).
     """
     ring = num.ring
     monomial_div, monomial_mul = ring.monomial_div, ring.monomial_mul
     fm, fc = factor.LT
-    rest = num.copy()
+    tail = [(mf, cf) for mf, cf in factor.iterterms() if mf != fm]
+    rest = dict(num)
+    heap = [_descending(m) for m in rest]
+    heapify(heap)
     quotient = ring.zero
-    while rest:
-        m = ring.leading_expv(rest)
-        c = rest[m]
+    while heap:
+        m = heappop(heap)[1]
+        c = rest.pop(m, 0)
+        if not c:  # cancelled, or an entry pushed twice
+            continue
         qm = monomial_div(m, fm)
         if qm is None or c % fc:
             return None
         qc = c // fc
         quotient[qm] = qc
-        for mf, cf in factor.iterterms():
+        for mf, cf in tail:
             mm = monomial_mul(mf, qm)
-            value = rest.get(mm, 0) - qc * cf
+            value = rest.get(mm)
+            if value is None:
+                heappush(heap, _descending(mm))
+                value = 0
+            value -= qc * cf
             if value:
                 rest[mm] = value
             else:

@@ -241,6 +241,7 @@ def test_factor_signs_follow_graded_lex_order():
     assert lifted == direct and hash(lifted) == hash(direct)
     assert str(lifted) == str(direct) == "-1/(y - x)"
 
+
 def test_values_outlive_the_memos():
     def build():
         return (X - Y) / (1 + X**2) ** 2 + 1 / (X * (2 + Y**2)) - (3 * Y / (1 + X**2)).partial(0)
