@@ -7,18 +7,19 @@ it. The odd bracket also has an independent generator-operator route,
 kept alongside as a cross-check.
 
 The solver is one degree-by-degree triangular elimination over the
-chart's scalar field, in whichever basis Theta is tabulated. It finishes
-by re-evaluating its defining equation and raises if the solution does
-not reproduce the right-hand side exactly. That final check is the
-master invariant: every closed-form shortcut in this module is validated
-against it.
+chart's scalar field, in whichever basis Theta is tabulated, and it
+returns D_alpha itself: a Derivation in normal form, which does not
+depend on the basis it was solved in. It finishes by re-evaluating its
+defining equation and raises if the solution does not reproduce the
+right-hand side exactly. That final check is the master invariant:
+every closed-form shortcut in this module is validated against it.
 
 The elimination's plan, the inverse of Theta's degree-0 block matrix and
 the positive-degree parts of its blocks, is built once per form and kept
-in the chart's cache, together with a memo of the solutions found so far.
-The memo stores a solution only after the final check has passed, so the
-check runs once for every distinct solve on a chart, and a repeated solve
-returns the shared, read-only solution.
+in the chart's cache, together with a memo of the derivations found so
+far. The memo stores a derivation only after the final check has passed,
+so the check runs once for every distinct solve on a chart, and a
+repeated solve returns the shared, read-only derivation.
 
 Two calibration signs are fixed here once and used consistently:
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import Derivation, Form, VectorValuedForm
-from .geometry import ChartGeometry, matrix_inverse
+from .geometry import ChartError, ChartGeometry, matrix_inverse
 from .graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -49,23 +50,6 @@ from .graded import (
     theta_ks_cached,
 )
 from .scalars import RationalFunction
-
-
-class HamiltonianSolution:
-    """Solution of iota_D Theta = d^G alpha.
-
-    lie_components and ins_components hold the coefficient vector-valued
-    forms over Theta's basis (covariant or Lie derivatives, and
-    insertions), keyed by coefficient degree. derivation is the assembled
-    normal form.
-    """
-
-    __slots__ = ("lie_components", "ins_components", "derivation")
-
-    def __init__(self, lie_components, ins_components, derivation):
-        self.lie_components = lie_components
-        self.ins_components = ins_components
-        self.derivation = derivation
 
 
 def _operand(alpha, geom: ChartGeometry):
@@ -92,15 +76,6 @@ def _as_rhs(geom: ChartGeometry, alpha, basis: str) -> GradedOneForm:
     return convert_one(alpha, basis)
 
 
-def _collect(field, per_degree):
-    """Component lists per degree -> {degree: VectorValuedForm}, zeros dropped."""
-    out = {}
-    for m, comps in per_degree.items():
-        if any(not c.is_zero for c in comps):
-            out[m] = VectorValuedForm(field, comps, degree=m)
-    return out
-
-
 def _verify(theta: GradedTwoForm, derivation: Derivation, rhs: GradedOneForm) -> None:
     got = iota(derivation, theta)
     if got.values != rhs.values:
@@ -116,13 +91,15 @@ def _plan(theta: GradedTwoForm):
     inverse is the inverse of the degree-0 part of theta's block matrix,
     higher[row][col] lists the (degree, part) pairs of positive degree of
     block (row, col), and memo maps an operand key to its verified
-    solution. A degenerate form raises ChartError and leaves no plan behind.
+    derivation. A degenerate form raises ChartError and leaves no plan behind.
     """
 
     def build():
-        inverse = matrix_inverse(
+        _, inverse = matrix_inverse(
             [[block.scalar_part() for block in row] for row in theta.blocks], theta.geom.field
         )
+        if inverse is None:
+            raise ChartError("matrix is singular")
         higher = [
             [[(j, part) for j, part in block.homogeneous_parts().items() if j] for block in row]
             for row in theta.blocks
@@ -132,7 +109,7 @@ def _plan(theta: GradedTwoForm):
     return theta.geom.cached(("solve-plan", theta), build)
 
 
-def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
+def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     """Hamiltonian derivation of alpha: the D with iota_D theta = d^G alpha.
 
     Works over theta's own basis. Write D = sum_b K_b B_b + sum_b C_b i_b
@@ -146,9 +123,11 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
     ChartError.
 
     A and the higher blocks come from theta's plan, built once per chart.
-    Solutions are memoized on the plan after _verify has passed, so
+    The result is the derivation in normal form; its coefficients over
+    either basis can be read back with graded.components_by_degree.
+    Derivations are memoized on the plan after _verify has passed, so
     _verify runs once per distinct solve and a repeated solve returns the
-    same HamiltonianSolution; callers must treat it as read-only.
+    same Derivation; callers must treat it as read-only.
     """
     alpha, key = _operand(alpha, theta.geom)
     inverse, higher, memo = _plan(theta)
@@ -181,26 +160,23 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> HamiltonianSolution:
             for col in range(size)
         ]
 
-    lie_components = _collect(field, {m: x[:dim] for m, x in coeffs.items()})
-    ins_components = _collect(field, {m: x[dim:] for m, x in coeffs.items()})
-
-    # L_K = sum K B + (-1)^k sum (d_B K) i, so the insertion part of degree
-    # k + 1 is C^(k+1) minus the shifted lie coefficient
+    # D = sum K B + sum C i and L_K = sum K B + (-1)^k sum (d_B K) i, so the
+    # insertion part of degree k + 1 is C^(k+1) minus the shifted lie coefficient
     shift = basis_shift(geom, theta.basis)
-    parts = {-1: (None, ins_components.get(0))}
+    parts = {-1: (None, VectorValuedForm(field, coeffs[0][dim:], degree=0))}
     for k in range(dim + 1):
-        kpart = lie_components.get(k)
-        apart = ins_components.get(k + 1)
-        if kpart is not None and k < dim:
-            shifted = shift(kpart)
-            apart = (apart or VectorValuedForm.zero(field, k + 1)) - (
-                shifted if k % 2 == 0 else -shifted
-            )
+        kpart = VectorValuedForm(field, coeffs[k][:dim], degree=k)
+        apart = None
+        if k < dim:
+            apart = VectorValuedForm(field, coeffs[k + 1][dim:], degree=k + 1)
+            if not kpart.is_zero:
+                shifted = shift(kpart)
+                apart = apart - (shifted if k % 2 == 0 else -shifted)
         parts[k] = (kpart, apart)
     derivation = Derivation(field, parts)
     _verify(theta, derivation, rhs)
-    memo[key] = HamiltonianSolution(lie_components, ins_components, derivation)
-    return memo[key]
+    memo[key] = derivation
+    return derivation
 
 
 # -- recursion fast paths ------------------------------------------------------
@@ -262,8 +238,7 @@ def even_bracket(alpha, beta, theta: GradedTwoForm) -> Form:
     """
     if isinstance(beta, RationalFunction):
         beta = Form.function(beta)
-    solution = solve_hamiltonian(theta, alpha)
-    return solution.derivation(beta)
+    return solve_hamiltonian(theta, alpha)(beta)
 
 
 def _bivector_insertion(chart: ChartGeometry, form: Form) -> Form:
@@ -296,8 +271,7 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
     if isinstance(beta, RationalFunction):
         beta = Form.function(beta)
     if method == "hamiltonian":
-        solution = solve_hamiltonian(theta_ks_cached(chart), alpha)
-        return -solution.derivation(beta)
+        return -solve_hamiltonian(theta_ks_cached(chart), alpha)(beta)
     if method != "generator":
         raise ValueError(f"unknown method {method!r}")
     total = Form.zero(field)
@@ -416,11 +390,10 @@ def hamiltonian_of_differential_identity(alpha: Form, chart: ChartGeometry) -> b
     degree = degrees[0] if degrees else 0
     theta = theta_even_cached(chart, "nabla")
     d_op = Derivation.exterior(chart.field)
-    sol = solve_hamiltonian(theta, alpha)
-    lhs = solve_hamiltonian(theta, alpha.d()).derivation
-    correction_rhs = iota(sol.derivation, theta_ks_cached(chart))
-    correction = solve_hamiltonian(theta, correction_rhs).derivation
-    rhs = d_op.commutator(sol.derivation) + (
+    d_alpha = solve_hamiltonian(theta, alpha)
+    lhs = solve_hamiltonian(theta, alpha.d())
+    correction = solve_hamiltonian(theta, iota(d_alpha, theta_ks_cached(chart)))
+    rhs = d_op.commutator(d_alpha) + (
         -correction if degree % 2 == 0 else correction
     )
     return lhs == rhs
@@ -450,10 +423,7 @@ def d_defect(alpha, beta, chart: ChartGeometry):
     if isinstance(beta, RationalFunction):
         beta = Form.function(beta)
     theta = theta_even_cached(chart, "nabla")
-    beta_hams = {
-        q: solve_hamiltonian(theta, part).derivation
-        for q, part in beta.homogeneous_parts().items()
-    }
+    beta_hams = {q: solve_hamiltonian(theta, part) for q, part in beta.homogeneous_parts().items()}
 
     left = Form.zero(field)
     right = Form.zero(field)
@@ -463,10 +433,10 @@ def d_defect(alpha, beta, chart: ChartGeometry):
                 "hamiltonian of the differential disagrees with its "
                 "commutator form; this signals a convention bug"
             )
-        d_part = solve_hamiltonian(theta, part).derivation
+        d_part = solve_hamiltonian(theta, part)
         mixed = d_part(beta.d())
         left = left + d_part(beta).d()
-        left = left - solve_hamiltonian(theta, part.d()).derivation(beta)
+        left = left - solve_hamiltonian(theta, part.d())(beta)
         left = left - (mixed if p % 2 == 0 else -mixed)
         for q, d_beta in beta_hams.items():
             pairing = eval_two(theta_ks_cached(chart), d_part, d_beta)

@@ -13,8 +13,6 @@ never stored, so equality is literal dictionary equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import RationalFunction, ScalarField
 
 
@@ -173,17 +171,6 @@ class Form:
             _accumulate(terms, rest, coeff if pos % 2 == 0 else -coeff)
         return Form._raw(self.field, terms)
 
-    def insert_vector(self, vector: "VectorField") -> "Form":
-        out = Form.zero(self.field)
-        for i, comp in enumerate(vector.components):
-            if not comp.is_zero:
-                out = out + self.insert_basis(i) * comp
-        return out
-
-    def lie_derivative(self, vector: "VectorField") -> "Form":
-        # Cartan: L_X = i_X d + d i_X
-        return self.d().insert_vector(vector) + self.insert_vector(vector).d()
-
     # -- grading -------------------------------------------------------------
 
     @property
@@ -240,16 +227,6 @@ class Form:
         return f"Form<{self}>"
 
 
-def wedge(*forms: Form) -> Form:
-    """Wedge product of several forms, left to right."""
-    if not forms:
-        raise TypeError("wedge needs at least one factor")
-    out = forms[0]
-    for factor in forms[1:]:
-        out = out.wedge(factor)
-    return out
-
-
 class VectorField:
     """A vector field on the chart, one scalar component per coordinate."""
 
@@ -269,23 +246,6 @@ class VectorField:
         comps = [field.zero] * field.dimension
         comps[index] = field.one
         return cls(field, comps)
-
-    def __call__(self, scalar) -> RationalFunction:
-        """Directional derivative of a scalar."""
-        scalar = self.field.wrap(scalar)
-        out = self.field.zero
-        for i, comp in enumerate(self.components):
-            if not comp.is_zero:
-                out = out + comp * scalar.partial(i)
-        return out
-
-    def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [X, Y]."""
-        comps = [
-            self(other.components[i]) - other(self.components[i])
-            for i in range(self.field.dimension)
-        ]
-        return VectorField(self.field, comps)
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
@@ -369,10 +329,6 @@ class VectorValuedForm:
         self.degree = degree
 
     @classmethod
-    def zero(cls, field: ScalarField, degree: int) -> "VectorValuedForm":
-        return cls(field, [Form.zero(field)] * field.dimension, degree=degree)
-
-    @classmethod
     def identity(cls, field: ScalarField) -> "VectorValuedForm":
         """Id = dx^i (x) e_i; its Lie derivation is the exterior derivative."""
         return cls(
@@ -419,14 +375,6 @@ class VectorValuedForm:
         return VectorValuedForm(
             self.field, [-c for c in self.components], degree=self.degree
         )
-
-    def __mul__(self, scalar):
-        coeff = self.field.wrap(scalar)
-        return VectorValuedForm(
-            self.field, [c * coeff for c in self.components], degree=self.degree
-        )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, VectorValuedForm):
@@ -571,11 +519,6 @@ class Derivation:
                 apart = apart if a0 is None else (a0 if apart is None else a0 + apart)
             merged[degree] = (kpart, apart)
         return Derivation(self.field, merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
         return Derivation(

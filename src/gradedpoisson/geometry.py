@@ -25,15 +25,22 @@ class ChartError(ValueError):
 
 
 def matrix_inverse(rows, field: ScalarField):
-    """Exact inverse by Gauss-Jordan elimination over the scalar field."""
+    """(det, inverse) by one Gauss-Jordan elimination over the scalar field.
+
+    The determinant is the product of the pivots, negated once per row
+    swap. inverse is None when det is zero.
+    """
     n = len(rows)
     work = [list(row) + [field.one if i == j else field.zero for j in range(n)] for i, row in enumerate(rows)]
+    det = field.one
     for col in range(n):
         pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
         if pivot is None:
-            raise ChartError("matrix is singular")
+            return field.zero, None
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
         inv = 1 / work[col][col]
         work[col] = [entry * inv for entry in work[col]]
         for r in range(n):
@@ -41,27 +48,32 @@ def matrix_inverse(rows, field: ScalarField):
                 continue
             factor = work[r][col]
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    return det, tuple(tuple(row[n:]) for row in work)
 
 
-def matrix_det(rows, field: ScalarField) -> RationalFunction:
-    n = len(rows)
-    work = [list(row) for row in rows]
-    det = field.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col].is_zero:
-                continue
-            factor = work[r][col] / work[col][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+def christoffel(g, g_inv, field: ScalarField):
+    """Gamma^i_{jk} = (1/2) g^{im} (d_j g_{mk} + d_k g_{mj} - d_m g_{jk}) for the
+    metric matrix g on the first len(g) coordinates of field."""
+    dim = len(g)
+    half = Fraction(1, 2)
+    return tuple(
+        tuple(
+            tuple(
+                sum(
+                    (
+                        g_inv[i][m]
+                        * (g[m][k].partial(j) + g[m][j].partial(k) - g[j][k].partial(m))
+                        for m in range(dim)
+                    ),
+                    field.zero,
+                )
+                * half
+                for k in range(dim)
+            )
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
 
 
 class ChartGeometry:
@@ -98,8 +110,8 @@ class ChartGeometry:
                 if self.w[i][j] != -self.w[j][i]:
                     raise ChartError(f"symplectic entry ({i},{j}) breaks antisymmetry")
 
-        self.det_g = matrix_det(self.g, field)
-        self.det_w = matrix_det(self.w, field)
+        self.det_g, self.g_inv = matrix_inverse(self.g, field)
+        self.det_w, self.w_inv = matrix_inverse(self.w, field)
         if self.det_g.is_zero:
             raise ChartError("metric is degenerate: det g = 0")
         if self.det_w.is_zero:
@@ -122,8 +134,6 @@ class ChartGeometry:
                             )
         self.l_tensor = l_tensor
 
-        self.g_inv = matrix_inverse(self.g, field)
-        self.w_inv = matrix_inverse(self.w, field)
         # bivector normalized so that {f,h} = lam^{ab} d_a f d_b h
         self.lam = tuple(tuple(-e for e in row) for row in self.w_inv)
 
@@ -146,25 +156,7 @@ class ChartGeometry:
     @cached_property
     def gamma(self):
         """Christoffel symbols Gamma^i_{jk} of the Levi-Civita connection."""
-        dim, field = self.dim, self.field
-        half = Fraction(1, 2)
-        gamma = []
-        for i in range(dim):
-            gi = []
-            for j in range(dim):
-                gj = []
-                for k in range(dim):
-                    total = field.zero
-                    for m in range(dim):
-                        total = total + self.g_inv[i][m] * (
-                            self.g[m][k].partial(j)
-                            + self.g[m][j].partial(k)
-                            - self.g[j][k].partial(m)
-                        )
-                    gj.append(total * half)
-                gi.append(tuple(gj))
-            gamma.append(tuple(gi))
-        return tuple(gamma)
+        return christoffel(self.g, self.g_inv, self.field)
 
     @cached_property
     def riemann(self):
@@ -204,7 +196,7 @@ class ChartGeometry:
     @cached_property
     def j_inv(self):
         # nonsingular: det g and det w are nonzero
-        return matrix_inverse(self.j_matrix, self.field)
+        return matrix_inverse(self.j_matrix, self.field)[1]
 
     # -- tensor evaluation ---------------------------------------------------
 
@@ -260,15 +252,6 @@ class ChartGeometry:
         return VectorField(self.field, comps)
 
     # -- J ------------------------------------------------------------------
-
-    def j_apply(self, x: VectorField) -> VectorField:
-        comps = []
-        for b in range(self.dim):
-            c = self.field.zero
-            for j in range(self.dim):
-                c = c + self.j_matrix[b][j] * x.components[j]
-            comps.append(c)
-        return VectorField(self.field, comps)
 
     def j_vvform(self) -> VectorValuedForm:
         """J as a vector-valued 1-form dx^j (x) J e_j."""
@@ -377,14 +360,6 @@ class ChartGeometry:
         """The covariant differential of X, a vector-valued 1-form."""
         return self.dnabla(x.as_vvform())
 
-    def nabla_direction(self, u: VectorField, x: VectorField) -> VectorField:
-        """The vector field of covariant derivative of X along U."""
-        nx = self.nabla_vector(x)
-        return VectorField(
-            self.field,
-            [c.insert_vector(u).scalar_part() for c in nx.components],
-        )
-
     def nabla_derivation(self, x: VectorField) -> Derivation:
         """The covariant derivative along X as a degree-0 derivation."""
         return Derivation(
@@ -469,28 +444,11 @@ def tangent_lift_chart(name: str, base_coords, base_metric) -> ChartGeometry:
             else:
                 entry = field.wrap(entry)
             gbar[i][j] = entry
-    gbar_inv = matrix_inverse(gbar, field)
-
+    _, gbar_inv = matrix_inverse(gbar, field)
+    if gbar_inv is None:
+        raise ChartError("base metric is degenerate: det g = 0")
     # base Christoffels, lifted: only q-partials appear
-    half = Fraction(1, 2)
-    gam = [
-        [
-            [
-                sum(
-                    (
-                        gbar_inv[i][m]
-                        * (gbar[m][k].partial(j) + gbar[m][j].partial(k) - gbar[j][k].partial(m))
-                        for m in range(n)
-                    ),
-                    field.zero,
-                )
-                * half
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    gam = christoffel(gbar, gbar_inv, field)
 
     dim = 2 * n
     vel = [field.coordinate(vc) for vc in vel_coords]

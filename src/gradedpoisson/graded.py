@@ -48,8 +48,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import Derivation, Form, VectorField, _d_componentwise
-from .geometry import ChartGeometry, matrix_det
+from .forms import Derivation, Form, VectorField, VectorValuedForm, _d_componentwise
+from .geometry import ChartGeometry, matrix_inverse
 from .scalars import RationalFunction
 
 
@@ -99,6 +99,25 @@ def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str) -> list[
     return lie_coeffs + ins_coeffs
 
 
+def components_by_degree(geom: ChartGeometry, derivation: Derivation, basis: str):
+    """The coefficients of a derivation over the given basis, by degree.
+
+    Returns (even, ins): even[m] is the VectorValuedForm of the degree-m
+    parts of the coefficients of the even basics, ins[m] that of the
+    insertions. Degrees whose coefficients all vanish are left out, and
+    keys ascend. The coefficients depend on the basis: a covariant
+    derivative nabla_X differs from L_X by an insertion.
+    """
+    coeffs = _decompose(geom, derivation, basis)
+    even, ins = {}, {}
+    for m in range(geom.dim + 1):
+        parts = [c.homogeneous_part(m) for c in coeffs]
+        for out, comps in ((even, parts[: geom.dim]), (ins, parts[geom.dim :])):
+            if any(not c.is_zero for c in comps):
+                out[m] = VectorValuedForm(geom.field, comps, degree=m)
+    return even, ins
+
+
 def _parity(derivation: Derivation) -> int:
     degree = derivation.degree
     if degree is None:
@@ -137,38 +156,6 @@ class GradedOneForm:
         self.basis = basis
         self.values = values
         self.weight = weight
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.values)
-
-    def __add__(self, other):
-        if not isinstance(other, GradedOneForm):
-            return NotImplemented
-        if other.geom is not self.geom or other.basis != self.basis:
-            raise ValueError("graded 1-forms live on different tabulations")
-        if self.is_zero:
-            weight = other.weight
-        elif other.is_zero:
-            weight = self.weight
-        else:
-            weight = _merge_weights(self.weight, other.weight)
-        return GradedOneForm(
-            self.geom,
-            self.basis,
-            [a + b for a, b in zip(self.values, other.values)],
-            weight,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedOneForm):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "GradedOneForm":
-        return GradedOneForm(
-            self.geom, self.basis, [v * factor for v in self.values], self.weight
-        )
 
     def __eq__(self, other):
         if not isinstance(other, GradedOneForm):
@@ -249,11 +236,6 @@ class GradedTwoForm:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.blocks, other.blocks)],
             weight,
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedTwoForm):
-            return NotImplemented
-        return self + other.scale(-1)
 
     def scale(self, factor) -> "GradedTwoForm":
         return GradedTwoForm(
@@ -405,33 +387,7 @@ def dG_one(lam: GradedOneForm) -> GradedTwoForm:
     return tabulate_two(geom, "lie", entry, lam.weight)
 
 
-def dG_two_eval(theta: GradedTwoForm, d1: Derivation, d2: Derivation, d3: Derivation) -> Form:
-    """<D1, D2, D3; d^G theta> by the graded Palais formula."""
-    p1, p2, p3 = _parity(d1), _parity(d2), _parity(d3)
-
-    def sgn(bit):
-        return -1 if bit % 2 else 1
-
-    total = d1(eval_two(theta, d2, d3))
-    t2 = d2(eval_two(theta, d1, d3))
-    total = total - (t2 if sgn(p1 * p2) > 0 else -t2)
-    t3 = d3(eval_two(theta, d1, d2))
-    total = total + (t3 if sgn(p3 * (p1 + p2)) > 0 else -t3)
-    total = total - eval_two(theta, d1.commutator(d2), d3)
-    t13 = eval_two(theta, d1.commutator(d3), d2)
-    total = total + (t13 if sgn(p2 * p3) > 0 else -t13)
-    t23 = eval_two(theta, d2.commutator(d3), d1)
-    total = total - (t23 if sgn(p1 * (p2 + p3)) > 0 else -t23)
-    return total
-
-
 # -- graded Lie derivative -----------------------------------------------------
-
-
-def lieG_one(derivation: Derivation, lam: GradedOneForm) -> GradedOneForm:
-    """L^G_D on a lie-basis graded 1-form, by the Cartan formula."""
-    contraction = eval_one(lam, derivation)
-    return iota(derivation, dG_one(lam)) + dG_function(lam.geom, contraction)
 
 
 def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
@@ -646,4 +602,4 @@ def theta_ks_cached(geom: ChartGeometry) -> GradedTwoForm:
 def scalar_block_det(theta: GradedTwoForm) -> RationalFunction:
     """Determinant of the degree-0 part of the 2n x 2n block matrix."""
     rows = [[block.scalar_part() for block in row] for row in theta.blocks]
-    return matrix_det(rows, theta.geom.field)
+    return matrix_inverse(rows, theta.geom.field)[0]

@@ -143,18 +143,6 @@ class ScalarField:
         return f"ScalarField{self.coords!r}"
 
 
-def _eval_poly(poly, values):
-    """Evaluate a sympy PolyElement at Fraction values, exactly."""
-    total = Fraction(0)
-    for monom, coeff in poly.terms():
-        term = Fraction(int(coeff.numerator), int(coeff.denominator))
-        for exp, val in zip(monom, values):
-            if exp:
-                term *= val**exp
-        total += term
-    return total
-
-
 # -- the factored form ------------------------------------------------------
 
 
@@ -476,9 +464,6 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(self.field, -self.num, self.cont, self.facs)
 
-    def __pos__(self):
-        return self
-
     # -- calculus --------------------------------------------------------
 
     def partial(self, coord) -> "RationalFunction":
@@ -496,23 +481,6 @@ class RationalFunction:
         if result is None:
             result = field._memo[key] = _partial(self, index)
         return result
-
-    def eval_at(self, point) -> Fraction:
-        """Exact value at a rational point.
-
-        Raises ZeroDivisionError when the denominator vanishes there.
-        """
-        values = [Fraction(p) for p in point]
-        if len(values) != self.field.dimension:
-            raise ValueError(
-                f"point has {len(values)} entries for a "
-                f"{self.field.dimension}-dimensional chart"
-            )
-        elem = self._elem
-        denom = _eval_poly(elem.denom, values)
-        if denom == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return _eval_poly(elem.numer, values) / denom
 
     # -- structure -------------------------------------------------------
 

@@ -1,0 +1,157 @@
+"""Reference formulas that only the tests call.
+
+Each is the textbook definition of something the package computes another
+way, or no longer needs: a value at a rational point, the Lie derivative
+of a form by Cartan's formula, the Lie bracket of vector fields, d^G of a
+graded 2-form by the graded Palais formula. Kept outside the package, they
+stay independent oracles for what the package does.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from gradedpoisson.forms import Form, VectorField
+from gradedpoisson.graded import (
+    GradedOneForm,
+    _parity,
+    dG_function,
+    dG_one,
+    eval_one,
+    eval_two,
+    iota,
+)
+
+
+# -- scalars --------------------------------------------------------------------
+
+
+def _eval_poly(poly, values):
+    """Evaluate a sympy PolyElement at Fraction values, exactly."""
+    total = Fraction(0)
+    for monom, coeff in poly.terms():
+        term = Fraction(int(coeff.numerator), int(coeff.denominator))
+        for exp, val in zip(monom, values):
+            if exp:
+                term *= val**exp
+        total += term
+    return total
+
+
+def eval_at(value, point) -> Fraction:
+    """Exact value of a RationalFunction at a rational point.
+
+    Raises ZeroDivisionError when the denominator vanishes there.
+    """
+    values = [Fraction(p) for p in point]
+    if len(values) != value.field.dimension:
+        raise ValueError(
+            f"point has {len(values)} entries for a "
+            f"{value.field.dimension}-dimensional chart"
+        )
+    elem = value._elem
+    denom = _eval_poly(elem.denom, values)
+    if denom == 0:
+        raise ZeroDivisionError("denominator vanishes at the point")
+    return _eval_poly(elem.numer, values) / denom
+
+
+# -- forms and vector fields ----------------------------------------------------
+
+
+def wedge(*forms: Form) -> Form:
+    """Wedge product of several forms, left to right."""
+    if not forms:
+        raise TypeError("wedge needs at least one factor")
+    out = forms[0]
+    for factor in forms[1:]:
+        out = out.wedge(factor)
+    return out
+
+
+def insert_vector(form: Form, vector: VectorField) -> Form:
+    """The interior product i_X form."""
+    out = Form.zero(form.field)
+    for i, comp in enumerate(vector.components):
+        if not comp.is_zero:
+            out = out + form.insert_basis(i) * comp
+    return out
+
+
+def lie_derivative(form: Form, vector: VectorField) -> Form:
+    """L_X form by Cartan's formula, L_X = i_X d + d i_X."""
+    return insert_vector(form.d(), vector) + insert_vector(form, vector).d()
+
+
+def directional(vector: VectorField, scalar):
+    """X(f), the derivative of a scalar along a vector field."""
+    scalar = vector.field.wrap(scalar)
+    out = vector.field.zero
+    for i, comp in enumerate(vector.components):
+        if not comp.is_zero:
+            out = out + comp * scalar.partial(i)
+    return out
+
+
+def vector_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """The Lie bracket [X, Y] of vector fields."""
+    comps = [
+        directional(x, y.components[i]) - directional(y, x.components[i])
+        for i in range(x.field.dimension)
+    ]
+    return VectorField(x.field, comps)
+
+
+# -- chart geometry -------------------------------------------------------------
+
+
+def j_apply(chart, x: VectorField) -> VectorField:
+    """J X for the chart's metric-symplectic endomorphism J."""
+    comps = []
+    for b in range(chart.dim):
+        c = chart.field.zero
+        for j in range(chart.dim):
+            c = c + chart.j_matrix[b][j] * x.components[j]
+        comps.append(c)
+    return VectorField(chart.field, comps)
+
+
+def nabla_direction(chart, u: VectorField, x: VectorField) -> VectorField:
+    """nabla_U X, the covariant derivative of X along U."""
+    nx = chart.nabla_vector(x)
+    return VectorField(
+        chart.field,
+        [insert_vector(c, u).scalar_part() for c in nx.components],
+    )
+
+
+# -- graded calculus ------------------------------------------------------------
+
+
+def dG_two_eval(theta, d1, d2, d3) -> Form:
+    """<D1, D2, D3; d^G theta> by the graded Palais formula."""
+    p1, p2, p3 = _parity(d1), _parity(d2), _parity(d3)
+
+    def sgn(bit):
+        return -1 if bit % 2 else 1
+
+    total = d1(eval_two(theta, d2, d3))
+    t2 = d2(eval_two(theta, d1, d3))
+    total = total - (t2 if sgn(p1 * p2) > 0 else -t2)
+    t3 = d3(eval_two(theta, d1, d2))
+    total = total + (t3 if sgn(p3 * (p1 + p2)) > 0 else -t3)
+    total = total - eval_two(theta, d1.commutator(d2), d3)
+    t13 = eval_two(theta, d1.commutator(d3), d2)
+    total = total + (t13 if sgn(p2 * p3) > 0 else -t13)
+    t23 = eval_two(theta, d2.commutator(d3), d1)
+    total = total - (t23 if sgn(p1 * (p2 + p3)) > 0 else -t23)
+    return total
+
+
+def lieG_one(derivation, lam: GradedOneForm) -> GradedOneForm:
+    """L^G_D on a lie-basis graded 1-form, by the Cartan formula
+    L^G_D = iota_D d^G + d^G iota_D."""
+    cartan = iota(derivation, dG_one(lam))
+    exact = dG_function(lam.geom, eval_one(lam, derivation))
+    values = [a + b for a, b in zip(cartan.values, exact.values)]
+    return GradedOneForm(lam.geom, "lie", values, cartan.weight)

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from gradedpoisson import suites
 from gradedpoisson.geometry import ChartGeometry, builtin_chart
+from gradedpoisson.graded import theta_even_cached
 from gradedpoisson.suites import SuiteContext, check_locally_hamiltonian, run_suite
 
 ALL_CHARTS = ("flat2", "flat4", "halfplane", "sphere2", "tlift1", "tlift1q")
@@ -44,14 +46,46 @@ def reports():
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# the --samples 2 reports that the benchmark's suite workloads check
+BENCH_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden"
 
 
-@pytest.mark.parametrize("name", ALL_CHARTS)
-def test_reports_match_golden(reports, name):
-    # the text of check builtin:<name> --suite all --seed 42 --samples 8;
+@pytest.mark.parametrize(
+    "name, samples",
+    [pytest.param(name, 8, id=name) for name in ALL_CHARTS]
+    + [pytest.param(name, 2, id=f"{name}-samples2") for name in ALL_CHARTS],
+)
+def test_reports_match_golden(reports, name, samples):
+    # the text of check builtin:<name> --suite all --seed 42 --samples <n>;
     # a refactor must keep it byte for byte
-    want = (GOLDEN / f"check-{name}-seed42.txt").read_text(encoding="utf-8")
-    assert reports[name].to_text() == want
+    if samples == 8:
+        got, golden = reports[name], GOLDEN
+    else:
+        got, golden = run_suite(builtin_chart(name), suite="all", seed=42, samples=2), BENCH_GOLDEN
+    want = (golden / f"check-{name}-seed42.txt").read_text(encoding="utf-8")
+    assert got.to_text() == want
+
+
+@pytest.mark.parametrize("name", ("sphere2", "halfplane", "tlift1q"))
+def test_recursion_verdicts_do_not_depend_on_the_solve_basis(name):
+    # the checks read coefficients in the basis they name, so solving over
+    # the lie tabulation instead of the nabla one changes no record
+    chart = builtin_chart(name)
+    ctx = SuiteContext(chart, 42, 2, 2)
+    checks = (suites.check_solution_parity, suites.check_even_chain, suites.check_odd_chain)
+    nabla = [check(ctx) for check in checks]
+    assert all(ok for ok, _ in nabla)
+    ctx.theta = theta_even_cached(chart, "lie")
+    assert [check(ctx) for check in checks] == nabla
+
+
+def test_a_failing_axiom_check_carries_a_nonzero_witness():
+    # weight 1 is the odd bracket's sign rule, wrong for the even bracket;
+    # the third pair (a 2-form and a function) is the first it gets wrong
+    ctx = SuiteContext(builtin_chart("flat2"), 42, 3, 2)
+    ok, witness = suites._check_commutativity(ctx, bracket=suites._even, weight=1)
+    assert not ok
+    assert witness.startswith("lhs - rhs = ") and witness != "lhs - rhs = 0"
 
 
 def _record(reports, chart, check_id):
