@@ -155,8 +155,13 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
                     term = coeffs[m - j][col].wedge(part)
                     val = val + term if koszul and j % 2 else val - term
             residual.append(val)
+        # most entries of the inverse vanish (12 of 16 on sphere2), as do many residuals
         coeffs[m] = [
-            sum((r * entry for r, entry in zip(residual, inverse[col])), Form.zero(field))
+            sum(
+                (r * entry for r, entry in zip(residual, inverse[col])
+                 if not (r.is_zero or entry.is_zero)),
+                Form.zero(field),
+            )
             for col in range(size)
         ]
 

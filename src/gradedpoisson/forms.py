@@ -7,6 +7,17 @@ homogeneous pieces. Commutators are computed by operator composition and
 then reconstructed into normal form from the action on coordinates and
 coordinate differentials, which determines a derivation uniquely.
 
+A derivation acts through its coefficients over the lie basics, the Lie
+derivatives L_a along the coordinate fields and the insertions i_a. With
+K_a the components of K, and C_a = L'_a + (-1)^k (dK)_a summed over the
+parts of degree k,
+
+    D(beta) = sum_a K_a ^ partial_a beta + sum_a C_a ^ i_a beta
+
+where partial_a differentiates beta's coefficients along x_a. So an
+application takes only partial derivatives of beta's own coefficients and
+wedges; basis_coefficients computes the (K_a, C_a) once per derivation.
+
 Index tuples in a form are strictly increasing and zero coefficients are
 never stored, so equality is literal dictionary equality.
 """
@@ -169,6 +180,19 @@ class Form:
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
             _accumulate(terms, rest, coeff if pos % 2 == 0 else -coeff)
+        return Form._raw(self.field, terms)
+
+    def partial(self, index: int) -> "Form":
+        """Lie derivative along the coordinate field ``index``.
+
+        It differentiates each coefficient along x_index, because
+        L_{d_a} dx^i = d(d_a x^i) = 0.
+        """
+        terms = {}
+        for idx, coeff in self.terms.items():
+            value = coeff.partial(index)
+            if not value.is_zero:
+                terms[idx] = value
         return Form._raw(self.field, terms)
 
     # -- grading -------------------------------------------------------------
@@ -337,14 +361,6 @@ class VectorValuedForm:
             degree=1,
         )
 
-    def insert_into(self, form: Form) -> Form:
-        """The algebraic insertion derivation applied to a form."""
-        out = Form.zero(self.field)
-        for i, comp in enumerate(self.components):
-            if not comp.is_zero:
-                out = out + comp.wedge(form.insert_basis(i))
-        return out
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
@@ -405,17 +421,6 @@ def _d_componentwise(vvform: VectorValuedForm) -> VectorValuedForm:
     )
 
 
-def _lie_apply(kpart: VectorValuedForm, form: Form) -> Form:
-    """L_K applied to a form: the commutator [i_K, d] of operators."""
-    k = kpart.degree
-    first = kpart.insert_into(form.d())
-    second = kpart.insert_into(form).d()
-    # [i_K, d] = i_K d - (-1)^{k-1} d i_K, since i_K has degree k - 1
-    if (k - 1) % 2 == 0:
-        return first - second
-    return first + second
-
-
 class Derivation:
     """A derivation of the form algebra in normal form.
 
@@ -425,7 +430,7 @@ class Derivation:
     algebraic degree -1 parts store K = None.
     """
 
-    __slots__ = ("field", "parts")
+    __slots__ = ("field", "parts", "_coeffs")
 
     def __init__(self, field: ScalarField, parts):
         clean = {}
@@ -447,6 +452,7 @@ class Derivation:
             clean[degree] = (kpart, apart)
         self.field = field
         self.parts = clean
+        self._coeffs = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -488,14 +494,16 @@ class Derivation:
     # -- action --------------------------------------------------------------
 
     def __call__(self, form) -> Form:
+        """D(beta) = sum_a K_a ^ partial_a beta + sum_a C_a ^ i_a beta over the lie basics."""
         if isinstance(form, RationalFunction):
             form = Form.function(form)
         out = Form.zero(self.field)
-        for _, (kpart, apart) in self.parts.items():
-            if kpart is not None:
-                out = out + _lie_apply(kpart, form)
-            if apart is not None:
-                out = out + apart.insert_into(form)
+        for a, (lie, ins) in enumerate(zip(*self.basis_coefficients())):
+            for coeff, act in ((lie, form.partial), (ins, form.insert_basis)):
+                if not coeff.is_zero:
+                    value = act(a)
+                    if not value.is_zero:
+                        out = out + coeff.wedge(value)
         return out
 
     def commutator(self, other: "Derivation") -> "Derivation":
@@ -544,7 +552,11 @@ class Derivation:
         when ``shift`` is the exterior covariant derivative on vector-valued
         forms. A form-coefficiented operator acts by wedging the coefficient
         on the left of the operator's output.
+
+        Both are tuples, computed once per shift and kept on the derivation.
         """
+        if shift in self._coeffs:
+            return self._coeffs[shift]
         dim = self.field.dimension
         lie_coeffs = [Form.zero(self.field) for _ in range(dim)]
         ins_coeffs = [Form.zero(self.field) for _ in range(dim)]
@@ -561,7 +573,8 @@ class Derivation:
             if apart is not None:
                 for a in range(dim):
                     ins_coeffs[a] = ins_coeffs[a] + apart.components[a]
-        return lie_coeffs, ins_coeffs
+        coeffs = self._coeffs[shift] = (tuple(lie_coeffs), tuple(ins_coeffs))
+        return coeffs
 
     def __str__(self):
         if not self.parts:
@@ -607,7 +620,9 @@ def _commutator_piece(dpiece: Derivation, p: int, epiece: Derivation, q: int) ->
     for a in range(dim):
         value = op(Form.coordinate_diff(field, a))
         if kpart is not None and not kpart.is_zero:
-            value = value - _lie_apply(kpart, Form.coordinate_diff(field, a))
+            # L_K dx^a = [i_K, d] dx^a = (-1)^r dK_a
+            dk = kpart.components[a].d()
+            value = value - (dk if r % 2 == 0 else -dk)
         a_comps.append(value)
     if 0 <= r + 1 <= dim:
         apart = VectorValuedForm(field, a_comps, degree=r + 1)

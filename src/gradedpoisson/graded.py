@@ -68,19 +68,10 @@ def basics(geom: ChartGeometry, basis: str) -> tuple[Derivation, ...]:
 
 
 def _lie_basic(geom: ChartGeometry, r: int, form: Form) -> Form:
-    """basics(geom, "lie")[r] applied to form, in closed form.
-
-    L_a differentiates each coefficient along x_a, because
-    L_{d_a} dx^i = d(d_a x^i) = 0; i_a is insert_basis(a).
-    """
+    """basics(geom, "lie")[r] applied to form: L_a is partial(a), i_a is insert_basis(a)."""
     if r >= geom.dim:
         return form.insert_basis(r - geom.dim)
-    terms = {}
-    for idx, coeff in form.terms.items():
-        value = coeff.partial(r)
-        if not value.is_zero:
-            terms[idx] = value
-    return Form._raw(form.field, terms)
+    return form.partial(r)
 
 
 def basis_shift(geom: ChartGeometry, basis: str):

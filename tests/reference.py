@@ -2,8 +2,9 @@
 
 Each is the textbook definition of something the package computes another
 way, or no longer needs: a value at a rational point, the Lie derivative
-of a form by Cartan's formula, the Lie bracket of vector fields, d^G of a
-graded 2-form by the graded Palais formula. Kept outside the package, they
+of a form by Cartan's formula, a derivation's action through Cartan's
+formula for its vector-valued parts, the Lie bracket of vector fields, d^G
+of a graded 2-form by the graded Palais formula. Kept outside the package, they
 stay independent oracles for what the package does.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from gradedpoisson.forms import Form, VectorField
+from gradedpoisson.forms import Form, VectorField, VectorValuedForm
 from gradedpoisson.graded import (
     GradedOneForm,
     _parity,
@@ -81,6 +82,36 @@ def insert_vector(form: Form, vector: VectorField) -> Form:
 def lie_derivative(form: Form, vector: VectorField) -> Form:
     """L_X form by Cartan's formula, L_X = i_X d + d i_X."""
     return insert_vector(form.d(), vector) + insert_vector(form, vector).d()
+
+
+def insert_vvform(kpart: VectorValuedForm, form: Form) -> Form:
+    """i_K form for a vector-valued form K: sum_i K_i ^ i_{d_i} form."""
+    out = Form.zero(form.field)
+    for i, comp in enumerate(kpart.components):
+        if not comp.is_zero:
+            out = out + comp.wedge(form.insert_basis(i))
+    return out
+
+
+def lie_apply(kpart: VectorValuedForm, form: Form) -> Form:
+    """L_K form for a vector-valued k-form K: the commutator [i_K, d] of operators."""
+    first = insert_vvform(kpart, form.d())
+    second = insert_vvform(kpart, form).d()
+    # [i_K, d] = i_K d - (-1)^{k-1} d i_K, since i_K has degree k - 1
+    if (kpart.degree - 1) % 2 == 0:
+        return first - second
+    return first + second
+
+
+def derivation_apply(derivation, form: Form) -> Form:
+    """D(form) for D = sum of L_K + i_{L'} over its parts, by Cartan's formula."""
+    out = Form.zero(derivation.field)
+    for kpart, apart in derivation.parts.values():
+        if kpart is not None:
+            out = out + lie_apply(kpart, form)
+        if apart is not None:
+            out = out + insert_vvform(apart, form)
+    return out
 
 
 def directional(vector: VectorField, scalar):

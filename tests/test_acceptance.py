@@ -79,6 +79,23 @@ def test_recursion_verdicts_do_not_depend_on_the_solve_basis(name):
     assert [check(ctx) for check in checks] == nabla
 
 
+def test_recursion_checks_shift_each_solution_once(monkeypatch):
+    # solution-parity, even-chain and odd-chain each read D_f or D_df over
+    # the nabla basics; the derivation keeps its coefficients per shift, so
+    # only the first read applies dnabla (36 calls when every read did)
+    calls = []
+    dnabla = ChartGeometry.dnabla
+
+    def counting(self, vvform):
+        calls.append(vvform)
+        return dnabla(self, vvform)
+
+    monkeypatch.setattr(ChartGeometry, "dnabla", counting)
+    report = run_suite(builtin_chart("sphere2"), suite="recursion", seed=42, samples=2)
+    assert report.failed == 0
+    assert len(calls) <= 24
+
+
 def test_a_failing_axiom_check_carries_a_nonzero_witness():
     # weight 1 is the odd bracket's sign rule, wrong for the even bracket;
     # the third pair (a 2-form and a function) is the first it gets wrong

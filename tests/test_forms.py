@@ -3,9 +3,20 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from gradedpoisson.brackets import solve_hamiltonian
 from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
+from gradedpoisson.geometry import builtin_chart
+from gradedpoisson.graded import theta_even_cached
 from gradedpoisson.scalars import coordinate_field
-from reference import directional, insert_vector, lie_derivative, vector_bracket, wedge
+from reference import (
+    derivation_apply,
+    directional,
+    insert_vector,
+    insert_vvform,
+    lie_derivative,
+    vector_bracket,
+    wedge,
+)
 
 F = coordinate_field(("x", "y"))
 X, Y = F.gens
@@ -14,6 +25,7 @@ DY = Form.coordinate_diff(F, 1)
 EX = VectorField.basis(F, 0)
 EY = VectorField.basis(F, 1)
 D_OP = Derivation.exterior(F)
+F4 = coordinate_field(("x", "y", "z", "w"))
 
 
 @st.composite
@@ -28,7 +40,16 @@ def polys(draw, field=F):
 
 
 @st.composite
-def forms(draw, field=F, degree=None):
+def quotients(draw, field=F):
+    """p / q^k with q = 1 + sum c_a x_a^2, a sphere-like conformal denominator."""
+    q = field.one
+    for gen in field.gens:
+        q = q + gen * gen * draw(st.integers(1, 3))
+    return draw(polys(field)) / q ** draw(st.integers(1, 2))
+
+
+@st.composite
+def forms(draw, field=F, degree=None, coeffs=polys):
     dim = field.dimension
     if degree is None:
         degree = draw(st.integers(0, dim))
@@ -36,7 +57,7 @@ def forms(draw, field=F, degree=None):
 
     terms = {}
     for idx in combinations(range(dim), degree):
-        terms[idx] = draw(polys(field))
+        terms[idx] = draw(coeffs(field))
     return Form(field, terms)
 
 
@@ -73,8 +94,8 @@ def test_lie_derivative_examples():
 def test_insert_vvform_identity_counts_degree():
     alpha = DX.wedge(DY) * (X + Y)
     ident = VectorValuedForm.identity(F)
-    assert ident.insert_into(alpha) == 2 * alpha
-    assert ident.insert_into(Form.function(X)).is_zero
+    assert insert_vvform(ident, alpha) == 2 * alpha
+    assert insert_vvform(ident, Form.function(X)).is_zero
     assert Derivation.exterior(F)(Form.function(X) * 1) == DX
 
 
@@ -215,4 +236,51 @@ def test_basis_coefficients_reproduce_action(dv, a):
         basis = VectorField.basis(F, i)
         out = out + lie_coeffs[i].wedge(lie_derivative(a, basis))
         out = out + ins_coeffs[i].wedge(a.insert_basis(i))
-    assert out == dv(a)
+    assert out == derivation_apply(dv, a)
+
+
+@st.composite
+def mixed_derivations(draw, field=F, coeffs=polys):
+    """A lie and an insertion part in every degree, each drawn or left out."""
+    dim = field.dimension
+
+    def vvform(degree):
+        if not 0 <= degree <= dim or draw(st.booleans()):
+            return None
+        comps = [draw(forms(field, degree, coeffs)) for _ in range(dim)]
+        return VectorValuedForm(field, comps, degree=degree)
+
+    return Derivation(field, {k: (vvform(k), vvform(k + 1)) for k in range(-1, dim + 1)})
+
+
+@pytest.mark.parametrize(
+    "field, coeffs", [(F, polys), (F, quotients), (F4, polys)], ids=["polynomial", "rational", "4d"]
+)
+@given(data=st.data())
+def test_action_matches_cartan_formula(field, coeffs, data):
+    dv = data.draw(mixed_derivations(field, coeffs))
+    a = data.draw(forms(field, coeffs=coeffs))
+    assert dv(a) == derivation_apply(dv, a)
+
+
+SPHERE = builtin_chart("sphere2")
+
+
+@given(polys(SPHERE.field), st.booleans(), forms(SPHERE.field, coeffs=quotients))
+def test_hamiltonian_action_matches_cartan_formula_on_a_curved_chart(f, exact, a):
+    # D_f is even, D_df odd, both of mixed degree with rational coefficients
+    alpha = Form.function(f).d() if exact else f
+    dv = solve_hamiltonian(theta_even_cached(SPHERE, "nabla"), alpha)
+    assert dv(a) == derivation_apply(dv, a)
+
+
+def test_basis_coefficients_are_kept_per_shift():
+    x, y = SPHERE.field.gens
+    dv = SPHERE.nabla_derivation(VectorField(SPHERE.field, [x * y, 1 + x]))
+    dv = dv + Derivation.insertion(VectorField(SPHERE.field, [y, x]))
+    lie = dv.basis_coefficients()
+    nabla = dv.basis_coefficients(SPHERE.dnabla)
+    assert dv.basis_coefficients() is lie
+    assert dv.basis_coefficients(SPHERE.dnabla) is nabla
+    assert lie != nabla
+    assert all(type(coeffs) is tuple for coeffs in lie + nabla)
