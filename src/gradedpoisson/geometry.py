@@ -341,7 +341,13 @@ class ChartGeometry:
     # -- covariant calculus -----------------------------------------------
 
     def dnabla(self, vvform: VectorValuedForm) -> VectorValuedForm:
-        """Exterior covariant derivative on vector-valued forms."""
+        """Exterior covariant derivative on vector-valued forms.
+
+        On top degree every d and every dx^j wedge vanishes, so the result is
+        the zero form of that degree.
+        """
+        if vvform.degree == self.dim:
+            return VectorValuedForm(self.field, [Form.zero(self.field)] * self.dim, degree=self.dim)
         comps = []
         for i in range(self.dim):
             total = vvform.components[i].d()
@@ -353,8 +359,7 @@ class ChartGeometry:
                     dxj = Form.coordinate_diff(self.field, j)
                     total = total + dxj.wedge(vvform.components[k]) * coeff
             comps.append(total)
-        degree = min(vvform.degree + 1, self.dim)
-        return VectorValuedForm(self.field, comps, degree=degree)
+        return VectorValuedForm(self.field, comps, degree=vvform.degree + 1)
 
     def nabla_vector(self, x: VectorField) -> VectorValuedForm:
         """The covariant differential of X, a vector-valued 1-form."""

@@ -16,10 +16,25 @@ the content. Z[x] has unique factorization, so these normalizations fix the
 denominator's factorization; and as each f_i is irreducible, the numerator
 and the denominator are then coprime. So equal values have equal
 representations, and equality and hashing compare plain tuples, which is
-what every identity check in the test harness relies on. Expanded, the form
-is the one sympy's fraction field over ``ZZ`` reaches with a gcd: coprime
-parts, the denominator's leading coefficient positive. ``_elem`` builds
-that sympy element on first use, for printing and evaluation, so every
+what every identity check in the test harness relies on.
+
+A polynomial is a tuple of ``(monomial, coefficient)`` pairs with nonzero
+Python-int coefficients, in descending graded-lex order; the zero
+polynomial is ``()``. A monomial is ``(total_degree, e_1, ..., e_n)``, so
+plain tuple order *is* graded-lex order: total degree first, then the
+exponents lexicographically. The leading term is ``poly[0]``. Multiplying
+every monomial by one monomial keeps the order (a monomial order is
+compatible with products), and so does dividing every monomial by x_i, so
+a product by a single term and a partial derivative need no sort.
+Exponents and coefficients are unbounded ints, so every value is exact.
+
+sympy is called at two boundaries only. ``_factor_list`` hands a
+numerator of two or more terms to sympy's ``factor_list`` (multivariate
+factoring over the integers, Knuth section 4.6.2); a constant or a single
+term is factored directly. ``_elem`` builds the value as a sympy
+fraction-field element over ``ZZ``, for printing and for the test oracles.
+Expanded, the canonical form is the one that field reaches with a gcd:
+coprime parts, the denominator's leading coefficient positive. So every
 report prints the same bytes. sympy types do not leak into the rest of the
 package.
 
@@ -40,8 +55,7 @@ section 4.5.1) on the factored denominator:
   derivative. Only the other factors are tried.
 
 Only a division or a negative power puts a new polynomial into a
-denominator. It is factored once, with ``PolyElement.factor_list``
-(multivariate factoring over the integers, Knuth section 4.6.2).
+denominator. It is factored once.
 
 The brackets differentiate, multiply and divide by the same few values
 again and again. So each interned field (see ``coordinate_field``) keeps
@@ -61,6 +75,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, sub
 
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracField
@@ -100,12 +115,18 @@ class ScalarField:
         if not coords:
             raise ValueError("a chart needs at least one coordinate")
         self.coords = coords
+        # sympy's view of the field, for factoring and printing only
         self._field = FracField(coords, ZZ, order="grlex")
         self._ring = self._field.ring
         self._memo = {}
-        self.zero = RationalFunction(self, self._ring.zero)
-        self.one = RationalFunction(self, self._ring.one)
-        self.gens = tuple(RationalFunction(self, g) for g in self._ring.gens)
+        n = len(coords)
+        self._unit = (0,) * (n + 1)  # the monomial 1
+        self._gen_polys = tuple(
+            (((1,) + tuple(int(i == j) for j in range(n)), 1),) for i in range(n)
+        )
+        self.zero = RationalFunction(self, ())
+        self.one = RationalFunction(self, ((self._unit, 1),))
+        self.gens = tuple(RationalFunction(self, g) for g in self._gen_polys)
 
     @property
     def dimension(self) -> int:
@@ -124,7 +145,8 @@ class ScalarField:
     def constant(self, value) -> "RationalFunction":
         # a Fraction is reduced with a positive denominator: already canonical
         q = Fraction(value)
-        return RationalFunction(self, self._ring.ground_new(q.numerator), q.denominator)
+        num = ((self._unit, q.numerator),) if q.numerator else ()
+        return RationalFunction(self, num, q.denominator)
 
     def wrap(self, value) -> "RationalFunction":
         """Coerce ints, Fractions and own elements; reject everything else."""
@@ -143,42 +165,82 @@ class ScalarField:
         return f"ScalarField{self.coords!r}"
 
 
-# -- the factored form ------------------------------------------------------
+# -- sparse polynomials over Z (see the module docstring) ---------------------
 
 
-class _Factor:
-    """An irreducible, primitive polynomial with a positive grlex leading
-    coefficient, compared and ordered by its terms."""
-
-    __slots__ = ("poly", "order", "depends", "_hash")
-
-    def __init__(self, poly):
-        self.poly = poly
-        self.order = tuple(poly.terms())
-        # depends[i]: whether the factor involves coordinate i
-        self.depends = tuple(map(any, zip(*poly.itermonoms())))
-        self._hash = hash(self.order)
-
-    def __eq__(self, other):
-        return self is other or self.order == other.order
-
-    def __hash__(self):
-        return self._hash
+def _poly_add(p, q):
+    if not p:
+        return q
+    if not q:
+        return p
+    terms = dict(p)
+    for monom, coeff in q:
+        terms[monom] = terms.get(monom, 0) + coeff
+    return tuple(sorted([term for term in terms.items() if term[1]], reverse=True))
 
 
-def _by_order(pair):
-    return pair[0].order
+def _poly_neg(p):
+    return tuple([(monom, -coeff) for monom, coeff in p])
 
 
-def _positive(poly):
-    """poly and its sign, so that the first has a positive leading coefficient."""
-    return (-poly, -1) if poly.LC < 0 else (poly, 1)
+def _poly_scale(p, k):
+    """k * p for a nonzero integer k."""
+    if k == 1:
+        return p
+    return tuple([(monom, coeff * k) for monom, coeff in p])
+
+
+def _poly_quo(p, k):
+    """p / k for an integer k that divides every coefficient."""
+    return tuple([(monom, coeff // k) for monom, coeff in p])
+
+
+def _poly_mul(p, q):
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:
+        # a product by one term keeps the order
+        ((qm, qc),) = q
+        return tuple([(tuple(map(add, monom, qm)), coeff * qc) for monom, coeff in p])
+    terms = {}
+    for pm, pc in p:
+        for qm, qc in q:
+            monom = tuple(map(add, pm, qm))
+            terms[monom] = terms.get(monom, 0) + pc * qc
+    return tuple(sorted([term for term in terms.items() if term[1]], reverse=True))
+
+
+def _poly_pow(p, k):
+    """p**k for k >= 1."""
+    if len(p) == 1:
+        ((monom, coeff),) = p
+        return ((tuple([e * k for e in monom]), coeff**k),)
+    result = p
+    for bit in bin(k)[3:]:
+        result = _poly_mul(result, result)
+        if bit == "1":
+            result = _poly_mul(result, p)
+    return result
+
+
+def _poly_diff(p, index):
+    """The partial derivative by coordinate ``index``. Each monomial loses
+    one x_index, which keeps the order and maps distinct monomials apart."""
+    slot = index + 1
+    out = []
+    for monom, coeff in p:
+        exp = monom[slot]
+        if exp:
+            lowered = list(monom)
+            lowered[0] -= 1
+            lowered[slot] = exp - 1
+            out.append((tuple(lowered), coeff * exp))
+    return tuple(out)
 
 
 def _descending(monom):
-    """Heap key that pops monomials from the largest down in graded-lex
-    order, the order of every field here."""
-    return (-sum(monom), tuple(-e for e in monom)), monom
+    """Heap key that pops monomials from the largest down."""
+    return tuple([-e for e in monom]), monom
 
 
 def _exact_quotient(num, factor):
@@ -189,27 +251,33 @@ def _exact_quotient(num, factor):
     of the factor, so its leading term would be divisible. A heap yields
     the leading terms, so the division costs O(t log t) in the t terms it
     touches, where a fresh maximum per step would cost O(t**2).
+
+    Two tests come first, so that a division that must fail does not run
+    for as many steps as an exponent is large. A single term has only
+    single-term divisors. The smallest term of a product is the product of
+    the smallest terms, so the factor's smallest term must divide num's.
+    num is nonzero.
     """
-    ring = num.ring
-    monomial_div, monomial_mul = ring.monomial_div, ring.monomial_mul
-    fm, fc = factor.LT
-    tail = [(mf, cf) for mf, cf in factor.iterterms() if mf != fm]
+    (fm, fc), tail = factor[0], factor[1:]
+    (lm, lc), (tm, tc) = num[-1], factor[-1]
+    if (len(num) == 1 and tail) or lc % tc or min(map(sub, lm, tm)) < 0:
+        return None
     rest = dict(num)
     heap = [_descending(m) for m in rest]
     heapify(heap)
-    quotient = ring.zero
+    quotient = []
     while heap:
         m = heappop(heap)[1]
         c = rest.pop(m, 0)
         if not c:  # cancelled, or an entry pushed twice
             continue
-        qm = monomial_div(m, fm)
-        if qm is None or c % fc:
+        qm = tuple(map(sub, m, fm))
+        if min(qm) < 0 or c % fc:
             return None
         qc = c // fc
-        quotient[qm] = qc
+        quotient.append((qm, qc))
         for mf, cf in tail:
-            mm = monomial_mul(mf, qm)
+            mm = tuple(map(add, mf, qm))
             value = rest.get(mm)
             if value is None:
                 heappush(heap, _descending(mm))
@@ -219,7 +287,47 @@ def _exact_quotient(num, factor):
                 rest[mm] = value
             else:
                 del rest[mm]
-    return quotient
+    return tuple(quotient)
+
+
+def _positive(poly):
+    """poly and its sign, so that the first has a positive leading coefficient."""
+    return (_poly_neg(poly), -1) if poly[0][1] < 0 else (poly, 1)
+
+
+def _to_sympy(field, poly):
+    return field._ring.from_dict({monom[1:]: coeff for monom, coeff in poly})
+
+
+def _from_sympy(poly):
+    terms = [((sum(monom),) + monom, int(coeff)) for monom, coeff in poly.items()]
+    return tuple(sorted(terms, reverse=True))
+
+
+# -- the factored form ------------------------------------------------------
+
+
+class _Factor:
+    """An irreducible, primitive polynomial with a positive grlex leading
+    coefficient, compared and ordered by its terms."""
+
+    __slots__ = ("poly", "depends", "_hash")
+
+    def __init__(self, poly):
+        self.poly = poly
+        # depends[i]: whether the factor involves coordinate i
+        self.depends = tuple(map(any, zip(*(monom[1:] for monom, _ in poly))))
+        self._hash = hash(poly)
+
+    def __eq__(self, other):
+        return self is other or self.poly == other.poly
+
+    def __hash__(self):
+        return self._hash
+
+
+def _by_order(pair):
+    return pair[0].poly
 
 
 def _divide_out(num, factor, limit):
@@ -237,7 +345,7 @@ def _divide_out(num, factor, limit):
 
 def _common_content(poly, n):
     """gcd of poly's integer content and n, stopping as soon as it is 1."""
-    for coeff in poly.itercoeffs():
+    for _, coeff in poly:
         if n == 1:
             break
         n = gcd(n, coeff)
@@ -258,7 +366,7 @@ def _reduce(field, num, cont, shared, exps, tried):
         exps[factor] -= count
     common = _common_content(num, shared)
     if common != 1:
-        num, cont = num.quo_ground(common), cont // common
+        num, cont = _poly_quo(num, common), cont // common
     facs = tuple(sorted(((f, e) for f, e in exps.items() if e), key=_by_order))
     return RationalFunction(field, num, cont, facs)
 
@@ -281,14 +389,14 @@ def _mul(a, b):
     acommon = _common_content(anum, b.cont)
     bcommon = _common_content(bnum, a.cont)
     if acommon != 1:
-        anum = anum.quo_ground(acommon)
+        anum = _poly_quo(anum, acommon)
     if bcommon != 1:
-        bnum = bnum.quo_ground(bcommon)
+        bnum = _poly_quo(bnum, bcommon)
     for factor, exp in bexps.items():
         aexps[factor] = aexps.get(factor, 0) + exp
     facs = tuple(sorted(((f, e) for f, e in aexps.items() if e), key=_by_order))
     cont = (a.cont // bcommon) * (b.cont // acommon)
-    return RationalFunction(a.field, anum * bnum, cont, facs)
+    return RationalFunction(a.field, _poly_mul(anum, bnum), cont, facs)
 
 
 def _add(a, b, sign):
@@ -296,51 +404,69 @@ def _add(a, b, sign):
     if not b.num:
         return a
     if not a.num:
-        return b if sign == 1 else RationalFunction(b.field, -b.num, b.cont, b.facs)
+        return b if sign == 1 else RationalFunction(b.field, _poly_neg(b.num), b.cont, b.facs)
     aexps, bexps = dict(a.facs), dict(b.facs)
-    afill = bfill = a.field._ring.one
+    shared = gcd(a.cont, b.cont)
+    anum = _poly_scale(a.num, b.cont // shared)
+    bnum = _poly_scale(b.num, sign * (a.cont // shared))
     exps, tried = {}, []
     for factor in aexps.keys() | bexps.keys():
         aexp, bexp = aexps.get(factor, 0), bexps.get(factor, 0)
         if aexp > bexp:
-            bfill = bfill * factor.poly ** (aexp - bexp)
+            bnum = _poly_mul(bnum, _poly_pow(factor.poly, aexp - bexp))
         elif bexp > aexp:
-            afill = afill * factor.poly ** (bexp - aexp)
+            anum = _poly_mul(anum, _poly_pow(factor.poly, bexp - aexp))
         else:
             tried.append(factor)
         exps[factor] = max(aexp, bexp)
-    shared = gcd(a.cont, b.cont)
-    anum = a.num.mul_ground(b.cont // shared) * afill
-    bnum = b.num.mul_ground(a.cont // shared) * bfill
-    num = anum + bnum if sign == 1 else anum - bnum
     # a prime can divide both num and the new content only if it divides
     # both contents, and then only to its power in shared (Henrici)
+    num = _poly_add(anum, bnum)
     return _reduce(a.field, num, a.cont // shared * b.cont, shared, exps, tried)
 
 
 def _partial(a, index):
-    field = a.field
-    gen = field._ring.gens[index]
-    dnum = a.num.diff(gen)
+    dnum = _poly_diff(a.num, index)
     moving = [factor for factor, _ in a.facs if factor.depends[index]]
     exps = dict(a.facs)
     if moving:
         # d(N / (c prod f**e)) = (N' Q - N sum e f' Q/f) / (c prod f**e * Q),
         # Q the product of the factors that depend on the coordinate
-        product = field._ring.one
+        product, total = moving[0].poly, ()
+        for other in moving[1:]:
+            product = _poly_mul(product, other.poly)
         for factor in moving:
-            product = product * factor.poly
-        total = field._ring.zero
-        for factor in moving:
-            others = field._ring.one
+            term = _poly_scale(_poly_diff(factor.poly, index), exps[factor])
             for other in moving:
                 if other is not factor:
-                    others = others * other.poly
-            total = total + factor.poly.diff(gen).mul_ground(exps[factor]) * others
+                    term = _poly_mul(term, other.poly)
+            total = _poly_add(total, term)
             exps[factor] += 1
-        dnum = dnum * product - a.num * total
+        dnum = _poly_add(_poly_mul(dnum, product), _poly_neg(_poly_mul(a.num, total)))
     tried = [factor for factor, _ in a.facs if not factor.depends[index]]
-    return _reduce(field, dnum, a.cont, a.cont, exps, tried)
+    return _reduce(a.field, dnum, a.cont, a.cont, exps, tried)
+
+
+def _factor_list(field, num):
+    """(sign, content, factors) with num = sign * content * prod f**e, the
+    factors normalized and sorted as in the canonical form, from sympy."""
+    coeff, pairs = _to_sympy(field, num).factor_list()
+    sign, facs = (-1 if coeff < 0 else 1), []
+    for poly, exp in pairs:
+        poly, unit = _positive(_from_sympy(poly))
+        sign *= unit**exp
+        facs.append((_Factor(poly), exp))
+    return sign, abs(int(coeff)), tuple(sorted(facs, key=_by_order))
+
+
+def _factor(field, num):
+    """``_factor_list``, with a constant or a single term c * x**a * ...
+    factored directly: its sign, |c|, and each coordinate to its exponent."""
+    if len(num) > 1:
+        return _factor_list(field, num)
+    ((monom, coeff),) = num
+    facs = [(_Factor(gen), exp) for gen, exp in zip(field._gen_polys, monom[1:]) if exp]
+    return (-1 if coeff < 0 else 1), abs(coeff), tuple(sorted(facs, key=_by_order))
 
 
 def _inverse(a):
@@ -349,17 +475,11 @@ def _inverse(a):
     key = ("factor", a.num)
     factored = field._memo.get(key)
     if factored is None:
-        coeff, pairs = a.num.factor_list()
-        sign, facs = (-1, []) if coeff < 0 else (1, [])
-        for poly, exp in pairs:
-            poly, unit = _positive(poly)
-            sign *= unit**exp
-            facs.append((_Factor(poly), exp))
-        factored = field._memo[key] = (sign, abs(coeff), tuple(sorted(facs, key=_by_order)))
+        factored = field._memo[key] = _factor(field, a.num)
     sign, content, facs = factored
-    num = field._ring.ground_new(sign * a.cont)
+    num = ((field._unit, sign * a.cont),)
     for factor, exp in a.facs:
-        num = num * factor.poly**exp
+        num = _poly_mul(num, _poly_pow(factor.poly, exp))
     return RationalFunction(field, num, content, facs)
 
 
@@ -449,20 +569,21 @@ class RationalFunction:
                 raise ZeroDivisionError("negative power of zero")
             if exponent == 0:
                 raise ValueError("zero to the power zero is undefined")
-        elif exponent == 0:
+            return self
+        if exponent == 0:
             return self.field.one
         elif exponent < 0:
             base, exponent = _inverse(self), -exponent
         # powers of coprime parts stay coprime: already canonical
         return RationalFunction(
             self.field,
-            base.num**exponent,
+            _poly_pow(base.num, exponent),
             base.cont**exponent,
             tuple((factor, exp * exponent) for factor, exp in base.facs),
         )
 
     def __neg__(self):
-        return RationalFunction(self.field, -self.num, self.cont, self.facs)
+        return RationalFunction(self.field, _poly_neg(self.num), self.cont, self.facs)
 
     # -- calculus --------------------------------------------------------
 
@@ -489,10 +610,13 @@ class RationalFunction:
         """The value as a sympy FracElement with an expanded denominator."""
         view = self._view
         if view is None:
-            denom = self.field._ring.ground_new(self.cont)
+            field = self.field
+            denom = ((field._unit, self.cont),)
             for factor, exp in self.facs:
-                denom = denom * factor.poly**exp
-            view = self._view = self.field._field.raw_new(self.num, denom)
+                denom = _poly_mul(denom, _poly_pow(factor.poly, exp))
+            view = self._view = field._field.raw_new(
+                _to_sympy(field, self.num), _to_sympy(field, denom)
+            )
         return view
 
     @property
@@ -505,16 +629,17 @@ class RationalFunction:
         chart)."""
         if target is self.field:
             return self
-        positions = [target.coords.index(c) for c in self.field.coords]
+        # slot 0 of a monomial is its total degree, which stays
+        positions = [target.coords.index(c) + 1 for c in self.field.coords]
 
         def convert(poly):
-            out = {}
-            for monom, coeff in poly.terms():
-                lifted = [0] * target.dimension
-                for pos, exp in zip(positions, monom):
+            out = []
+            for monom, coeff in poly:
+                lifted = [monom[0]] + [0] * target.dimension
+                for pos, exp in zip(positions, monom[1:]):
                     lifted[pos] = exp
-                out[tuple(lifted)] = coeff
-            return target._ring.from_dict(out)
+                out.append((tuple(lifted), coeff))
+            return tuple(sorted(out, reverse=True))
 
         # irreducibility and divisibility do not depend on the extra
         # coordinates; only a leading coefficient's sign can change
@@ -522,7 +647,7 @@ class RationalFunction:
         facs = []
         for factor, exp in self.facs:
             poly, unit = _positive(convert(factor.poly))
-            num = num.mul_ground(unit**exp)
+            num = _poly_scale(num, unit**exp)
             facs.append((_Factor(poly), exp))
         return RationalFunction(target, num, self.cont, tuple(sorted(facs, key=_by_order)))
 

@@ -27,6 +27,13 @@ from gradedpoisson.graded import (
 # -- scalars --------------------------------------------------------------------
 
 
+def sympy_poly(field, poly):
+    """A polynomial of the scalar layer, a tuple of ``(monomial, coeff)``
+    pairs with the total degree in slot 0 of each monomial, as a sympy
+    PolyElement of ``field``'s integer ring."""
+    return field._ring.from_dict({monom[1:]: coeff for monom, coeff in poly})
+
+
 def _eval_poly(poly, values):
     """Evaluate a sympy PolyElement at Fraction values, exactly."""
     total = Fraction(0)

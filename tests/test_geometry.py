@@ -237,6 +237,31 @@ def test_dnabla_flat_is_componentwise_d():
     assert out.components[1] == (dx * y).d()
 
 
+def _dnabla_by_formula(ch, vv):
+    """(d^nabla K)^i = dK^i + Gamma^i_jk dx^j ^ K^k, term by term."""
+    comps = []
+    for i in range(ch.dim):
+        total = vv.components[i].d()
+        for j in range(ch.dim):
+            dxj = Form.coordinate_diff(ch.field, j)
+            for k in range(ch.dim):
+                total = total + dxj.wedge(vv.components[k]) * ch.gamma[i][j][k]
+        comps.append(total)
+    return comps
+
+
+@pytest.mark.parametrize("name", ["sphere2", "flat4"])
+@given(data=st.data())
+def test_top_degree_dnabla_matches_the_formula(name, data):
+    ch = CHARTS[name]
+    top = tuple(range(ch.dim))
+    comps = [Form(ch.field, {top: data.draw(polys(ch.field)) + 1}) for _ in range(ch.dim)]
+    vv = VectorValuedForm(ch.field, comps, degree=ch.dim)
+    out = ch.dnabla(vv)
+    assert out.degree == ch.dim and out.is_zero
+    assert list(out.components) == _dnabla_by_formula(ch, vv)
+
+
 def test_classical_hamiltonian_examples():
     f2 = CHARTS["flat2"]
     x, y = f2.field.gens

@@ -10,8 +10,18 @@ from sympy.polys.fields import FracField
 from sympy.polys.rings import PolyElement
 
 from gradedpoisson.cli import main
-from gradedpoisson.scalars import clear_memos, coordinate_field
-from reference import eval_at
+from gradedpoisson.scalars import (
+    _exact_quotient,
+    _factor,
+    _poly_add,
+    _poly_diff,
+    _poly_mul,
+    _poly_neg,
+    _poly_pow,
+    clear_memos,
+    coordinate_field,
+)
+from reference import eval_at, sympy_poly
 
 F = coordinate_field(("x", "y"))
 X, Y = F.gens
@@ -219,19 +229,20 @@ def test_transplant_preserves_values():
 
 def _assert_factored_canonical(value):
     """The stored form is the canonical one the module docstring defines."""
-    orders = [factor.order for factor, _ in value.facs]
+    orders = [factor.poly for factor, _ in value.facs]
     assert orders == sorted(orders) and len(set(orders)) == len(orders)
+    num = sympy_poly(value.field, value.num)
     for factor, exp in value.facs:
-        poly = factor.poly
+        poly = sympy_poly(value.field, factor.poly)
         assert exp > 0
         assert poly.LC > 0
         # irreducible and primitive: its own single factor, up to sign
         coeff, pairs = poly.factor_list()
         assert abs(coeff) == 1 and len(pairs) == 1 and pairs[0][1] == 1
         assert pairs[0][0] * coeff == poly
-        assert value.num.div(poly)[1] != 0
+        assert num.div(poly)[1] != 0
     assert value.cont > 0
-    assert gcd(int(value.num.content()), value.cont) == 1
+    assert gcd(int(num.content()), value.cont) == 1
 
 
 @given(scalars(), scalars(), st.integers(-3, 3))
@@ -249,7 +260,7 @@ def test_factor_signs_follow_graded_lex_order():
     # factor_list makes the lex leading coefficient positive; for x - y**2
     # the graded-lex one is -1, so the stored factor must be y**2 - x
     value = 1 / (X - Y**2)
-    assert [str(factor.poly) for factor, _ in value.facs] == ["y**2 - x"]
+    assert [str(sympy_poly(F, factor.poly)) for factor, _ in value.facs] == ["y**2 - x"]
     assert str(value) == "-1/(y**2 - x)"
     assert value == -1 / (Y**2 - X)
     assert hash(value) == hash(-1 / (Y**2 - X))
@@ -289,3 +300,112 @@ def test_a_curved_check_takes_no_polynomial_gcd(monkeypatch, capsys):
     assert main(argv) == 0
     assert "summary:" in capsys.readouterr().out
     assert len(calls) == 0
+
+
+def test_a_curved_check_does_no_sympy_polynomial_arithmetic(monkeypatch, capsys):
+    # sympy only factors new denominators and prints
+    calls = []
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "diff", "div", "mul_ground", "quo_ground"):
+        method = getattr(PolyElement, name)
+
+        def counting(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(PolyElement, name, counting)
+    argv = ["check", "builtin:sphere2", "--suite", "all", "--seed", "42", "--samples", "2"]
+    assert main(argv) == 0
+    assert "summary:" in capsys.readouterr().out
+    assert calls == []
+
+
+# -- the sparse polynomial kernel against sympy's PolyElement -------------------
+
+BIG = 2**64
+HUGE_EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from([BIG - 1, BIG, BIG + 1, 2**70]))
+
+
+def _native(poly):
+    """A sympy PolyElement as the scalar layer stores it: descending tuple
+    order, the total degree in slot 0 of each monomial."""
+    return tuple(sorted((((sum(m),) + m, int(c)) for m, c in poly.items()), reverse=True))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """A field of 1 to 4 coordinates and two sympy polynomials in its ring,
+    in half the draws with exponents of 2**64 and above."""
+    n = draw(st.integers(1, 4))
+    field = coordinate_field(("a", "b", "c", "d")[:n])
+    exponents = draw(st.sampled_from([st.integers(0, 3), HUGE_EXPONENTS]))
+    monomials = st.tuples(*[exponents] * n)
+    coefficients = st.integers(-6, 6).filter(bool)
+    p, q = (
+        field._ring.from_dict(draw(st.dictionaries(monomials, coefficients, max_size=4)))
+        for _ in range(2)
+    )
+    return field, p, q
+
+
+@given(polynomial_pairs(), st.integers(1, 3))
+def test_polynomial_kernel_agrees_with_sympy(pair, k):
+    field, p, q = pair
+    a, b = _native(p), _native(q)
+    assert _poly_add(a, b) == _native(p + q)
+    assert _poly_add(a, _poly_neg(b)) == _native(p - q)
+    assert _poly_neg(a) == _native(-p)
+    assert _poly_mul(a, b) == _native(p * q)
+    assert _poly_pow(a, k) == _native(p**k)
+    for index, gen in enumerate(field._ring.gens):
+        assert _poly_diff(a, index) == _native(p.diff(gen))
+    if not (p and q):
+        return
+    assert _exact_quotient(_poly_mul(a, b), b) == a
+    # a long division can run for as many steps as an exponent is large
+    if max(max(m) for m in p.monoms() + q.monoms()) < BIG - 1:
+        quotient, remainder = p.div(q)
+        if remainder:
+            assert _exact_quotient(a, b) is None
+        else:
+            assert quotient * q == p
+            assert _exact_quotient(a, b) == _native(quotient)
+
+
+def _normalized_factor_list(poly):
+    """sympy's factor_list of poly as (sign, content, factors), each factor
+    with a positive graded-lex leading coefficient, sorted by its terms."""
+    coeff, pairs = poly.factor_list()
+    sign, facs = (-1 if coeff < 0 else 1), []
+    for factor, exp in pairs:
+        if factor.LC < 0:
+            factor, sign = -factor, sign * (-1) ** exp
+        facs.append((_native(factor), exp))
+    return sign, abs(int(coeff)), sorted(facs)
+
+
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    st.integers(-BIG, BIG).filter(bool),
+)
+def test_single_terms_factor_as_sympy_does(monomial, constant):
+    # sympy's factor_list runs as long as an exponent is large, so these
+    # exponents stay small; the direct route only reads them
+    field = coordinate_field(("a", "b", "c", "d")[: len(monomial)])
+    ring = field._ring
+    for poly in (ring.ground_new(constant), ring.from_dict({tuple(monomial): constant})):
+        sign, content, facs = _factor(field, _native(poly))
+        assert (sign, content, [(f.poly, e) for f, e in facs]) == _normalized_factor_list(poly)
+
+
+def test_huge_exponents_stay_exact(capsys):
+    argv = ["bracket", "builtin:flat2", "--alpha=x^18446744073709551616", "--beta=y"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "(18446744073709551616*x**18446744073709551615)\n"
+    # a single-term denominator is factored without sympy, whatever its exponent
+    argv = ["bracket", "builtin:flat2", "--alpha=1/x^18446744073709551616", "--beta=y"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "(-18446744073709551616/(x**18446744073709551617))\n"
+    # a trial division of a single term by a factor of two terms fails at once
+    argv = ["bracket", "builtin:flat2", "--alpha=1/(x-1)", "--beta=y*x^18446744073709551616"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "(-x**18446744073709551616/(x**2 - 2*x + 1))\n"
