@@ -8,11 +8,12 @@ kept alongside as a cross-check.
 
 The solver is one degree-by-degree triangular elimination over the
 chart's scalar field, in whichever basis Theta is tabulated, and it
-returns D_alpha itself: a Derivation in normal form, which does not
-depend on the basis it was solved in. It finishes by re-evaluating its
-defining equation and raises if the solution does not reproduce the
-right-hand side exactly. That final check is the master invariant:
-every closed-form shortcut in this module is validated against it.
+returns D_alpha itself: a Derivation, held by its 2n coefficients over
+the lie basics whatever the basis it was solved in. It finishes by
+re-evaluating its defining equation and raises if the solution does not
+reproduce the right-hand side exactly. That final check is the master
+invariant: every closed-form shortcut in this module is validated
+against it.
 
 The elimination's plan, the inverse of Theta's degree-0 block matrix and
 the positive-degree parts of its blocks, is built once per form and kept
@@ -41,7 +42,6 @@ from .geometry import ChartError, ChartGeometry, matrix_inverse
 from .graded import (
     GradedOneForm,
     GradedTwoForm,
-    basis_shift,
     convert_one,
     dG_function,
     eval_two,
@@ -123,8 +123,9 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     ChartError.
 
     A and the higher blocks come from theta's plan, built once per chart.
-    The result is the derivation in normal form; its coefficients over
-    either basis can be read back with graded.components_by_degree.
+    The result is the derivation by its coefficients over the lie basics;
+    over the nabla basics they differ by the connection twist, and either
+    can be read back with graded.components_by_degree.
     Derivations are memoized on the plan after _verify has passed, so
     _verify runs once per distinct solve and a repeated solve returns the
     same Derivation; callers must treat it as read-only.
@@ -165,20 +166,12 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
             for col in range(size)
         ]
 
-    # D = sum K B + sum C i and L_K = sum K B + (-1)^k sum (d_B K) i, so the
-    # insertion part of degree k + 1 is C^(k+1) minus the shifted lie coefficient
-    shift = basis_shift(geom, theta.basis)
-    parts = {-1: (None, VectorValuedForm(field, coeffs[0][dim:], degree=0))}
-    for k in range(dim + 1):
-        kpart = VectorValuedForm(field, coeffs[k][:dim], degree=k)
-        apart = None
-        if k < dim:
-            apart = VectorValuedForm(field, coeffs[k + 1][dim:], degree=k + 1)
-            if not kpart.is_zero:
-                shifted = shift(kpart)
-                apart = apart - (shifted if k % 2 == 0 else -shifted)
-        parts[k] = (kpart, apart)
-    derivation = Derivation(field, parts)
+    totals = [sum((part[r] for part in coeffs.values()), Form.zero(field)) for r in range(size)]
+    even, ins = totals[:dim], totals[dim:]
+    if theta.basis == "nabla":
+        # nabla_b = L_b - sum_i T(e_b)_i i_i, so over the lie basics C loses T(K)
+        ins = [c - t for c, t in zip(ins, geom.connection_twist(even))]
+    derivation = Derivation(field, even + ins)
     _verify(theta, derivation, rhs)
     memo[key] = derivation
     return derivation

@@ -1,22 +1,19 @@
 """Differential forms, vector fields, vector-valued forms, and derivations.
 
 The derivation algebra of the form algebra is the home of everything graded
-in this package: a derivation D is stored in normal form D = L_K + i_{L'}
-with K and L' vector-valued forms, mixed degrees being explicit sums of
-homogeneous pieces. Commutators are computed by operator composition and
-then reconstructed into normal form from the action on coordinates and
-coordinate differentials, which determines a derivation uniquely.
-
-A derivation acts through its coefficients over the lie basics, the Lie
-derivatives L_a along the coordinate fields and the insertions i_a. With
-K_a the components of K, and C_a = L'_a + (-1)^k (dK)_a summed over the
-parts of degree k,
+in this package. A derivation D is fixed by what it does to the coordinates,
+K_a = D(x^a) and C_a = D(dx^a), and it is stored as exactly these 2n forms,
+its coefficients over the lie basics: the Lie derivatives L_a along the
+coordinate fields and the insertions i_a,
 
     D(beta) = sum_a K_a ^ partial_a beta + sum_a C_a ^ i_a beta
 
 where partial_a differentiates beta's coefficients along x_a. So an
 application takes only partial derivatives of beta's own coefficients and
-wedges; basis_coefficients computes the (K_a, C_a) once per derivation.
+wedges, sums and negation work coefficientwise, and the graded commutator
+is read off from its values on x^a and dx^a. In the Frolicher-Nijenhuis
+normal form D = L_K + i_{L'}, C_a = L'_a + (-1)^k (dK)_a on the part of
+degree k.
 
 Index tuples in a form are strictly increasing and zero coefficients are
 never stored, so equality is literal dictionary equality.
@@ -195,6 +192,12 @@ class Form:
                 terms[idx] = value
         return Form._raw(self.field, terms)
 
+    def lie_basic(self, r: int) -> "Form":
+        """The lie basic r applied to the form: L_r = partial(r) for r < n,
+        then the insertions i_{r-n}."""
+        dim = self.field.dimension
+        return self.insert_basis(r - dim) if r >= dim else self.partial(r)
+
     # -- grading -------------------------------------------------------------
 
     @property
@@ -365,28 +368,6 @@ class VectorValuedForm:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def __add__(self, other):
-        if not isinstance(other, VectorValuedForm):
-            return NotImplemented
-        if other.is_zero:
-            degree = self.degree
-        elif self.is_zero:
-            degree = other.degree
-        elif self.degree != other.degree:
-            raise ValueError("cannot add vector-valued forms of different degree")
-        else:
-            degree = self.degree
-        return VectorValuedForm(
-            self.field,
-            [a + b for a, b in zip(self.components, other.components)],
-            degree=degree,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorValuedForm):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self):
         return VectorValuedForm(
             self.field, [-c for c in self.components], degree=self.degree
@@ -413,64 +394,48 @@ class VectorValuedForm:
         return f"VectorValuedForm<deg {self.degree}: {self}>"
 
 
-def _d_componentwise(vvform: VectorValuedForm) -> VectorValuedForm:
-    return VectorValuedForm(
-        vvform.field,
-        [c.d() for c in vvform.components],
-        degree=min(vvform.degree + 1, vvform.field.dimension),
-    )
-
-
 class Derivation:
-    """A derivation of the form algebra in normal form.
+    """A derivation of the form algebra, by its coefficients over the lie basics.
 
-    ``parts`` maps each occurring degree k to a pair (K, L') with K a
-    vector-valued k-form (or None) and L' a vector-valued (k+1)-form (or
-    None), the operator being the sum of L_K + i_{L'} over parts. Purely
-    algebraic degree -1 parts store K = None.
+    ``coefficients`` holds 2n Forms: first K_a = D(x^a), then C_a = D(dx^a),
+    so that D = sum_a K_a ^ L_a + sum_a C_a ^ i_a. The degree of a
+    homogeneous derivation is the degree of its K_a and one less than that
+    of its C_a.
     """
 
-    __slots__ = ("field", "parts", "_coeffs")
+    __slots__ = ("field", "coefficients")
 
-    def __init__(self, field: ScalarField, parts):
-        clean = {}
-        for degree, (kpart, apart) in parts.items():
-            if kpart is not None and kpart.is_zero:
-                kpart = None
-            if apart is not None and apart.is_zero:
-                apart = None
-            if kpart is None and apart is None:
-                continue
-            if kpart is not None and kpart.degree != degree:
-                raise ValueError(
-                    f"lie part of degree {kpart.degree} filed under {degree}"
-                )
-            if apart is not None and apart.degree != degree + 1:
-                raise ValueError(
-                    f"insertion part of degree {apart.degree} filed under {degree}"
-                )
-            clean[degree] = (kpart, apart)
+    def __init__(self, field: ScalarField, coefficients):
+        coefficients = tuple(coefficients)
+        if len(coefficients) != 2 * field.dimension:
+            raise ValueError(
+                f"{len(coefficients)} coefficients on a {field.dimension}-dim chart"
+            )
         self.field = field
-        self.parts = clean
-        self._coeffs = {}
+        self.coefficients = coefficients
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, field: ScalarField) -> "Derivation":
-        return cls(field, {})
+        return cls(field, [Form.zero(field)] * (2 * field.dimension))
 
     @classmethod
     def lie(cls, kpart) -> "Derivation":
+        """L_K = [i_K, d] for a vector-valued k-form K: L_K dx^a = (-1)^k dK_a."""
         if isinstance(kpart, VectorField):
             kpart = kpart.as_vvform()
-        return cls(kpart.field, {kpart.degree: (kpart, None)})
+        dks = [c.d() for c in kpart.components]
+        if kpart.degree % 2:
+            dks = [-c for c in dks]
+        return cls(kpart.field, kpart.components + tuple(dks))
 
     @classmethod
     def insertion(cls, apart) -> "Derivation":
         if isinstance(apart, VectorField):
             apart = apart.as_vvform()
-        return cls(apart.field, {apart.degree - 1: (None, apart)})
+        field = apart.field
+        return cls(field, [Form.zero(field)] * field.dimension + list(apart.components))
 
     @classmethod
     def exterior(cls, field: ScalarField) -> "Derivation":
@@ -480,157 +445,85 @@ class Derivation:
 
     @property
     def is_zero(self) -> bool:
-        return not self.parts
+        return all(c.is_zero for c in self.coefficients)
 
     @property
     def degree(self):
         """The degree when homogeneous, None when mixed, 0 when zero."""
-        if not self.parts:
-            return 0
-        if len(self.parts) > 1:
+        dim = self.field.dimension
+        degrees = {
+            len(idx) - (r >= dim) for r, c in enumerate(self.coefficients) for idx in c.terms
+        }
+        if len(degrees) > 1:
             return None
-        return next(iter(self.parts))
+        return degrees.pop() if degrees else 0
+
+    def _halves(self):
+        """(parity, half) for the nonzero even and odd halves of D."""
+        dim = self.field.dimension
+        halves = ([], [])
+        for r, coeff in enumerate(self.coefficients):
+            split = ({}, {})
+            for idx, c in coeff.terms.items():
+                # an insertion coefficient counts one degree lower
+                split[(len(idx) - (r >= dim)) % 2][idx] = c
+            for half, terms in zip(halves, split):
+                half.append(Form._raw(self.field, terms))
+        return [
+            (p, Derivation(self.field, half))
+            for p, half in enumerate(halves)
+            if any(not c.is_zero for c in half)
+        ]
 
     # -- action --------------------------------------------------------------
 
     def __call__(self, form) -> Form:
-        """D(beta) = sum_a K_a ^ partial_a beta + sum_a C_a ^ i_a beta over the lie basics."""
+        """D(beta) = sum_a K_a ^ L_a beta + sum_a C_a ^ i_a beta."""
         if isinstance(form, RationalFunction):
             form = Form.function(form)
         out = Form.zero(self.field)
-        for a, (lie, ins) in enumerate(zip(*self.basis_coefficients())):
-            for coeff, act in ((lie, form.partial), (ins, form.insert_basis)):
-                if not coeff.is_zero:
-                    value = act(a)
-                    if not value.is_zero:
-                        out = out + coeff.wedge(value)
+        for r, coeff in enumerate(self.coefficients):
+            if not coeff.is_zero:
+                value = form.lie_basic(r)
+                if not value.is_zero:
+                    out = out + coeff.wedge(value)
         return out
 
     def commutator(self, other: "Derivation") -> "Derivation":
-        """Graded commutator [D, E], reconstructed into normal form."""
-        total = Derivation.zero(self.field)
-        for p, ppart in self.parts.items():
-            dpiece = Derivation(self.field, {p: ppart})
-            for q, qpart in other.parts.items():
-                epiece = Derivation(self.field, {q: qpart})
-                total = total + _commutator_piece(dpiece, p, epiece, q)
-        return total
+        """Graded commutator [D, E], read off coordinatewise.
+
+        [D, E] sends x^a and dx^a to D(E(.)) -+ E(D(.)), and E(x^a), E(dx^a)
+        are E's own coefficients, so coefficient r of [D, E] is
+        D(E.c[r]) -+ E(D.c[r]), with + only when both are odd.
+        """
+        total = [Form.zero(self.field)] * len(self.coefficients)
+        for p, dpart in self._halves():
+            for q, epart in other._halves():
+                for r, (dc, ec) in enumerate(zip(dpart.coefficients, epart.coefficients)):
+                    first, second = dpart(ec), epart(dc)
+                    total[r] = total[r] + (first + second if p and q else first - second)
+        return Derivation(self.field, total)
 
     def __add__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        merged = dict(self.parts)
-        for degree, (kpart, apart) in other.parts.items():
-            if degree in merged:
-                k0, a0 = merged[degree]
-                kpart = kpart if k0 is None else (k0 if kpart is None else k0 + kpart)
-                apart = apart if a0 is None else (a0 if apart is None else a0 + apart)
-            merged[degree] = (kpart, apart)
-        return Derivation(self.field, merged)
+        return Derivation(
+            self.field, [a + b for a, b in zip(self.coefficients, other.coefficients)]
+        )
 
     def __neg__(self):
-        return Derivation(
-            self.field,
-            {
-                d: (None if k is None else -k, None if a is None else -a)
-                for d, (k, a) in self.parts.items()
-            },
-        )
+        return Derivation(self.field, [-c for c in self.coefficients])
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        return self.field is other.field and self.parts == other.parts
-
-    def basis_coefficients(self, shift=_d_componentwise):
-        """Coefficients of D over the basic operators, one Form per direction.
-
-        Returns (lie_coeffs, ins_coeffs) such that, as operators,
-        D = sum_a lie_coeffs[a] * B_a + sum_a ins_coeffs[a] * i_a, where B_a
-        is the basic Lie derivative along coordinate a (the default, with
-        ``shift`` the componentwise d), or the basic covariant derivative
-        when ``shift`` is the exterior covariant derivative on vector-valued
-        forms. A form-coefficiented operator acts by wedging the coefficient
-        on the left of the operator's output.
-
-        Both are tuples, computed once per shift and kept on the derivation.
-        """
-        if shift in self._coeffs:
-            return self._coeffs[shift]
-        dim = self.field.dimension
-        lie_coeffs = [Form.zero(self.field) for _ in range(dim)]
-        ins_coeffs = [Form.zero(self.field) for _ in range(dim)]
-        for degree, (kpart, apart) in self.parts.items():
-            sign = -1 if degree % 2 else 1
-            if kpart is not None:
-                shifted = shift(kpart)
-                for a in range(dim):
-                    lie_coeffs[a] = lie_coeffs[a] + kpart.components[a]
-                    correction = shifted.components[a]
-                    ins_coeffs[a] = ins_coeffs[a] + (
-                        correction if sign > 0 else -correction
-                    )
-            if apart is not None:
-                for a in range(dim):
-                    ins_coeffs[a] = ins_coeffs[a] + apart.components[a]
-        coeffs = self._coeffs[shift] = (tuple(lie_coeffs), tuple(ins_coeffs))
-        return coeffs
+        return self.field is other.field and self.coefficients == other.coefficients
 
     def __str__(self):
-        if not self.parts:
-            return "0"
-        pieces = []
-        for degree in sorted(self.parts):
-            kpart, apart = self.parts[degree]
-            if kpart is not None:
-                pieces.append(f"L[{kpart}]")
-            if apart is not None:
-                pieces.append(f"i[{apart}]")
-        return " + ".join(pieces)
+        coords = self.field.coords
+        names = [f"L_{c}" for c in coords] + [f"i_{c}" for c in coords]
+        pieces = [f"[{c}] {name}" for c, name in zip(self.coefficients, names) if not c.is_zero]
+        return " + ".join(pieces) if pieces else "0"
 
     def __repr__(self):
         return f"Derivation<{self}>"
-
-
-def _commutator_piece(dpiece: Derivation, p: int, epiece: Derivation, q: int) -> Derivation:
-    """[D, E] for homogeneous D, E of degrees p, q, in normal form.
-
-    The lie part is read off from the action on coordinate functions, the
-    insertion part from what remains on coordinate differentials.
-    """
-    field = dpiece.field
-    dim = field.dimension
-    sign = -1 if (p % 2 and q % 2) else 1
-
-    def op(form: Form) -> Form:
-        first = dpiece(epiece(form))
-        second = epiece(dpiece(form))
-        return first - second if sign > 0 else first + second
-
-    r = p + q
-    k_comps = [op(Form.function(field.gens[a])) for a in range(dim)]
-    if 0 <= r <= dim:
-        kpart = VectorValuedForm(field, k_comps, degree=r)
-    else:
-        if any(not c.is_zero for c in k_comps):
-            raise ValueError(f"commutator lie part escapes degree range at {r}")
-        kpart = None
-
-    a_comps = []
-    for a in range(dim):
-        value = op(Form.coordinate_diff(field, a))
-        if kpart is not None and not kpart.is_zero:
-            # L_K dx^a = [i_K, d] dx^a = (-1)^r dK_a
-            dk = kpart.components[a].d()
-            value = value - (dk if r % 2 == 0 else -dk)
-        a_comps.append(value)
-    if 0 <= r + 1 <= dim:
-        apart = VectorValuedForm(field, a_comps, degree=r + 1)
-    else:
-        if any(not c.is_zero for c in a_comps):
-            raise ValueError(f"commutator insertion part escapes degree range at {r + 1}")
-        apart = None
-
-    if kpart is None and apart is None:
-        return Derivation.zero(field)
-    return Derivation(field, {r: (kpart, apart)})

@@ -340,25 +340,35 @@ class ChartGeometry:
 
     # -- covariant calculus -----------------------------------------------
 
+    def connection_twist(self, coeffs) -> tuple[Form, ...]:
+        """T_i = sum_{j,k} Gamma^i_{jk} K_k ^ dx^j for n forms K_k of any degrees.
+
+        It is algebraic: over the nabla basics a derivation's insertion
+        coefficients are its lie ones plus T of its even coefficients K.
+        """
+        out = []
+        for i in range(self.dim):
+            total = Form.zero(self.field)
+            for j in range(self.dim):
+                dxj = Form.coordinate_diff(self.field, j)
+                for k in range(self.dim):
+                    coeff = self.gamma[i][j][k]
+                    if not coeff.is_zero and not coeffs[k].is_zero:
+                        total = total + coeffs[k].wedge(dxj) * coeff
+            out.append(total)
+        return tuple(out)
+
     def dnabla(self, vvform: VectorValuedForm) -> VectorValuedForm:
-        """Exterior covariant derivative on vector-valued forms.
+        """Exterior covariant derivative on vector-valued forms: dK + (-1)^k T(K).
 
         On top degree every d and every dx^j wedge vanishes, so the result is
         the zero form of that degree.
         """
         if vvform.degree == self.dim:
             return VectorValuedForm(self.field, [Form.zero(self.field)] * self.dim, degree=self.dim)
-        comps = []
-        for i in range(self.dim):
-            total = vvform.components[i].d()
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    coeff = self.gamma[i][j][k]
-                    if coeff.is_zero:
-                        continue
-                    dxj = Form.coordinate_diff(self.field, j)
-                    total = total + dxj.wedge(vvform.components[k]) * coeff
-            comps.append(total)
+        twist = self.connection_twist(vvform.components)
+        odd = vvform.degree % 2
+        comps = [c.d() + (-t if odd else t) for c, t in zip(vvform.components, twist)]
         return VectorValuedForm(self.field, comps, degree=vvform.degree + 1)
 
     def nabla_vector(self, x: VectorField) -> VectorValuedForm:
@@ -366,11 +376,9 @@ class ChartGeometry:
         return self.dnabla(x.as_vvform())
 
     def nabla_derivation(self, x: VectorField) -> Derivation:
-        """The covariant derivative along X as a degree-0 derivation."""
-        return Derivation(
-            self.field,
-            {0: (x.as_vvform(), -self.nabla_vector(x))},
-        )
+        """The covariant derivative along X as a degree-0 derivation: L_X - i_{T(X)}."""
+        kpart = x.as_vvform().components
+        return Derivation(self.field, kpart + tuple(-t for t in self.connection_twist(kpart)))
 
     def covariant_hessian(self, f: RationalFunction):
         """Hess_{ab} = d_a d_b f - Gamma^m_{ab} d_m f (symmetric)."""

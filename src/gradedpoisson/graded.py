@@ -28,7 +28,7 @@ The lie basics commute: [L_X, L_Y] = L_[X,Y], [L_X, i_Y] = i_[X,Y] and
 the nabla basis these commutators are curvature terms, so tabulations
 there are converted with convert_one / convert_two first.
 
-The lie basics also act in closed form (_lie_basic), which dG_function
+The lie basics also act in closed form (Form.lie_basic), which dG_function
 and dG_one use instead of the generic Derivation action. convert_two
 decomposes each target basic over the source basics once and contracts
 each (source, target) row once, so every entry is one wedge-sum.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import Derivation, Form, VectorField, VectorValuedForm, _d_componentwise
+from .forms import Derivation, Form, VectorField, VectorValuedForm
 from .geometry import ChartGeometry, matrix_inverse
 from .scalars import RationalFunction
 
@@ -67,27 +67,18 @@ def basics(geom: ChartGeometry, basis: str) -> tuple[Derivation, ...]:
     return geom.cached(("basics", basis), build)
 
 
-def _lie_basic(geom: ChartGeometry, r: int, form: Form) -> Form:
-    """basics(geom, "lie")[r] applied to form: L_a is partial(a), i_a is insert_basis(a)."""
-    if r >= geom.dim:
-        return form.insert_basis(r - geom.dim)
-    return form.partial(r)
+def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str) -> tuple[Form, ...]:
+    """Coefficient forms of a derivation over the basics, one per E_r.
 
-
-def basis_shift(geom: ChartGeometry, basis: str):
-    """The map K -> d_B K on vector-valued forms that ties a basis to normal form.
-
-    L_K = sum_a K_a B_a + (-1)^k sum_a (d_B K)_a i_a for a vector-valued
-    k-form K, where d_B is the exterior covariant derivative for the nabla
-    basis and the componentwise d for the lie basis.
+    nabla_a = L_a - sum_i T(e_a)_i i_i, so over the nabla basics the even
+    coefficients K stay and the insertion ones gain T(K).
     """
-    return geom.dnabla if basis == "nabla" else _d_componentwise
-
-
-def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str) -> list[Form]:
-    """Coefficient forms of a derivation over the basics, one per E_r."""
-    lie_coeffs, ins_coeffs = derivation.basis_coefficients(basis_shift(geom, basis))
-    return lie_coeffs + ins_coeffs
+    coeffs = derivation.coefficients
+    if basis == "lie":
+        return coeffs
+    even = coeffs[: geom.dim]
+    twist = geom.connection_twist(even)
+    return even + tuple(c + t for c, t in zip(coeffs[geom.dim :], twist))
 
 
 def components_by_degree(geom: ChartGeometry, derivation: Derivation, basis: str):
@@ -341,7 +332,7 @@ def dG_function(geom: ChartGeometry, alpha, basis: str = "lie") -> GradedOneForm
     if isinstance(alpha, RationalFunction):
         alpha = Form.function(alpha)
     if basis == "lie":
-        values = [_lie_basic(geom, r, alpha) for r in range(2 * geom.dim)]
+        values = [alpha.lie_basic(r) for r in range(2 * geom.dim)]
     else:
         evens = basics(geom, basis)[: geom.dim]
         values = [e(alpha) for e in evens] + [alpha.insert_basis(a) for a in range(geom.dim)]
@@ -372,8 +363,8 @@ def dG_one(lam: GradedOneForm) -> GradedTwoForm:
     values = lam.values
 
     def entry(r, s):
-        second = _lie_basic(geom, s, values[r])
-        return _lie_basic(geom, r, values[s]) - (-second if r >= dim and s >= dim else second)
+        second = values[r].lie_basic(s)
+        return values[s].lie_basic(r) - (-second if r >= dim and s >= dim else second)
 
     return tabulate_two(geom, "lie", entry, lam.weight)
 

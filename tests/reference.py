@@ -2,10 +2,10 @@
 
 Each is the textbook definition of something the package computes another
 way, or no longer needs: a value at a rational point, the Lie derivative
-of a form by Cartan's formula, a derivation's action through Cartan's
-formula for its vector-valued parts, the Lie bracket of vector fields, d^G
-of a graded 2-form by the graded Palais formula. Kept outside the package, they
-stay independent oracles for what the package does.
+of a form by Cartan's formula, a derivation's normal form L_K + i_{L'} and
+its action through Cartan's formula for K, the Lie bracket of vector
+fields, d^G of a graded 2-form by the graded Palais formula. Kept outside
+the package, they stay independent oracles for what the package does.
 """
 
 from __future__ import annotations
@@ -110,15 +110,39 @@ def lie_apply(kpart: VectorValuedForm, form: Form) -> Form:
     return first + second
 
 
-def derivation_apply(derivation, form: Form) -> Form:
-    """D(form) for D = sum of L_K + i_{L'} over its parts, by Cartan's formula."""
-    out = Form.zero(derivation.field)
-    for kpart, apart in derivation.parts.values():
+def derivation_apply(pairs, form: Form) -> Form:
+    """D(form) for D = sum of L_K + i_{L'} over the (K, L') pairs of its
+    normal form, by Cartan's formula; either of a pair may be None."""
+    out = Form.zero(form.field)
+    for kpart, apart in pairs:
         if kpart is not None:
             out = out + lie_apply(kpart, form)
         if apart is not None:
             out = out + insert_vvform(apart, form)
     return out
+
+
+def normal_form(derivation):
+    """The (K, L') pairs of a derivation's normal form D = sum L_K + i_{L'},
+    one per degree k from -1 to n: K is the degree-k part of the even
+    coefficients and L' = C - (-1)^k dK on degree k + 1, C the insertion
+    coefficients."""
+    field = derivation.field
+    dim = field.dimension
+    even, ins = derivation.coefficients[:dim], derivation.coefficients[dim:]
+
+    pairs = [(None, VectorValuedForm(field, [c.homogeneous_part(0) for c in ins], degree=0))]
+    for k in range(dim + 1):
+        kpart = VectorValuedForm(field, [c.homogeneous_part(k) for c in even], degree=k)
+        apart = None
+        if k < dim:
+            comps = []
+            for c, kc in zip(ins, kpart.components):
+                dk = kc.d()
+                comps.append(c.homogeneous_part(k + 1) - (dk if k % 2 == 0 else -dk))
+            apart = VectorValuedForm(field, comps, degree=k + 1)
+        pairs.append((kpart, apart))
+    return pairs
 
 
 def directional(vector: VectorField, scalar):

@@ -76,7 +76,7 @@ def homogeneous_derivations(draw, field):
     lp = VectorValuedForm(
         field, [draw(forms(field, degree=2)) for _ in range(field.dimension)], degree=2
     )
-    return Derivation(field, {1: (k, lp)})
+    return Derivation.lie(k) + Derivation.insertion(lp)
 
 
 # -- evaluation conventions --------------------------------------------------
@@ -294,7 +294,7 @@ def test_lie_basic_is_the_generic_action(name):
     chart = builtin_chart(name)
     for form in _rational_forms(chart.field):
         for r, e_r in enumerate(basics(chart, "lie")):
-            assert graded._lie_basic(chart, r, form) == e_r(form), (r, form)
+            assert form.lie_basic(r) == e_r(form), (r, form)
 
 
 @pytest.mark.parametrize("name", builtin_names())
