@@ -287,6 +287,21 @@ def test_values_outlive_the_memos():
     assert before / after == 1
 
 
+def test_a_curved_check_takes_no_polynomial_gcd(monkeypatch, capsys):
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting_cancel(f, g):
+        calls.append(1)
+        return cancel(f, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting_cancel)
+    argv = ["check", "builtin:sphere2", "--suite", "all", "--seed", "42", "--samples", "2"]
+    assert main(argv) == 0
+    assert "summary:" in capsys.readouterr().out
+    assert len(calls) == 0
+
+
 def test_a_curved_check_does_no_sympy_polynomial_arithmetic(monkeypatch, capsys):
     # sympy only factors new denominators and prints
     calls = []
