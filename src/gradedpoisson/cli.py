@@ -1,7 +1,8 @@
 """Command-line surface: suite runs, single brackets, chart listing.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-usage, manifest, or expression errors.
+usage, manifest, or expression errors, and for a polynomial beyond the
+scalar layer's size bound.
 
 bracket solves the even bracket over the lie tabulation of the even
 symplectic form. D_alpha is the unique derivation with
@@ -21,7 +22,7 @@ from .exprparse import ExprError, parse_form_expr, parse_scalar_expr
 from .geometry import ChartError, builtin_chart, builtin_names
 from .graded import theta_even_cached
 from .manifest import ManifestError, parse_manifest
-from .scalars import clear_memos
+from .scalars import SizeError, clear_memos
 from .suites import SUITES, run_suite
 
 
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ManifestError, ExprError, ChartError, CliError) as err:
+    except (ManifestError, ExprError, ChartError, CliError, SizeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     finally:

@@ -310,6 +310,9 @@ class VectorField:
             return NotImplemented
         return self.field is other.field and self.components == other.components
 
+    def __hash__(self):
+        return hash((self.field, self.components))
+
     def __str__(self):
         pieces = [
             f"({c})*e_{name}"
@@ -381,6 +384,10 @@ class VectorValuedForm:
         if self.components != other.components:
             return False
         return self.is_zero or self.degree == other.degree
+
+    def __hash__(self):
+        # zero forms of every degree are equal, so the degree stays out
+        return hash((self.field, self.components))
 
     def __str__(self):
         pieces = [
@@ -518,6 +525,9 @@ class Derivation:
         if not isinstance(other, Derivation):
             return NotImplemented
         return self.field is other.field and self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.field, self.coefficients))
 
     def __str__(self):
         coords = self.field.coords

@@ -28,15 +28,27 @@ compatible with products), and so does dividing every monomial by x_i, so
 a product by a single term and a partial derivative need no sort.
 Exponents and coefficients are unbounded ints, so every value is exact.
 
-sympy is called at two boundaries only. ``_factor_list`` hands a
-numerator of two or more terms to sympy's ``factor_list`` (multivariate
-factoring over the integers, Knuth section 4.6.2); a constant or a single
-term is factored directly. ``_elem`` builds the value as a sympy
-fraction-field element over ``ZZ``, for printing and for the test oracles.
-Expanded, the canonical form is the one that field reaches with a gcd:
-coprime parts, the denominator's leading coefficient positive. So every
-report prints the same bytes. sympy types do not leak into the rest of the
-package.
+sympy is called at one boundary only, and imported there on first use.
+``_factor_list`` hands a numerator of two or more terms to sympy's
+``factor_list`` (multivariate factoring over the integers, Knuth section
+4.6.2); a constant or a single term is factored directly. A run that never
+divides by a polynomial of two or more terms never imports sympy. sympy
+types do not leak into the rest of the package.
+
+A value prints itself, in the form sympy's ``str`` gives the fraction
+field element over ``ZZ`` with the expanded denominator: the canonical
+form is the one that field reaches with a gcd (coprime parts, the
+denominator's leading coefficient positive), and ``_poly_str`` follows
+sympy's rules for signs, unit coefficients and parentheses. So every
+report prints the same bytes as when sympy printed it.
+
+``SIZE_BOUND`` caps the two steps whose running time grows with an
+exponent rather than with the number of terms: a numerator of two or more
+terms is factored only up to that total degree, and a trial division stops
+with ``SizeError`` once its quotient would have more terms. Without it,
+1/(x**(2**64) + 1) would hand sympy a polynomial it cannot factor in any
+time, and dividing x**(2**64) + x by x - 1 would run 2**64 steps before it
+found a remainder.
 
 No polynomial gcd is taken. A factor can cancel only if an operand already
 holds it, so canonical form comes from trial division by those few
@@ -73,12 +85,15 @@ an earlier one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, sub
 
-from sympy.polys.domains import ZZ
-from sympy.polys.fields import FracField
+# see the module docstring; far above what charts need: full checks of the
+# built-in charts and of the Fubini-Study metric on CP^2 make quotients of
+# at most 637 terms and factor nothing above total degree 4
+SIZE_BOUND = 10_000
 
 _FIELDS: dict[tuple[str, ...], "ScalarField"] = {}
 
@@ -104,6 +119,10 @@ def clear_memos() -> None:
         field._memo.clear()
 
 
+class SizeError(ValueError):
+    """A polynomial beyond ``SIZE_BOUND``, refused rather than left to run."""
+
+
 class ScalarField:
     """The rational function field Q(x_1, ..., x_n) = Frac(Z[x_1, ..., x_n])
     over named coordinates."""
@@ -115,9 +134,6 @@ class ScalarField:
         if not coords:
             raise ValueError("a chart needs at least one coordinate")
         self.coords = coords
-        # sympy's view of the field, for factoring and printing only
-        self._field = FracField(coords, ZZ, order="grlex")
-        self._ring = self._field.ring
         self._memo = {}
         n = len(coords)
         self._unit = (0,) * (n + 1)  # the monomial 1
@@ -131,6 +147,15 @@ class ScalarField:
     @property
     def dimension(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def _ring(self):
+        """sympy's polynomial ring over the coordinates, for factoring only."""
+        from sympy.polys.domains import ZZ
+        from sympy.polys.orderings import grlex
+        from sympy.polys.rings import PolyRing
+
+        return PolyRing(self.coords, ZZ, grlex)
 
     def index(self, name: str) -> int:
         """0-based position of a coordinate name; KeyError if unknown."""
@@ -274,6 +299,11 @@ def _exact_quotient(num, factor):
         qm = tuple(map(sub, m, fm))
         if min(qm) < 0 or c % fc:
             return None
+        if len(quotient) == SIZE_BOUND:
+            raise SizeError(
+                f"cannot divide: the quotient would have more than {SIZE_BOUND} terms, "
+                "the size bound"
+            )
         qc = c // fc
         quotient.append((qm, qc))
         for mf, cf in tail:
@@ -333,7 +363,24 @@ def _by_order(pair):
 def _divide_out(num, factor, limit):
     """Divide factor out of num as often as it goes, at most limit times.
 
-    Returns the quotient and how often it divided."""
+    Returns the quotient and how often it divided. A factor of one term is
+    a coordinate x_i, which divides num as often as it divides every term:
+    that count is read off the exponents, not found one division at a
+    time, which would take as many steps as an exponent is large.
+    """
+    if len(factor.poly) == 1:
+        slot = factor.depends.index(True) + 1
+        count = min(limit, min(monom[slot] for monom, _ in num))
+        if count:
+            # dividing every term by one monomial keeps the order
+            out = []
+            for monom, coeff in num:
+                lowered = list(monom)
+                lowered[0] -= count
+                lowered[slot] -= count
+                out.append((tuple(lowered), coeff))
+            num = tuple(out)
+        return num, count
     count = 0
     while count < limit:
         quotient = _exact_quotient(num, factor.poly)
@@ -450,6 +497,12 @@ def _partial(a, index):
 def _factor_list(field, num):
     """(sign, content, factors) with num = sign * content * prod f**e, the
     factors normalized and sorted as in the canonical form, from sympy."""
+    degree = num[0][0][0]
+    if degree > SIZE_BOUND:
+        raise SizeError(
+            f"cannot factor a polynomial of total degree {degree}: "
+            f"the size bound is {SIZE_BOUND}"
+        )
     coeff, pairs = _to_sympy(field, num).factor_list()
     sign, facs = (-1 if coeff < 0 else 1), []
     for poly, exp in pairs:
@@ -477,10 +530,32 @@ def _inverse(a):
     if factored is None:
         factored = field._memo[key] = _factor(field, a.num)
     sign, content, facs = factored
-    num = ((field._unit, sign * a.cont),)
-    for factor, exp in a.facs:
-        num = _poly_mul(num, _poly_pow(factor.poly, exp))
-    return RationalFunction(field, num, content, facs)
+    return RationalFunction(field, _expand(field, sign * a.cont, a.facs), content, facs)
+
+
+def _expand(field, cont, facs):
+    """The polynomial cont * prod f**e over the (factor, exponent) pairs."""
+    poly = ((field._unit, cont),)
+    for factor, exp in facs:
+        poly = _poly_mul(poly, _poly_pow(factor.poly, exp))
+    return poly
+
+
+def _poly_str(coords, poly):
+    """A nonzero polynomial as sympy's ``str`` prints it: terms in the stored
+    order joined by " + " or " - ", a leading "-" for a negative first term,
+    no coefficient 1 or -1 before a monomial, and x**e for e > 1."""
+    pieces = []
+    for monom, coeff in poly:
+        pieces.append(" - " if coeff < 0 else " + ")
+        factors = [
+            name if exp == 1 else f"{name}**{exp}" for name, exp in zip(coords, monom[1:]) if exp
+        ]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        pieces.append("*".join(factors))
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 class RationalFunction:
@@ -490,7 +565,7 @@ class RationalFunction:
     the constructor trusts them to be canonical.
     """
 
-    __slots__ = ("field", "num", "cont", "facs", "_hash", "_view")
+    __slots__ = ("field", "num", "cont", "facs", "_hash")
 
     def __init__(self, field: ScalarField, num, cont: int = 1, facs=()):
         self.field = field
@@ -498,7 +573,6 @@ class RationalFunction:
         self.cont = cont
         self.facs = facs
         self._hash = None
-        self._view = None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -606,20 +680,6 @@ class RationalFunction:
     # -- structure -------------------------------------------------------
 
     @property
-    def _elem(self):
-        """The value as a sympy FracElement with an expanded denominator."""
-        view = self._view
-        if view is None:
-            field = self.field
-            denom = ((field._unit, self.cont),)
-            for factor, exp in self.facs:
-                denom = _poly_mul(denom, _poly_pow(factor.poly, exp))
-            view = self._view = field._field.raw_new(
-                _to_sympy(field, self.num), _to_sympy(field, denom)
-            )
-        return view
-
-    @property
     def is_zero(self) -> bool:
         return not self.num
 
@@ -671,7 +731,23 @@ class RationalFunction:
         return bool(self.num)
 
     def __str__(self):
-        return str(self._elem)
+        """The value as numerator/denominator, the denominator expanded; a
+        numerator of two or more terms and a denominator other than one
+        coordinate or a constant in parentheses, as sympy prints it."""
+        if not self.num:
+            return "0"
+        coords = self.field.coords
+        numer = _poly_str(coords, self.num)
+        if self.cont == 1 and not self.facs:
+            return numer
+        if len(self.num) > 1:
+            numer = f"({numer})"
+        denom = _expand(self.field, self.cont, self.facs)
+        text = _poly_str(coords, denom)
+        monom, coeff = denom[0]
+        if len(denom) > 1 or not (monom[0] == 0 or (monom[0] == 1 and coeff == 1)):
+            text = f"({text})"
+        return f"{numer}/{text}"
 
     def __repr__(self):
-        return f"RationalFunction({self._elem})"
+        return f"RationalFunction({self})"

@@ -1,16 +1,21 @@
 """Reference formulas that only the tests call.
 
 Each is the textbook definition of something the package computes another
-way, or no longer needs: a value at a rational point, the Lie derivative
-of a form by Cartan's formula, a derivation's normal form L_K + i_{L'} and
-its action through Cartan's formula for K, the Lie bracket of vector
-fields, d^G of a graded 2-form by the graded Palais formula. Kept outside
-the package, they stay independent oracles for what the package does.
+way, or no longer needs: a scalar as a sympy fraction-field element, for
+sympy's printing and arithmetic, a value at a rational point, the Lie
+derivative of a form by Cartan's formula, a derivation's normal form
+L_K + i_{L'} and its action through Cartan's formula for K, the Lie
+bracket of vector fields, d^G of a graded 2-form by the graded Palais
+formula. Kept outside the package, they stay independent oracles for
+what the package does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracField
 
 from gradedpoisson.forms import Form, VectorField, VectorValuedForm
 from gradedpoisson.graded import (
@@ -27,11 +32,28 @@ from gradedpoisson.graded import (
 # -- scalars --------------------------------------------------------------------
 
 
+def sympy_field(field):
+    """sympy's fraction field over the integers on ``field``'s coordinates,
+    its polynomials in graded-lex order."""
+    return FracField(field.coords, ZZ, order="grlex")
+
+
 def sympy_poly(field, poly):
     """A polynomial of the scalar layer, a tuple of ``(monomial, coeff)``
     pairs with the total degree in slot 0 of each monomial, as a sympy
     PolyElement of ``field``'s integer ring."""
-    return field._ring.from_dict({monom[1:]: coeff for monom, coeff in poly})
+    return sympy_field(field).ring.from_dict({monom[1:]: coeff for monom, coeff in poly})
+
+
+def sympy_elem(value):
+    """A RationalFunction as a sympy FracElement whose denominator is the
+    product cont * prod f**e expanded by sympy; no gcd is taken."""
+    field = value.field
+    frac = sympy_field(field)
+    denom = frac.ring(value.cont)
+    for factor, exp in value.facs:
+        denom *= sympy_poly(field, factor.poly) ** exp
+    return frac.raw_new(sympy_poly(field, value.num), denom)
 
 
 def _eval_poly(poly, values):
@@ -57,7 +79,7 @@ def eval_at(value, point) -> Fraction:
             f"point has {len(values)} entries for a "
             f"{value.field.dimension}-dimensional chart"
         )
-    elem = value._elem
+    elem = sympy_elem(value)
     denom = _eval_poly(elem.denom, values)
     if denom == 0:
         raise ZeroDivisionError("denominator vanishes at the point")

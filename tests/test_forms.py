@@ -247,6 +247,26 @@ def test_normal_form_round_trip(dv):
     assert rebuilt == dv
 
 
+@given(derivation_pairs(), vector_fields())
+def test_equal_values_hash_equal(pairs, x):
+    # each value is built twice, by different routes, and goes in a set once
+    dv = from_pairs(F, pairs)
+    rebuilt = from_pairs(F, normal_form(dv))
+    assert rebuilt == dv and hash(rebuilt) == hash(dv)
+    assert len({dv, rebuilt}) == 1
+    doubled = x * 2
+    assert x + x == doubled and hash(x + x) == hash(doubled)
+    assert len({x + x, doubled}) == 1
+    for kpart, apart in pairs:
+        for part in (kpart, apart):
+            if part is not None:
+                copy = VectorValuedForm(F, [c + Form.zero(F) for c in part.components])
+                assert copy == part and hash(copy) == hash(part)
+    # zero forms of every degree are equal, so they hash equal
+    zeros = {VectorValuedForm(F, [Form.zero(F)] * 2, degree=k) for k in range(3)}
+    assert len(zeros) == 1
+
+
 @given(derivation_pairs(), forms())
 def test_basis_coefficients_reproduce_action(pairs, a):
     coeffs = from_pairs(F, pairs).coefficients

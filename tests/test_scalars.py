@@ -1,5 +1,9 @@
 """Field arithmetic, differentiation and evaluation of exact scalars."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +13,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.rings import PolyElement
 
+from gradedpoisson import scalars as scalar_module
 from gradedpoisson.cli import main
 from gradedpoisson.scalars import (
     _exact_quotient,
@@ -21,7 +26,7 @@ from gradedpoisson.scalars import (
     clear_memos,
     coordinate_field,
 )
-from reference import eval_at, sympy_poly
+from reference import eval_at, sympy_elem, sympy_field, sympy_poly
 
 F = coordinate_field(("x", "y"))
 X, Y = F.gens
@@ -113,6 +118,65 @@ def test_normalization_is_canonical():
         assert hash(power) == hash(quotient)
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (-2 / (X**2 + 1), "-2/(x**2 + 1)"),
+        (-1 / X, "-1/x"),
+        ((X - Y) / (3 * X), "(x - y)/(3*x)"),
+        (5 / (X * Y), "5/(x*y)"),
+        (-3 * X / 7, "-3*x/7"),
+        ((-X - 1) / 7, "(-x - 1)/7"),
+        (X**2 - 2 * X * Y + 1, "x**2 - 2*x*y + 1"),
+        (-F.one, "-1"),
+    ],
+)
+def test_printed_forms(value, text):
+    assert str(value) == text
+    assert repr(value) == f"RationalFunction({text})"
+
+
+@st.composite
+def printable_values(draw):
+    """A value on 1 to 4 coordinates over a constant, one coordinate, a
+    single term or a polynomial of two or three terms, with signs and unit
+    coefficients; exponents reach 2**64 and above except over a polynomial,
+    where trial division runs for as many steps as an exponent is large."""
+    n = draw(st.integers(1, 4))
+    field = coordinate_field(("a", "b", "c", "d")[:n])
+    kind = draw(st.sampled_from(["constant", "generator", "term", "polynomial"]))
+    exponents = st.integers(0, 3) if kind == "polynomial" else HUGE_EXPONENTS
+    coefficients = st.integers(-7, 7).filter(bool)
+
+    def polynomial(min_terms, max_terms):
+        value = field.zero
+        monomials = st.tuples(*[exponents] * n)
+        terms = st.dictionaries(monomials, coefficients, min_size=min_terms, max_size=max_terms)
+        for monom, coeff in draw(terms).items():
+            term = field.constant(coeff)
+            for gen, exp in zip(field.gens, monom):
+                term = term * gen**exp
+            value = value + term
+        return value
+
+    if kind == "constant":
+        denom = field.constant(draw(coefficients))
+    elif kind == "generator":
+        denom = draw(st.sampled_from(field.gens)) * draw(st.sampled_from([1, -1]))
+    elif kind == "term":
+        denom = polynomial(1, 1)
+    else:
+        denom = polynomial(2, 3)
+    return polynomial(0, 4) / (denom if denom else field.one)
+
+
+@given(printable_values())
+def test_values_print_as_sympy_does(value):
+    elem = sympy_elem(value)
+    assert str(value) == str(elem)
+    assert repr(value) == f"RationalFunction({elem})"
+
+
 def test_field_mismatch_rejected():
     G = coordinate_field(("q",))
     with pytest.raises(ValueError):
@@ -144,13 +208,13 @@ def test_quotient_rule(f, g):
 @given(scalars(), scalars())
 def test_memoized_results_equal_fresh_sympy(a, b):
     clear_memos()
-    product = a._elem * b._elem
-    derivatives = [a._elem.diff(gen) for gen in F._field.gens]
+    product = sympy_elem(a) * sympy_elem(b)
+    derivatives = [sympy_elem(a).diff(gen) for gen in sympy_field(F).gens]
     for _ in range(2):  # misses, then hits
-        assert (a * b)._elem == product
+        assert sympy_elem(a * b) == product
         for index, name in enumerate(F.coords):
-            assert a.partial(index)._elem == derivatives[index]
-            assert a.partial(name)._elem == derivatives[index]
+            assert sympy_elem(a.partial(index)) == derivatives[index]
+            assert sympy_elem(a.partial(name)) == derivatives[index]
 
 
 ORACLE = FracField(F.coords, QQ, order="grlex")
@@ -161,18 +225,20 @@ def _terms(poly):
 
 
 def _to_oracle(value):
+    elem = sympy_elem(value)
     numer, denom = (
         ORACLE.ring.from_dict({m: QQ(c) for m, c in _terms(poly).items()})
-        for poly in (value._elem.numer, value._elem.denom)
+        for poly in (elem.numer, elem.denom)
     )
     return ORACLE.new(numer, denom)
 
 
 def _assert_canonical(value, expected):
-    numer, denom = _terms(value._elem.numer), _terms(value._elem.denom)
+    elem = sympy_elem(value)
+    numer, denom = _terms(elem.numer), _terms(elem.denom)
     assert (numer, denom) == (_terms(expected.numer), _terms(expected.denom))
     assert all(c.denominator == 1 for c in (*numer.values(), *denom.values()))
-    assert value._elem.numer.gcd(value._elem.denom) == 1
+    assert elem.numer.gcd(elem.denom) == 1
     assert denom[max(denom, key=lambda m: (sum(m), m))] > 0
 
 
@@ -303,7 +369,7 @@ def test_a_curved_check_takes_no_polynomial_gcd(monkeypatch, capsys):
 
 
 def test_a_curved_check_does_no_sympy_polynomial_arithmetic(monkeypatch, capsys):
-    # sympy only factors new denominators and prints
+    # sympy only factors new denominators
     calls = []
     names = (
         "__add__", "__sub__", "__neg__", "__mul__", "__pow__",
@@ -344,8 +410,9 @@ def polynomial_pairs(draw):
     exponents = draw(st.sampled_from([st.integers(0, 3), HUGE_EXPONENTS]))
     monomials = st.tuples(*[exponents] * n)
     coefficients = st.integers(-6, 6).filter(bool)
+    ring = sympy_field(field).ring
     p, q = (
-        field._ring.from_dict(draw(st.dictionaries(monomials, coefficients, max_size=4)))
+        ring.from_dict(draw(st.dictionaries(monomials, coefficients, max_size=4)))
         for _ in range(2)
     )
     return field, p, q
@@ -360,7 +427,7 @@ def test_polynomial_kernel_agrees_with_sympy(pair, k):
     assert _poly_neg(a) == _native(-p)
     assert _poly_mul(a, b) == _native(p * q)
     assert _poly_pow(a, k) == _native(p**k)
-    for index, gen in enumerate(field._ring.gens):
+    for index, gen in enumerate(sympy_field(field).ring.gens):
         assert _poly_diff(a, index) == _native(p.diff(gen))
     if not (p and q):
         return
@@ -395,7 +462,7 @@ def test_single_terms_factor_as_sympy_does(monomial, constant):
     # sympy's factor_list runs as long as an exponent is large, so these
     # exponents stay small; the direct route only reads them
     field = coordinate_field(("a", "b", "c", "d")[: len(monomial)])
-    ring = field._ring
+    ring = sympy_field(field).ring
     for poly in (ring.ground_new(constant), ring.from_dict({tuple(monomial): constant})):
         sign, content, facs = _factor(field, _native(poly))
         assert (sign, content, [(f.poly, e) for f, e in facs]) == _normalized_factor_list(poly)
@@ -413,3 +480,78 @@ def test_huge_exponents_stay_exact(capsys):
     argv = ["bracket", "builtin:flat2", "--alpha=1/(x-1)", "--beta=y*x^18446744073709551616"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "(-x**18446744073709551616/(x**2 - 2*x + 1))\n"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(*args, timeout):
+    """Run a fresh interpreter on the package sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        # sympy would factor x**(2**64) + 1
+        ("1/(x^18446744073709551616+1)", "y"),
+        # dividing x**(2**64) + x by x - 1 fails only after 2**64 quotient terms
+        ("1/(x-1)", "y*(x^18446744073709551616+x)"),
+    ],
+)
+def test_huge_polynomials_stop_at_the_size_bound(alpha, beta):
+    argv = ["bracket", "builtin:flat2", f"--alpha={alpha}", f"--beta={beta}"]
+    done = _python("-m", "gradedpoisson.cli", *argv, timeout=5)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "the size bound" in done.stderr
+
+
+def test_a_coordinate_divides_out_in_one_step():
+    # x**(2**64) cancels by its exponent, not one power of x at a time
+    big = "18446744073709551616"
+    argv = ["bracket", "builtin:flat2", f"--alpha=(x^{big}*x+x^{big}*y)/x^{big}", "--beta=y"]
+    done = _python("-m", "gradedpoisson.cli", *argv, timeout=5)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "(1)\n", "")
+
+
+def test_a_check_past_the_size_bound_reports_an_error_record(monkeypatch, capsys):
+    monkeypatch.setattr(scalar_module, "SIZE_BOUND", 10)
+    argv = ["check", "builtin:sphere2", "--suite", "axioms", "--seed", "42", "--samples", "2"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert (
+        "ERROR even-jacobi :: [[a,[[b,c]]]] = [[[[a,b]],c]] + (-1)^{|a||b|} [[b,[[a,c]]]] "
+        "(even bracket) :: witness: SizeError: cannot divide: the quotient would have "
+        "more than 10 terms, the size bound\n"
+    ) in out
+
+
+LOADS_SYMPY = """
+import contextlib, io, json, sys
+from gradedpoisson.cli import main
+loaded = ["sympy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append([main(argv), "sympy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_sympy_is_imported_only_to_factor():
+    # the flat charts divide by nothing of two or more terms; sphere2 factors
+    # its conformal factor (x**2 + y**2 + 1)**2 once
+    suite = ["--suite", "all", "--seed", "42", "--samples", "2"]
+    argvs = [
+        ["check", "builtin:flat2", *suite],
+        ["bracket", "builtin:flat4", "--alpha=x1^2/(3*x2)*dx3", "--beta=x3*x4+x1"],
+        ["check", "builtin:sphere2", *suite],
+    ]
+    done = _python("-c", LOADS_SYMPY, json.dumps(argvs), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, [0, False], [0, False], [0, True]]
