@@ -1,0 +1,326 @@
+"""Factoring a polynomial over Z where each factor can be proved irreducible.
+
+``factor`` takes a nonzero polynomial of the scalar layer (see
+``scalars``) and returns its sign, integer content and factors, or None.
+The sign, the integer content and each coordinate's power come off first.
+Three steps split what is left, p:
+
+* A perfect power p = q**k is found term by term from its leading term,
+  and q is factored in turn.
+* In two coordinates, the content of p in one of them (the gcd of its
+  coefficients, polynomials in the other) is divided out when it is not
+  1, and both parts are factored in turn.
+* Otherwise p is irreducible when, in some x_v in which its content is 1,
+  it has degree 1, or its image at a small integer point of the other
+  coordinates keeps that degree and is irreducible over Q: a quadratic
+  whose discriminant is not a square, or one of degree at most
+  ``CERTIFY_DEGREE`` that is irreducible modulo a prime (Rabin's test; von
+  zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).
+
+The product of the factors is p exactly. Where a piece cannot be
+certified, ``factor`` returns None and the caller factors otherwise:
+x**4 + 1 is irreducible but splits modulo every prime, and every image of
+(x + y + 1)*(x - y + 2) splits.
+"""
+
+from __future__ import annotations
+
+from math import gcd, isqrt
+from operator import mul, sub
+
+from .scalars import _exact_quotient, _poly_add, _poly_neg, _poly_pow
+
+# the largest degree of an image that the certificate tests, as Rabin's
+# test takes O(d**3 log p) steps; every denominator of the built-in charts
+# and of the benchmark's manifests is certified by an image of degree 2
+CERTIFY_DEGREE = 8
+# what the certificate tries: values for the other coordinates, then primes
+_VALUES = (1, 2, -1)
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def factor(num):
+    """(sign, content, [(f, e), ...]) with num = sign * content * prod f**e,
+    each f irreducible and primitive with a positive leading coefficient;
+    or None where a piece cannot be certified. num is nonzero.
+    """
+    sign = -1 if num[0][1] < 0 else 1
+    content = 0
+    for _, coeff in num:
+        content = gcd(content, coeff)
+    width = len(num[0][0])
+    low = list(map(min, zip(*(monom[1:] for monom, _ in num))))
+    # dividing every term by one monomial keeps the order
+    shift = (sum(low), *low)
+    rest = tuple([(tuple(map(sub, monom, shift)), coeff * sign // content) for monom, coeff in num])
+    pieces = _pieces(rest)
+    if pieces is None:
+        return None
+    exps = {_from_dense([0, 1], slot, width): exp for slot, exp in enumerate(low, 1) if exp}
+    for poly, exp in pieces:
+        exps[poly] = exps.get(poly, 0) + exp
+    return sign, content, list(exps.items())
+
+
+def _pieces(p):
+    """[(f, e), ...] with p = prod f**e and each f certified irreducible, or
+    None. p is primitive with a positive leading coefficient, and no
+    coordinate divides it.
+
+    A perfect power is factored through its root. In two coordinates v and
+    w, the content of p in x_v (the gcd of its coefficients in Z[w]) is
+    divided out when it is not 1. Otherwise p is irreducible if, for some
+    x_v in which its content is 1, it has degree 1 or ``_certified`` holds.
+    """
+    if len(p) == 1:
+        return []  # the constant 1
+    root = _perfect_root(p)
+    if root is not None:
+        q, k = root
+        pieces = _pieces(q)
+        return None if pieces is None else [(f, e * k) for f, e in pieces]
+    width = len(p[0][0])
+    slots = [s for s in range(1, width) if any(monom[s] for monom, _ in p)]
+    candidates = []
+    for slot in slots:
+        coeffs = {}  # exponent of x_v -> the terms with it
+        for term in p:
+            coeffs.setdefault(term[0][slot], []).append(term)
+        # a coefficient that is an integer leaves no content
+        if not any(len(terms) == 1 and terms[0][0][0] == e for e, terms in coeffs.items()):
+            if len(slots) != 2:
+                continue
+            (other,) = [s for s in slots if s != slot]
+            content = _dense_content(coeffs.values(), other)
+            if len(content) > 1:
+                divisor = _from_dense(content, other, width)
+                first, second = _pieces(divisor), _pieces(_exact_quotient(p, divisor))
+                return None if first is None or second is None else first + second
+        candidates.append((max(coeffs), slot))
+    for degree, slot in sorted(candidates):
+        if degree == 1 or (degree <= CERTIFY_DEGREE and _certified(p, slot, degree, slots)):
+            return [(p, 1)]
+    return None
+
+
+def _certified(p, slot, degree, slots):
+    """Whether p's image in Z[x_v] at a small integer point of the other
+    coordinates keeps its degree in x_v and is irreducible over Q: a
+    quadratic image when its discriminant is not a square, one of higher
+    degree when it is irreducible modulo a prime that does not divide its
+    leading coefficient.
+
+    With p's content in x_v equal to 1, that proves p irreducible: each
+    factor of a product p = A * B has positive degree in x_v (one of degree
+    0 would divide the content), the leading coefficients of the images
+    multiply to a nonzero one, so both images keep their degrees, also
+    modulo the prime, and would split the image.
+    """
+    others = [s for s in slots if s != slot]
+    for start in range(len(_VALUES) if others else 1):
+        point = [(s, _VALUES[(start + i) % len(_VALUES)]) for i, s in enumerate(others)]
+        image = [0] * (degree + 1)
+        for monom, coeff in p:
+            for s, value in point:
+                coeff *= value ** monom[s]
+            image[monom[slot]] += coeff
+        lead = image[degree]
+        if not lead:
+            continue
+        if degree == 2:
+            disc = image[1] ** 2 - 4 * lead * image[0]
+            if disc < 0 or isqrt(disc) ** 2 != disc:
+                return True
+        elif any(lead % prime and _irreducible_mod(image, prime) for prime in _PRIMES):
+            return True
+    return False
+
+
+def _perfect_root(p):
+    """(q, k) with p = q**k for a prime k and q's leading coefficient
+    positive, or None.
+
+    k must divide every exponent of p's first and last monomials, whose
+    coefficients must be k-th powers. q is found term by term from its
+    leading term q_1: the leading term of p - (q_1 + ... + q_i)**k is
+    k * q_1**(k-1) * q_{i+1}. The search stops at the first term that does
+    not divide exactly or does not lie between q_i and the k-th root of p's
+    last monomial.
+    """
+    (lm, lc), (tm, tc) = p[0], p[-1]
+    exps = 0
+    for e in lm + tm:
+        exps = gcd(exps, e)
+    for k in _prime_divisors(exps):
+        head = _iroot(lc, k)
+        if head is None or _iroot(tc, k) is None:
+            continue
+        last = tuple([e // k for e in tm])
+        root = [(tuple([e // k for e in lm]), head)]
+        dm, dc = tuple([e * (k - 1) for e in root[0][0]]), k * head ** (k - 1)
+        while True:
+            rest = _poly_add(p, _poly_neg(_poly_pow(tuple(root), k)))
+            if not rest:
+                return tuple(root), k
+            monom, coeff = rest[0]
+            qm = tuple(map(sub, monom, dm))
+            if min(qm) < 0 or coeff % dc or not last <= qm < root[-1][0]:
+                break
+            root.append((qm, coeff // dc))
+    return None
+
+
+def _prime_divisors(n):
+    """The primes dividing the positive integer n, in increasing order."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _iroot(c, k):
+    """The integer r with r**k = c, of c's sign, or None."""
+    if c < 0:
+        r = None if k % 2 == 0 else _iroot(-c, k)
+        return None if r is None else -r
+    # Newton's iteration from above, to the floor of the k-th root
+    r = 1 << (c.bit_length() // k + 1)
+    while True:
+        s = ((k - 1) * r + c // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == c else None
+        r = s
+
+
+def _dense_content(groups, slot):
+    """The primitive gcd over Z of polynomials in the one coordinate ``slot``,
+    each given by its terms, as a dense list of coefficients from degree 0
+    up, the last one positive."""
+    content = None
+    for terms in groups:
+        dense = [0] * (max(monom[slot] for monom, _ in terms) + 1)
+        for monom, coeff in terms:
+            dense[monom[slot]] = coeff
+        content = _primitive(dense) if content is None else _dense_gcd(content, dense)
+        if len(content) == 1:
+            break
+    return content
+
+
+def _primitive(dense):
+    content = 0
+    for coeff in dense:
+        content = gcd(content, coeff)
+    if dense[-1] < 0:
+        content = -content
+    return [coeff // content for coeff in dense]
+
+
+def _dense_gcd(a, b):
+    """The primitive gcd of a primitive a and a nonzero b, by the primitive
+    remainder sequence (Knuth, TAOCP vol. 2, section 4.6.1)."""
+    b = _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        # the pseudo-remainder of a by b
+        rest, lead = list(a), b[-1]
+        while len(rest) >= len(b):
+            top, shift = rest.pop(), len(rest) + 1 - len(b)
+            rest = [coeff * lead for coeff in rest]
+            for i, coeff in enumerate(b[:-1]):
+                rest[shift + i] -= top * coeff
+            while rest and not rest[-1]:
+                rest.pop()
+        if not rest:
+            return b
+        a, b = b, _primitive(rest)
+    return [1]
+
+
+def _from_dense(dense, slot, width):
+    """The polynomial in the one coordinate ``slot`` with these coefficients."""
+    terms = []
+    for degree in range(len(dense) - 1, -1, -1):
+        if dense[degree]:
+            monom = [0] * width
+            monom[0] = monom[slot] = degree
+            terms.append((tuple(monom), dense[degree]))
+    return tuple(terms)
+
+
+def _irreducible_mod(poly, prime):
+    """Rabin's test: whether poly, of degree d >= 2 over Z with a leading
+    coefficient prime to ``prime``, is irreducible modulo it. Made monic,
+    it is when x**(prime**d) = x modulo poly and x**(prime**(d/r)) - x is
+    coprime to poly for each prime r dividing d. O(d**3 log prime) steps.
+    """
+    d = len(poly) - 1
+    inverse = pow(poly[-1], -1, prime)
+    monic = [coeff * inverse % prime for coeff in poly]
+    x = [0, 1] + [0] * (d - 2)
+    # h -> h**prime is linear over F_prime: rows[i] = x**(i * prime) modulo poly
+    step = _pow_mod(x, prime, monic, prime)
+    rows = [[1] + [0] * (d - 1)]
+    for _ in range(d - 1):
+        rows.append(_mul_mod(rows[-1], step, monic, prime))
+    # frobenius[i] = x**(prime**(i + 1)) modulo poly
+    frobenius, power = [], x
+    for _ in range(d):
+        power = [sum(map(mul, power, column)) % prime for column in zip(*rows)]
+        frobenius.append(power)
+    return frobenius[-1] == x and all(
+        _coprime_mod(list(map(sub, frobenius[d // r - 1], x)), monic, prime)
+        for r in _prime_divisors(d)
+    )
+
+
+def _mul_mod(a, b, monic, prime):
+    """a * b modulo the monic polynomial and the prime, for a and b given by
+    their d coefficients below its degree d."""
+    d = len(monic) - 1
+    product = [0] * (2 * d - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                product[i + j] += ca * cb
+    for top in range(2 * d - 2, d - 1, -1):
+        coeff = product[top] % prime
+        if coeff:
+            for j in range(d):
+                product[top - d + j] -= coeff * monic[j]
+    return [coeff % prime for coeff in product[:d]]
+
+
+def _pow_mod(a, e, monic, prime):
+    result = a
+    for bit in bin(e)[3:]:
+        result = _mul_mod(result, result, monic, prime)
+        if bit == "1":
+            result = _mul_mod(result, a, monic, prime)
+    return result
+
+
+def _coprime_mod(a, b, prime):
+    """Whether a and the monic b have no common factor of positive degree
+    modulo the prime (Euclid's algorithm)."""
+    a = _strip_mod(a, prime)
+    while a:
+        inverse, rest = pow(a[-1], -1, prime), list(b)
+        while len(rest) >= len(a):
+            top, shift = rest.pop() * inverse % prime, len(rest) + 1 - len(a)
+            for i, coeff in enumerate(a[:-1]):
+                rest[shift + i] -= top * coeff
+        a, b = _strip_mod(rest, prime), a
+    return len(b) == 1
+
+
+def _strip_mod(a, prime):
+    a = [coeff % prime for coeff in a]
+    while a and not a[-1]:
+        a.pop()
+    return a

@@ -148,6 +148,9 @@ class GradedOneForm:
             and self.values == other.values
         )
 
+    def __hash__(self):
+        return hash((self.geom, self.basis, self.values))
+
     def __repr__(self):
         coords = self.geom.field.coords
         names = [f"{self.basis}_{c}" for c in coords] + [f"i_{c}" for c in coords]

@@ -28,12 +28,17 @@ compatible with products), and so does dividing every monomial by x_i, so
 a product by a single term and a partial derivative need no sort.
 Exponents and coefficients are unbounded ints, so every value is exact.
 
-sympy is called at one boundary only, and imported there on first use.
-``_factor_list`` hands a numerator of two or more terms to sympy's
-``factor_list`` (multivariate factoring over the integers, Knuth section
-4.6.2); a constant or a single term is factored directly. A run that never
-divides by a polynomial of two or more terms never imports sympy. sympy
-types do not leak into the rest of the package.
+A new denominator is factored by the package itself wherever each factor
+can be proved irreducible (see ``factoring``): its sign, content and
+coordinate powers, a perfect power, the content in one coordinate of a
+polynomial in two, and a certificate of irreducibility from a univariate
+image. A constant or a single term is factored directly. Only where a
+factor cannot be certified does ``_factor_list`` hand the numerator to
+sympy's ``factor_list`` (multivariate factoring over the integers, Knuth
+section 4.6.2). That is the only place sympy is called, and it is
+imported there on first use. x**4 + 1 goes there, but no denominator of
+the built-in charts does. sympy types do not leak into the rest of the
+package.
 
 A value prints itself, in the form sympy's ``str`` gives the fraction
 field element over ``ZZ`` with the expanded denominator: the canonical
@@ -42,13 +47,14 @@ denominator's leading coefficient positive), and ``_poly_str`` follows
 sympy's rules for signs, unit coefficients and parentheses. So every
 report prints the same bytes as when sympy printed it.
 
-``SIZE_BOUND`` caps the two steps whose running time grows with an
+``SIZE_BOUND`` caps the three steps whose running time grows with an
 exponent rather than with the number of terms: a numerator of two or more
-terms is factored only up to that total degree, and a trial division stops
-with ``SizeError`` once its quotient would have more terms. Without it,
-1/(x**(2**64) + 1) would hand sympy a polynomial it cannot factor in any
-time, and dividing x**(2**64) + x by x - 1 would run 2**64 steps before it
-found a remainder.
+terms is factored only up to that total degree, a power of two or more
+terms is expanded only if it cannot have more terms, and a trial division
+stops with ``SizeError`` once its quotient would have more terms. Without
+it, 1/(x**(2**64) + 1) would hand sympy a polynomial it cannot factor in
+any time, (x + 1)**(2**64) would expand 2**64 + 1 terms, and dividing
+x**(2**64) + x by x - 1 would run 2**64 steps before it found a remainder.
 
 No polynomial gcd is taken. A factor can cancel only if an operand already
 holds it, so canonical form comes from trial division by those few
@@ -87,7 +93,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import comb, gcd
 from operator import add, sub
 
 # see the module docstring; far above what charts need: full checks of the
@@ -236,10 +242,21 @@ def _poly_mul(p, q):
 
 
 def _poly_pow(p, k):
-    """p**k for k >= 1."""
-    if len(p) == 1:
-        ((monom, coeff),) = p
-        return ((tuple([e * k for e in monom]), coeff**k),)
+    """p**k for k >= 1.
+
+    A power of two or more terms stops with ``SizeError`` when it could
+    have more than ``SIZE_BOUND`` terms: a product of k of the t terms is one
+    of at most comb(t + k - 1, t - 1) monomials, and in n coordinates at
+    most comb(k * degree + n, n) monomials have a degree up to k * degree.
+    """
+    if len(p) <= 1:
+        return tuple([(tuple([e * k for e in monom]), coeff**k) for monom, coeff in p])
+    terms, (degree, *exps) = len(p), p[0][0]
+    if min(comb(terms + k - 1, terms - 1), comb(k * degree + len(exps), len(exps))) > SIZE_BOUND:
+        raise SizeError(
+            f"cannot raise a polynomial of {terms} terms to the power {k}: the result "
+            f"could have more than {SIZE_BOUND} terms, the size bound"
+        )
     result = p
     for bit in bin(k)[3:]:
         result = _poly_mul(result, result)
@@ -497,12 +514,6 @@ def _partial(a, index):
 def _factor_list(field, num):
     """(sign, content, factors) with num = sign * content * prod f**e, the
     factors normalized and sorted as in the canonical form, from sympy."""
-    degree = num[0][0][0]
-    if degree > SIZE_BOUND:
-        raise SizeError(
-            f"cannot factor a polynomial of total degree {degree}: "
-            f"the size bound is {SIZE_BOUND}"
-        )
     coeff, pairs = _to_sympy(field, num).factor_list()
     sign, facs = (-1 if coeff < 0 else 1), []
     for poly, exp in pairs:
@@ -513,13 +524,30 @@ def _factor_list(field, num):
 
 
 def _factor(field, num):
-    """``_factor_list``, with a constant or a single term c * x**a * ...
-    factored directly: its sign, |c|, and each coordinate to its exponent."""
-    if len(num) > 1:
-        return _factor_list(field, num)
-    ((monom, coeff),) = num
-    facs = [(_Factor(gen), exp) for gen, exp in zip(field._gen_polys, monom[1:]) if exp]
-    return (-1 if coeff < 0 else 1), abs(coeff), tuple(sorted(facs, key=_by_order))
+    """(sign, content, factors) as ``_factor_list`` gives them. A constant
+    or a single term c * x**a * ... is factored directly: its sign, |c|,
+    and each coordinate to its exponent. A longer numerator is factored by
+    ``factoring.factor`` where that certifies every factor, else by sympy."""
+    if len(num) == 1:
+        ((monom, coeff),) = num
+        sign, content = (-1 if coeff < 0 else 1), abs(coeff)
+        facs = [(gen, exp) for gen, exp in zip(field._gen_polys, monom[1:]) if exp]
+    else:
+        degree = num[0][0][0]
+        if degree > SIZE_BOUND:
+            raise SizeError(
+                f"cannot factor a polynomial of total degree {degree}: "
+                f"the size bound is {SIZE_BOUND}"
+            )
+        # imported on first use, so that a run that factors no polynomial
+        # of two or more terms never loads it
+        from .factoring import factor
+
+        factored = factor(num)
+        if factored is None:
+            return _factor_list(field, num)
+        sign, content, facs = factored
+    return sign, content, tuple(sorted(((_Factor(f), e) for f, e in facs), key=_by_order))
 
 
 def _inverse(a):

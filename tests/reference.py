@@ -45,6 +45,26 @@ def sympy_poly(field, poly):
     return sympy_field(field).ring.from_dict({monom[1:]: coeff for monom, coeff in poly})
 
 
+def native_poly(poly):
+    """A sympy PolyElement as the scalar layer stores it: descending tuple
+    order, the total degree in slot 0 of each monomial."""
+    return tuple(sorted((((sum(m),) + m, int(c)) for m, c in poly.items()), reverse=True))
+
+
+def sympy_factor_list(field, poly):
+    """sympy's factor_list of a polynomial of the scalar layer as (sign,
+    content, factors): each factor a polynomial of the scalar layer with a
+    positive graded-lex leading coefficient, paired with its exponent and
+    sorted by its terms."""
+    coeff, pairs = sympy_poly(field, poly).factor_list()
+    sign, facs = (-1 if coeff < 0 else 1), []
+    for factor, exp in pairs:
+        if factor.LC < 0:
+            factor, sign = -factor, sign * (-1) ** exp
+        facs.append((native_poly(factor), exp))
+    return sign, abs(int(coeff)), sorted(facs)
+
+
 def sympy_elem(value):
     """A RationalFunction as a sympy FracElement whose denominator is the
     product cont * prod f**e expanded by sympy; no gcd is taken."""

@@ -208,6 +208,20 @@ def test_basis_conversion_round_trip():
     assert convert_one(convert_one(lam, "nabla"), "lie") == lam
 
 
+def test_equal_graded_forms_hash_equal():
+    # each form is built twice, by different routes, and goes in a set once
+    lam = lambda_metric(HALF)
+    rebuilt = convert_one(convert_one(lam, "nabla"), "lie")
+    assert rebuilt is not lam and hash(rebuilt) == hash(lam)
+    assert len({lam, rebuilt}) == 1
+    x = FLAT2.field.coordinate("x")
+    assert hash(dG_function(FLAT2, x)) == hash(dG_function(FLAT2, x))
+    theta = theta_even(HALF, "omega_g")
+    rebuilt = convert_two(convert_two(theta, "nabla"), "lie")
+    assert rebuilt is not theta and hash(rebuilt) == hash(theta)
+    assert len({theta, rebuilt, lam}) == 2
+
+
 @pytest.mark.parametrize("basis", ["lie", "nabla"])
 def test_evaluation_on_basics_reads_the_tabulation(basis):
     lam = convert_one(lambda_metric(HALF), basis)

@@ -5,16 +5,17 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.rings import PolyElement
 
 from gradedpoisson import scalars as scalar_module
 from gradedpoisson.cli import main
+from gradedpoisson.factoring import factor
 from gradedpoisson.scalars import (
     _exact_quotient,
     _factor,
@@ -26,7 +27,14 @@ from gradedpoisson.scalars import (
     clear_memos,
     coordinate_field,
 )
-from reference import eval_at, sympy_elem, sympy_field, sympy_poly
+from reference import (
+    eval_at,
+    native_poly,
+    sympy_elem,
+    sympy_factor_list,
+    sympy_field,
+    sympy_poly,
+)
 
 F = coordinate_field(("x", "y"))
 X, Y = F.gens
@@ -395,12 +403,6 @@ BIG = 2**64
 HUGE_EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from([BIG - 1, BIG, BIG + 1, 2**70]))
 
 
-def _native(poly):
-    """A sympy PolyElement as the scalar layer stores it: descending tuple
-    order, the total degree in slot 0 of each monomial."""
-    return tuple(sorted((((sum(m),) + m, int(c)) for m, c in poly.items()), reverse=True))
-
-
 @st.composite
 def polynomial_pairs(draw):
     """A field of 1 to 4 coordinates and two sympy polynomials in its ring,
@@ -421,14 +423,14 @@ def polynomial_pairs(draw):
 @given(polynomial_pairs(), st.integers(1, 3))
 def test_polynomial_kernel_agrees_with_sympy(pair, k):
     field, p, q = pair
-    a, b = _native(p), _native(q)
-    assert _poly_add(a, b) == _native(p + q)
-    assert _poly_add(a, _poly_neg(b)) == _native(p - q)
-    assert _poly_neg(a) == _native(-p)
-    assert _poly_mul(a, b) == _native(p * q)
-    assert _poly_pow(a, k) == _native(p**k)
+    a, b = native_poly(p), native_poly(q)
+    assert _poly_add(a, b) == native_poly(p + q)
+    assert _poly_add(a, _poly_neg(b)) == native_poly(p - q)
+    assert _poly_neg(a) == native_poly(-p)
+    assert _poly_mul(a, b) == native_poly(p * q)
+    assert _poly_pow(a, k) == native_poly(p**k)
     for index, gen in enumerate(sympy_field(field).ring.gens):
-        assert _poly_diff(a, index) == _native(p.diff(gen))
+        assert _poly_diff(a, index) == native_poly(p.diff(gen))
     if not (p and q):
         return
     assert _exact_quotient(_poly_mul(a, b), b) == a
@@ -439,19 +441,7 @@ def test_polynomial_kernel_agrees_with_sympy(pair, k):
             assert _exact_quotient(a, b) is None
         else:
             assert quotient * q == p
-            assert _exact_quotient(a, b) == _native(quotient)
-
-
-def _normalized_factor_list(poly):
-    """sympy's factor_list of poly as (sign, content, factors), each factor
-    with a positive graded-lex leading coefficient, sorted by its terms."""
-    coeff, pairs = poly.factor_list()
-    sign, facs = (-1 if coeff < 0 else 1), []
-    for factor, exp in pairs:
-        if factor.LC < 0:
-            factor, sign = -factor, sign * (-1) ** exp
-        facs.append((_native(factor), exp))
-    return sign, abs(int(coeff)), sorted(facs)
+            assert _exact_quotient(a, b) == native_poly(quotient)
 
 
 @given(
@@ -464,8 +454,83 @@ def test_single_terms_factor_as_sympy_does(monomial, constant):
     field = coordinate_field(("a", "b", "c", "d")[: len(monomial)])
     ring = sympy_field(field).ring
     for poly in (ring.ground_new(constant), ring.from_dict({tuple(monomial): constant})):
-        sign, content, facs = _factor(field, _native(poly))
-        assert (sign, content, [(f.poly, e) for f, e in facs]) == _normalized_factor_list(poly)
+        num = native_poly(poly)
+        assert _factored(_factor(field, num)) == sympy_factor_list(field, num)
+
+
+def _factored(result):
+    """A factorization with each factor as its polynomial."""
+    sign, content, facs = result
+    return sign, content, [(f.poly, exp) for f, exp in facs]
+
+
+@st.composite
+def factorable_polynomials(draw):
+    """A field of 1 to 3 coordinates and a product c * m * prod f**e in it:
+    c a nonzero integer, m a monomial, and each f a polynomial of one to
+    three terms of degree at most 2, to a power of 1 to 3. In half the
+    draws the leading coefficient is negative."""
+    n = draw(st.integers(1, 3))
+    field = coordinate_field(("a", "b", "c")[:n])
+    ring = sympy_field(field).ring
+    monomials = st.tuples(*[st.integers(0, 2)] * n)
+    product = draw(st.integers(1, 12)) * ring.from_dict({draw(monomials): 1})
+    terms = st.dictionaries(
+        monomials.filter(lambda m: sum(m) <= 2),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=3,
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        product *= ring.from_dict(draw(terms)) ** draw(st.integers(1, 3))
+    if draw(st.booleans()) != (product.LC < 0):
+        product = -product
+    num = native_poly(product)
+    assume(len(num) > 1 and num[0][0][0] <= 14)
+    return field, num
+
+
+@given(factorable_polynomials())
+def test_native_factoring_agrees_with_sympy(case):
+    # whatever the native path returns is sympy's factorization, and where
+    # it declines, sympy factors
+    field, num = case
+    expected = sympy_factor_list(field, num)
+    native = factor(num)
+    if native is not None:
+        sign, content, pairs = native
+        assert (sign, content, sorted(pairs)) == expected
+    assert _factored(_factor(field, num)) == expected
+
+
+G = coordinate_field(("x", "y", "z"))
+
+
+@pytest.mark.parametrize(
+    "build, certified",
+    [
+        # irreducible over Q, but it splits modulo every prime
+        (lambda x, y, z: x**4 + 1, False),
+        # every image in x or in y splits into two linear factors
+        (lambda x, y, z: (x + y + 1) * (x - y + 2), False),
+        # the content in x is 4 + y**2
+        (lambda x, y, z: (2 + x**2) * (4 + y**2), True),
+        (lambda x, y, z: (1 + 2 * x**2 + 3 * y**2) ** 2, True),
+        # degree 1 in x: 2*y and y**2 + 3 have no common factor
+        (lambda x, y, z: 2 * x * y + y**2 + 3, True),
+        # -6 * z**2 * (x + y - z**3 - y**4 * z): degree 1 in x, whose coefficient is 1
+        (lambda x, y, z: -6 * x * z**2 + 6 * y**4 * z**3 + 6 * z**5 - 6 * y * z**2, True),
+    ],
+)
+def test_native_factoring_cases(build, certified):
+    num = build(*G.gens).num
+    expected = sympy_factor_list(G, num)
+    native = factor(num)
+    assert (native is not None) == certified
+    if certified:
+        sign, content, pairs = native
+        assert (sign, content, sorted(pairs)) == expected
+    assert _factored(_factor(G, num)) == expected
 
 
 def test_huge_exponents_stay_exact(capsys):
@@ -501,6 +566,8 @@ def _python(*args, timeout):
         ("1/(x^18446744073709551616+1)", "y"),
         # dividing x**(2**64) + x by x - 1 fails only after 2**64 quotient terms
         ("1/(x-1)", "y*(x^18446744073709551616+x)"),
+        # (x + 1)**(2**64) has 2**64 + 1 terms
+        ("(x+1)^18446744073709551616", "y"),
     ],
 )
 def test_huge_polynomials_stop_at_the_size_bound(alpha, beta):
@@ -510,6 +577,15 @@ def test_huge_polynomials_stop_at_the_size_bound(alpha, beta):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "the size bound" in done.stderr
+
+
+def test_powers_below_the_size_bound_expand_exactly():
+    # (x + y)**200 has 201 terms, the bound for two terms to the 200th; to the
+    # SIZE_BOUND-th it would have one term more than the bound
+    power = _poly_pow((X + Y).num, 200)
+    assert power == tuple(((200, i, 200 - i), comb(200, i)) for i in range(200, -1, -1))
+    with pytest.raises(scalar_module.SizeError, match="the size bound"):
+        _poly_pow((X + Y).num, scalar_module.SIZE_BOUND)
 
 
 def test_a_coordinate_divides_out_in_one_step():
@@ -544,14 +620,15 @@ print(json.dumps(loaded))
 
 
 def test_sympy_is_imported_only_to_factor():
-    # the flat charts divide by nothing of two or more terms; sphere2 factors
-    # its conformal factor (x**2 + y**2 + 1)**2 once
+    # every denominator of the built-in charts is factored natively, sphere2's
+    # (x**2 + y**2 + 1)**2 and tlift1q's q**2 + 1 among them; x**4 + 1 is
+    # irreducible but splits modulo every prime, so only sympy factors it
     suite = ["--suite", "all", "--seed", "42", "--samples", "2"]
-    argvs = [
-        ["check", "builtin:flat2", *suite],
+    charts = ["flat2", "flat4", "tlift1", "halfplane", "sphere2", "tlift1q"]
+    argvs = [["check", f"builtin:{chart}", *suite] for chart in charts] + [
         ["bracket", "builtin:flat4", "--alpha=x1^2/(3*x2)*dx3", "--beta=x3*x4+x1"],
-        ["check", "builtin:sphere2", *suite],
+        ["bracket", "builtin:flat2", "--alpha=1/(x^4+1)", "--beta=y"],
     ]
     done = _python("-c", LOADS_SYMPY, json.dumps(argvs), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [False, [0, False], [0, False], [0, True]]
+    assert json.loads(done.stdout) == [False] + [[0, False]] * 7 + [[0, True]]
