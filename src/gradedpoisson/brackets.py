@@ -124,8 +124,8 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
 
     A and the higher blocks come from theta's plan, built once per chart.
     The result is the derivation by its coefficients over the lie basics;
-    over the nabla basics they differ by the connection twist, and either
-    can be read back with graded.components_by_degree.
+    over the nabla basics they differ by the connection twist, and
+    graded.components_by_degree reads those back by degree.
     Derivations are memoized on the plan after _verify has passed, so
     _verify runs once per distinct solve and a repeated solve returns the
     same Derivation; callers must treat it as read-only.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 
 from .forms import Form
+from .geometry import ChartGeometry
 from .scalars import RationalFunction, ScalarField
 
 
@@ -182,10 +183,9 @@ class _Parser:
         raise ExprError(f"unknown coordinate or differential {name!r}", position)
 
 
-def parse_form_expr(text: str, chart) -> Form:
+def parse_form_expr(text: str, chart: ChartGeometry) -> Form:
     """Parse an expression to a Form over the chart's coordinate field."""
-    field = getattr(chart, "field", chart)
-    return _Parser(text, field).parse()
+    return _Parser(text, chart.field).parse()
 
 
 def parse_scalar_expr(text: str, field: ScalarField) -> RationalFunction:

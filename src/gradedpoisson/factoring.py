@@ -11,32 +11,28 @@ Three steps split what is left, p:
   coefficients, polynomials in the other) is divided out when it is not
   1, and both parts are factored in turn.
 * Otherwise p is irreducible when, in some x_v in which its content is 1,
-  it has degree 1, or its image at a small integer point of the other
-  coordinates keeps that degree and is irreducible over Q: a quadratic
-  whose discriminant is not a square, or one of degree at most
-  ``CERTIFY_DEGREE`` that is irreducible modulo a prime (Rabin's test; von
-  zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).
+  it has degree 1, or degree 2 and an image at a small integer point of
+  the other coordinates that keeps that degree and whose discriminant is
+  not a square.
 
 The product of the factors is p exactly. Where a piece cannot be
-certified, ``factor`` returns None and the caller factors otherwise:
-x**4 + 1 is irreducible but splits modulo every prime, and every image of
-(x + y + 1)*(x - y + 2) splits.
+certified, ``factor`` returns None and the caller factors otherwise, at
+the cost of importing sympy: x**4 + 1 and x**3 + x + 1 are irreducible
+but have degree more than 2 in every coordinate, and every image of
+(x + y + 1)*(x - y + 2) splits. Every denominator of the built-in charts
+and of the benchmark's manifests is certified by degree 1 or an image of
+degree 2.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
-from operator import mul, sub
+from operator import sub
 
 from .scalars import _exact_quotient, _poly_add, _poly_neg, _poly_pow
 
-# the largest degree of an image that the certificate tests, as Rabin's
-# test takes O(d**3 log p) steps; every denominator of the built-in charts
-# and of the benchmark's manifests is certified by an image of degree 2
-CERTIFY_DEGREE = 8
-# what the certificate tries: values for the other coordinates, then primes
+# the values the certificate tries for the other coordinates
 _VALUES = (1, 2, -1)
-_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def factor(num):
@@ -70,7 +66,8 @@ def _pieces(p):
     A perfect power is factored through its root. In two coordinates v and
     w, the content of p in x_v (the gcd of its coefficients in Z[w]) is
     divided out when it is not 1. Otherwise p is irreducible if, for some
-    x_v in which its content is 1, it has degree 1 or ``_certified`` holds.
+    x_v in which its content is 1, it has degree 1, or degree 2 and
+    ``_certified`` holds.
     """
     if len(p) == 1:
         return []  # the constant 1
@@ -98,41 +95,35 @@ def _pieces(p):
                 return None if first is None or second is None else first + second
         candidates.append((max(coeffs), slot))
     for degree, slot in sorted(candidates):
-        if degree == 1 or (degree <= CERTIFY_DEGREE and _certified(p, slot, degree, slots)):
+        if degree == 1 or (degree == 2 and _certified(p, slot, slots)):
             return [(p, 1)]
     return None
 
 
-def _certified(p, slot, degree, slots):
-    """Whether p's image in Z[x_v] at a small integer point of the other
-    coordinates keeps its degree in x_v and is irreducible over Q: a
-    quadratic image when its discriminant is not a square, one of higher
-    degree when it is irreducible modulo a prime that does not divide its
-    leading coefficient.
+def _certified(p, slot, slots):
+    """Whether p, of degree 2 in x_v, has an image in Z[x_v] at a small
+    integer point of the other coordinates that keeps that degree and whose
+    discriminant is not a square, so that the image is irreducible over Q.
 
     With p's content in x_v equal to 1, that proves p irreducible: each
     factor of a product p = A * B has positive degree in x_v (one of degree
-    0 would divide the content), the leading coefficients of the images
-    multiply to a nonzero one, so both images keep their degrees, also
-    modulo the prime, and would split the image.
+    0 would divide the content), so both have degree 1; the leading
+    coefficients of the images multiply to a nonzero one, so both images
+    keep degree 1 and would give the image a rational root.
     """
     others = [s for s in slots if s != slot]
     for start in range(len(_VALUES) if others else 1):
         point = [(s, _VALUES[(start + i) % len(_VALUES)]) for i, s in enumerate(others)]
-        image = [0] * (degree + 1)
+        image = [0, 0, 0]
         for monom, coeff in p:
             for s, value in point:
                 coeff *= value ** monom[s]
             image[monom[slot]] += coeff
-        lead = image[degree]
-        if not lead:
-            continue
-        if degree == 2:
-            disc = image[1] ** 2 - 4 * lead * image[0]
+        low, mid, lead = image
+        if lead:
+            disc = mid**2 - 4 * lead * low
             if disc < 0 or isqrt(disc) ** 2 != disc:
                 return True
-        elif any(lead % prime and _irreducible_mod(image, prime) for prime in _PRIMES):
-            return True
     return False
 
 
@@ -252,75 +243,3 @@ def _from_dense(dense, slot, width):
             terms.append((tuple(monom), dense[degree]))
     return tuple(terms)
 
-
-def _irreducible_mod(poly, prime):
-    """Rabin's test: whether poly, of degree d >= 2 over Z with a leading
-    coefficient prime to ``prime``, is irreducible modulo it. Made monic,
-    it is when x**(prime**d) = x modulo poly and x**(prime**(d/r)) - x is
-    coprime to poly for each prime r dividing d. O(d**3 log prime) steps.
-    """
-    d = len(poly) - 1
-    inverse = pow(poly[-1], -1, prime)
-    monic = [coeff * inverse % prime for coeff in poly]
-    x = [0, 1] + [0] * (d - 2)
-    # h -> h**prime is linear over F_prime: rows[i] = x**(i * prime) modulo poly
-    step = _pow_mod(x, prime, monic, prime)
-    rows = [[1] + [0] * (d - 1)]
-    for _ in range(d - 1):
-        rows.append(_mul_mod(rows[-1], step, monic, prime))
-    # frobenius[i] = x**(prime**(i + 1)) modulo poly
-    frobenius, power = [], x
-    for _ in range(d):
-        power = [sum(map(mul, power, column)) % prime for column in zip(*rows)]
-        frobenius.append(power)
-    return frobenius[-1] == x and all(
-        _coprime_mod(list(map(sub, frobenius[d // r - 1], x)), monic, prime)
-        for r in _prime_divisors(d)
-    )
-
-
-def _mul_mod(a, b, monic, prime):
-    """a * b modulo the monic polynomial and the prime, for a and b given by
-    their d coefficients below its degree d."""
-    d = len(monic) - 1
-    product = [0] * (2 * d - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                product[i + j] += ca * cb
-    for top in range(2 * d - 2, d - 1, -1):
-        coeff = product[top] % prime
-        if coeff:
-            for j in range(d):
-                product[top - d + j] -= coeff * monic[j]
-    return [coeff % prime for coeff in product[:d]]
-
-
-def _pow_mod(a, e, monic, prime):
-    result = a
-    for bit in bin(e)[3:]:
-        result = _mul_mod(result, result, monic, prime)
-        if bit == "1":
-            result = _mul_mod(result, a, monic, prime)
-    return result
-
-
-def _coprime_mod(a, b, prime):
-    """Whether a and the monic b have no common factor of positive degree
-    modulo the prime (Euclid's algorithm)."""
-    a = _strip_mod(a, prime)
-    while a:
-        inverse, rest = pow(a[-1], -1, prime), list(b)
-        while len(rest) >= len(a):
-            top, shift = rest.pop() * inverse % prime, len(rest) + 1 - len(a)
-            for i, coeff in enumerate(a[:-1]):
-                rest[shift + i] -= top * coeff
-        a, b = _strip_mod(rest, prime), a
-    return len(b) == 1
-
-
-def _strip_mod(a, prime):
-    a = [coeff % prime for coeff in a]
-    while a and not a[-1]:
-        a.pop()
-    return a

@@ -81,16 +81,15 @@ def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str) -> tuple
     return even + tuple(c + t for c, t in zip(coeffs[geom.dim :], twist))
 
 
-def components_by_degree(geom: ChartGeometry, derivation: Derivation, basis: str):
-    """The coefficients of a derivation over the given basis, by degree.
+def components_by_degree(geom: ChartGeometry, derivation: Derivation):
+    """The coefficients of a derivation over the nabla basics, by degree.
 
     Returns (even, ins): even[m] is the VectorValuedForm of the degree-m
-    parts of the coefficients of the even basics, ins[m] that of the
-    insertions. Degrees whose coefficients all vanish are left out, and
-    keys ascend. The coefficients depend on the basis: a covariant
-    derivative nabla_X differs from L_X by an insertion.
+    parts of the coefficients of the even basics nabla_a, ins[m] that of
+    the insertions. Degrees whose coefficients all vanish are left out, and
+    keys ascend.
     """
-    coeffs = _decompose(geom, derivation, basis)
+    coeffs = _decompose(geom, derivation, "nabla")
     even, ins = {}, {}
     for m in range(geom.dim + 1):
         parts = [c.homogeneous_part(m) for c in coeffs]
@@ -458,19 +457,20 @@ def lambda_omega(geom: ChartGeometry) -> GradedOneForm:
     return GradedOneForm(geom, "lie", on_even + [Form.zero(geom.field)] * geom.dim, -1)
 
 
-def theta_omega(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:
-    """The naive lift of omega: <D1, D2> = omega on the even-even block only."""
+def theta_omega(geom: ChartGeometry) -> GradedTwoForm:
+    """The naive lift of omega, in the lie basis: <D1, D2> = omega on the
+    even-even block only."""
     dim = geom.dim
     zero = Form.zero(geom.field)
 
     def entry(r, s):
         return Form.function(geom.w[r][s]) if s < dim else zero
 
-    return tabulate_two(geom, basis, entry, 0)
+    return tabulate_two(geom, "lie", entry, 0)
 
 
-def theta_even(geom: ChartGeometry, variant: str = "omega_g", basis: str = "lie") -> GradedTwoForm:
-    """The even symplectic form, built from its definition.
+def theta_even(geom: ChartGeometry, variant: str = "omega_g") -> GradedTwoForm:
+    """The even symplectic form, built from its definition, in the lie basis.
 
     variant "omega_g" adds half the exact correction from the metric
     potential to the naive lift of omega; "omega_g_l" uses the potential
@@ -479,8 +479,7 @@ def theta_even(geom: ChartGeometry, variant: str = "omega_g", basis: str = "lie"
     if variant not in ("omega_g", "omega_g_l"):
         raise ValueError(f"unknown variant {variant!r}")
     lam = lambda_metric(geom, include_l=(variant == "omega_g_l"))
-    theta = theta_omega(geom, "lie") + dG_one(lam).scale(Fraction(1, 2))
-    return convert_two(theta, basis)
+    return theta_omega(geom) + dG_one(lam).scale(Fraction(1, 2))
 
 
 def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:
@@ -576,7 +575,7 @@ def theta_ks_closed(geom: ChartGeometry) -> GradedTwoForm:
 
 def theta_even_cached(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:
     """theta_even (variant omega_g) memoized per chart; builds the lie tabulation once."""
-    lie = geom.cached(("theta_even", "lie"), lambda: theta_even(geom, "omega_g", "lie"))
+    lie = geom.cached(("theta_even", "lie"), lambda: theta_even(geom))
     return geom.cached(("theta_even", basis), lambda: convert_two(lie, basis))
 
 

@@ -31,13 +31,15 @@ Exponents and coefficients are unbounded ints, so every value is exact.
 A new denominator is factored by the package itself wherever each factor
 can be proved irreducible (see ``factoring``): its sign, content and
 coordinate powers, a perfect power, the content in one coordinate of a
-polynomial in two, and a certificate of irreducibility from a univariate
-image. A constant or a single term is factored directly. Only where a
-factor cannot be certified does ``_factor_list`` hand the numerator to
-sympy's ``factor_list`` (multivariate factoring over the integers, Knuth
-section 4.6.2). That is the only place sympy is called, and it is
-imported there on first use. x**4 + 1 goes there, but no denominator of
-the built-in charts does. sympy types do not leak into the rest of the
+polynomial in two, and a factor of degree 1 in some coordinate, or of
+degree 2 with a univariate image of no square discriminant. A constant or
+a single term is factored directly. Only where a factor cannot be
+certified does ``_factor_list`` hand the numerator to sympy's
+``factor_list`` (multivariate factoring over the integers, Knuth section
+4.6.2). That is the only place sympy is called, and it is imported there
+on first use. x**4 + 1 and x**3 + x + 1 go there, as would any factor of
+degree more than 2 in every coordinate, but no denominator of the
+built-in charts does. sympy types do not leak into the rest of the
 package.
 
 A value prints itself, in the form sympy's ``str`` gives the fraction

@@ -438,11 +438,11 @@ def check_ks_poisson_differential(ctx):
 def check_solution_parity(ctx):
     chart = ctx.chart
     for f in ctx.functions:
-        even, ins = components_by_degree(chart, solve_hamiltonian(ctx.theta, f), "nabla")
+        even, ins = components_by_degree(chart, solve_hamiltonian(ctx.theta, f))
         if ins or any(m % 2 for m in even):
             return False, f"function {f} produced odd or insertion components"
         df = Form.function(f).d()
-        even, ins = components_by_degree(chart, solve_hamiltonian(ctx.theta, df), "nabla")
+        even, ins = components_by_degree(chart, solve_hamiltonian(ctx.theta, df))
         if list(ins) != ([0] if not df.is_zero else []):
             return False, f"differential of {f} has insertion degrees {list(ins)}"
         if ins and ins[0] != chart.sharp(df).as_vvform():
@@ -455,7 +455,7 @@ def check_solution_parity(ctx):
 def check_even_chain(ctx):
     chart = ctx.chart
     for f in ctx.functions:
-        even, _ = components_by_degree(chart, solve_hamiltonian(ctx.theta, f), "nabla")
+        even, _ = components_by_degree(chart, solve_hamiltonian(ctx.theta, f))
         for i, component in enumerate(k_even(chart, f)):
             got = even.get(2 * i)
             if got is None:
@@ -470,7 +470,7 @@ def check_odd_chain(ctx):
     chart = ctx.chart
     for f in ctx.functions:
         df = Form.function(f).d()
-        even, _ = components_by_degree(chart, solve_hamiltonian(ctx.theta, df), "nabla")
+        even, _ = components_by_degree(chart, solve_hamiltonian(ctx.theta, df))
         for i, component in enumerate(k_odd(chart, f)):
             got = even.get(2 * i + 1)
             if got is None:

@@ -17,7 +17,7 @@ from gradedpoisson.brackets import (
     solve_hamiltonian,
 )
 from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
-from gradedpoisson.geometry import builtin_chart, builtin_names
+from gradedpoisson.geometry import ChartError, builtin_chart, builtin_names
 from gradedpoisson.graded import (
     components_by_degree,
     convert_two,
@@ -70,7 +70,7 @@ def test_flat_function_solution_is_single_covariant_term():
     f = FLAT2.field
     x = f.coordinate("x")
     sol = solve_hamiltonian(even_theta(FLAT2), x)
-    even, ins = components_by_degree(FLAT2, sol, "nabla")
+    even, ins = components_by_degree(FLAT2, sol)
     assert not ins
     assert list(even) == [0]
     # seeded at minus the classical field, per the recorded calibration
@@ -84,14 +84,14 @@ def test_flat_coordinate_differential_solution_is_pure_insertion():
     dx = Form.function(f.coordinate("x")).d()
     sol = solve_hamiltonian(even_theta(FLAT2), dx)
     # the Hessian of x vanishes, so nothing beyond the metric sharp survives
-    assert not components_by_degree(FLAT2, sol, "nabla")[0]
+    assert not components_by_degree(FLAT2, sol)[0]
     assert sol == Derivation.insertion(VectorField.basis(f, 0))
 
 
 def test_curved_function_solution_carries_curvature_tail():
     f = SPHERE.field
     sol = solve_hamiltonian(even_theta(SPHERE), f.coordinate("x"))
-    even, ins = components_by_degree(SPHERE, sol, "nabla")
+    even, ins = components_by_degree(SPHERE, sol)
     assert set(even) == {0, 2}
     assert not even[2].is_zero
     assert not ins
@@ -136,7 +136,7 @@ def test_function_solutions_are_purely_even_covariant(name):
     f = chart.field
     for scalar in (f.gens[0] * f.gens[1], f.gens[0] ** 2 + f.gens[1]):
         sol = solve_hamiltonian(even_theta(chart), scalar)
-        even, ins = components_by_degree(chart, sol, "nabla")
+        even, ins = components_by_degree(chart, sol)
         assert not ins
         assert all(m % 2 == 0 for m in even)
 
@@ -148,7 +148,7 @@ def test_exact_differential_solutions_sharp_plus_odd(name):
     scalar = f.gens[0] * f.gens[1]
     df = Form.function(scalar).d()
     sol = solve_hamiltonian(even_theta(chart), df)
-    even, ins = components_by_degree(chart, sol, "nabla")
+    even, ins = components_by_degree(chart, sol)
     assert list(ins) == [0]
     assert ins[0] == chart.sharp(df).as_vvform()
     assert all(m % 2 == 1 for m in even)
@@ -163,7 +163,7 @@ def test_even_recursion_matches_solver(name):
     f = chart.field
     for scalar in (f.gens[0], f.gens[0] * f.gens[1]):
         sol = solve_hamiltonian(even_theta(chart), scalar)
-        even, _ = components_by_degree(chart, sol, "nabla")
+        even, _ = components_by_degree(chart, sol)
         for i, component in enumerate(k_even(chart, scalar)):
             got = even.get(2 * i)
             if got is None:
@@ -179,7 +179,7 @@ def test_odd_recursion_matches_solver(name):
     for scalar in (f.gens[0] ** 2, f.gens[0] * f.gens[1]):
         df = Form.function(scalar).d()
         sol = solve_hamiltonian(even_theta(chart), df)
-        even, _ = components_by_degree(chart, sol, "nabla")
+        even, _ = components_by_degree(chart, sol)
         for i, component in enumerate(k_odd(chart, scalar)):
             got = even.get(2 * i + 1)
             if got is None:
@@ -462,9 +462,9 @@ def test_odd_bracket_routes_agree(name):
 def test_solver_rejects_degenerate_form():
     # the naive lift of omega has a zero insertion block: no solve exists,
     # and a failed plan is not cached, so every solve raises again
-    theta = theta_omega(FLAT2, "nabla")
+    theta = theta_omega(FLAT2)
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ChartError, match="singular"):
             solve_hamiltonian(theta, FLAT2.field.gens[0])
 
 
@@ -521,7 +521,7 @@ def test_equal_graded_two_forms_hash_equal():
     cached = theta_even_cached(chart, "nabla")
     for other in (
         theta_even_closed_nabla(chart),
-        convert_two(theta_even(chart, "omega_g", "lie"), "nabla"),
+        convert_two(theta_even(chart, "omega_g"), "nabla"),
     ):
         assert other is not cached
         assert other == cached

@@ -504,8 +504,8 @@ def test_weight_parity_is_validated():
 
 def test_mismatched_tabulations_do_not_add():
     # graded 2-forms are the tabulations the package adds
-    theta = theta_omega(FLAT2, "lie")
-    other = theta_omega(HALF, "lie")
+    theta = theta_omega(FLAT2)
+    other = theta_omega(HALF)
     with pytest.raises(ValueError, match="different tabulations"):
         theta + other
     with pytest.raises(ValueError, match="different tabulations"):
@@ -513,6 +513,6 @@ def test_mismatched_tabulations_do_not_add():
 
 
 def test_naive_lift_is_degenerate_without_correction():
-    theta = theta_omega(HALF, "lie")
+    theta = theta_omega(HALF)
     assert scalar_block_det(theta).is_zero
     assert not scalar_block_det(theta_even(HALF, "omega_g")).is_zero
