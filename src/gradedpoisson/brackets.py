@@ -305,14 +305,11 @@ def _pair(chart: ChartGeometry, matrix, left: VectorValuedForm, right: VectorVal
 def _curvature_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
     """R4(left, right, _, _) with form coefficients wedged on the left."""
     total = Form.zero(chart.field)
-    for a in range(chart.dim):
+    for a, row in enumerate(chart.riemann4_forms):
         if left.components[a].is_zero:
             continue
-        for b in range(chart.dim):
-            if right.components[b].is_zero:
-                continue
-            block = chart.riemann4_form(a, b)
-            if block.is_zero:
+        for b, block in enumerate(row):
+            if right.components[b].is_zero or block.is_zero:
                 continue
             total = total + left.components[a].wedge(right.components[b]).wedge(block)
     return total

@@ -5,16 +5,25 @@ compatibility tensor) with what downstream code contracts against:
 Christoffel symbols, curvature, the endomorphism J relating the two
 structures, musical isomorphisms, and classical Hamiltonian mechanics.
 Construction validates symmetry, antisymmetry, closedness and
-non-degeneracy, so no degenerate chart ever circulates. The derived tensors
-(gamma, riemann, j_matrix, j_inv) are built on first read, so a computation
-that never reads curvature, such as the Koszul-Schouten bracket, never pays
-for it; none of them can fail once construction has passed.
+non-degeneracy, so no degenerate chart ever circulates.
+
+The derived tensors are built on first read, each once per chart, and
+none of them can fail once construction has passed: the Christoffel
+symbols of both kinds (gamma_first, gamma) and the list of nonzero ones
+(gamma_nonzero), the curvature endomorphism riemann and its lowered form
+riemann_lowered, the tables riemann4_forms and curvature_forms of their
+2-forms, and J with its inverse (j_matrix, j_inv). riemann4, riemann4_form
+and curvature_endo_form read these tables. Contractions skip zero
+Christoffel and curvature entries, so a flat chart pays for none of them.
+The odd (Koszul-Schouten) bracket and the even bracket over the lie basics
+read none of the tables; over the nabla basics it reads only Gamma.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .forms import Derivation, Form, VectorField, VectorValuedForm
 from .scalars import RationalFunction, ScalarField, coordinate_field
@@ -51,28 +60,42 @@ def matrix_inverse(rows, field: ScalarField):
     return det, tuple(tuple(row[n:]) for row in work)
 
 
-def christoffel(g, g_inv, field: ScalarField):
-    """Gamma^i_{jk} = (1/2) g^{im} (d_j g_{mk} + d_k g_{mj} - d_m g_{jk}) for the
-    metric matrix g on the first len(g) coordinates of field."""
-    dim = len(g)
+def dot(field: ScalarField, pairs) -> RationalFunction:
+    """The sum of a * b over the pairs (a, b) in which neither factor is zero."""
+    total = field.zero
+    for a, b in pairs:
+        if not (a.is_zero or b.is_zero):
+            total = total + a * b
+    return total
+
+
+def christoffel_first(g):
+    """Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{mj} - d_m g_{jk}), the Christoffel
+    symbols of the first kind of the metric matrix g on the first len(g)
+    coordinates of its field."""
+    rng = range(len(g))
     half = Fraction(1, 2)
     return tuple(
         tuple(
             tuple(
-                sum(
-                    (
-                        g_inv[i][m]
-                        * (g[m][k].partial(j) + g[m][j].partial(k) - g[j][k].partial(m))
-                        for m in range(dim)
-                    ),
-                    field.zero,
-                )
-                * half
-                for k in range(dim)
+                (g[m][k].partial(j) + g[m][j].partial(k) - g[j][k].partial(m)) * half
+                for k in rng
             )
-            for j in range(dim)
+            for j in rng
         )
-        for i in range(dim)
+        for m in rng
+    )
+
+
+def christoffel(g_inv, first, field: ScalarField):
+    """Gamma^i_{jk} = g^{im} Gamma_{m,jk}: the first-kind symbols raised."""
+    rng = range(len(first))
+    return tuple(
+        tuple(
+            tuple(dot(field, ((g_inv[i][m], first[m][j][k]) for m in rng)) for k in rng)
+            for j in rng
+        )
+        for i in rng
     )
 
 
@@ -154,9 +177,26 @@ class ChartGeometry:
     # -- derived tensors, built on first read ----------------------------
 
     @cached_property
+    def gamma_first(self):
+        """Christoffel symbols of the first kind, Gamma_{m,jk} = g_{mi} Gamma^i_{jk}."""
+        return christoffel_first(self.g)
+
+    @cached_property
     def gamma(self):
         """Christoffel symbols Gamma^i_{jk} of the Levi-Civita connection."""
-        return christoffel(self.g, self.g_inv, self.field)
+        return christoffel(self.g_inv, self.gamma_first, self.field)
+
+    @cached_property
+    def gamma_nonzero(self):
+        """The (i, j, k, Gamma^i_{jk}) with a nonzero symbol, in index order."""
+        rng = range(self.dim)
+        return tuple(
+            (i, j, k, c)
+            for i in rng
+            for j in rng
+            for k, c in enumerate(self.gamma[i][j])
+            if not c.is_zero
+        )
 
     @cached_property
     def riemann(self):
@@ -165,21 +205,57 @@ class ChartGeometry:
         Antisymmetric in (u, v), so only u < v is computed.
         """
         dim, field, gamma = self.dim, self.field, self.gamma
-        out = [[[[field.zero] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
+        rng = range(dim)
+        out = [[[[field.zero] * dim for _ in rng] for _ in rng] for _ in rng]
+        for i in rng:
+            for j in rng:
                 block = out[i][j]
-                for u in range(dim):
-                    for v in range(u + 1, dim):
-                        total = gamma[i][v][j].partial(u) - gamma[i][u][j].partial(v)
-                        for m in range(dim):
-                            total = total + (
-                                gamma[i][u][m] * gamma[m][v][j]
-                                - gamma[i][v][m] * gamma[m][u][j]
-                            )
-                        block[u][v] = total
-                        block[v][u] = -total
+                for u, v in combinations(rng, 2):
+                    total = (
+                        gamma[i][v][j].partial(u)
+                        - gamma[i][u][j].partial(v)
+                        + dot(field, ((gamma[i][u][m], gamma[m][v][j]) for m in rng))
+                        - dot(field, ((gamma[i][v][m], gamma[m][u][j]) for m in rng))
+                    )
+                    block[u][v] = total
+                    block[v][u] = -total
         return tuple(tuple(tuple(tuple(row) for row in bj) for bj in bi) for bi in out)
+
+    @cached_property
+    def riemann_lowered(self):
+        """R4[u][v][w][z] = -g(R(e_u, e_v) e_w, e_z) = -sum_i R^i_{wuv} g_{iz}.
+
+        Antisymmetric in (u, v) and in (w, z), so each sum is taken once,
+        for u < v and w < z.
+        """
+        dim, field = self.dim, self.field
+        rng = range(dim)
+        out = [[[[field.zero] * dim for _ in rng] for _ in rng] for _ in rng]
+        pairs = list(combinations(rng, 2))
+        for u, v in pairs:
+            for w, z in pairs:
+                total = -dot(field, ((self.riemann[i][w][u][v], self.g[i][z]) for i in rng))
+                out[u][v][w][z] = out[v][u][z][w] = total
+                out[v][u][w][z] = out[u][v][z][w] = -total
+        return tuple(tuple(tuple(tuple(row) for row in bj) for bj in bi) for bi in out)
+
+    @cached_property
+    def riemann4_forms(self):
+        """[u][v]: the 2-form R4(e_u, e_v, _, _)."""
+        return self._two_forms(self.riemann_lowered)
+
+    @cached_property
+    def curvature_forms(self):
+        """[b][j]: the curvature 2-form R^b_j = sum_{u<v} R^b_{juv} dx^u wedge dx^v."""
+        return self._two_forms(self.riemann)
+
+    def _two_forms(self, table):
+        """[a][b]: the 2-form sum_{u<v} table[a][b][u][v] dx^u wedge dx^v."""
+        pairs = list(combinations(range(self.dim), 2))
+        return tuple(
+            tuple(Form(self.field, {(u, v): block[u][v] for u, v in pairs}) for block in row)
+            for row in table
+        )
 
     @cached_property
     def j_matrix(self):
@@ -302,38 +378,23 @@ class ChartGeometry:
 
     def riemann4(self, u: int, v: int, w: int, z: int) -> RationalFunction:
         """The 4-tensor -g(R(e_u, e_v) e_w, e_z)."""
-        total = self.field.zero
-        for i in range(self.dim):
-            total = total + self.riemann[i][w][u][v] * self.g[i][z]
-        return -total
+        return self.riemann_lowered[u][v][w][z]
 
     def riemann4_form(self, u: int, v: int) -> Form:
         """The 2-form R4(e_u, e_v, _, _)."""
-        terms = {}
-        for w in range(self.dim):
-            for z in range(w + 1, self.dim):
-                c = self.riemann4(u, v, w, z)
-                if not c.is_zero:
-                    terms[(w, z)] = c
-        return Form(self.field, terms)
+        return self.riemann4_forms[u][v]
 
     def curvature_endo_form(self, b: int, j: int) -> Form:
         """The 2-form R^b_j = sum_{u<v} R^b_{juv} dx^u wedge dx^v."""
-        terms = {}
-        for u in range(self.dim):
-            for v in range(u + 1, self.dim):
-                c = self.riemann[b][j][u][v]
-                if not c.is_zero:
-                    terms[(u, v)] = c
-        return Form(self.field, terms)
+        return self.curvature_forms[b][j]
 
     def curvature_apply(self, vvform: VectorValuedForm) -> VectorValuedForm:
         """R(_,_) K: wedge the curvature 2-form into the form slot."""
         comps = []
-        for b in range(self.dim):
+        for row in self.curvature_forms:
             total = Form.zero(self.field)
-            for j in range(self.dim):
-                total = total + self.curvature_endo_form(b, j).wedge(vvform.components[j])
+            for block, comp in zip(row, vvform.components):
+                total = total + block.wedge(comp)
             comps.append(total)
         degree = min(vvform.degree + 2, self.dim)
         return VectorValuedForm(self.field, comps, degree=degree)
@@ -346,16 +407,11 @@ class ChartGeometry:
         It is algebraic: over the nabla basics a derivation's insertion
         coefficients are its lie ones plus T of its even coefficients K.
         """
-        out = []
-        for i in range(self.dim):
-            total = Form.zero(self.field)
-            for j in range(self.dim):
+        out = [Form.zero(self.field)] * self.dim
+        for i, j, k, coeff in self.gamma_nonzero:
+            if not coeffs[k].is_zero:
                 dxj = Form.coordinate_diff(self.field, j)
-                for k in range(self.dim):
-                    coeff = self.gamma[i][j][k]
-                    if not coeff.is_zero and not coeffs[k].is_zero:
-                        total = total + coeffs[k].wedge(dxj) * coeff
-            out.append(total)
+                out[i] = out[i] + coeffs[k].wedge(dxj) * coeff
         return tuple(out)
 
     def dnabla(self, vvform: VectorValuedForm) -> VectorValuedForm:
@@ -383,16 +439,15 @@ class ChartGeometry:
     def covariant_hessian(self, f: RationalFunction):
         """Hess_{ab} = d_a d_b f - Gamma^m_{ab} d_m f (symmetric)."""
         f = self.field.wrap(f)
-        hess = []
-        for a in range(self.dim):
-            row = []
-            for b in range(self.dim):
-                entry = f.partial(a).partial(b)
-                for m in range(self.dim):
-                    entry = entry - self.gamma[m][a][b] * f.partial(m)
-                row.append(entry)
-            hess.append(tuple(row))
-        return tuple(hess)
+        rng = range(self.dim)
+        grad = [f.partial(m) for m in rng]
+        return tuple(
+            tuple(
+                grad[a].partial(b) - dot(self.field, ((self.gamma[m][a][b], grad[m]) for m in rng))
+                for b in rng
+            )
+            for a in rng
+        )
 
     # -- classical mechanics -----------------------------------------------
 
@@ -461,7 +516,7 @@ def tangent_lift_chart(name: str, base_coords, base_metric) -> ChartGeometry:
     if gbar_inv is None:
         raise ChartError("base metric is degenerate: det g = 0")
     # base Christoffels, lifted: only q-partials appear
-    gam = christoffel(gbar, gbar_inv, field)
+    gam = christoffel(gbar_inv, christoffel_first(gbar), field)
 
     dim = 2 * n
     vel = [field.coordinate(vc) for vc in vel_coords]

@@ -47,9 +47,10 @@ the stored integer is a conventional representative.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .forms import Derivation, Form, VectorField, VectorValuedForm
-from .geometry import ChartGeometry, matrix_inverse
+from .geometry import ChartGeometry, dot, matrix_inverse
 from .scalars import RationalFunction
 
 
@@ -483,35 +484,32 @@ def theta_even(geom: ChartGeometry, variant: str = "omega_g") -> GradedTwoForm:
 
 
 def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:
-    """The even symplectic form from its closed-form blocks in the lie basis."""
+    """The even symplectic form from its closed-form blocks in the lie basis.
+
+    The even-even block is omega_ab + alpha_ab with
+
+        alpha_ab = sum_{u<v} (sum_n Gamma_{n,ub} Gamma^n_{va}
+                   - Gamma_{n,ua} Gamma^n_{vb} - R4(a, b, u, v)) dx^u ^ dx^v,
+
+    in the first-kind symbols Gamma_{n,jk} = g_{nm} Gamma^m_{jk}; the mixed
+    block <L_a, i_b> is Gamma_{b,ua} dx^u and the insertion block the metric.
+    """
     dim = geom.dim
     field = geom.field
+    first, gamma, r4 = geom.gamma_first, geom.gamma, geom.riemann_lowered
+    rng = range(dim)
 
     def alpha(a, b):
-        terms = {}
-        for u in range(dim):
-            for v in range(u + 1, dim):
-                c = field.zero
-                for m in range(dim):
-                    for n in range(dim):
-                        c = c + geom.g[m][n] * (
-                            geom.gamma[m][u][b] * geom.gamma[n][v][a]
-                            - geom.gamma[m][u][a] * geom.gamma[n][v][b]
-                        )
-                c = c - geom.riemann4(a, b, u, v)
-                if not c.is_zero:
-                    terms[(u, v)] = c
+        terms = {
+            (u, v): dot(field, ((first[n][u][b], gamma[n][v][a]) for n in rng))
+            - dot(field, ((first[n][u][a], gamma[n][v][b]) for n in rng))
+            - r4[a][b][u][v]
+            for u, v in combinations(rng, 2)
+        }
         return Form(field, terms)
 
     def mixed(a, b):
-        coeffs = {}
-        for u in range(dim):
-            c = field.zero
-            for m in range(dim):
-                c = c + geom.gamma[m][u][a] * geom.g[m][b]
-            if not c.is_zero:
-                coeffs[(u,)] = c
-        return Form(field, coeffs)
+        return Form(field, {(u,): first[b][u][a] for u in rng})
 
     def entry(r, s):
         if s < dim:
@@ -531,10 +529,11 @@ def theta_even_closed_nabla(geom: ChartGeometry) -> GradedTwoForm:
     """
     dim = geom.dim
     zero = Form.zero(geom.field)
+    forms = geom.riemann4_forms
 
     def entry(r, s):
         if s < dim:
-            return Form.function(geom.w[r][s]) - geom.riemann4_form(r, s)
+            return Form.function(geom.w[r][s]) - forms[r][s]
         if r < dim:
             return zero
         return Form.function(geom.g[r - dim][s - dim])

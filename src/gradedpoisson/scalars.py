@@ -639,6 +639,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self.num:
+            return self
+        if not other.num:
+            return other
         memo = self.field._memo
         key = (self, other)
         result = memo.get(key)

@@ -5,9 +5,11 @@ way, or no longer needs: a scalar as a sympy fraction-field element, for
 sympy's printing and arithmetic, a value at a rational point, the Lie
 derivative of a form by Cartan's formula, a derivation's normal form
 L_K + i_{L'} and its action through Cartan's formula for K, the Lie
-bracket of vector fields, d^G of a graded 2-form by the graded Palais
-formula. Kept outside the package, they stay independent oracles for
-what the package does.
+bracket of vector fields, the lowered curvature tensor entry by entry and
+the closed-form even-even block as its double sum over Christoffel
+symbols, d^G of a graded 2-form by the graded Palais formula. Kept
+outside the package, they stay independent oracles for what the package
+does.
 """
 
 from __future__ import annotations
@@ -218,6 +220,35 @@ def j_apply(chart, x: VectorField) -> VectorField:
             c = c + chart.j_matrix[b][j] * x.components[j]
         comps.append(c)
     return VectorField(chart.field, comps)
+
+
+def riemann4(chart, u: int, v: int, w: int, z: int):
+    """The 4-tensor -g(R(e_u, e_v) e_w, e_z) = -sum_i R^i_{wuv} g_{iz}, entry by entry."""
+    total = chart.field.zero
+    for i in range(chart.dim):
+        total = total + chart.riemann[i][w][u][v] * chart.g[i][z]
+    return -total
+
+
+def closed_alpha(chart, a: int, b: int) -> Form:
+    """The 2-form alpha_ab = <L_a, L_b> - omega_ab of the closed-form even
+    symplectic form, by its double sum over the second-kind symbols:
+
+        sum_{u<v} (sum_{m,n} g_mn (Gamma^m_ub Gamma^n_va - Gamma^m_ua Gamma^n_vb)
+                   - R4(a, b, u, v)) dx^u ^ dx^v
+    """
+    dim, gamma = chart.dim, chart.gamma
+    terms = {}
+    for u in range(dim):
+        for v in range(u + 1, dim):
+            c = chart.field.zero
+            for m in range(dim):
+                for n in range(dim):
+                    c = c + chart.g[m][n] * (
+                        gamma[m][u][b] * gamma[n][v][a] - gamma[m][u][a] * gamma[n][v][b]
+                    )
+            terms[(u, v)] = c - riemann4(chart, a, b, u, v)
+    return Form(chart.field, terms)
 
 
 def nabla_direction(chart, u: VectorField, x: VectorField) -> VectorField:

@@ -14,6 +14,7 @@ import pytest
 from gradedpoisson import suites
 from gradedpoisson.geometry import ChartGeometry, builtin_chart
 from gradedpoisson.graded import theta_even_cached
+from gradedpoisson.scalars import RationalFunction
 from gradedpoisson.suites import SuiteContext, check_locally_hamiltonian, run_suite
 
 ALL_CHARTS = ("flat2", "flat4", "halfplane", "sphere2", "tlift1", "tlift1q")
@@ -96,6 +97,24 @@ def test_recursion_checks_shift_each_solution_once(monkeypatch):
     report = run_suite(builtin_chart("sphere2"), suite="recursion", seed=42, samples=2)
     assert report.failed == 0
     assert len(calls) <= 12
+
+
+def test_flat4_contracts_no_zero_christoffel_or_curvature_entry(monkeypatch):
+    # flat4's Christoffel symbols and curvature all vanish; contractions over
+    # their nonzero entries leave 5,967 scalar products in a full check,
+    # where dense loops over every entry made 13,375
+    calls = 0
+    mul = RationalFunction.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counting)
+    report = run_suite(builtin_chart("flat4"), suite="all", seed=42, samples=2)
+    assert report.failed == 0
+    assert calls <= 5967
 
 
 def test_a_failing_axiom_check_carries_a_nonzero_witness():

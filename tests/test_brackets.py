@@ -696,8 +696,24 @@ g.2.2=1/(1+x^2+y^2)
 w.1.2=1/(1+x^2+y^2)
 """
 
-DERIVED = {"gamma", "riemann", "j_matrix", "j_inv"}
-BUILT_BY = {"odd": set(), "even": {"gamma"}, "fastpath": DERIVED}
+DERIVED = {
+    "gamma_first",
+    "gamma",
+    "gamma_nonzero",
+    "riemann",
+    "riemann_lowered",
+    "riemann4_forms",
+    "curvature_forms",
+    "j_matrix",
+    "j_inv",
+}
+# the nabla basics read only Gamma (raised from the first kind) and its
+# nonzero list; [[f, h]] takes no covariant derivative, so it reads no list
+BUILT_BY = {
+    "odd": set(),
+    "even": {"gamma_first", "gamma", "gamma_nonzero"},
+    "fastpath": DERIVED - {"gamma_nonzero"},
+}
 
 
 def _bracket_on(route, chart):

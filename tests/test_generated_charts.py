@@ -1,12 +1,13 @@
-"""Verdicts on generated 2-D charts, predicted from the paper's hypotheses.
+"""Verdicts on generated charts, predicted from the paper's hypotheses.
 
 The built-in charts are checked against golden reports, which the code
-printed itself. Here the oracle is the mathematics: three families of
-manifests are drawn at random, and each must give the verdict its
-geometry implies, whatever the scalar arithmetic underneath does.
+printed itself. Here the oracle is the mathematics: three families of 2-D
+manifests and their 4-D products are drawn at random, and each must give
+the verdict its geometry implies, whatever the scalar arithmetic
+underneath does.
 
-Every chart is 2-D with g = diag(g11, g22) and omega = w dx^dy, w = omega_12.
-J is fixed by omega(A, B) = g(JA, B), so
+Every chart of the three families is 2-D with g = diag(g11, g22) and
+omega = w dx^dy, w = omega_12. J is fixed by omega(A, B) = g(JA, B), so
 
     J = [[0, -w/g11], [w/g22, 0]],   J^2 = -f^2 Id,   f^2 = w^2 / (g11 g22),
 
@@ -51,6 +52,16 @@ and omega = f vol_g with vol_g = sqrt(g11 g22) dx^dy.
   The remaining theorem checks (insertion, Lie and defect identities,
   metric-potential pairing, construction routes, determinant, odd-bracket
   oracles) are identities for any pair (omega, g) and pass.
+
+* products of a conformal chart in (x, y) and a half-plane chart in
+  (u, v): g = diag(c, c, h, h) and omega = c dx^dy + h du^dv. A product of
+  Kahler charts is Kahler, so every axioms and theorems check passes.
+  These are the only generated charts of dimension 4, the only ones with
+  curvature on two coordinate planes. The recursion and kahler suites are
+  left out: their chain checks compare the solver with the displayed
+  curvature recursions, which on curved 4-D charts go wrong from degree 3
+  on (ROADMAP item 12), so odd-chain fails for functions that mix the
+  factors, such as y*u*v, which the suites draw.
 
 Charts are drawn here, not taken from the benchmark's generator, so that
 this test stays an independent oracle.
@@ -114,9 +125,23 @@ def _chart(g11, g22, w12):
     )
 
 
-def _failures(chart, seed):
+@st.composite
+def product(draw):
+    """(c, h): a conformal factor in x, y and a half-plane factor in u, v."""
+    return draw(conformal())[0], draw(halfplane())[0].replace("y", "v")
+
+
+def _product_chart(c, h):
+    return parse_manifest(
+        "[chart] name=product, dim=4, coords=x,y,u,v\nkahler-expected=true\n"
+        f"[metric]\ng.1.1={c}\ng.2.2={c}\ng.3.3={h}\ng.4.4={h}\n"
+        f"[symplectic]\nw.1.2={c}\nw.3.4={h}\n"
+    )
+
+
+def _failures(chart, seed, suites=SUITES):
     failed = set()
-    for suite in SUITES:
+    for suite in suites:
         report = run_suite(chart, suite, seed=seed, samples=2)
         failed |= {record.id for record in report.records if record.status != "pass"}
     return failed
@@ -132,3 +157,9 @@ def _failures(chart, seed):
 def test_generated_chart_verdicts_follow_the_hypotheses(family, expected, data, seed):
     chart = _chart(*data.draw(family()))
     assert _failures(chart, seed) == expected
+
+
+@settings(max_examples=3)
+@given(factors=product(), seed=st.integers(0, 99))
+def test_products_of_kahler_charts_pass_the_axioms_and_theorems(factors, seed):
+    assert _failures(_product_chart(*factors), seed, suites=("axioms", "theorems")) == set()

@@ -12,10 +12,27 @@ from gradedpoisson.geometry import (
     matrix_inverse,
     tangent_lift_chart,
 )
+from gradedpoisson.graded import theta_even_closed_lie
+from gradedpoisson.manifest import parse_manifest
 from gradedpoisson.scalars import coordinate_field
-from reference import insert_vector, j_apply, nabla_direction
+from reference import closed_alpha, insert_vector, j_apply, nabla_direction, riemann4
 
 CHARTS = {name: builtin_chart(name) for name in builtin_names()}
+
+# sphere2 x halfplane: the one 4-D chart here whose curvature is not zero
+PRODUCT = parse_manifest("""\
+[chart] name=product, dim=4, coords=x,y,u,v
+kahler-expected=true
+[metric]
+g.1.1=4/(1+x^2+y^2)^2
+g.2.2=4/(1+x^2+y^2)^2
+g.3.3=1/v^2
+g.4.4=1/v^2
+[symplectic]
+w.1.2=4/(1+x^2+y^2)^2
+w.3.4=1/v^2
+""")
+TABLE_CHARTS = {**CHARTS, "product": PRODUCT}
 
 
 @st.composite
@@ -73,9 +90,9 @@ def test_symplectic_parallel_on_builtins(name):
                 assert lhs.is_zero
 
 
-@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("name", TABLE_CHARTS)
 def test_curvature_symmetries(name):
-    ch = CHARTS[name]
+    ch = TABLE_CHARTS[name]
     rng = range(ch.dim)
     for u in rng:
         for v in rng:
@@ -103,6 +120,52 @@ def test_curvature_symmetries(name):
                         + ch.riemann[i][v][j][u]
                     )
                     assert total.is_zero
+
+
+@pytest.mark.parametrize("name", TABLE_CHARTS)
+def test_curvature_tables_match_the_entrywise_sums(name):
+    ch = TABLE_CHARTS[name]
+    rng = range(ch.dim)
+    for u in rng:
+        for v in rng:
+            want = {(w, z): riemann4(ch, u, v, w, z) for w in rng for z in rng}
+            assert {(w, z): ch.riemann4(u, v, w, z) for w in rng for z in rng} == want
+            endo = {(w, z): ch.riemann[u][v][w][z] for w in rng for z in rng if w < z}
+            assert ch.curvature_endo_form(u, v) == Form(ch.field, endo)
+
+
+def test_the_product_chart_has_four_dimensional_curvature():
+    r4 = PRODUCT.riemann4_forms
+    assert not r4[0][1].is_zero and not r4[2][3].is_zero
+    assert r4[0][2].is_zero and r4[1][3].is_zero
+
+
+@pytest.mark.parametrize("name", TABLE_CHARTS)
+def test_christoffel_tables_match_their_definitions(name):
+    ch = TABLE_CHARTS[name]
+    rng = range(ch.dim)
+    for n in rng:
+        for j in rng:
+            for k in rng:
+                lowered = sum((ch.g[m][n] * ch.gamma[m][j][k] for m in rng), ch.field.zero)
+                assert ch.gamma_first[n][j][k] == lowered
+    every = [(i, j, k, ch.gamma[i][j][k]) for i in rng for j in rng for k in rng]
+    assert list(ch.gamma_nonzero) == [entry for entry in every if not entry[3].is_zero]
+
+
+@pytest.mark.parametrize("name", TABLE_CHARTS)
+def test_closed_lie_blocks_match_the_double_sums(name):
+    ch = TABLE_CHARTS[name]
+    theta = theta_even_closed_lie(ch)
+    rng = range(ch.dim)
+    for a in rng:
+        for b in rng:
+            assert theta.blocks[a][b] == Form.function(ch.w[a][b]) + closed_alpha(ch, a, b)
+            mixed = {
+                (u,): sum((ch.gamma[m][u][a] * ch.g[m][b] for m in rng), ch.field.zero)
+                for u in rng
+            }
+            assert theta.blocks[a][ch.dim + b] == Form(ch.field, mixed)
 
 
 @pytest.mark.parametrize("name", builtin_names())
