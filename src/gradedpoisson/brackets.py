@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import Derivation, Form, VectorValuedForm
-from .geometry import ChartError, ChartGeometry, matrix_inverse
+from .geometry import ChartError, ChartGeometry, dot, matrix_inverse
 from .graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -209,9 +209,7 @@ def k_odd(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     for b in range(dim):
         coeffs = {}
         for u in range(dim):
-            val = field.zero
-            for c in range(dim):
-                val = val + chart.w_inv[b][c] * hess[c][u]
+            val = dot(field, ((chart.w_inv[b][c], hess[c][u]) for c in range(dim)))
             if not val.is_zero:
                 coeffs[(u,)] = val
         comps.append(Form(field, coeffs))

@@ -32,7 +32,7 @@ def load_chart(target: str):
     try:
         with open(target, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ManifestError(f"cannot read manifest: {err}", 0) from None
     return parse_manifest(text)
 

@@ -16,49 +16,88 @@ Three steps split what is left, p:
   not a square.
 
 The product of the factors is p exactly. Where a piece cannot be
-certified, ``factor`` returns None and the caller factors otherwise, at
-the cost of importing sympy: x**4 + 1 and x**3 + x + 1 are irreducible
-but have degree more than 2 in every coordinate, and every image of
-(x + y + 1)*(x - y + 2) splits. Every denominator of the built-in charts
-and of the benchmark's manifests is certified by degree 1 or an image of
-degree 2.
+certified, ``factor`` returns None and the caller calls ``factor_list``,
+sympy's factoring, at the cost of importing sympy: x**4 + 1 and
+x**3 + x + 1 are irreducible but have degree more than 2 in every
+coordinate, and every image of (x + y + 1)*(x - y + 2) splits. Every
+denominator of the built-in charts and of the benchmark's manifests is
+certified by degree 1 or an image of degree 2.
+
+Polynomials are packed as in ``scalars``, at the base width of their
+field's layout: ``scalars.SIZE_BOUND`` keeps the total degree of anything
+factored far below it. Exponents are unpacked only where a dense
+univariate image is built.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt
-from operator import sub
 
-from .scalars import _exact_quotient, _poly_add, _poly_neg, _poly_pow
+from .scalars import _exact_quotient, _poly_add, _poly_neg, _poly_pow, _positive
 
 # the values the certificate tries for the other coordinates
 _VALUES = (1, 2, -1)
 
 
-def factor(num):
+def factor(lay, num):
     """(sign, content, [(f, e), ...]) with num = sign * content * prod f**e,
     each f irreducible and primitive with a positive leading coefficient;
-    or None where a piece cannot be certified. num is nonzero.
+    or None where a piece cannot be certified. num is nonzero and packed in
+    the layout lay.
     """
     sign = -1 if num[0][1] < 0 else 1
     content = 0
     for _, coeff in num:
         content = gcd(content, coeff)
-    width = len(num[0][0])
-    low = list(map(min, zip(*(monom[1:] for monom, _ in num))))
+    low = list(map(min, zip(*(lay.exponents(monom) for monom, _ in num))))
     # dividing every term by one monomial keeps the order
-    shift = (sum(low), *low)
-    rest = tuple([(tuple(map(sub, monom, shift)), coeff * sign // content) for monom, coeff in num])
-    pieces = _pieces(rest)
+    shift = _pack(lay, low)
+    rest = tuple([(monom - shift, coeff * sign // content) for monom, coeff in num])
+    pieces = _pieces(lay, rest)
     if pieces is None:
         return None
-    exps = {_from_dense([0, 1], slot, width): exp for slot, exp in enumerate(low, 1) if exp}
+    exps = {_from_dense(lay, [0, 1], v): exp for v, exp in enumerate(low) if exp}
     for poly, exp in pieces:
         exps[poly] = exps.get(poly, 0) + exp
     return sign, content, list(exps.items())
 
 
-def _pieces(p):
+@cache
+def _ring(coords):
+    """sympy's polynomial ring over the coordinates."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import PolyRing
+
+    return PolyRing(coords, ZZ, grlex)
+
+
+def _to_sympy(field, poly):
+    lay = field.layout
+    return _ring(field.coords).from_dict(
+        {tuple(lay.exponents(monom)): coeff for monom, coeff in poly}
+    )
+
+
+def _from_sympy(lay, poly):
+    terms = [(_pack(lay, monom), int(coeff)) for monom, coeff in poly.items()]
+    return tuple(sorted(terms, reverse=True))
+
+
+def factor_list(field, num):
+    """(sign, content, [(f, e), ...]) as ``factor`` gives them, from sympy's
+    ``factor_list``, for any nonzero num of the field at its base width."""
+    coeff, pairs = _to_sympy(field, num).factor_list()
+    sign, facs = (-1 if coeff < 0 else 1), []
+    for poly, exp in pairs:
+        poly, unit = _positive(_from_sympy(field.layout, poly))
+        sign *= unit**exp
+        facs.append((poly, exp))
+    return sign, abs(int(coeff)), facs
+
+
+def _pieces(lay, p):
     """[(f, e), ...] with p = prod f**e and each f certified irreducible, or
     None. p is primitive with a positive leading coefficient, and no
     coordinate divides it.
@@ -71,36 +110,40 @@ def _pieces(p):
     """
     if len(p) == 1:
         return []  # the constant 1
-    root = _perfect_root(p)
+    root = _perfect_root(lay, p)
     if root is not None:
         q, k = root
-        pieces = _pieces(q)
+        pieces = _pieces(lay, q)
         return None if pieces is None else [(f, e * k) for f, e in pieces]
-    width = len(p[0][0])
-    slots = [s for s in range(1, width) if any(monom[s] for monom, _ in p)]
+    used = 0
+    for monom, _ in p:
+        used |= monom
+    slots = [v for v, shift in enumerate(lay.shifts) if (used >> shift) & lay.mask]
     candidates = []
     for slot in slots:
         coeffs = {}  # exponent of x_v -> the terms with it
+        shift, unit = lay.shifts[slot], lay.units[slot]
         for term in p:
-            coeffs.setdefault(term[0][slot], []).append(term)
+            coeffs.setdefault((term[0] >> shift) & lay.mask, []).append(term)
         # a coefficient that is an integer leaves no content
-        if not any(len(terms) == 1 and terms[0][0][0] == e for e, terms in coeffs.items()):
+        if not any(len(terms) == 1 and terms[0][0] == e * unit for e, terms in coeffs.items()):
             if len(slots) != 2:
                 continue
             (other,) = [s for s in slots if s != slot]
-            content = _dense_content(coeffs.values(), other)
+            content = _dense_content(lay, coeffs.values(), other)
             if len(content) > 1:
-                divisor = _from_dense(content, other, width)
-                first, second = _pieces(divisor), _pieces(_exact_quotient(p, divisor))
+                divisor = _from_dense(lay, content, other)
+                quotient = _exact_quotient(lay, p, divisor)
+                first, second = _pieces(lay, divisor), _pieces(lay, quotient)
                 return None if first is None or second is None else first + second
         candidates.append((max(coeffs), slot))
     for degree, slot in sorted(candidates):
-        if degree == 1 or (degree == 2 and _certified(p, slot, slots)):
+        if degree == 1 or (degree == 2 and _certified(lay, p, slot, slots)):
             return [(p, 1)]
     return None
 
 
-def _certified(p, slot, slots):
+def _certified(lay, p, slot, slots):
     """Whether p, of degree 2 in x_v, has an image in Z[x_v] at a small
     integer point of the other coordinates that keeps that degree and whose
     discriminant is not a square, so that the image is irreducible over Q.
@@ -116,9 +159,10 @@ def _certified(p, slot, slots):
         point = [(s, _VALUES[(start + i) % len(_VALUES)]) for i, s in enumerate(others)]
         image = [0, 0, 0]
         for monom, coeff in p:
+            exps = lay.exponents(monom)
             for s, value in point:
-                coeff *= value ** monom[s]
-            image[monom[slot]] += coeff
+                coeff *= value ** exps[s]
+            image[exps[slot]] += coeff
         low, mid, lead = image
         if lead:
             disc = mid**2 - 4 * lead * low
@@ -127,7 +171,7 @@ def _certified(p, slot, slots):
     return False
 
 
-def _perfect_root(p):
+def _perfect_root(lay, p):
     """(q, k) with p = q**k for a prime k and q's leading coefficient
     positive, or None.
 
@@ -140,22 +184,23 @@ def _perfect_root(p):
     """
     (lm, lc), (tm, tc) = p[0], p[-1]
     exps = 0
-    for e in lm + tm:
+    for e in lay.exponents(lm) + lay.exponents(tm):
         exps = gcd(exps, e)
     for k in _prime_divisors(exps):
         head = _iroot(lc, k)
         if head is None or _iroot(tc, k) is None:
             continue
-        last = tuple([e // k for e in tm])
-        root = [(tuple([e // k for e in lm]), head)]
-        dm, dc = tuple([e * (k - 1) for e in root[0][0]]), k * head ** (k - 1)
+        # k divides every field of lm and tm, so it divides them field by field
+        last = tm // k
+        root = [(lm // k, head)]
+        dm, dc = root[0][0] * (k - 1), k * head ** (k - 1)
         while True:
-            rest = _poly_add(p, _poly_neg(_poly_pow(tuple(root), k)))
+            rest = _poly_add(lay, p, _poly_neg(_poly_pow(lay, tuple(root), k)))
             if not rest:
                 return tuple(root), k
             monom, coeff = rest[0]
-            qm = tuple(map(sub, monom, dm))
-            if min(qm) < 0 or coeff % dc or not last <= qm < root[-1][0]:
+            qm = monom - dm
+            if qm & lay.guard or coeff % dc or not last <= qm < root[-1][0]:
                 break
             root.append((qm, coeff // dc))
     return None
@@ -187,15 +232,17 @@ def _iroot(c, k):
         r = s
 
 
-def _dense_content(groups, slot):
+def _dense_content(lay, groups, slot):
     """The primitive gcd over Z of polynomials in the one coordinate ``slot``,
     each given by its terms, as a dense list of coefficients from degree 0
     up, the last one positive."""
+    shift, mask = lay.shifts[slot], lay.mask
     content = None
     for terms in groups:
-        dense = [0] * (max(monom[slot] for monom, _ in terms) + 1)
-        for monom, coeff in terms:
-            dense[monom[slot]] = coeff
+        exps = [(monom >> shift) & mask for monom, _ in terms]
+        dense = [0] * (max(exps) + 1)
+        for exp, (_, coeff) in zip(exps, terms):
+            dense[exp] = coeff
         content = _primitive(dense) if content is None else _dense_gcd(content, dense)
         if len(content) == 1:
             break
@@ -233,13 +280,18 @@ def _dense_gcd(a, b):
     return [1]
 
 
-def _from_dense(dense, slot, width):
+def _pack(lay, exponents):
+    """The monomial with these exponents, packed in the layout lay."""
+    monom = sum(exponents) << lay.top
+    for exp, shift in zip(exponents, lay.shifts):
+        monom |= exp << shift
+    return monom
+
+
+def _from_dense(lay, dense, slot):
     """The polynomial in the one coordinate ``slot`` with these coefficients."""
-    terms = []
-    for degree in range(len(dense) - 1, -1, -1):
-        if dense[degree]:
-            monom = [0] * width
-            monom[0] = monom[slot] = degree
-            terms.append((tuple(monom), dense[degree]))
-    return tuple(terms)
+    unit = lay.units[slot]
+    return tuple(
+        (degree * unit, dense[degree]) for degree in range(len(dense) - 1, -1, -1) if dense[degree]
+    )
 

@@ -51,12 +51,12 @@ def matrix_inverse(rows, field: ScalarField):
             det = -det
         det = det * work[col][col]
         inv = 1 / work[col][col]
-        work[col] = [entry * inv for entry in work[col]]
+        work[col] = [entry * inv if entry else entry for entry in work[col]]
         for r in range(n):
             if r == col or work[r][col].is_zero:
                 continue
             factor = work[r][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+            work[r] = [a - factor * b if b else a for a, b in zip(work[r], work[col])]
     return det, tuple(tuple(row[n:]) for row in work)
 
 
@@ -260,13 +260,10 @@ class ChartGeometry:
     @cached_property
     def j_matrix(self):
         """J e_j = J^b_j e_b with omega(X,Y) = g(JX,Y), that is J = g^-1 omega."""
-        dim, field = self.dim, self.field
+        rng, field = range(self.dim), self.field
         return tuple(
-            tuple(
-                sum((self.g_inv[b][l] * self.w[j][l] for l in range(dim)), field.zero)
-                for j in range(dim)
-            )
-            for b in range(dim)
+            tuple(dot(field, ((self.g_inv[b][l], self.w[j][l]) for l in rng)) for j in rng)
+            for b in rng
         )
 
     @cached_property
@@ -278,19 +275,24 @@ class ChartGeometry:
 
     def bilinear_eval(self, matrix, x: VectorField, y: VectorField) -> RationalFunction:
         """The bilinear form with the given matrix (chart.g or chart.w) on X, Y."""
-        total = self.field.zero
-        for i in range(self.dim):
-            for j in range(self.dim):
-                total = total + matrix[i][j] * x.components[i] * y.components[j]
-        return total
+        rng, xs, ys = range(self.dim), x.components, y.components
+        return dot(
+            self.field,
+            ((matrix[i][j] * xs[i], ys[j]) for i in rng for j in rng if matrix[i][j] and xs[i]),
+        )
 
     def cometric_eval(self, lam: Form, mu: Form) -> RationalFunction:
         """g^{-1} on two 1-forms."""
-        total = self.field.zero
-        for i in range(self.dim):
-            for j in range(self.dim):
-                total = total + self.g_inv[i][j] * lam.coefficient((i,)) * mu.coefficient((j,))
-        return total
+        rng, lams = range(self.dim), [lam.coefficient((i,)) for i in range(self.dim)]
+        return dot(
+            self.field,
+            (
+                (self.g_inv[i][j] * lams[i], mu.coefficient((j,)))
+                for i in rng
+                for j in rng
+                if self.g_inv[i][j] and lams[i]
+            ),
+        )
 
     def omega_form(self) -> Form:
         terms = {}
@@ -304,9 +306,7 @@ class ChartGeometry:
         """The 1-form B(X, _) for the matrix of B (chart.g or chart.w)."""
         coeffs = {}
         for j in range(self.dim):
-            c = self.field.zero
-            for i in range(self.dim):
-                c = c + matrix[i][j] * x.components[i]
+            c = dot(self.field, ((matrix[i][j], x.components[i]) for i in range(self.dim)))
             if not c.is_zero:
                 coeffs[(j,)] = c
         return Form(self.field, coeffs)
@@ -319,12 +319,11 @@ class ChartGeometry:
     def sharp(self, one_form: Form) -> VectorField:
         if not one_form.is_homogeneous(1):
             raise ChartError("sharp needs a 1-form")
-        comps = []
-        for i in range(self.dim):
-            c = self.field.zero
-            for j in range(self.dim):
-                c = c + self.g_inv[i][j] * one_form.coefficient((j,))
-            comps.append(c)
+        rng = range(self.dim)
+        comps = [
+            dot(self.field, ((self.g_inv[i][j], one_form.coefficient((j,))) for j in rng))
+            for i in rng
+        ]
         return VectorField(self.field, comps)
 
     # -- J ------------------------------------------------------------------
@@ -352,12 +351,10 @@ class ChartGeometry:
 
     def j_square_scalar(self):
         """+1 or -1 when J^2 is that multiple of the identity, else None."""
-        sign = None
-        for b in range(self.dim):
-            for j in range(self.dim):
-                total = self.field.zero
-                for m in range(self.dim):
-                    total = total + self.j_matrix[b][m] * self.j_matrix[m][j]
+        sign, j_matrix, rng = None, self.j_matrix, range(self.dim)
+        for b in rng:
+            for j in rng:
+                total = dot(self.field, ((j_matrix[b][m], j_matrix[m][j]) for m in rng))
                 if b != j:
                     if not total.is_zero:
                         return None
@@ -454,12 +451,8 @@ class ChartGeometry:
     def classical_hamiltonian(self, f: RationalFunction) -> VectorField:
         """The vector field X_f with i_{X_f} omega = df."""
         f = self.field.wrap(f)
-        comps = []
-        for c in range(self.dim):
-            total = self.field.zero
-            for b in range(self.dim):
-                total = total + self.w_inv[b][c] * f.partial(b)
-            comps.append(total)
+        rng = range(self.dim)
+        comps = [dot(self.field, ((self.w_inv[b][c], f.partial(b)) for b in rng)) for c in rng]
         return VectorField(self.field, comps)
 
     def classical_poisson(self, f, h) -> RationalFunction:
@@ -476,9 +469,10 @@ class ChartGeometry:
         terms = {}
         for j in range(self.dim):
             for k in range(j + 1, self.dim):
-                c = self.field.zero
-                for i in range(self.dim):
-                    c = c + self.l_tensor[i][j][k] * x.components[i]
+                c = dot(
+                    self.field,
+                    ((self.l_tensor[i][j][k], x.components[i]) for i in range(self.dim)),
+                )
                 if not c.is_zero:
                     terms[(j, k)] = c
         return Form(self.field, terms)

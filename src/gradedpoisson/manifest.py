@@ -221,6 +221,12 @@ def _apply(manifest: ChartManifest, section: str, key: str, value: str, line: in
                     raise ManifestError(f"bad coordinate name {c!r}", line)
             if len(set(coords)) != len(coords):
                 raise ManifestError("duplicate coordinate names", line)
+            for c in coords:
+                # an expression reads d<name> as a coordinate before a differential
+                if c[:1] == "d" and c[1:] in coords:
+                    raise ManifestError(
+                        f"coordinate name {c!r} would hide the differential of {c[1:]!r}", line
+                    )
             manifest.coords = coords
         elif key == "kahler-expected":
             lowered = value.lower()

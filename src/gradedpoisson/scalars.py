@@ -20,13 +20,29 @@ what every identity check in the test harness relies on.
 
 A polynomial is a tuple of ``(monomial, coefficient)`` pairs with nonzero
 Python-int coefficients, in descending graded-lex order; the zero
-polynomial is ``()``. A monomial is ``(total_degree, e_1, ..., e_n)``, so
-plain tuple order *is* graded-lex order: total degree first, then the
-exponents lexicographically. The leading term is ``poly[0]``. Multiplying
+polynomial is ``()``. A monomial is one int of n + 1 fields of equal
+width: the total degree in the top field, then the exponents of x_1, ...,
+x_n below it in order (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007). So int
+order *is* graded-lex order, a product of two monomials is one int
+addition and a quotient one subtraction. The top bit of each field is a
+guard, clear in every stored monomial: a subtraction that leaves an
+exponent negative borrows into a guard bit, so one mask test tells whether
+a monomial divides another. The leading term is ``poly[0]``. Multiplying
 every monomial by one monomial keeps the order (a monomial order is
 compatible with products), and so does dividing every monomial by x_i, so
 a product by a single term and a partial derivative need no sort.
-Exponents and coefficients are unbounded ints, so every value is exact.
+
+The width is a function of the value: a polynomial is packed at the
+narrowest width of the ladder 32, 64, 128, ... bits whose fields hold its
+total degree below the guard bit. So equal values are equal tuples, and
+``==``, ``hash`` and the memo keys stay tuple operations. A chart's data
+stays at the base width of 32 bits (``_Layout.limit`` is the first
+monomial past it), where a product only compares the sum of the two
+leading monomials with that limit. An operand or a result past it goes
+through ``_wide``: repacked to a common width, computed there, and
+repacked at its own narrowest width. Exponents and coefficients are
+unbounded ints, so every value is exact.
 
 A new denominator is factored by the package itself wherever each factor
 can be proved irreducible (see ``factoring``): its sign, content and
@@ -34,13 +50,14 @@ coordinate powers, a perfect power, the content in one coordinate of a
 polynomial in two, and a factor of degree 1 in some coordinate, or of
 degree 2 with a univariate image of no square discriminant. A constant or
 a single term is factored directly. Only where a factor cannot be
-certified does ``_factor_list`` hand the numerator to sympy's
+certified does ``factoring.factor_list`` hand the numerator to sympy's
 ``factor_list`` (multivariate factoring over the integers, Knuth section
 4.6.2). That is the only place sympy is called, and it is imported there
-on first use. x**4 + 1 and x**3 + x + 1 go there, as would any factor of
-degree more than 2 in every coordinate, but no denominator of the
-built-in charts does. sympy types do not leak into the rest of the
-package.
+on first use; ``factoring`` itself is imported when the first numerator
+of two or more terms is factored. x**4 + 1 and x**3 + x + 1 go to sympy,
+as would any factor of degree more than 2 in every coordinate, but no
+denominator of the built-in charts does. sympy types do not leak into the
+rest of the package.
 
 A value prints itself, in the form sympy's ``str`` gives the fraction
 field element over ``ZZ`` with the expanded denominator: the canonical
@@ -93,10 +110,10 @@ an earlier one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
-from operator import add, sub
+from operator import attrgetter
 
 # see the module docstring; far above what charts need: full checks of the
 # built-in charts and of the Fubini-Study metric on CP^2 make quotients of
@@ -143,27 +160,16 @@ class ScalarField:
             raise ValueError("a chart needs at least one coordinate")
         self.coords = coords
         self._memo = {}
-        n = len(coords)
-        self._unit = (0,) * (n + 1)  # the monomial 1
-        self._gen_polys = tuple(
-            (((1,) + tuple(int(i == j) for j in range(n)), 1),) for i in range(n)
-        )
+        # the base width, which every polynomial of a chart's own data keeps
+        self.layout = _layout(len(coords), BASE_WIDTH)
+        self._gen_polys = tuple(((unit, 1),) for unit in self.layout.units)
         self.zero = RationalFunction(self, ())
-        self.one = RationalFunction(self, ((self._unit, 1),))
+        self.one = RationalFunction(self, ((0, 1),))  # the monomial 1 is 0
         self.gens = tuple(RationalFunction(self, g) for g in self._gen_polys)
 
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-    @cached_property
-    def _ring(self):
-        """sympy's polynomial ring over the coordinates, for factoring only."""
-        from sympy.polys.domains import ZZ
-        from sympy.polys.orderings import grlex
-        from sympy.polys.rings import PolyRing
-
-        return PolyRing(self.coords, ZZ, grlex)
 
     def index(self, name: str) -> int:
         """0-based position of a coordinate name; KeyError if unknown."""
@@ -178,7 +184,7 @@ class ScalarField:
     def constant(self, value) -> "RationalFunction":
         # a Fraction is reduced with a positive denominator: already canonical
         q = Fraction(value)
-        num = ((self._unit, q.numerator),) if q.numerator else ()
+        num = ((0, q.numerator),) if q.numerator else ()
         return RationalFunction(self, num, q.denominator)
 
     def wrap(self, value) -> "RationalFunction":
@@ -200,12 +206,107 @@ class ScalarField:
 
 # -- sparse polynomials over Z (see the module docstring) ---------------------
 
+# the narrowest field width, in bits; the ladder doubles it
+BASE_WIDTH = 32
 
-def _poly_add(p, q):
+
+class _Layout:
+    """How a monomial in n coordinates packs into one int at one field width:
+    the total degree in the top field, then x_1, ..., x_n below it."""
+
+    __slots__ = ("n", "width", "top", "mask", "limit", "guard", "shifts", "units")
+
+    def __init__(self, n, width):
+        self.n, self.width = n, width
+        self.top = n * width  # the shift of the total degree's field
+        self.mask = (1 << width) - 1
+        # the smallest monomial whose total degree reaches the guard bit
+        self.limit = 1 << (self.top + width - 1)
+        self.guard = sum(1 << (i * width + width - 1) for i in range(n + 1))
+        self.shifts = tuple((n - 1 - i) * width for i in range(n))  # x_i's field
+        self.units = tuple((1 << self.top) | (1 << shift) for shift in self.shifts)
+
+    def degree(self, monom):
+        return monom >> self.top
+
+    def exponents(self, monom):
+        mask = self.mask
+        return [(monom >> shift) & mask for shift in self.shifts]
+
+
+@cache
+def _layout(n, width):
+    return _Layout(n, width)
+
+
+def _fitting(base, degree):
+    """The narrowest layout on base's ladder whose fields hold ``degree``
+    below the guard bit."""
+    lay = base
+    while degree >> (lay.width - 1):
+        lay = _layout(lay.n, 2 * lay.width)
+    return lay
+
+
+def _layout_of(base, poly):
+    """The layout poly is packed in: the narrowest that holds its leading
+    monomial, whose total degree is the largest."""
+    lay = base
+    while poly and poly[0][0] >= lay.limit:
+        lay = _layout(lay.n, 2 * lay.width)
+    return lay
+
+
+def _degree(base, poly):
+    """The total degree of a nonzero poly."""
+    return _layout_of(base, poly).degree(poly[0][0])
+
+
+def _repack(poly, src, dst):
+    """poly, packed in layout src, packed in layout dst instead. The order
+    of the monomials does not depend on the width."""
+    if src is dst:
+        return poly
+    old, new, mask = src.width, dst.width, src.mask
+    out = []
+    for monom, coeff in poly:
+        packed = shift = 0
+        while monom:
+            packed |= (monom & mask) << shift
+            monom >>= old
+            shift += new
+        out.append((packed, coeff))
+    return tuple(out)
+
+
+def _narrow(base, poly, lay):
+    """A nonzero poly packed in lay, repacked at its own narrowest width."""
+    return _repack(poly, lay, _fitting(base, lay.degree(poly[0][0])))
+
+
+def _wide(base, op, polys, degree, *args):
+    """op(layout, *polys, *args) for operands or a result past the base
+    width: computed at the narrowest width that holds ``degree`` and every
+    operand, where op takes its fast path, and the result repacked at its
+    own narrowest width."""
+    layouts = [_layout_of(base, poly) for poly in polys]
+    common = max(layouts + [_fitting(base, degree)], key=attrgetter("width"))
+    result = op(common, *[_repack(p, lay, common) for p, lay in zip(polys, layouts)], *args)
+    return _narrow(base, result, common) if result else result
+
+
+# Each operation below takes the layout of its field. Operands past its
+# limit go through ``_wide``, which calls the operation again at a layout
+# that holds them.
+
+
+def _poly_add(lay, p, q):
     if not p:
         return q
     if not q:
         return p
+    if p[0][0] >= lay.limit or q[0][0] >= lay.limit:
+        return _wide(lay, _poly_add, (p, q), 0)
     terms = dict(p)
     for monom, coeff in q:
         terms[monom] = terms.get(monom, 0) + coeff
@@ -228,22 +329,29 @@ def _poly_quo(p, k):
     return tuple([(monom, coeff // k) for monom, coeff in p])
 
 
-def _poly_mul(p, q):
+def _poly_mul(lay, p, q):
+    if not (p and q):
+        return ()
+    # no field can carry: the sum of the leading monomials has the largest
+    # total degree of the product
+    if p[0][0] + q[0][0] >= lay.limit:
+        return _wide(lay, _poly_mul, (p, q), _degree(lay, p) + _degree(lay, q))
     if len(p) == 1:
         p, q = q, p
     if len(q) == 1:
         # a product by one term keeps the order
         ((qm, qc),) = q
-        return tuple([(tuple(map(add, monom, qm)), coeff * qc) for monom, coeff in p])
+        return tuple([(monom + qm, coeff * qc) for monom, coeff in p])
     terms = {}
+    get = terms.get
     for pm, pc in p:
         for qm, qc in q:
-            monom = tuple(map(add, pm, qm))
-            terms[monom] = terms.get(monom, 0) + pc * qc
+            monom = pm + qm
+            terms[monom] = get(monom, 0) + pc * qc
     return tuple(sorted([term for term in terms.items() if term[1]], reverse=True))
 
 
-def _poly_pow(p, k):
+def _poly_pow(lay, p, k):
     """p**k for k >= 1.
 
     A power of two or more terms stops with ``SizeError`` when it could
@@ -252,49 +360,46 @@ def _poly_pow(p, k):
     most comb(k * degree + n, n) monomials have a degree up to k * degree.
     """
     if len(p) <= 1:
-        return tuple([(tuple([e * k for e in monom]), coeff**k) for monom, coeff in p])
-    terms, (degree, *exps) = len(p), p[0][0]
-    if min(comb(terms + k - 1, terms - 1), comb(k * degree + len(exps), len(exps))) > SIZE_BOUND:
+        if p and p[0][0] * k >= lay.limit:
+            return _wide(lay, _poly_pow, (p,), _degree(lay, p) * k, k)
+        return tuple([(monom * k, coeff**k) for monom, coeff in p])
+    terms, degree, n = len(p), _degree(lay, p), lay.n
+    if min(comb(terms + k - 1, terms - 1), comb(k * degree + n, n)) > SIZE_BOUND:
         raise SizeError(
             f"cannot raise a polynomial of {terms} terms to the power {k}: the result "
             f"could have more than {SIZE_BOUND} terms, the size bound"
         )
     result = p
     for bit in bin(k)[3:]:
-        result = _poly_mul(result, result)
+        result = _poly_mul(lay, result, result)
         if bit == "1":
-            result = _poly_mul(result, p)
+            result = _poly_mul(lay, result, p)
     return result
 
 
-def _poly_diff(p, index):
+def _poly_diff(lay, p, index):
     """The partial derivative by coordinate ``index``. Each monomial loses
     one x_index, which keeps the order and maps distinct monomials apart."""
-    slot = index + 1
+    if p and p[0][0] >= lay.limit:
+        return _wide(lay, _poly_diff, (p,), 0, index)
+    shift, mask, unit = lay.shifts[index], lay.mask, lay.units[index]
     out = []
     for monom, coeff in p:
-        exp = monom[slot]
+        exp = (monom >> shift) & mask
         if exp:
-            lowered = list(monom)
-            lowered[0] -= 1
-            lowered[slot] = exp - 1
-            out.append((tuple(lowered), coeff * exp))
+            out.append((monom - unit, coeff * exp))
     return tuple(out)
 
 
-def _descending(monom):
-    """Heap key that pops monomials from the largest down."""
-    return tuple([-e for e in monom]), monom
-
-
-def _exact_quotient(num, factor):
+def _exact_quotient(lay, num, factor):
     """num / factor if factor divides num in Z[x], else None.
 
     Stops at the first leading term that the factor's leading term does not
     divide: the running remainder of an exact division is itself a multiple
     of the factor, so its leading term would be divisible. A heap yields
     the leading terms, so the division costs O(t log t) in the t terms it
-    touches, where a fresh maximum per step would cost O(t**2).
+    touches, where a fresh maximum per step would cost O(t**2). A monomial
+    divides another when their difference sets no guard bit.
 
     Two tests come first, so that a division that must fail does not run
     for as many steps as an exponent is large. A single term has only
@@ -302,21 +407,24 @@ def _exact_quotient(num, factor):
     the smallest terms, so the factor's smallest term must divide num's.
     num is nonzero.
     """
+    if num[0][0] >= lay.limit or factor[0][0] >= lay.limit:
+        return _wide(lay, _exact_quotient, (num, factor), 0)
+    guard = lay.guard
     (fm, fc), tail = factor[0], factor[1:]
     (lm, lc), (tm, tc) = num[-1], factor[-1]
-    if (len(num) == 1 and tail) or lc % tc or min(map(sub, lm, tm)) < 0:
+    if (len(num) == 1 and tail) or lc % tc or (lm - tm) & guard:
         return None
     rest = dict(num)
-    heap = [_descending(m) for m in rest]
+    heap = [-monom for monom in rest]
     heapify(heap)
     quotient = []
     while heap:
-        m = heappop(heap)[1]
-        c = rest.pop(m, 0)
+        monom = -heappop(heap)
+        c = rest.pop(monom, 0)
         if not c:  # cancelled, or an entry pushed twice
             continue
-        qm = tuple(map(sub, m, fm))
-        if min(qm) < 0 or c % fc:
+        qm = monom - fm
+        if qm & guard or c % fc:
             return None
         if len(quotient) == SIZE_BOUND:
             raise SizeError(
@@ -326,10 +434,10 @@ def _exact_quotient(num, factor):
         qc = c // fc
         quotient.append((qm, qc))
         for mf, cf in tail:
-            mm = tuple(map(add, mf, qm))
+            mm = mf + qm
             value = rest.get(mm)
             if value is None:
-                heappush(heap, _descending(mm))
+                heappush(heap, -mm)
                 value = 0
             value -= qc * cf
             if value:
@@ -344,15 +452,6 @@ def _positive(poly):
     return (_poly_neg(poly), -1) if poly[0][1] < 0 else (poly, 1)
 
 
-def _to_sympy(field, poly):
-    return field._ring.from_dict({monom[1:]: coeff for monom, coeff in poly})
-
-
-def _from_sympy(poly):
-    terms = [((sum(monom),) + monom, int(coeff)) for monom, coeff in poly.items()]
-    return tuple(sorted(terms, reverse=True))
-
-
 # -- the factored form ------------------------------------------------------
 
 
@@ -362,10 +461,13 @@ class _Factor:
 
     __slots__ = ("poly", "depends", "_hash")
 
-    def __init__(self, poly):
+    def __init__(self, base, poly):
         self.poly = poly
+        lay, used = _layout_of(base, poly), 0
+        for monom, _ in poly:
+            used |= monom
         # depends[i]: whether the factor involves coordinate i
-        self.depends = tuple(map(any, zip(*(monom[1:] for monom, _ in poly))))
+        self.depends = tuple(bool((used >> shift) & lay.mask) for shift in lay.shifts)
         self._hash = hash(poly)
 
     def __eq__(self, other):
@@ -379,7 +481,7 @@ def _by_order(pair):
     return pair[0].poly
 
 
-def _divide_out(num, factor, limit):
+def _divide_out(base, num, factor, limit):
     """Divide factor out of num as often as it goes, at most limit times.
 
     Returns the quotient and how often it divided. A factor of one term is
@@ -388,21 +490,18 @@ def _divide_out(num, factor, limit):
     time, which would take as many steps as an exponent is large.
     """
     if len(factor.poly) == 1:
-        slot = factor.depends.index(True) + 1
-        count = min(limit, min(monom[slot] for monom, _ in num))
+        index = factor.depends.index(True)
+        lay = _layout_of(base, num)
+        shift, mask = lay.shifts[index], lay.mask
+        count = min(limit, min((monom >> shift) & mask for monom, _ in num))
         if count:
             # dividing every term by one monomial keeps the order
-            out = []
-            for monom, coeff in num:
-                lowered = list(monom)
-                lowered[0] -= count
-                lowered[slot] -= count
-                out.append((tuple(lowered), coeff))
-            num = tuple(out)
+            drop = count * lay.units[index]
+            num = _narrow(base, tuple([(monom - drop, coeff) for monom, coeff in num]), lay)
         return num, count
     count = 0
     while count < limit:
-        quotient = _exact_quotient(num, factor.poly)
+        quotient = _exact_quotient(base, num, factor.poly)
         if quotient is None:
             break
         num, count = quotient, count + 1
@@ -428,7 +527,7 @@ def _reduce(field, num, cont, shared, exps, tried):
     if not num:
         return field.zero
     for factor in tried:
-        num, count = _divide_out(num, factor, exps[factor])
+        num, count = _divide_out(field.layout, num, factor, exps[factor])
         exps[factor] -= count
     common = _common_content(num, shared)
     if common != 1:
@@ -440,16 +539,17 @@ def _reduce(field, num, cont, shared, exps, tried):
 def _mul(a, b):
     if not a.num or not b.num:
         return a.field.zero
+    lay = a.field.layout
     aexps, bexps = dict(a.facs), dict(b.facs)
     anum, bnum = a.num, b.num
     # a's numerator is coprime to a's own factors, so only b's others can cancel
     for factor, exp in b.facs:
         if factor not in aexps:
-            anum, count = _divide_out(anum, factor, exp)
+            anum, count = _divide_out(lay, anum, factor, exp)
             bexps[factor] -= count
     for factor, exp in a.facs:
         if factor not in bexps:
-            bnum, count = _divide_out(bnum, factor, exp)
+            bnum, count = _divide_out(lay, bnum, factor, exp)
             aexps[factor] -= count
     # Fraction-style: gcd(content(a.num), a.cont) = 1 already
     acommon = _common_content(anum, b.cont)
@@ -462,7 +562,7 @@ def _mul(a, b):
         aexps[factor] = aexps.get(factor, 0) + exp
     facs = tuple(sorted(((f, e) for f, e in aexps.items() if e), key=_by_order))
     cont = (a.cont // bcommon) * (b.cont // acommon)
-    return RationalFunction(a.field, _poly_mul(anum, bnum), cont, facs)
+    return RationalFunction(a.field, _poly_mul(lay, anum, bnum), cont, facs)
 
 
 def _add(a, b, sign):
@@ -471,6 +571,7 @@ def _add(a, b, sign):
         return a
     if not a.num:
         return b if sign == 1 else RationalFunction(b.field, _poly_neg(b.num), b.cont, b.facs)
+    lay = a.field.layout
     aexps, bexps = dict(a.facs), dict(b.facs)
     shared = gcd(a.cont, b.cont)
     anum = _poly_scale(a.num, b.cont // shared)
@@ -479,20 +580,21 @@ def _add(a, b, sign):
     for factor in aexps.keys() | bexps.keys():
         aexp, bexp = aexps.get(factor, 0), bexps.get(factor, 0)
         if aexp > bexp:
-            bnum = _poly_mul(bnum, _poly_pow(factor.poly, aexp - bexp))
+            bnum = _poly_mul(lay, bnum, _poly_pow(lay, factor.poly, aexp - bexp))
         elif bexp > aexp:
-            anum = _poly_mul(anum, _poly_pow(factor.poly, bexp - aexp))
+            anum = _poly_mul(lay, anum, _poly_pow(lay, factor.poly, bexp - aexp))
         else:
             tried.append(factor)
         exps[factor] = max(aexp, bexp)
     # a prime can divide both num and the new content only if it divides
     # both contents, and then only to its power in shared (Henrici)
-    num = _poly_add(anum, bnum)
+    num = _poly_add(lay, anum, bnum)
     return _reduce(a.field, num, a.cont // shared * b.cont, shared, exps, tried)
 
 
 def _partial(a, index):
-    dnum = _poly_diff(a.num, index)
+    lay = a.field.layout
+    dnum = _poly_diff(lay, a.num, index)
     moving = [factor for factor, _ in a.facs if factor.depends[index]]
     exps = dict(a.facs)
     if moving:
@@ -500,56 +602,48 @@ def _partial(a, index):
         # Q the product of the factors that depend on the coordinate
         product, total = moving[0].poly, ()
         for other in moving[1:]:
-            product = _poly_mul(product, other.poly)
+            product = _poly_mul(lay, product, other.poly)
         for factor in moving:
-            term = _poly_scale(_poly_diff(factor.poly, index), exps[factor])
+            term = _poly_scale(_poly_diff(lay, factor.poly, index), exps[factor])
             for other in moving:
                 if other is not factor:
-                    term = _poly_mul(term, other.poly)
-            total = _poly_add(total, term)
+                    term = _poly_mul(lay, term, other.poly)
+            total = _poly_add(lay, total, term)
             exps[factor] += 1
-        dnum = _poly_add(_poly_mul(dnum, product), _poly_neg(_poly_mul(a.num, total)))
+        dnum = _poly_add(
+            lay, _poly_mul(lay, dnum, product), _poly_neg(_poly_mul(lay, a.num, total))
+        )
     tried = [factor for factor, _ in a.facs if not factor.depends[index]]
     return _reduce(a.field, dnum, a.cont, a.cont, exps, tried)
 
 
-def _factor_list(field, num):
-    """(sign, content, factors) with num = sign * content * prod f**e, the
-    factors normalized and sorted as in the canonical form, from sympy."""
-    coeff, pairs = _to_sympy(field, num).factor_list()
-    sign, facs = (-1 if coeff < 0 else 1), []
-    for poly, exp in pairs:
-        poly, unit = _positive(_from_sympy(poly))
-        sign *= unit**exp
-        facs.append((_Factor(poly), exp))
-    return sign, abs(int(coeff)), tuple(sorted(facs, key=_by_order))
-
-
 def _factor(field, num):
-    """(sign, content, factors) as ``_factor_list`` gives them. A constant
-    or a single term c * x**a * ... is factored directly: its sign, |c|,
-    and each coordinate to its exponent. A longer numerator is factored by
-    ``factoring.factor`` where that certifies every factor, else by sympy."""
+    """(sign, content, factors) with num = sign * content * prod f**e, the
+    factors normalized and sorted as in the canonical form. A constant or a
+    single term c * x**a * ... is factored directly: its sign, |c|, and each
+    coordinate to its exponent. A longer numerator is factored by
+    ``factoring.factor`` where that certifies every factor, else by sympy's
+    ``factor_list`` through ``factoring.factor_list``."""
+    lay = field.layout
     if len(num) == 1:
         ((monom, coeff),) = num
         sign, content = (-1 if coeff < 0 else 1), abs(coeff)
-        facs = [(gen, exp) for gen, exp in zip(field._gen_polys, monom[1:]) if exp]
+        exps = _layout_of(lay, num).exponents(monom)
+        facs = [(gen, exp) for gen, exp in zip(field._gen_polys, exps) if exp]
     else:
-        degree = num[0][0][0]
+        degree = _degree(lay, num)
         if degree > SIZE_BOUND:
             raise SizeError(
                 f"cannot factor a polynomial of total degree {degree}: "
                 f"the size bound is {SIZE_BOUND}"
             )
         # imported on first use, so that a run that factors no polynomial
-        # of two or more terms never loads it
-        from .factoring import factor
+        # of two or more terms never loads it; the bound keeps num at the
+        # base width
+        from .factoring import factor, factor_list
 
-        factored = factor(num)
-        if factored is None:
-            return _factor_list(field, num)
-        sign, content, facs = factored
-    return sign, content, tuple(sorted(((_Factor(f), e) for f, e in facs), key=_by_order))
+        sign, content, facs = factor(lay, num) or factor_list(field, num)
+    return sign, content, tuple(sorted(((_Factor(lay, f), e) for f, e in facs), key=_by_order))
 
 
 def _inverse(a):
@@ -565,21 +659,24 @@ def _inverse(a):
 
 def _expand(field, cont, facs):
     """The polynomial cont * prod f**e over the (factor, exponent) pairs."""
-    poly = ((field._unit, cont),)
+    lay, poly = field.layout, ((0, cont),)
     for factor, exp in facs:
-        poly = _poly_mul(poly, _poly_pow(factor.poly, exp))
+        poly = _poly_mul(lay, poly, _poly_pow(lay, factor.poly, exp))
     return poly
 
 
-def _poly_str(coords, poly):
+def _poly_str(field, poly):
     """A nonzero polynomial as sympy's ``str`` prints it: terms in the stored
     order joined by " + " or " - ", a leading "-" for a negative first term,
     no coefficient 1 or -1 before a monomial, and x**e for e > 1."""
+    coords, lay = field.coords, _layout_of(field.layout, poly)
     pieces = []
     for monom, coeff in poly:
         pieces.append(" - " if coeff < 0 else " + ")
         factors = [
-            name if exp == 1 else f"{name}**{exp}" for name, exp in zip(coords, monom[1:]) if exp
+            name if exp == 1 else f"{name}**{exp}"
+            for name, exp in zip(coords, lay.exponents(monom))
+            if exp
         ]
         if abs(coeff) != 1 or not factors:
             factors.insert(0, str(abs(coeff)))
@@ -685,7 +782,7 @@ class RationalFunction:
         # powers of coprime parts stay coprime: already canonical
         return RationalFunction(
             self.field,
-            _poly_pow(base.num, exponent),
+            _poly_pow(self.field.layout, base.num, exponent),
             base.cont**exponent,
             tuple((factor, exp * exponent) for factor, exp in base.facs),
         )
@@ -723,16 +820,18 @@ class RationalFunction:
         chart)."""
         if target is self.field:
             return self
-        # slot 0 of a monomial is its total degree, which stays
-        positions = [target.coords.index(c) + 1 for c in self.field.coords]
+        positions = [target.coords.index(c) for c in self.field.coords]
 
         def convert(poly):
+            # the total degree stays, and with it the width
+            src = _layout_of(self.field.layout, poly)
+            dst = _layout(target.dimension, src.width)
             out = []
             for monom, coeff in poly:
-                lifted = [monom[0]] + [0] * target.dimension
-                for pos, exp in zip(positions, monom[1:]):
-                    lifted[pos] = exp
-                out.append((tuple(lifted), coeff))
+                lifted = src.degree(monom) << dst.top
+                for pos, exp in zip(positions, src.exponents(monom)):
+                    lifted |= exp << dst.shifts[pos]
+                out.append((lifted, coeff))
             return tuple(sorted(out, reverse=True))
 
         # irreducibility and divisibility do not depend on the extra
@@ -742,7 +841,7 @@ class RationalFunction:
         for factor, exp in self.facs:
             poly, unit = _positive(convert(factor.poly))
             num = _poly_scale(num, unit**exp)
-            facs.append((_Factor(poly), exp))
+            facs.append((_Factor(target.layout, poly), exp))
         return RationalFunction(target, num, self.cont, tuple(sorted(facs, key=_by_order)))
 
     def __eq__(self, other):
@@ -770,16 +869,16 @@ class RationalFunction:
         coordinate or a constant in parentheses, as sympy prints it."""
         if not self.num:
             return "0"
-        coords = self.field.coords
-        numer = _poly_str(coords, self.num)
+        field = self.field
+        numer = _poly_str(field, self.num)
         if self.cont == 1 and not self.facs:
             return numer
         if len(self.num) > 1:
             numer = f"({numer})"
-        denom = _expand(self.field, self.cont, self.facs)
-        text = _poly_str(coords, denom)
+        denom = _expand(field, self.cont, self.facs)
+        text = _poly_str(field, denom)
         monom, coeff = denom[0]
-        if len(denom) > 1 or not (monom[0] == 0 or (monom[0] == 1 and coeff == 1)):
+        if len(denom) > 1 or not (monom == 0 or (coeff == 1 and monom in field.layout.units)):
             text = f"({text})"
         return f"{numer}/{text}"
 

@@ -28,7 +28,7 @@ from .brackets import (
     solve_hamiltonian,
 )
 from .forms import Derivation, Form
-from .geometry import ChartGeometry
+from .geometry import ChartGeometry, dot
 from .graded import (
     components_by_degree,
     eval_one,
@@ -341,12 +341,12 @@ def _nabla_j(chart, a: int):
     dim = chart.dim
     field = chart.field
     out = [[field.zero] * dim for _ in range(dim)]
+    gamma, j_matrix = chart.gamma, chart.j_matrix
     for b in range(dim):
         for j in range(dim):
-            value = chart.j_matrix[b][j].partial(a)
-            for m in range(dim):
-                value = value + chart.gamma[b][a][m] * chart.j_matrix[m][j]
-                value = value - chart.gamma[m][a][j] * chart.j_matrix[b][m]
+            value = j_matrix[b][j].partial(a)
+            value = value + dot(field, ((gamma[b][a][m], j_matrix[m][j]) for m in range(dim)))
+            value = value - dot(field, ((gamma[m][a][j], j_matrix[b][m]) for m in range(dim)))
             out[b][j] = value
     return out
 
@@ -359,8 +359,8 @@ def check_nabla_j_symmetry(ctx):
         nj = _nabla_j(chart, a)
         for y in range(dim):
             for z in range(y + 1, dim):
-                lhs = sum((chart.g[m][z] * nj[m][y] for m in range(dim)), field.zero)
-                rhs = sum((chart.g[m][y] * nj[m][z] for m in range(dim)), field.zero)
+                lhs = dot(field, ((chart.g[m][z], nj[m][y]) for m in range(dim)))
+                rhs = dot(field, ((chart.g[m][y], nj[m][z]) for m in range(dim)))
                 if lhs != rhs:
                     return False, (
                         f"g((nabla_{a} J)e_{y}, e_{z}) - g((nabla_{a} J)e_{z}, e_{y})"
@@ -557,10 +557,7 @@ def check_j_compatibility(ctx):
     field = chart.field
     for a in range(chart.dim):
         for b in range(chart.dim):
-            value = sum(
-                (chart.g[m][b] * chart.j_matrix[m][a] for m in range(chart.dim)),
-                field.zero,
-            )
+            value = dot(field, ((chart.g[m][b], chart.j_matrix[m][a]) for m in range(chart.dim)))
             if value != chart.w[a][b]:
                 return False, f"omega(e_{a}, e_{b}) - g(J e_{a}, e_{b}) = {chart.w[a][b] - value}"
     if chart.canonical_j is not None:
@@ -593,12 +590,18 @@ def check_para_hermitian(ctx):
     field = chart.field
     sign = chart.j_square_scalar()
     expected = -1 if sign == 1 else 1
-    for a in range(chart.dim):
-        for b in range(chart.dim):
-            value = field.zero
-            for m in range(chart.dim):
-                for n in range(chart.dim):
-                    value = value + chart.g[m][n] * chart.j_matrix[m][a] * chart.j_matrix[n][b]
+    g, j_matrix, rng = chart.g, chart.j_matrix, range(chart.dim)
+    for a in rng:
+        for b in rng:
+            value = dot(
+                field,
+                (
+                    (g[m][n] * j_matrix[m][a], j_matrix[n][b])
+                    for m in rng
+                    for n in rng
+                    if g[m][n] and j_matrix[m][a]
+                ),
+            )
             want = chart.g[a][b] * field.constant(expected)
             if value != want:
                 return False, f"g(J e_{a}, J e_{b}) != {expected} g(e_{a}, e_{b})"

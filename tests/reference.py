@@ -40,17 +40,46 @@ def sympy_field(field):
     return FracField(field.coords, ZZ, order="grlex")
 
 
+def _width(degree):
+    """The field width, in bits, of a polynomial of this total degree: the
+    narrowest of 32, 64, 128, ... that holds it below a guard bit."""
+    width = 32
+    while degree >= 2 ** (width - 1):
+        width *= 2
+    return width
+
+
 def sympy_poly(field, poly):
     """A polynomial of the scalar layer, a tuple of ``(monomial, coeff)``
-    pairs with the total degree in slot 0 of each monomial, as a sympy
-    PolyElement of ``field``'s integer ring."""
-    return sympy_field(field).ring.from_dict({monom[1:]: coeff for monom, coeff in poly})
+    pairs with each monomial packed into one int, as a sympy PolyElement of
+    ``field``'s integer ring. A monomial's n + 1 fields hold its total
+    degree at the top, then the exponents of the coordinates in order."""
+    n = field.dimension
+    width = 32
+    # the leading monomial fits below the total degree's guard bit
+    while poly and poly[0][0] >= 2 ** ((n + 1) * width - 1):
+        width *= 2
+    mask = 2**width - 1
+    return sympy_field(field).ring.from_dict(
+        {
+            tuple((monom >> ((n - 1 - i) * width)) & mask for i in range(n)): coeff
+            for monom, coeff in poly
+        }
+    )
 
 
-def native_poly(poly):
-    """A sympy PolyElement as the scalar layer stores it: descending tuple
-    order, the total degree in slot 0 of each monomial."""
-    return tuple(sorted((((sum(m),) + m, int(c)) for m, c in poly.items()), reverse=True))
+def native_poly(field, poly):
+    """A sympy PolyElement as the scalar layer stores it: each monomial
+    packed at the width of the polynomial's total degree, in descending
+    order."""
+    width = _width(max(map(sum, poly.monoms()), default=0))
+    terms = []
+    for exps, coeff in poly.items():
+        monom = 0
+        for exp in (sum(exps), *exps):
+            monom = monom << width | exp
+        terms.append((monom, int(coeff)))
+    return tuple(sorted(terms, reverse=True))
 
 
 def sympy_factor_list(field, poly):
@@ -63,7 +92,7 @@ def sympy_factor_list(field, poly):
     for factor, exp in pairs:
         if factor.LC < 0:
             factor, sign = -factor, sign * (-1) ** exp
-        facs.append((native_poly(factor), exp))
+        facs.append((native_poly(field, factor), exp))
     return sign, abs(int(coeff)), sorted(facs)
 
 

@@ -100,9 +100,10 @@ def test_recursion_checks_shift_each_solution_once(monkeypatch):
 
 
 def test_flat4_contracts_no_zero_christoffel_or_curvature_entry(monkeypatch):
-    # flat4's Christoffel symbols and curvature all vanish; contractions over
-    # their nonzero entries leave 5,967 scalar products in a full check,
-    # where dense loops over every entry made 13,375
+    # flat4's Christoffel symbols and curvature all vanish, and most entries
+    # of its matrices are zero; contractions over their nonzero entries leave
+    # 1,078 scalar products in a full check, where dense loops over every
+    # entry made 13,375
     calls = 0
     mul = RationalFunction.__mul__
 
@@ -114,7 +115,7 @@ def test_flat4_contracts_no_zero_christoffel_or_curvature_entry(monkeypatch):
     monkeypatch.setattr(RationalFunction, "__mul__", counting)
     report = run_suite(builtin_chart("flat4"), suite="all", seed=42, samples=2)
     assert report.failed == 0
-    assert calls <= 5967
+    assert calls <= 1078
 
 
 def test_a_failing_axiom_check_carries_a_nonzero_witness():

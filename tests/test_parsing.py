@@ -132,6 +132,7 @@ def test_manifest_flags_and_tensor_fill():
         ("name=plane\n", 1, "before any section"),
         ("[chart] name=p, coords=x,2y\n", 1, "bad coordinate name"),
         ("[chart] name=p, coords=x,x\n", 1, "duplicate coordinate"),
+        ("[chart]\nname=p\ncoords=x,dx\n", 3, "would hide the differential of 'x'"),
         ("[chart] name=p, dim=3, coords=x,y\n[symplectic]\nw.1.2=1\n", 1, "dim=3"),
         ("[chart] name=p, coords=x,y\n", 1, "missing [symplectic]"),
         ("[chart] coords=x,y\n[symplectic]\nw.1.2=1\n", 1, "missing [chart] name"),
@@ -347,11 +348,15 @@ def test_cli_fastpath_matches_solver(capsys):
         ["bracket", "builtin:flat2", "--alpha=0^0", "--beta=y"],
         ["bracket", "builtin:flat2", "--alpha", "d(x)", "--beta", "y", "--fastpath"],
         ["bracket", "builtin:flat2", "--alpha", "x", "--beta", "y", "--fastpath", "--odd"],
+        # a manifest that is not UTF-8, written by the test
+        ["bracket", "{tmp}/bad.chart", "--alpha=x", "--beta=y"],
     ],
 )
-def test_cli_usage_errors_exit_two(argv, capsys):
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+def test_cli_usage_errors_exit_two(argv, capsys, tmp_path):
+    (tmp_path / "bad.chart").write_bytes(b"\xff\xfe[chart]\n")
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -363,13 +363,15 @@ def test_values_outlive_the_memos():
 # -- the sparse polynomial kernel against sympy's PolyElement -------------------
 
 BIG = 2**64
-HUGE_EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from([BIG - 1, BIG, BIG + 1, 2**70]))
+# both sides of each step of the width ladder (32, 64, 128 bits), and beyond
+STEPS = [2**31 - 1, 2**31, 2**63 - 1, 2**63, BIG - 1, BIG, BIG + 1, 2**70]
+HUGE_EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from(STEPS))
 
 
 @st.composite
 def polynomial_pairs(draw):
     """A field of 1 to 4 coordinates and two sympy polynomials in its ring,
-    in half the draws with exponents of 2**64 and above."""
+    in half the draws with exponents at the steps of the width ladder."""
     n = draw(st.integers(1, 4))
     field = coordinate_field(("a", "b", "c", "d")[:n])
     exponents = draw(st.sampled_from([st.integers(0, 3), HUGE_EXPONENTS]))
@@ -386,25 +388,68 @@ def polynomial_pairs(draw):
 @given(polynomial_pairs(), st.integers(1, 3))
 def test_polynomial_kernel_agrees_with_sympy(pair, k):
     field, p, q = pair
-    a, b = native_poly(p), native_poly(q)
-    assert _poly_add(a, b) == native_poly(p + q)
-    assert _poly_add(a, _poly_neg(b)) == native_poly(p - q)
-    assert _poly_neg(a) == native_poly(-p)
-    assert _poly_mul(a, b) == native_poly(p * q)
-    assert _poly_pow(a, k) == native_poly(p**k)
+    lay = field.layout
+    a, b = native_poly(field, p), native_poly(field, q)
+    assert sympy_poly(field, a) == p
+    assert _poly_add(lay, a, b) == native_poly(field, p + q)
+    assert _poly_add(lay, a, _poly_neg(b)) == native_poly(field, p - q)
+    assert _poly_neg(a) == native_poly(field, -p)
+    assert _poly_mul(lay, a, b) == native_poly(field, p * q)
+    assert _poly_pow(lay, a, k) == native_poly(field, p**k)
     for index, gen in enumerate(sympy_field(field).ring.gens):
-        assert _poly_diff(a, index) == native_poly(p.diff(gen))
+        assert _poly_diff(lay, a, index) == native_poly(field, p.diff(gen))
     if not (p and q):
         return
-    assert _exact_quotient(_poly_mul(a, b), b) == a
+    assert _exact_quotient(lay, _poly_mul(lay, a, b), b) == a
     # a long division can run for as many steps as an exponent is large
-    if max(max(m) for m in p.monoms() + q.monoms()) < BIG - 1:
+    if max(max(m) for m in p.monoms() + q.monoms()) < STEPS[0]:
         quotient, remainder = p.div(q)
         if remainder:
-            assert _exact_quotient(a, b) is None
+            assert _exact_quotient(lay, a, b) is None
         else:
             assert quotient * q == p
-            assert _exact_quotient(a, b) == native_poly(quotient)
+            assert _exact_quotient(lay, a, b) == native_poly(field, quotient)
+
+
+@pytest.mark.parametrize("step", [2**31, 2**63, 2**64])
+def test_the_kernel_crosses_each_width_step_exactly(step):
+    # x**(step - 1) * x goes up a step and its quotient by x comes back down;
+    # the derivative of x**step and x**step + 1 - x**step come down too
+    field = coordinate_field(("a", "b"))
+    lay = field.layout
+    a, b = sympy_field(field).ring.gens
+    below, x, up, one = (native_poly(field, p) for p in (a ** (step - 1), a, a**step, a**0))
+    assert _poly_mul(lay, below, x) == up
+    assert _exact_quotient(lay, up, x) == below
+    assert _poly_diff(lay, up, 0) == native_poly(field, step * a ** (step - 1))
+    assert _poly_diff(lay, up, 1) == ()
+    assert _poly_add(lay, _poly_add(lay, up, one), _poly_neg(up)) == one
+    assert _poly_add(lay, up, _poly_neg(up)) == ()
+    # a quotient by a polynomial of two terms, and a power
+    binomial = native_poly(field, a + b)
+    assert _exact_quotient(lay, _poly_mul(lay, up, binomial), binomial) == up
+    assert _poly_pow(lay, below, 2) == native_poly(field, a ** (2 * step - 2))
+
+
+@pytest.mark.parametrize("step", [2**31, 2**63, 2**64])
+def test_equal_values_are_equal_tuples_across_the_steps(step):
+    # whatever route builds a value, it is stored at the one width of its degree
+    built = [
+        X ** (step - 1) * X,
+        X ** (step + 5) / X**5,
+        (X ** (step + 1)).partial(0) / (step + 1),
+        X**step * (1 + Y) - X**step * Y,
+        (X**step / (1 + X)) * (1 + X),
+        1 / (1 / X**step),
+    ]
+    expected = native_poly(F, sympy_field(F).ring.gens[0] ** step)
+    for value in built:
+        assert (value.num, value.cont, value.facs) == (expected, 1, ())
+        assert value == built[0] and hash(value) == hash(built[0])
+    back = [built[0] / X, X ** (step - 1), (X**step).partial(0) / step]
+    assert back[0] == back[1] == back[2]
+    assert back[0].num == back[1].num == back[2].num
+    assert (X**step + 1 - X**step).num == F.one.num
 
 
 @given(
@@ -417,7 +462,7 @@ def test_single_terms_factor_as_sympy_does(monomial, constant):
     field = coordinate_field(("a", "b", "c", "d")[: len(monomial)])
     ring = sympy_field(field).ring
     for poly in (ring.ground_new(constant), ring.from_dict({tuple(monomial): constant})):
-        num = native_poly(poly)
+        num = native_poly(field, poly)
         assert _factored(_factor(field, num)) == sympy_factor_list(field, num)
 
 
@@ -448,8 +493,8 @@ def factorable_polynomials(draw):
         product *= ring.from_dict(draw(terms)) ** draw(st.integers(1, 3))
     if draw(st.booleans()) != (product.LC < 0):
         product = -product
-    num = native_poly(product)
-    assume(len(num) > 1 and num[0][0][0] <= 14)
+    num = native_poly(field, product)
+    assume(len(num) > 1 and max(map(sum, product.monoms())) <= 14)
     return field, num
 
 
@@ -459,7 +504,7 @@ def test_native_factoring_agrees_with_sympy(case):
     # it declines, sympy factors
     field, num = case
     expected = sympy_factor_list(field, num)
-    native = factor(num)
+    native = factor(field.layout, num)
     if native is not None:
         sign, content, pairs = native
         assert (sign, content, sorted(pairs)) == expected
@@ -490,7 +535,7 @@ G = coordinate_field(("x", "y", "z"))
 def test_native_factoring_cases(build, certified):
     num = build(*G.gens).num
     expected = sympy_factor_list(G, num)
-    native = factor(num)
+    native = factor(G.layout, num)
     assert (native is not None) == certified
     if certified:
         sign, content, pairs = native
@@ -510,6 +555,32 @@ def test_huge_exponents_stay_exact(capsys):
     argv = ["bracket", "builtin:flat2", "--alpha=1/(x-1)", "--beta=y*x^18446744073709551616"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "(-x**18446744073709551616/(x**2 - 2*x + 1))\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ["builtin:sphere2", "--alpha=x^18446744073709551616", "--beta=y", "--fastpath"],
+            "(4611686018427387904*x**18446744073709551619 "
+            "+ 9223372036854775808*x**18446744073709551617*y**2 "
+            "+ 4611686018427387904*x**18446744073709551615*y**4 "
+            "+ 9223372036854775808*x**18446744073709551617 "
+            "+ 9223372036854775808*x**18446744073709551615*y**2 "
+            "+ 4611686018427387904*x**18446744073709551615) "
+            "+ (18446744073709551616*x**18446744073709551615)*dx^dy\n",
+        ),
+        (
+            ["builtin:flat2", "--alpha=(x*y)^99999999999999999999999", "--beta=x"],
+            "(-99999999999999999999999*x**99999999999999999999999"
+            "*y**99999999999999999999998)\n",
+        ),
+    ],
+)
+def test_huge_exponents_print_the_same_bytes(argv, out, capsys):
+    # exponents of 2**64 and about 2**76, both two width steps past the base
+    assert main(["bracket", *argv]) == 0
+    assert capsys.readouterr().out == out
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -547,10 +618,11 @@ def test_huge_polynomials_stop_at_the_size_bound(alpha, beta):
 def test_powers_below_the_size_bound_expand_exactly():
     # (x + y)**200 has 201 terms, the bound for two terms to the 200th; to the
     # SIZE_BOUND-th it would have one term more than the bound
-    power = _poly_pow((X + Y).num, 200)
-    assert power == tuple(((200, i, 200 - i), comb(200, i)) for i in range(200, -1, -1))
+    power = _poly_pow(F.layout, (X + Y).num, 200)
+    binomials = sympy_field(F).ring.from_dict({(i, 200 - i): comb(200, i) for i in range(201)})
+    assert power == native_poly(F, binomials)
     with pytest.raises(scalar_module.SizeError, match="the size bound"):
-        _poly_pow((X + Y).num, scalar_module.SIZE_BOUND)
+        _poly_pow(F.layout, (X + Y).num, scalar_module.SIZE_BOUND)
 
 
 def test_a_coordinate_divides_out_in_one_step():
@@ -576,7 +648,7 @@ def test_a_check_past_the_size_bound_reports_an_error_record(monkeypatch, capsys
 LOADS_SYMPY = """
 import contextlib, io, json, sys
 from gradedpoisson.cli import main
-loaded = ["sympy" in sys.modules]
+loaded = [["sympy" in sys.modules, "gradedpoisson.factoring" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         loaded.append([main(argv), "sympy" in sys.modules])
@@ -597,4 +669,5 @@ def test_sympy_is_imported_only_to_factor():
     ]
     done = _python("-c", LOADS_SYMPY, json.dumps(argvs), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [False] + [[0, False]] * 7 + [[0, True]]
+    # the import alone loads neither sympy nor the factoring module
+    assert json.loads(done.stdout) == [[False, False]] + [[0, False]] * 7 + [[0, True]]
