@@ -147,26 +147,21 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
         for row in range(size):
             koszul = row >= dim
             val = targets[row].homogeneous_part(m)
-            if koszul and m % 2:
-                val = -val
+            addends = [-val if koszul and m % 2 else val]
             for col in range(size):
                 for j, part in higher[row][col]:
                     if j > m:
                         continue
                     term = coeffs[m - j][col].wedge(part)
-                    val = val + term if koszul and j % 2 else val - term
-            residual.append(val)
+                    addends.append(term if koszul and j % 2 else -term)
+            residual.append(Form.sum(field, addends))
         # most entries of the inverse vanish (12 of 16 on sphere2), as do many residuals
         coeffs[m] = [
-            sum(
-                (r * entry for r, entry in zip(residual, inverse[col])
-                 if not (r.is_zero or entry.is_zero)),
-                Form.zero(field),
-            )
-            for col in range(size)
+            Form.sum(field, (r * e for r, e in zip(residual, inv_row) if not (r.is_zero or e.is_zero)))
+            for inv_row in inverse
         ]
 
-    totals = [sum((part[r] for part in coeffs.values()), Form.zero(field)) for r in range(size)]
+    totals = [Form.sum(field, (part[r] for part in coeffs.values())) for r in range(size)]
     even, ins = totals[:dim], totals[dim:]
     if theta.basis == "nabla":
         # nabla_b = L_b - sum_i T(e_b)_i i_i, so over the lie basics C loses T(K)
@@ -238,14 +233,11 @@ def even_bracket(alpha, beta, theta: GradedTwoForm) -> Form:
 
 
 def _bivector_insertion(chart: ChartGeometry, form: Form) -> Form:
-    total = Form.zero(chart.field)
-    for a in range(chart.dim):
-        for b in range(chart.dim):
-            coeff = chart.lam[a][b]
-            if coeff.is_zero:
-                continue
-            total = total + form.insert_basis(b).insert_basis(a) * coeff
-    return total * Fraction(1, 2)
+    terms = (
+        form.insert_basis(b).insert_basis(a) * coeff
+        for a, row in enumerate(chart.lam) for b, coeff in enumerate(row) if not coeff.is_zero
+    )
+    return Form.sum(chart.field, terms) * Fraction(1, 2)
 
 
 def generator_operator(chart: ChartGeometry, form: Form) -> Form:
@@ -270,18 +262,18 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
         return -solve_hamiltonian(theta_ks_cached(chart), alpha)(beta)
     if method != "generator":
         raise ValueError(f"unknown method {method!r}")
-    total = Form.zero(field)
+    defects = []
     for degree, part in alpha.homogeneous_parts().items():
         sign = -1 if degree % 2 else 1
-        inner = (
+        head = (
             generator_operator(chart, part.wedge(beta))
             - generator_operator(chart, part).wedge(beta)
         )
         tail = part.wedge(generator_operator(chart, beta))
-        inner = inner - (tail if sign > 0 else -tail)
+        inner = head - (tail if sign > 0 else -tail)
         # global calibration: minus the raw defect
-        total = total - (inner if sign > 0 else -inner)
-    return total
+        defects.append(-(inner if sign > 0 else -inner))
+    return Form.sum(field, defects)
 
 
 # -- closed-form bracket fast paths ---------------------------------------------
@@ -290,27 +282,21 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
 def _pair(chart: ChartGeometry, matrix, left: VectorValuedForm, right: VectorValuedForm) -> Form:
     """B(left, right) for the matrix of B (chart.g or chart.w), form
     coefficients wedged left to right."""
-    total = Form.zero(chart.field)
-    for a in range(chart.dim):
-        for b in range(chart.dim):
-            coeff = matrix[a][b]
-            if coeff.is_zero:
-                continue
-            total = total + left.components[a].wedge(right.components[b]) * coeff
-    return total
+    terms = (
+        left.components[a].wedge(right.components[b]) * coeff
+        for a, row in enumerate(matrix) for b, coeff in enumerate(row) if not coeff.is_zero
+    )
+    return Form.sum(chart.field, terms)
 
 
 def _curvature_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
     """R4(left, right, _, _) with form coefficients wedged on the left."""
-    total = Form.zero(chart.field)
-    for a, row in enumerate(chart.riemann4_forms):
-        if left.components[a].is_zero:
-            continue
-        for b, block in enumerate(row):
-            if right.components[b].is_zero or block.is_zero:
-                continue
-            total = total + left.components[a].wedge(right.components[b]).wedge(block)
-    return total
+    terms = (
+        lc.wedge(rc).wedge(block)
+        for lc, row in zip(left.components, chart.riemann4_forms) if not lc.is_zero
+        for rc, block in zip(right.components, row) if not (rc.is_zero or block.is_zero)
+    )
+    return Form.sum(chart.field, terms)
 
 
 def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
@@ -331,36 +317,35 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
     # each slot pattern builds only what it reads: [[f, h]] reads no dxh,
     # [[df, dh]] no even chain
     if kind == "ff":
-        total = Form.function(chart.classical_poisson(f, h))
+        terms = [Form.function(chart.classical_poisson(f, h))]
         evens = [-k for k in k_even(chart, f)]  # displayed seeding: first entry X_f
-        for ke in evens:
-            total = total + _curvature_pair(chart, ke, xh_vv)
-        return total
+        terms += [_curvature_pair(chart, ke, xh_vv) for ke in evens]
+        return Form.sum(field, terms)
 
     dxh = chart.nabla_vector(x_h)
     if kind == "f_dh":
-        total = Form.function(chart.classical_poisson(f, h)).d()
+        terms = [Form.function(chart.classical_poisson(f, h)).d()]
         evens = [-k for k in k_even(chart, f)]
         for ke in evens:
             dke = chart.dnabla(ke)
-            total = total - _pair(chart, chart.w, dke, xh_vv)
-            total = total + _curvature_pair(chart, dke, xh_vv)
-            total = total + _curvature_pair(chart, ke, dxh)
-        return total
+            terms.append(-_pair(chart, chart.w, dke, xh_vv))
+            terms.append(_curvature_pair(chart, dke, xh_vv))
+            terms.append(_curvature_pair(chart, ke, dxh))
+        return Form.sum(field, terms)
 
     if kind == "df_dh":
         df = Form.function(f).d()
         dh = Form.function(h).d()
         sharp_df = chart.sharp(df)
-        total = Form.function(chart.cometric_eval(df, dh))
-        total = total + _pair(chart, chart.g, chart.nabla_vector(sharp_df), dxh)
-        total = total + _curvature_pair(chart, sharp_df.as_vvform(), xh_vv)
+        terms = [Form.function(chart.cometric_eval(df, dh))]
+        terms.append(_pair(chart, chart.g, chart.nabla_vector(sharp_df), dxh))
+        terms.append(_curvature_pair(chart, sharp_df.as_vvform(), xh_vv))
         for ko in k_odd(chart, f):
             dko = chart.dnabla(ko)
-            total = total + _pair(chart, chart.w, xh_vv, dko)
-            total = total + _curvature_pair(chart, dko, xh_vv)
-            total = total + _curvature_pair(chart, ko, dxh)
-        return total
+            terms.append(_pair(chart, chart.w, xh_vv, dko))
+            terms.append(_curvature_pair(chart, dko, xh_vv))
+            terms.append(_curvature_pair(chart, ko, dxh))
+        return Form.sum(field, terms)
 
     raise ValueError(f"unknown fastpath kind {kind!r}")
 
@@ -418,8 +403,7 @@ def d_defect(alpha, beta, chart: ChartGeometry):
     theta = theta_even_cached(chart, "nabla")
     beta_hams = {q: solve_hamiltonian(theta, part) for q, part in beta.homogeneous_parts().items()}
 
-    left = Form.zero(field)
-    right = Form.zero(field)
+    left, right = [], []
     for p, part in alpha.homogeneous_parts().items():
         if not hamiltonian_of_differential_identity(part, chart):
             raise RuntimeError(
@@ -428,10 +412,10 @@ def d_defect(alpha, beta, chart: ChartGeometry):
             )
         d_part = solve_hamiltonian(theta, part)
         mixed = d_part(beta.d())
-        left = left + d_part(beta).d()
-        left = left - solve_hamiltonian(theta, part.d())(beta)
-        left = left - (mixed if p % 2 == 0 else -mixed)
+        left.append(d_part(beta).d())
+        left.append(-solve_hamiltonian(theta, part.d())(beta))
+        left.append(-(mixed if p % 2 == 0 else -mixed))
         for q, d_beta in beta_hams.items():
             pairing = eval_two(theta_ks_cached(chart), d_part, d_beta)
-            right = right + (pairing if (p + q) % 2 == 0 else -pairing)
-    return left, right
+            right.append(pairing if (p + q) % 2 == 0 else -pairing)
+    return Form.sum(field, left), Form.sum(field, right)

@@ -81,14 +81,14 @@ class _Parser:
 
     def expr(self):
         value, literal = self.term()
-        while True:
-            kind, op, _ = self.peek()
-            if kind != "op" or op not in "+-":
-                return value, literal
+        terms = [value]
+        kind, op, _ = self.peek()
+        while kind == "op" and op in "+-":
             self.advance()
             rhs, _ = self.term()
-            value = value + rhs if op == "+" else value - rhs
-            literal = None
+            terms.append(rhs if op == "+" else -rhs)
+            kind, op, _ = self.peek()
+        return (value, literal) if len(terms) == 1 else (Form.sum(self.field, terms), None)
 
     def term(self):
         value, literal = self.signed()

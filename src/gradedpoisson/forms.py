@@ -16,7 +16,9 @@ normal form D = L_K + i_{L'}, C_a = L'_a + (-1)^k (dK)_a on the part of
 degree k.
 
 Index tuples in a form are strictly increasing and zero coefficients are
-never stored, so equality is literal dictionary equality.
+never stored, so equality is literal dictionary equality. Every sum of
+forms, from a + b to the contractions of the graded layer, is accumulated
+by Form.sum into one dictionary.
 """
 
 from __future__ import annotations
@@ -106,15 +108,32 @@ class Form:
 
     # -- ring structure ----------------------------------------------------
 
+    @classmethod
+    def sum(cls, field: ScalarField, forms) -> "Form":
+        """The sum of an iterable of forms on ``field``, Form.zero when empty.
+
+        Every addend's terms are accumulated into one dictionary, so no
+        partial sum is built as a Form. Forms are immutable, so while the
+        running total is zero the next addend is taken as it is, and its
+        terms are copied only when a further addend arrives.
+        """
+        only, terms = None, {}
+        for form in forms:
+            if form.field is not field:
+                raise ValueError("forms on different charts")
+            if not terms:
+                only, terms = form, form.terms
+                continue
+            if only is not None:
+                only, terms = None, dict(terms)
+            for idx, coeff in form.terms.items():
+                _accumulate(terms, idx, coeff)
+        return only if only is not None else cls._raw(field, terms)
+
     def __add__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        if other.field is not self.field:
-            raise ValueError("forms on different charts")
-        terms = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            _accumulate(terms, idx, coeff)
-        return Form._raw(self.field, terms)
+        return Form.sum(self.field, (self, other))
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -488,13 +507,8 @@ class Derivation:
         """D(beta) = sum_a K_a ^ L_a beta + sum_a C_a ^ i_a beta."""
         if isinstance(form, RationalFunction):
             form = Form.function(form)
-        out = Form.zero(self.field)
-        for r, coeff in enumerate(self.coefficients):
-            if not coeff.is_zero:
-                value = form.lie_basic(r)
-                if not value.is_zero:
-                    out = out + coeff.wedge(value)
-        return out
+        values = ((c, form.lie_basic(r)) for r, c in enumerate(self.coefficients) if not c.is_zero)
+        return Form.sum(self.field, (c.wedge(v) for c, v in values if not v.is_zero))
 
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [D, E], read off coordinatewise.
@@ -503,13 +517,13 @@ class Derivation:
         are E's own coefficients, so coefficient r of [D, E] is
         D(E.c[r]) -+ E(D.c[r]), with + only when both are odd.
         """
-        total = [Form.zero(self.field)] * len(self.coefficients)
+        addends = [[] for _ in self.coefficients]
         for p, dpart in self._halves():
             for q, epart in other._halves():
                 for r, (dc, ec) in enumerate(zip(dpart.coefficients, epart.coefficients)):
                     first, second = dpart(ec), epart(dc)
-                    total[r] = total[r] + (first + second if p and q else first - second)
-        return Derivation(self.field, total)
+                    addends[r].append(first + second if p and q else first - second)
+        return Derivation(self.field, [Form.sum(self.field, a) for a in addends])
 
     def __add__(self, other):
         if not isinstance(other, Derivation):

@@ -12,8 +12,7 @@ none of them can fail once construction has passed: the Christoffel
 symbols of both kinds (gamma_first, gamma) and the list of nonzero ones
 (gamma_nonzero), the curvature endomorphism riemann and its lowered form
 riemann_lowered, the tables riemann4_forms and curvature_forms of their
-2-forms, and J with its inverse (j_matrix, j_inv). riemann4, riemann4_form
-and curvature_endo_form read these tables. Contractions skip zero
+2-forms, and J with its inverse (j_matrix, j_inv). Contractions skip zero
 Christoffel and curvature entries, so a flat chart pays for none of them.
 The odd (Koszul-Schouten) bracket and the even bracket over the lie basics
 read none of the tables; over the nabla basics it reads only Gamma.
@@ -341,12 +340,10 @@ class ChartGeometry:
 
     def apply_endo(self, matrix, vvform: VectorValuedForm) -> VectorValuedForm:
         """Apply an endomorphism matrix to the vector slot, componentwise."""
-        comps = []
-        for b in range(self.dim):
-            total = Form.zero(self.field)
-            for j in range(self.dim):
-                total = total + vvform.components[j] * matrix[b][j]
-            comps.append(total)
+        comps = [
+            Form.sum(self.field, (comp * entry for comp, entry in zip(vvform.components, row)))
+            for row in matrix
+        ]
         return VectorValuedForm(self.field, comps, degree=vvform.degree)
 
     def j_square_scalar(self):
@@ -373,26 +370,12 @@ class ChartGeometry:
 
     # -- curvature ------------------------------------------------------------
 
-    def riemann4(self, u: int, v: int, w: int, z: int) -> RationalFunction:
-        """The 4-tensor -g(R(e_u, e_v) e_w, e_z)."""
-        return self.riemann_lowered[u][v][w][z]
-
-    def riemann4_form(self, u: int, v: int) -> Form:
-        """The 2-form R4(e_u, e_v, _, _)."""
-        return self.riemann4_forms[u][v]
-
-    def curvature_endo_form(self, b: int, j: int) -> Form:
-        """The 2-form R^b_j = sum_{u<v} R^b_{juv} dx^u wedge dx^v."""
-        return self.curvature_forms[b][j]
-
     def curvature_apply(self, vvform: VectorValuedForm) -> VectorValuedForm:
         """R(_,_) K: wedge the curvature 2-form into the form slot."""
-        comps = []
-        for row in self.curvature_forms:
-            total = Form.zero(self.field)
-            for block, comp in zip(row, vvform.components):
-                total = total + block.wedge(comp)
-            comps.append(total)
+        comps = [
+            Form.sum(self.field, (block.wedge(comp) for block, comp in zip(row, vvform.components)))
+            for row in self.curvature_forms
+        ]
         degree = min(vvform.degree + 2, self.dim)
         return VectorValuedForm(self.field, comps, degree=degree)
 
@@ -404,12 +387,12 @@ class ChartGeometry:
         It is algebraic: over the nabla basics a derivation's insertion
         coefficients are its lie ones plus T of its even coefficients K.
         """
-        out = [Form.zero(self.field)] * self.dim
+        addends = [[] for _ in range(self.dim)]
         for i, j, k, coeff in self.gamma_nonzero:
             if not coeffs[k].is_zero:
                 dxj = Form.coordinate_diff(self.field, j)
-                out[i] = out[i] + coeffs[k].wedge(dxj) * coeff
-        return tuple(out)
+                addends[i].append(coeffs[k].wedge(dxj) * coeff)
+        return tuple(Form.sum(self.field, a) for a in addends)
 
     def dnabla(self, vvform: VectorValuedForm) -> VectorValuedForm:
         """Exterior covariant derivative on vector-valued forms: dK + (-1)^k T(K).
@@ -516,13 +499,13 @@ def tangent_lift_chart(name: str, base_coords, base_metric) -> ChartGeometry:
     vel = [field.coordinate(vc) for vc in vel_coords]
 
     # symplectic form from the Lagrangian: d( dL/dv^i dq^i ) with L = g_ij v^i v^j / 2
-    pot = Form.zero(field)
+    pot = []
     for i in range(n):
         coeff = field.zero
         for j in range(n):
             coeff = coeff + gbar[i][j] * vel[j]
-        pot = pot + Form.coordinate_diff(field, i) * coeff
-    omega_l = pot.d()
+        pot.append(Form.coordinate_diff(field, i) * coeff)
+    omega_l = Form.sum(field, pot).d()
     w = [[field.zero] * dim for _ in range(dim)]
     for a in range(dim):
         for b in range(a + 1, dim):

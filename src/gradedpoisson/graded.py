@@ -31,7 +31,7 @@ there are converted with convert_one / convert_two first.
 The lie basics also act in closed form (Form.lie_basic), which dG_function
 and dG_one use instead of the generic Derivation action. convert_two
 decomposes each target basic over the source basics once and contracts
-each (source, target) row once, so every entry is one wedge-sum.
+each (source, target) row once, so every entry is one Form.sum of wedges.
 
 lieG_two takes L^G_D as a derivation of the pairing, so it needs only the
 2n commutators [D, E_r]. No [E_r, E_s] enters: in the Cartan formula its
@@ -272,18 +272,10 @@ def tabulate_two(geom: ChartGeometry, basis: str, entry, weight) -> GradedTwoFor
 # -- evaluation ----------------------------------------------------------------
 
 
-def _wedge_sum(field, coeffs, values) -> Form:
-    """The sum of coeffs[k] ^ values[k] over k."""
-    total = Form.zero(field)
-    for beta, value in zip(coeffs, values):
-        if not beta.is_zero and not value.is_zero:
-            total = total + beta.wedge(value)
-    return total
-
-
 def eval_one(lam: GradedOneForm, derivation: Derivation) -> Form:
     """<D; lam> for an arbitrary derivation."""
-    return _wedge_sum(lam.geom.field, _decompose(lam.geom, derivation, lam.basis), lam.values)
+    pairs = zip(_decompose(lam.geom, derivation, lam.basis), lam.values)
+    return Form.sum(lam.geom.field, (b.wedge(v) for b, v in pairs if not (b.is_zero or v.is_zero)))
 
 
 def _contract_row(theta: GradedTwoForm, r: int, coeffs) -> Form:
@@ -292,28 +284,24 @@ def _contract_row(theta: GradedTwoForm, r: int, coeffs) -> Form:
     A coefficient gamma passes E_r on its way to the second slot, so an
     insertion E_r brings the Koszul sign (-1)^{|gamma|}.
     """
-    total = Form.zero(theta.geom.field)
-    odd = r >= theta.geom.dim
-    for gamma, block in zip(coeffs, theta.blocks[r]):
-        if gamma.is_zero or block.is_zero:
-            continue
-        if not odd:
-            total = total + gamma.wedge(block)
-            continue
-        for pg, gpart in gamma.homogeneous_parts().items():
-            term = gpart.wedge(block)
-            total = total + (-term if pg % 2 else term)
-    return total
+    pairs = [(c, b) for c, b in zip(coeffs, theta.blocks[r]) if not (c.is_zero or b.is_zero)]
+    if r < theta.geom.dim:
+        terms = (gamma.wedge(block) for gamma, block in pairs)
+    else:
+        terms = (
+            -part.wedge(block) if pg % 2 else part.wedge(block)
+            for gamma, block in pairs
+            for pg, part in gamma.homogeneous_parts().items()
+        )
+    return Form.sum(theta.geom.field, terms)
 
 
 def eval_two(theta: GradedTwoForm, d1: Derivation, d2: Derivation) -> Form:
     """<D1, D2; theta> for arbitrary derivations."""
     coeffs2 = _decompose(theta.geom, d2, theta.basis)
-    total = Form.zero(theta.geom.field)
-    for r, beta in enumerate(_decompose(theta.geom, d1, theta.basis)):
-        if not beta.is_zero:
-            total = total + beta.wedge(_contract_row(theta, r, coeffs2))
-    return total
+    rows = enumerate(_decompose(theta.geom, d1, theta.basis))
+    terms = (beta.wedge(_contract_row(theta, r, coeffs2)) for r, beta in rows if not beta.is_zero)
+    return Form.sum(theta.geom.field, terms)
 
 
 def iota(derivation: Derivation, theta: GradedTwoForm) -> GradedOneForm:
@@ -393,12 +381,10 @@ def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
 
     def entry(r, s):
         pr, ps = r >= dim, s >= dim
-        inner = derivation(theta.blocks[r][s])
         # <[D, E_r], E_s> = -(-1)^{(|D| + |E_r|)|E_s|} pulled[r][s]
-        back = pulled[r][s]
-        inner = inner + (-back if (p + pr) * ps % 2 else back)
-        ahead = pulled[s][r]
-        inner = inner - (-ahead if p * pr % 2 else ahead)
+        back = -pulled[r][s] if (p + pr) * ps % 2 else pulled[r][s]
+        ahead = -pulled[s][r] if p * pr % 2 else pulled[s][r]
+        inner = derivation(theta.blocks[r][s]) + back - ahead
         return inner if p * (pr + ps) % 2 else -inner
 
     weight = None
@@ -422,16 +408,19 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
 
     Each F_r is decomposed over theta's basics E_k once, and each row
     rows[s][k] = <E_k, F_s; theta> is contracted once, so an entry
-    <F_r, F_s> is the one wedge-sum of coeffs[r][k] ^ rows[s][k] over k.
+    <F_r, F_s> is the one Form.sum of coeffs[r][k] ^ rows[s][k] over k.
     """
     if theta.basis == basis:
         return theta
     geom = theta.geom
     coeffs = [_decompose(geom, f, theta.basis) for f in basics(geom, basis)]
     rows = [[_contract_row(theta, k, c) for k in range(2 * geom.dim)] for c in coeffs]
-    return tabulate_two(
-        geom, basis, lambda r, s: _wedge_sum(geom.field, coeffs[r], rows[s]), theta.weight
-    )
+
+    def entry(r, s):
+        pairs = zip(coeffs[r], rows[s])
+        return Form.sum(geom.field, (b.wedge(v) for b, v in pairs if not (b.is_zero or v.is_zero)))
+
+    return tabulate_two(geom, basis, entry, theta.weight)
 
 
 # -- builders -------------------------------------------------------------------

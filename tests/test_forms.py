@@ -109,6 +109,42 @@ def test_form_validation():
         VectorValuedForm(F, [DX, Form.function(X)])
 
 
+@st.composite
+def addend_lists(draw, field=F):
+    """Forms of mixed degrees, shuffled, some with their negation so that terms cancel."""
+    addends = []
+    for form in draw(st.lists(forms(field, coeffs=quotients), max_size=4)):
+        addends.append(form)
+        if draw(st.booleans()):
+            addends.append(-form)
+    return draw(st.permutations(addends))
+
+
+@given(addend_lists())
+def test_sum_matches_a_fold_of_add(addends):
+    folded = Form.zero(F)
+    for form in addends:
+        folded = folded + form
+    assert Form.sum(F, addends) == folded
+    assert Form.sum(F, (form for form in addends)) == folded
+    want = {}
+    for form in addends:
+        for idx, coeff in form.terms.items():
+            want[idx] = want.get(idx, F.zero) + coeff
+    assert Form.sum(F, addends).terms == {i: c for i, c in want.items() if not c.is_zero}
+
+
+def test_sum_of_nothing_is_zero_and_charts_must_agree():
+    assert Form.sum(F, []) == Form.zero(F)
+    assert Form.sum(F, iter(())).field is F
+    with pytest.raises(ValueError, match="different charts"):
+        Form.sum(F, [DX, Form.coordinate_diff(F4, 0)])
+    with pytest.raises(ValueError, match="different charts"):
+        Form.sum(F4, [DX])
+    with pytest.raises(ValueError, match="different charts"):
+        DX + Form.coordinate_diff(F4, 0)
+
+
 @given(forms(), forms())
 def test_wedge_graded_commutativity(a, b):
     for pa, ha in a.homogeneous_parts().items():

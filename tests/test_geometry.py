@@ -93,22 +93,21 @@ def test_symplectic_parallel_on_builtins(name):
 @pytest.mark.parametrize("name", TABLE_CHARTS)
 def test_curvature_symmetries(name):
     ch = TABLE_CHARTS[name]
+    r4 = ch.riemann_lowered
     rng = range(ch.dim)
     for u in rng:
         for v in rng:
             for w in rng:
                 for z in rng:
-                    r = ch.riemann4(u, v, w, z)
-                    assert r == -ch.riemann4(v, u, w, z)
-                    assert r == -ch.riemann4(u, v, z, w)
-                    assert r == ch.riemann4(w, z, u, v)
+                    r = r4[u][v][w][z]
+                    assert r == -r4[v][u][w][z]
+                    assert r == -r4[u][v][z][w]
+                    assert r == r4[w][z][u][v]
     # R4(e_u, e_v, _, _) holds exactly the entries with w < z
     for u in rng:
         for v in rng:
-            entries = {
-                (w, z): ch.riemann4(u, v, w, z) for w in rng for z in rng if w < z
-            }
-            assert ch.riemann4_form(u, v) == Form(ch.field, entries)
+            entries = {(w, z): r4[u][v][w][z] for w in rng for z in rng if w < z}
+            assert ch.riemann4_forms[u][v] == Form(ch.field, entries)
     # first Bianchi on the endomorphism
     for u in rng:
         for v in rng:
@@ -129,9 +128,9 @@ def test_curvature_tables_match_the_entrywise_sums(name):
     for u in rng:
         for v in rng:
             want = {(w, z): riemann4(ch, u, v, w, z) for w in rng for z in rng}
-            assert {(w, z): ch.riemann4(u, v, w, z) for w in rng for z in rng} == want
+            assert {(w, z): ch.riemann_lowered[u][v][w][z] for w in rng for z in rng} == want
             endo = {(w, z): ch.riemann[u][v][w][z] for w in rng for z in rng if w < z}
-            assert ch.curvature_endo_form(u, v) == Form(ch.field, endo)
+            assert ch.curvature_forms[u][v] == Form(ch.field, endo)
 
 
 def test_the_product_chart_has_four_dimensional_curvature():
@@ -194,7 +193,7 @@ def test_flat_charts_have_no_curvature():
             for v in range(ch.dim)
         )
     sp = CHARTS["sphere2"]
-    assert not sp.riemann4(0, 1, 0, 1).is_zero
+    assert not sp.riemann_lowered[0][1][0][1].is_zero
 
 
 @pytest.mark.parametrize("name", builtin_names())

@@ -329,14 +329,26 @@ def test_cli_bracket_routes(capsys):
     assert "dx" in out and "dy" in out
 
 
-def test_cli_fastpath_matches_solver(capsys):
-    assert (
-        main(["bracket", "builtin:halfplane", "--alpha", "d(x)", "--beta", "d(x)", "--fastpath"])
-        == 0
-    )
-    fast = capsys.readouterr().out
-    assert main(["bracket", "builtin:halfplane", "--alpha", "dx", "--beta", "dx"]) == 0
-    assert capsys.readouterr().out == fast
+# d(...) marks an exact differential in --fastpath operands only, so on a
+# chart with a coordinate named d both spellings still mean what they say
+D_PLANE = "[chart] name=dplane, coords=d,x\n[metric] g.1.1=1/x^2, g.2.2=1/x^2\n[symplectic] w.1.2=1/x^2\n"
+
+
+@pytest.mark.parametrize(
+    "target, fast, solver, want",
+    [
+        ("builtin:halfplane", ["d(x)", "d(x)"], ["dx", "dx"], "(y**2) + (-2)*dx^dy\n"),
+        ("{tmp}/dplane.chart", ["d", "d(x)"], ["d", "dx"], "(x)*dx\n"),
+    ],
+    ids=["halfplane", "coordinate-named-d"],
+)
+def test_cli_fastpath_matches_solver(target, fast, solver, want, capsys, tmp_path):
+    (tmp_path / "dplane.chart").write_text(D_PLANE)
+    target = target.replace("{tmp}", str(tmp_path))
+    assert main(["bracket", target, f"--alpha={fast[0]}", f"--beta={fast[1]}", "--fastpath"]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["bracket", target, f"--alpha={solver[0]}", f"--beta={solver[1]}"]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize(
