@@ -264,15 +264,14 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
         raise ValueError(f"unknown method {method!r}")
     defects = []
     for degree, part in alpha.homogeneous_parts().items():
-        sign = -1 if degree % 2 else 1
         head = (
             generator_operator(chart, part.wedge(beta))
             - generator_operator(chart, part).wedge(beta)
         )
         tail = part.wedge(generator_operator(chart, beta))
-        inner = head - (tail if sign > 0 else -tail)
-        # global calibration: minus the raw defect
-        defects.append(-(inner if sign > 0 else -inner))
+        # the raw defect is head - (-1)^degree tail; the global calibration
+        # takes minus it
+        defects.append(head + tail if degree % 2 else tail - head)
     return Form.sum(field, defects)
 
 
@@ -414,7 +413,7 @@ def d_defect(alpha, beta, chart: ChartGeometry):
         mixed = d_part(beta.d())
         left.append(d_part(beta).d())
         left.append(-solve_hamiltonian(theta, part.d())(beta))
-        left.append(-(mixed if p % 2 == 0 else -mixed))
+        left.append(mixed if p % 2 else -mixed)
         for q, d_beta in beta_hams.items():
             pairing = eval_two(theta_ks_cached(chart), d_part, d_beta)
             right.append(pairing if (p + q) % 2 == 0 else -pairing)

@@ -10,11 +10,16 @@ iota_D Theta = d^G alpha, so the basis of the solve does not change the
 answer, and the lie tabulation is built straight from the definition: no
 basis conversion, and no derived chart tensor such as the Christoffel
 symbols.
+
+The argument parser is built once per process, on the first main() call,
+and reused: argparse keeps no state between parse_args calls and looks up
+sys.stdout and sys.stderr only when it writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .brackets import bracket_fastpath, even_bracket, ks_bracket
@@ -114,6 +119,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedpoisson",

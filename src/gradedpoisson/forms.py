@@ -176,13 +176,13 @@ class Form:
         terms: dict = {}
         for idx, coeff in self.terms.items():
             for k in range(self.field.dimension):
+                if k in idx:
+                    continue
                 dc = coeff.partial(k)
                 if dc.is_zero:
                     continue
-                merged = _merge_indices((k,), idx)
-                if merged is None:
-                    continue
-                sign, midx = merged
+                # k is not in idx, so dx^k ^ dx^idx does not vanish
+                sign, midx = _merge_indices((k,), idx)
                 _accumulate(terms, midx, dc if sign > 0 else -dc)
         return Form._raw(self.field, terms)
 

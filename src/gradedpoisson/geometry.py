@@ -73,17 +73,12 @@ def christoffel_first(g):
     symbols of the first kind of the metric matrix g on the first len(g)
     coordinates of its field."""
     rng = range(len(g))
-    half = Fraction(1, 2)
-    return tuple(
-        tuple(
-            tuple(
-                (g[m][k].partial(j) + g[m][j].partial(k) - g[j][k].partial(m)) * half
-                for k in rng
-            )
-            for j in rng
-        )
-        for m in rng
-    )
+
+    def entry(m, j, k):
+        total = g[m][k].partial(j) + g[m][j].partial(k) - g[j][k].partial(m)
+        return total if total.is_zero else total * Fraction(1, 2)
+
+    return tuple(tuple(tuple(entry(m, j, k) for k in rng) for j in rng) for m in rng)
 
 
 def christoffel(g_inv, first, field: ScalarField):

@@ -222,14 +222,6 @@ class GradedTwoForm:
             weight,
         )
 
-    def scale(self, factor) -> "GradedTwoForm":
-        return GradedTwoForm(
-            self.geom,
-            self.basis,
-            [[v * factor for v in row] for row in self.blocks],
-            self.weight,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, GradedTwoForm):
             return NotImplemented
@@ -383,8 +375,9 @@ def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
         pr, ps = r >= dim, s >= dim
         # <[D, E_r], E_s> = -(-1)^{(|D| + |E_r|)|E_s|} pulled[r][s]
         back = -pulled[r][s] if (p + pr) * ps % 2 else pulled[r][s]
-        ahead = -pulled[s][r] if p * pr % 2 else pulled[s][r]
-        inner = derivation(theta.blocks[r][s]) + back - ahead
+        # -(-1)^{|D||E_r|} <E_r, [D, E_s]>, where <E_r, [D, E_s]> = pulled[s][r]
+        ahead = pulled[s][r] if p * pr % 2 else -pulled[s][r]
+        inner = derivation(theta.blocks[r][s]) + back + ahead
         return inner if p * (pr + ps) % 2 else -inner
 
     weight = None
@@ -465,11 +458,16 @@ def theta_even(geom: ChartGeometry, variant: str = "omega_g") -> GradedTwoForm:
     variant "omega_g" adds half the exact correction from the metric
     potential to the naive lift of omega; "omega_g_l" uses the potential
     with the compatibility tensor included.
+
+    The half goes on the potential: d^G is linear over constants, so
+    d^G(lambda_g / 2) = (d^G lambda_g) / 2, and halving the 2n values of
+    lambda_g costs less than halving the 4n^2 entries of its d^G.
     """
     if variant not in ("omega_g", "omega_g_l"):
         raise ValueError(f"unknown variant {variant!r}")
     lam = lambda_metric(geom, include_l=(variant == "omega_g_l"))
-    return theta_omega(geom) + dG_one(lam).scale(Fraction(1, 2))
+    halved = GradedOneForm(geom, "lie", [v * Fraction(1, 2) for v in lam.values], lam.weight)
+    return theta_omega(geom) + dG_one(halved)
 
 
 def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:

@@ -68,11 +68,19 @@ class ChartManifest:
                         f"index {index + 1} out of range 1..{dim} in {key!r}", line
                     )
 
+        # a conformal metric writes one text for several entries: parse each
+        # distinct text once. A text that fails is never stored, so it fails
+        # at the first line that holds it.
+        parsed = {}
+
         def parse_entry(text, line):
-            try:
-                return parse_scalar_expr(text, field)
-            except ExprError as err:
-                raise ManifestError(str(err), line) from None
+            value = parsed.get(text)
+            if value is None:
+                try:
+                    value = parsed[text] = parse_scalar_expr(text, field)
+                except ExprError as err:
+                    raise ManifestError(str(err), line) from None
+            return value
 
         g = [[field.zero] * dim for _ in range(dim)]
         seen = {}

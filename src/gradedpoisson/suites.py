@@ -602,7 +602,7 @@ def check_para_hermitian(ctx):
                     if g[m][n] and j_matrix[m][a]
                 ),
             )
-            want = chart.g[a][b] * field.constant(expected)
+            want = g[a][b] if expected == 1 else -g[a][b]
             if value != want:
                 return False, f"g(J e_{a}, J e_{b}) != {expected} g(e_{a}, e_{b})"
     if expected == -1:

@@ -7,7 +7,8 @@ derivative of a form by Cartan's formula, a derivation's normal form
 L_K + i_{L'} and its action through Cartan's formula for K, the Lie
 bracket of vector fields, the lowered curvature tensor entry by entry and
 the closed-form even-even block as its double sum over Christoffel
-symbols, d^G of a graded 2-form by the graded Palais formula. Kept
+symbols, d^G of a graded 2-form by the graded Palais formula, the even
+symplectic form with the half applied to d^G lambda_g entry by entry. Kept
 outside the package, they stay independent oracles for what the package
 does.
 """
@@ -22,12 +23,15 @@ from sympy.polys.fields import FracField
 from gradedpoisson.forms import Form, VectorField, VectorValuedForm
 from gradedpoisson.graded import (
     GradedOneForm,
+    GradedTwoForm,
     _parity,
     dG_function,
     dG_one,
     eval_one,
     eval_two,
     iota,
+    lambda_metric,
+    theta_omega,
 )
 
 
@@ -319,3 +323,15 @@ def lieG_one(derivation, lam: GradedOneForm) -> GradedOneForm:
     exact = dG_function(lam.geom, eval_one(lam, derivation))
     values = [a + b for a, b in zip(cartan.values, exact.values)]
     return GradedOneForm(lam.geom, "lie", values, cartan.weight)
+
+
+def theta_even_entrywise(geom, variant: str = "omega_g") -> GradedTwoForm:
+    """theta_omega + (1/2) d^G lambda_g, the half taken on each of the 4n^2
+    entries of d^G lambda_g after it is tabulated."""
+    lam = lambda_metric(geom, include_l=(variant == "omega_g_l"))
+    exact = dG_one(lam).blocks
+    blocks = [
+        [w + e * Fraction(1, 2) for w, e in zip(w_row, e_row)]
+        for w_row, e_row in zip(theta_omega(geom).blocks, exact)
+    ]
+    return GradedTwoForm(geom, "lie", blocks, None)

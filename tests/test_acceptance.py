@@ -102,20 +102,27 @@ def test_recursion_checks_shift_each_solution_once(monkeypatch):
 def test_flat4_contracts_no_zero_christoffel_or_curvature_entry(monkeypatch):
     # flat4's Christoffel symbols and curvature all vanish, and most entries
     # of its matrices are zero; contractions over their nonzero entries leave
-    # 1,078 scalar products in a full check, where dense loops over every
-    # entry made 13,375
-    calls = 0
-    mul = RationalFunction.__mul__
+    # 989 scalar products in a full check, where dense loops over every
+    # entry made 13,375. d differentiates a coefficient only along the
+    # directions its term lacks: 2,417 partial derivatives, 2,503 when it
+    # differentiated along all of them
+    calls = {"__mul__": 0, "partial": 0}
 
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
+    def counting(name):
+        method = getattr(RationalFunction, name)
 
-    monkeypatch.setattr(RationalFunction, "__mul__", counting)
+        def counted(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(RationalFunction, name, counted)
+
+    counting("__mul__")
+    counting("partial")
     report = run_suite(builtin_chart("flat4"), suite="all", seed=42, samples=2)
     assert report.failed == 0
-    assert calls <= 1078
+    assert calls["__mul__"] <= 989
+    assert calls["partial"] <= 2417
 
 
 def test_a_failing_axiom_check_carries_a_nonzero_witness():

@@ -31,7 +31,7 @@ from gradedpoisson.graded import (
     theta_ks_closed,
     theta_omega,
 )
-from reference import dG_two_eval, lieG_one
+from reference import dG_two_eval, lieG_one, theta_even_entrywise
 
 FLAT2 = builtin_chart("flat2")
 HALF = builtin_chart("halfplane")
@@ -176,6 +176,17 @@ def test_construction_paths_agree(chart):
     th_def = theta_even(chart, "omega_g")
     assert th_def == theta_even_closed_lie(chart)
     assert convert_two(th_def, "nabla") == theta_even_closed_nabla(chart)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_half_on_the_potential_matches_the_half_on_its_d_G(name):
+    chart = builtin_chart(name)
+    assert theta_even(chart) == theta_even_entrywise(chart)
+
+
+def test_half_on_the_potential_matches_with_a_tensor():
+    chart = _flat4_with_l({(0, 0, 2): 1, (1, 2, 3): -2}, "flat4_mixed")
+    assert theta_even(chart, "omega_g_l") == theta_even_entrywise(chart, "omega_g_l")
 
 
 def test_halfplane_covariant_block_value():

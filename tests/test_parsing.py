@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedpoisson import scalars
+from gradedpoisson import manifest, scalars
 from gradedpoisson.cli import main
 from gradedpoisson.exprparse import ExprError, parse_form_expr, parse_scalar_expr
 from gradedpoisson.forms import Form
@@ -125,6 +125,40 @@ def test_manifest_flags_and_tensor_fill():
     assert chart.l_tensor[1][1][0] == -q
 
 
+def test_manifest_parses_a_repeated_entry_text_once(monkeypatch):
+    conformal = """\
+    [chart] name=conformal, coords=x,y
+    [metric] g.1.1=1/(1+x^2), g.2.2=1/(1+x^2)
+    [symplectic] w.1.2=1/(1+x^2)
+    """
+    spelled = """\
+    [chart] name=conformal, coords=x,y
+    [metric] g.1.1=1/(1+x^2), g.2.2=(x^2+1)^-1
+    [symplectic] w.1.2=1/(1 + x*x)
+    """
+    texts = []
+
+    def counting(text, field):
+        texts.append(text)
+        return parse_scalar_expr(text, field)
+
+    monkeypatch.setattr(manifest, "parse_scalar_expr", counting)
+    once = parse_manifest(conformal)
+    assert texts == ["1/(1+x^2)"]
+    other = parse_manifest(spelled)
+    assert (once.name, once.field.coords) == (other.name, other.field.coords)
+    assert (once.g, once.w, once.l_tensor) == (other.g, other.w, other.l_tensor)
+    assert once.g[0][0] == once.g[1][1] == once.w[0][1] == -once.w[1][0]
+
+
+def test_manifest_reports_a_repeated_bad_entry_at_its_first_line():
+    text = "[chart] name=p, coords=x,y\n[metric]\ng.1.1=x+\ng.2.2=x+\n[symplectic]\nw.1.2=1\n"
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(text)
+    assert err.value.line == 3
+    assert "unexpected end" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "text,line,fragment",
     [
@@ -238,6 +272,36 @@ def test_repeated_cli_calls_print_the_same_bytes(argv, capsys):
     first = capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr() == first
+
+
+def _run_streams(argv):
+    """main(argv) as (exit code, stdout, stderr), a SystemExit's code included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_repeated_cli_sequence_repeats_every_stream():
+    # one parser serves every call of a process: a usage error or --help
+    # must not change what a later call prints, and each call writes to the
+    # streams in place when it runs
+    sequence = [
+        ["bracket", "builtin:halfplane", "--alpha=x*dx", "--beta=y"],
+        ["check", "builtin:flat2", "--suite", "kahler", "--samples", "1"],
+        ["charts"],
+        ["check", "builtin:flat2", "--samples", "0"],
+        ["bracket", "--help"],
+        ["bracket", "builtin:flat2", "--alpha=x", "--beta=y", "--odd"],
+    ]
+    first = [_run_streams(argv) for argv in sequence]
+    assert [run[0] for run in first] == [0, 0, 0, 2, 0, 0]
+    assert "usage: gradedpoisson check" in first[3][2] and not first[3][1]
+    assert "usage: gradedpoisson bracket" in first[4][1] and not first[4][2]
+    assert [_run_streams(argv) for argv in sequence] == first
 
 
 def test_a_raising_check_is_an_error_not_a_crash(monkeypatch, capsys):
