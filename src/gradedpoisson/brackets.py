@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import Derivation, Form, VectorValuedForm
-from .geometry import ChartError, ChartGeometry, dot, matrix_inverse
+from .geometry import ChartError, ChartGeometry, matrix_inverse
 from .graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -175,6 +175,16 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
 # -- recursion fast paths ------------------------------------------------------
 
 
+def _chain(chart: ChartGeometry, seed: VectorValuedForm, sign: int) -> list[VectorValuedForm]:
+    """seed, then each term sign * J^{-1}(R(_,_) K) of the one before, up to
+    the top degree."""
+    seq = [seed]
+    for _ in range(seed.degree + 2, chart.dim + 1, 2):
+        step = chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]))
+        seq.append(step if sign > 0 else -step)
+    return seq
+
+
 def k_even(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     """Even lie coefficients of the Hamiltonian derivation of a function.
 
@@ -182,40 +192,16 @@ def k_even(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     each step applies the curvature 2-form to the vector slot, then the
     inverse of the metric-symplectic endomorphism, and negates.
     """
-    current = -(chart.classical_hamiltonian(f).as_vvform())
-    seq = [current]
-    degree = 0
-    while degree + 2 <= chart.dim:
-        current = -chart.apply_endo(chart.j_inv, chart.curvature_apply(current))
-        degree += 2
-        seq.append(current)
-    return seq
+    return _chain(chart, -chart.classical_hamiltonian(f), -1)
 
 
 def k_odd(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     """Odd lie coefficients of the Hamiltonian derivation of an exact
     differential: the degree-1 coefficient solves omega against the
-    covariant Hessian column by column; higher ones follow the displayed
+    covariant Hessian, omega^{-1} . Hess f; higher ones follow the displayed
     curvature recursion (without the extra minus of the even chain)."""
-    dim = chart.dim
-    field = chart.field
-    hess = chart.covariant_hessian(f)
-    comps = []
-    for b in range(dim):
-        coeffs = {}
-        for u in range(dim):
-            val = dot(field, ((chart.w_inv[b][c], hess[c][u]) for c in range(dim)))
-            if not val.is_zero:
-                coeffs[(u,)] = val
-        comps.append(Form(field, coeffs))
-    current = VectorValuedForm(field, comps, degree=1)
-    seq = [current]
-    degree = 1
-    while degree + 2 <= dim:
-        current = chart.apply_endo(chart.j_inv, chart.curvature_apply(current))
-        degree += 2
-        seq.append(current)
-    return seq
+    seed = chart.apply_endo(chart.w_inv, chart.endo_form(chart.covariant_hessian(f)))
+    return _chain(chart, seed, 1)
 
 
 # -- brackets -------------------------------------------------------------------
@@ -278,16 +264,6 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
 # -- closed-form bracket fast paths ---------------------------------------------
 
 
-def _pair(chart: ChartGeometry, matrix, left: VectorValuedForm, right: VectorValuedForm) -> Form:
-    """B(left, right) for the matrix of B (chart.g or chart.w), form
-    coefficients wedged left to right."""
-    terms = (
-        left.components[a].wedge(right.components[b]) * coeff
-        for a, row in enumerate(matrix) for b, coeff in enumerate(row) if not coeff.is_zero
-    )
-    return Form.sum(chart.field, terms)
-
-
 def _curvature_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
     """R4(left, right, _, _) with form coefficients wedged on the left."""
     terms = (
@@ -311,24 +287,23 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
     f = field.wrap(f)
     h = field.wrap(h)
     x_h = chart.classical_hamiltonian(h)
-    xh_vv = x_h.as_vvform()
 
     # each slot pattern builds only what it reads: [[f, h]] reads no dxh,
     # [[df, dh]] no even chain
     if kind == "ff":
         terms = [Form.function(chart.classical_poisson(f, h))]
         evens = [-k for k in k_even(chart, f)]  # displayed seeding: first entry X_f
-        terms += [_curvature_pair(chart, ke, xh_vv) for ke in evens]
+        terms += [_curvature_pair(chart, ke, x_h) for ke in evens]
         return Form.sum(field, terms)
 
-    dxh = chart.nabla_vector(x_h)
+    dxh = chart.dnabla(x_h)
     if kind == "f_dh":
         terms = [Form.function(chart.classical_poisson(f, h)).d()]
         evens = [-k for k in k_even(chart, f)]
         for ke in evens:
             dke = chart.dnabla(ke)
-            terms.append(-_pair(chart, chart.w, dke, xh_vv))
-            terms.append(_curvature_pair(chart, dke, xh_vv))
+            terms.append(-chart.pair(chart.w, dke, x_h))
+            terms.append(_curvature_pair(chart, dke, x_h))
             terms.append(_curvature_pair(chart, ke, dxh))
         return Form.sum(field, terms)
 
@@ -337,12 +312,12 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
         dh = Form.function(h).d()
         sharp_df = chart.sharp(df)
         terms = [Form.function(chart.cometric_eval(df, dh))]
-        terms.append(_pair(chart, chart.g, chart.nabla_vector(sharp_df), dxh))
-        terms.append(_curvature_pair(chart, sharp_df.as_vvform(), xh_vv))
+        terms.append(chart.pair(chart.g, chart.dnabla(sharp_df), dxh))
+        terms.append(_curvature_pair(chart, sharp_df, x_h))
         for ko in k_odd(chart, f):
             dko = chart.dnabla(ko)
-            terms.append(_pair(chart, chart.w, xh_vv, dko))
-            terms.append(_curvature_pair(chart, dko, xh_vv))
+            terms.append(chart.pair(chart.w, x_h, dko))
+            terms.append(_curvature_pair(chart, dko, x_h))
             terms.append(_curvature_pair(chart, ko, dxh))
         return Form.sum(field, terms)
 

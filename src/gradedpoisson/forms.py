@@ -1,4 +1,8 @@
-"""Differential forms, vector fields, vector-valued forms, and derivations.
+"""Differential forms, vector-valued forms, and derivations.
+
+A vector field is a VectorValuedForm of degree 0, as in the
+Frolicher-Nijenhuis calculus the paper builds its derivations from: L_K and
+i_K take a vector field and a vector-valued form of any degree alike.
 
 The derivation algebra of the form algebra is the home of everything graded
 in this package. A derivation D is fixed by what it does to the coordinates,
@@ -247,8 +251,6 @@ class Form:
 
     def __eq__(self, other):
         if not isinstance(other, Form):
-            if other == 0:
-                return not self.terms
             return NotImplemented
         return self.field is other.field and self.terms == other.terms
 
@@ -273,82 +275,11 @@ class Form:
         return f"Form<{self}>"
 
 
-class VectorField:
-    """A vector field on the chart, one scalar component per coordinate."""
-
-    __slots__ = ("field", "components")
-
-    def __init__(self, field: ScalarField, components):
-        components = tuple(field.wrap(c) for c in components)
-        if len(components) != field.dimension:
-            raise ValueError(
-                f"{len(components)} components on a {field.dimension}-dim chart"
-            )
-        self.field = field
-        self.components = components
-
-    @classmethod
-    def basis(cls, field: ScalarField, index: int) -> "VectorField":
-        comps = [field.zero] * field.dimension
-        comps[index] = field.one
-        return cls(field, comps)
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(
-            self.field,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return VectorField(self.field, [-c for c in self.components])
-
-    def __mul__(self, scalar):
-        coeff = self.field.wrap(scalar)
-        return VectorField(self.field, [c * coeff for c in self.components])
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-    def as_vvform(self) -> "VectorValuedForm":
-        return VectorValuedForm(
-            self.field, [Form.function(c) for c in self.components], degree=0
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.field is other.field and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.field, self.components))
-
-    def __str__(self):
-        pieces = [
-            f"({c})*e_{name}"
-            for c, name in zip(self.components, self.field.coords)
-            if not c.is_zero
-        ]
-        return " + ".join(pieces) if pieces else "0"
-
-    def __repr__(self):
-        return f"VectorField<{self}>"
-
-
 class VectorValuedForm:
     """A vector-valued form: one homogeneous Form per coordinate direction.
 
-    Components of degree 0 are vector fields; degree 1 covers endomorphism
-    fields like the compatibility tensor and the identity.
+    A vector field is one of degree 0, its components 0-forms; degree 1
+    covers endomorphism fields like J and the identity.
     """
 
     __slots__ = ("field", "components", "degree")
@@ -376,6 +307,13 @@ class VectorValuedForm:
         self.field = field
         self.components = tuple(comps)
         self.degree = degree
+
+    @classmethod
+    def basis(cls, field: ScalarField, index: int) -> "VectorValuedForm":
+        """The coordinate vector field e_index."""
+        comps = [Form.zero(field)] * field.dimension
+        comps[index] = Form.function(field.one)
+        return cls(field, comps, degree=0)
 
     @classmethod
     def identity(cls, field: ScalarField) -> "VectorValuedForm":
@@ -449,8 +387,6 @@ class Derivation:
     @classmethod
     def lie(cls, kpart) -> "Derivation":
         """L_K = [i_K, d] for a vector-valued k-form K: L_K dx^a = (-1)^k dK_a."""
-        if isinstance(kpart, VectorField):
-            kpart = kpart.as_vvform()
         dks = [c.d() for c in kpart.components]
         if kpart.degree % 2:
             dks = [-c for c in dks]
@@ -458,8 +394,6 @@ class Derivation:
 
     @classmethod
     def insertion(cls, apart) -> "Derivation":
-        if isinstance(apart, VectorField):
-            apart = apart.as_vvform()
         field = apart.field
         return cls(field, [Form.zero(field)] * field.dimension + list(apart.components))
 

@@ -7,6 +7,14 @@ structures, musical isomorphisms, and classical Hamiltonian mechanics.
 Construction validates symmetry, antisymmetry, closedness and
 non-degeneracy, so no degenerate chart ever circulates.
 
+A vector field is a VectorValuedForm of degree 0. A matrix M of the chart
+(g, omega, their inverses, J, a Hessian) meets vector-valued forms in three
+contractions: apply_endo(M, K) applies M to the vector slot, pair(M, K, L)
+evaluates the bilinear form of M, and endo_form(M) is the vector-valued
+1-form dx^j (x) M e_j. So X_f = lam . grad f and sharp(alpha) = g^-1 . alpha
+are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J as a 1-form is
+endo_form. row_form, flat, l_slice and cometric_eval contract scalars.
+
 The derived tensors are built on first read, each once per chart, and
 none of them can fail once construction has passed: the Christoffel
 symbols of both kinds (gamma_first, gamma) and the list of nonzero ones
@@ -24,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .forms import Derivation, Form, VectorField, VectorValuedForm
+from .forms import Derivation, Form, VectorValuedForm
 from .scalars import RationalFunction, ScalarField, coordinate_field
 
 
@@ -267,13 +275,15 @@ class ChartGeometry:
 
     # -- tensor evaluation ---------------------------------------------------
 
-    def bilinear_eval(self, matrix, x: VectorField, y: VectorField) -> RationalFunction:
-        """The bilinear form with the given matrix (chart.g or chart.w) on X, Y."""
-        rng, xs, ys = range(self.dim), x.components, y.components
-        return dot(
-            self.field,
-            ((matrix[i][j] * xs[i], ys[j]) for i in rng for j in rng if matrix[i][j] and xs[i]),
+    def pair(self, matrix, left: VectorValuedForm, right: VectorValuedForm) -> Form:
+        """B(left, right) for the matrix of B (chart.g or chart.w), form
+        coefficients wedged left to right."""
+        terms = (
+            lc.wedge(rc) * coeff
+            for lc, row in zip(left.components, matrix) if not lc.is_zero
+            for rc, coeff in zip(right.components, row) if not (rc.is_zero or coeff.is_zero)
         )
+        return Form.sum(self.field, terms)
 
     def cometric_eval(self, lam: Form, mu: Form) -> RationalFunction:
         """g^{-1} on two 1-forms."""
@@ -296,47 +306,46 @@ class ChartGeometry:
                     terms[(i, j)] = self.w[i][j]
         return Form(self.field, terms)
 
-    def row_form(self, matrix, x: VectorField) -> Form:
-        """The 1-form B(X, _) for the matrix of B (chart.g or chart.w)."""
+    def row_form(self, matrix, x: VectorValuedForm) -> Form:
+        """The 1-form B(X, _) for the matrix of B (chart.g or chart.w) and a
+        vector field X."""
+        xs = [c.scalar_part() for c in x.components]
         coeffs = {}
         for j in range(self.dim):
-            c = dot(self.field, ((matrix[i][j], x.components[i]) for i in range(self.dim)))
+            c = dot(self.field, ((matrix[i][j], xs[i]) for i in range(self.dim)))
             if not c.is_zero:
                 coeffs[(j,)] = c
         return Form(self.field, coeffs)
 
     # -- musical isomorphisms --------------------------------------------
 
-    def flat(self, x: VectorField) -> Form:
+    def flat(self, x: VectorValuedForm) -> Form:
         return self.row_form(self.g, x)
 
-    def sharp(self, one_form: Form) -> VectorField:
+    def sharp(self, one_form: Form) -> VectorValuedForm:
+        """The vector field g^-1 . alpha of a 1-form alpha."""
         if not one_form.is_homogeneous(1):
             raise ChartError("sharp needs a 1-form")
-        rng = range(self.dim)
-        comps = [
-            dot(self.field, ((self.g_inv[i][j], one_form.coefficient((j,))) for j in rng))
-            for i in rng
-        ]
-        return VectorField(self.field, comps)
+        comps = [one_form.coefficient((j,)) for j in range(self.dim)]
+        return self.apply_endo(self.g_inv, VectorValuedForm(self.field, comps, degree=0))
 
     # -- J ------------------------------------------------------------------
 
-    def j_vvform(self) -> VectorValuedForm:
-        """J as a vector-valued 1-form dx^j (x) J e_j."""
-        comps = []
-        for b in range(self.dim):
-            coeffs = {}
-            for j in range(self.dim):
-                if not self.j_matrix[b][j].is_zero:
-                    coeffs[(j,)] = self.j_matrix[b][j]
-            comps.append(Form(self.field, coeffs))
+    def endo_form(self, matrix) -> VectorValuedForm:
+        """The endomorphism M as a vector-valued 1-form dx^j (x) M e_j."""
+        comps = [
+            Form(self.field, {(j,): entry for j, entry in enumerate(row) if not entry.is_zero})
+            for row in matrix
+        ]
         return VectorValuedForm(self.field, comps, degree=1)
 
     def apply_endo(self, matrix, vvform: VectorValuedForm) -> VectorValuedForm:
         """Apply an endomorphism matrix to the vector slot, componentwise."""
         comps = [
-            Form.sum(self.field, (comp * entry for comp, entry in zip(vvform.components, row)))
+            Form.sum(
+                self.field,
+                (c * e for c, e in zip(vvform.components, row) if not (c.is_zero or e.is_zero)),
+            )
             for row in matrix
         ]
         return VectorValuedForm(self.field, comps, degree=vvform.degree)
@@ -402,13 +411,10 @@ class ChartGeometry:
         comps = [c.d() + (-t if odd else t) for c, t in zip(vvform.components, twist)]
         return VectorValuedForm(self.field, comps, degree=vvform.degree + 1)
 
-    def nabla_vector(self, x: VectorField) -> VectorValuedForm:
-        """The covariant differential of X, a vector-valued 1-form."""
-        return self.dnabla(x.as_vvform())
-
-    def nabla_derivation(self, x: VectorField) -> Derivation:
-        """The covariant derivative along X as a degree-0 derivation: L_X - i_{T(X)}."""
-        kpart = x.as_vvform().components
+    def nabla_derivation(self, x: VectorValuedForm) -> Derivation:
+        """The covariant derivative along a vector field X as a degree-0
+        derivation: L_X - i_{T(X)}."""
+        kpart = x.components
         return Derivation(self.field, kpart + tuple(-t for t in self.connection_twist(kpart)))
 
     def covariant_hessian(self, f: RationalFunction):
@@ -426,31 +432,27 @@ class ChartGeometry:
 
     # -- classical mechanics -----------------------------------------------
 
-    def classical_hamiltonian(self, f: RationalFunction) -> VectorField:
-        """The vector field X_f with i_{X_f} omega = df."""
+    def classical_hamiltonian(self, f: RationalFunction) -> VectorValuedForm:
+        """The vector field X_f = lam . grad f, so that i_{X_f} omega = df."""
         f = self.field.wrap(f)
-        rng = range(self.dim)
-        comps = [dot(self.field, ((self.w_inv[b][c], f.partial(b)) for b in rng)) for c in rng]
-        return VectorField(self.field, comps)
+        grad = VectorValuedForm(self.field, [f.partial(b) for b in range(self.dim)], degree=0)
+        return self.apply_endo(self.lam, grad)
 
     def classical_poisson(self, f, h) -> RationalFunction:
-        return self.bilinear_eval(
-            self.w, self.classical_hamiltonian(f), self.classical_hamiltonian(h)
-        )
+        x_f, x_h = self.classical_hamiltonian(f), self.classical_hamiltonian(h)
+        return self.pair(self.w, x_f, x_h).scalar_part()
 
     # -- compatibility tensor ----------------------------------------------
 
-    def l_slice(self, x: VectorField) -> Form:
-        """The 2-form L(X; _, _)."""
+    def l_slice(self, x: VectorValuedForm) -> Form:
+        """The 2-form L(X; _, _) of a vector field X."""
         if self.l_tensor is None:
             raise ChartError(f"chart {self.name} has no compatibility tensor")
+        xs = [c.scalar_part() for c in x.components]
         terms = {}
         for j in range(self.dim):
             for k in range(j + 1, self.dim):
-                c = dot(
-                    self.field,
-                    ((self.l_tensor[i][j][k], x.components[i]) for i in range(self.dim)),
-                )
+                c = dot(self.field, ((self.l_tensor[i][j][k], xs[i]) for i in range(self.dim)))
                 if not c.is_zero:
                     terms[(j, k)] = c
         return Form(self.field, terms)
@@ -468,22 +470,18 @@ def tangent_lift_chart(name: str, base_coords, base_metric) -> ChartGeometry:
     Metric from the adapted coframe pairing horizontal and vertical
     directions, symplectic form from the metric Lagrangian, J = -1 on
     horizontal lifts and +1 on vertical lifts.
+
+    The base metric entries are scalars of the lifted chart, whose
+    coordinates are the base ones followed by the velocities (v for a base
+    coordinate q, v_c for any other c), and they may depend on the base
+    coordinates only.
     """
     base_coords = tuple(base_coords)
     n = len(base_coords)
-    base_field = coordinate_field(base_coords)
     vel_coords = tuple("v" if c == "q" else f"v_{c}" for c in base_coords)
     field = coordinate_field(base_coords + vel_coords)
 
-    gbar = [[field.wrap(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entry = base_metric[i][j]
-            if isinstance(entry, RationalFunction):
-                entry = entry.transplant(field) if entry.field is base_field else field.wrap(entry)
-            else:
-                entry = field.wrap(entry)
-            gbar[i][j] = entry
+    gbar = [[field.wrap(entry) for entry in row] for row in base_metric]
     _, gbar_inv = matrix_inverse(gbar, field)
     if gbar_inv is None:
         raise ChartError("base metric is degenerate: det g = 0")
@@ -606,13 +604,12 @@ def _halfplane() -> ChartGeometry:
 
 
 def _tlift1() -> ChartGeometry:
-    base = coordinate_field(("q",))
-    return tangent_lift_chart("tlift1", ("q",), [[base.one]])
+    lifted = coordinate_field(("q", "v"))
+    return tangent_lift_chart("tlift1", ("q",), [[lifted.one]])
 
 
 def _tlift1q() -> ChartGeometry:
-    base = coordinate_field(("q",))
-    q = base.gens[0]
+    q = coordinate_field(("q", "v")).coordinate("q")
     return tangent_lift_chart("tlift1q", ("q",), [[1 + q**2]])
 
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import Derivation, Form, VectorField, VectorValuedForm
+from .forms import Derivation, Form, VectorValuedForm
 from .geometry import ChartGeometry, dot, matrix_inverse
 from .scalars import RationalFunction
 
@@ -61,7 +61,7 @@ def basics(geom: ChartGeometry, basis: str) -> tuple[Derivation, ...]:
     """The 2n basic derivations E_r of the chart: even ones first, then insertions."""
 
     def build():
-        units = [VectorField.basis(geom.field, a) for a in range(geom.dim)]
+        units = [VectorValuedForm.basis(geom.field, a) for a in range(geom.dim)]
         even = geom.nabla_derivation if basis == "nabla" else Derivation.lie
         return tuple(map(even, units)) + tuple(map(Derivation.insertion, units))
 
@@ -422,7 +422,7 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
 def lambda_metric(geom: ChartGeometry, include_l: bool = False) -> GradedOneForm:
     """The graded 1-form with <i_X> = flat(X) and <L_X> = d flat(X), plus the
     compatibility-tensor slice on the Lie slot when requested."""
-    units = [VectorField.basis(geom.field, a) for a in range(geom.dim)]
+    units = [VectorValuedForm.basis(geom.field, a) for a in range(geom.dim)]
     flats = [geom.flat(u) for u in units]
     on_even = [v.d() for v in flats]
     if include_l:
@@ -434,9 +434,7 @@ def lambda_metric(geom: ChartGeometry, include_l: bool = False) -> GradedOneForm
 
 def lambda_omega(geom: ChartGeometry) -> GradedOneForm:
     """The odd potential: <i_X> = 0, <L_X> = omega(X, _); bidegree (1, -1)."""
-    on_even = [
-        geom.row_form(geom.w, VectorField.basis(geom.field, a)) for a in range(geom.dim)
-    ]
+    on_even = [geom.row_form(geom.w, VectorValuedForm.basis(geom.field, a)) for a in range(geom.dim)]
     return GradedOneForm(geom, "lie", on_even + [Form.zero(geom.field)] * geom.dim, -1)
 
 

@@ -814,36 +814,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
-    def transplant(self, target: ScalarField) -> "RationalFunction":
-        """Re-express this scalar in a larger field containing the same
-        coordinate names (used when lifting base-chart data to a bundle
-        chart)."""
-        if target is self.field:
-            return self
-        positions = [target.coords.index(c) for c in self.field.coords]
-
-        def convert(poly):
-            # the total degree stays, and with it the width
-            src = _layout_of(self.field.layout, poly)
-            dst = _layout(target.dimension, src.width)
-            out = []
-            for monom, coeff in poly:
-                lifted = src.degree(monom) << dst.top
-                for pos, exp in zip(positions, src.exponents(monom)):
-                    lifted |= exp << dst.shifts[pos]
-                out.append((lifted, coeff))
-            return tuple(sorted(out, reverse=True))
-
-        # irreducibility and divisibility do not depend on the extra
-        # coordinates; only a leading coefficient's sign can change
-        num = convert(self.num)
-        facs = []
-        for factor, exp in self.facs:
-            poly, unit = _positive(convert(factor.poly))
-            num = _poly_scale(num, unit**exp)
-            facs.append((_Factor(target.layout, poly), exp))
-        return RationalFunction(target, num, self.cont, tuple(sorted(facs, key=_by_order)))
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.constant(other)

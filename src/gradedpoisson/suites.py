@@ -322,14 +322,14 @@ def check_defect_identity(ctx):
 def check_omega_hamiltonian(ctx):
     chart = ctx.chart
     got = solve_hamiltonian(ctx.theta, chart.omega_form())
-    if got == Derivation.insertion(chart.j_vvform()):
+    if got == Derivation.insertion(chart.endo_form(chart.j_matrix)):
         return True, None
     return False, "hamiltonian derivation of omega is not the endomorphism insertion"
 
 
 def check_metric_potential_pairing(ctx):
     chart = ctx.chart
-    got = eval_one(lambda_metric(chart), Derivation.insertion(chart.j_vvform()))
+    got = eval_one(lambda_metric(chart), Derivation.insertion(chart.endo_form(chart.j_matrix)))
     want = chart.omega_form() * 2
     if got == want:
         return True, None
@@ -375,7 +375,7 @@ def check_locally_hamiltonian(ctx):
         theta = theta_even(chart, "omega_g_l")
     else:
         theta = theta_even_cached(chart, "lie")
-    value = lieG_two(Derivation.insertion(chart.j_vvform()), theta)
+    value = lieG_two(Derivation.insertion(chart.endo_form(chart.j_matrix)), theta)
     if value.is_zero:
         return True, None
     witness = next(
@@ -445,39 +445,28 @@ def check_solution_parity(ctx):
         even, ins = components_by_degree(chart, solve_hamiltonian(ctx.theta, df))
         if list(ins) != ([0] if not df.is_zero else []):
             return False, f"differential of {f} has insertion degrees {list(ins)}"
-        if ins and ins[0] != chart.sharp(df).as_vvform():
+        if ins and ins[0] != chart.sharp(df):
             return False, f"insertion part of D_df is not the metric sharp for f = {f}"
         if any(m % 2 == 0 for m in even):
             return False, f"differential of {f} produced even lie components"
     return True, None
 
 
-def check_even_chain(ctx):
+def _check_chain(ctx, chain, odd):
+    """Compare chain(chart, f) with the even coefficients of D_f, or of
+    D_df when odd, degree by degree."""
     chart = ctx.chart
     for f in ctx.functions:
-        even, _ = components_by_degree(chart, solve_hamiltonian(ctx.theta, f))
-        for i, component in enumerate(k_even(chart, f)):
-            got = even.get(2 * i)
+        alpha = Form.function(f).d() if odd else f
+        even, _ = components_by_degree(chart, solve_hamiltonian(ctx.theta, alpha))
+        for i, component in enumerate(chain(chart, f)):
+            degree = 2 * i + odd
+            got = even.get(degree)
             if got is None:
                 if not component.is_zero:
-                    return False, f"chain degree {2 * i} nonzero, solver zero, f = {f}"
+                    return False, f"chain degree {degree} nonzero, solver zero, f = {f}"
             elif component != got:
-                return False, f"chain and solver differ at degree {2 * i} for f = {f}"
-    return True, None
-
-
-def check_odd_chain(ctx):
-    chart = ctx.chart
-    for f in ctx.functions:
-        df = Form.function(f).d()
-        even, _ = components_by_degree(chart, solve_hamiltonian(ctx.theta, df))
-        for i, component in enumerate(k_odd(chart, f)):
-            got = even.get(2 * i + 1)
-            if got is None:
-                if not component.is_zero:
-                    return False, f"chain degree {2 * i + 1} nonzero, solver zero, f = {f}"
-            elif component != got:
-                return False, f"chain and solver differ at degree {2 * i + 1} for f = {f}"
+                return False, f"chain and solver differ at degree {degree} for f = {f}"
     return True, None
 
 
@@ -521,7 +510,7 @@ def _kahler_chain_defect(ctx):
     chart = ctx.chart
     for f in ctx.functions:
         evens = [-component for component in k_even(chart, f)]
-        if evens[0] != chart.classical_hamiltonian(f).as_vvform():
+        if evens[0] != chart.classical_hamiltonian(f):
             return f"renormalized seed is not the classical field for f = {f}"
         odds = k_odd(chart, f)
         for i, odd in enumerate(odds):
@@ -536,7 +525,7 @@ def _kahler_seed_defect(ctx):
     chart = ctx.chart
     for f in ctx.functions:
         seed = k_odd(chart, f)[0]
-        if seed != -chart.dnabla(chart.classical_hamiltonian(f).as_vvform()):
+        if seed != -chart.dnabla(chart.classical_hamiltonian(f)):
             return f"K^1 + d^nabla X_f != 0 for f = {f}"
     return None
 
@@ -666,8 +655,8 @@ CHECKS = [
     Check("ks-cross-oracle", "hamiltonian route = generator route (odd bracket)", ("theorems",), check_ks_cross_oracle),
     Check("ks-poisson-differential", "[[df,dh]]_KS = d{f,h}", ("theorems",), check_ks_poisson_differential),
     Check("solution-parity", "D_f purely even; D_df = i_{sharp df} + odd terms", ("recursion",), check_solution_parity),
-    Check("even-chain", "K^{2i} = -J^{-1}(R(_,_)K^{2(i-1)}) matches the solver", ("recursion",), check_even_chain),
-    Check("odd-chain", "omega(Y, K^1 U) = Hess f(Y,U); K^{2i+1} = J^{-1}(R(_,_)K^{2i-1}) matches the solver", ("recursion",), check_odd_chain),
+    Check("even-chain", "K^{2i} = -J^{-1}(R(_,_)K^{2(i-1)}) matches the solver", ("recursion",), partial(_check_chain, chain=k_even, odd=0)),
+    Check("odd-chain", "omega(Y, K^1 U) = Hess f(Y,U); K^{2i+1} = J^{-1}(R(_,_)K^{2i-1}) matches the solver", ("recursion",), partial(_check_chain, chain=k_odd, odd=1)),
     Check("sign-outcome", "recorded resolution of the displayed recursion signs", ("recursion",), check_sign_outcome),
     Check("fastpath", "[[f,h]], [[f,dh]], [[df,dh]] closed forms = solver values", ("recursion",), check_fastpath),
     Check("kahler-seed", "K^1 = -d^nabla X_f", ("kahler",), check_kahler_seed),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracField
 
-from gradedpoisson.forms import Form, VectorField, VectorValuedForm
+from gradedpoisson.forms import Form, VectorValuedForm
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -154,16 +154,16 @@ def wedge(*forms: Form) -> Form:
     return out
 
 
-def insert_vector(form: Form, vector: VectorField) -> Form:
+def insert_vector(form: Form, vector: VectorValuedForm) -> Form:
     """The interior product i_X form."""
     out = Form.zero(form.field)
     for i, comp in enumerate(vector.components):
         if not comp.is_zero:
-            out = out + form.insert_basis(i) * comp
+            out = out + form.insert_basis(i) * comp.scalar_part()
     return out
 
 
-def lie_derivative(form: Form, vector: VectorField) -> Form:
+def lie_derivative(form: Form, vector: VectorValuedForm) -> Form:
     """L_X form by Cartan's formula, L_X = i_X d + d i_X."""
     return insert_vector(form.d(), vector) + insert_vector(form, vector).d()
 
@@ -222,37 +222,47 @@ def normal_form(derivation):
     return pairs
 
 
-def directional(vector: VectorField, scalar):
+def directional(vector: VectorValuedForm, scalar):
     """X(f), the derivative of a scalar along a vector field."""
     scalar = vector.field.wrap(scalar)
     out = vector.field.zero
     for i, comp in enumerate(vector.components):
         if not comp.is_zero:
-            out = out + comp * scalar.partial(i)
+            out = out + comp.scalar_part() * scalar.partial(i)
     return out
 
 
-def vector_bracket(x: VectorField, y: VectorField) -> VectorField:
+def vector_bracket(x: VectorValuedForm, y: VectorValuedForm) -> VectorValuedForm:
     """The Lie bracket [X, Y] of vector fields."""
     comps = [
-        directional(x, y.components[i]) - directional(y, x.components[i])
+        directional(x, y.components[i].scalar_part()) - directional(y, x.components[i].scalar_part())
         for i in range(x.field.dimension)
     ]
-    return VectorField(x.field, comps)
+    return VectorValuedForm(x.field, comps, degree=0)
+
+
+def scale_vector(x: VectorValuedForm, scalar) -> VectorValuedForm:
+    """The vector field s X."""
+    return VectorValuedForm(x.field, [c * scalar for c in x.components], degree=0)
+
+
+def vector_difference(x: VectorValuedForm, y: VectorValuedForm) -> VectorValuedForm:
+    """The vector field X - Y."""
+    return VectorValuedForm(x.field, [a - b for a, b in zip(x.components, y.components)], degree=0)
 
 
 # -- chart geometry -------------------------------------------------------------
 
 
-def j_apply(chart, x: VectorField) -> VectorField:
+def j_apply(chart, x: VectorValuedForm) -> VectorValuedForm:
     """J X for the chart's metric-symplectic endomorphism J."""
     comps = []
     for b in range(chart.dim):
         c = chart.field.zero
         for j in range(chart.dim):
-            c = c + chart.j_matrix[b][j] * x.components[j]
+            c = c + chart.j_matrix[b][j] * x.components[j].scalar_part()
         comps.append(c)
-    return VectorField(chart.field, comps)
+    return VectorValuedForm(chart.field, comps, degree=0)
 
 
 def riemann4(chart, u: int, v: int, w: int, z: int):
@@ -284,13 +294,10 @@ def closed_alpha(chart, a: int, b: int) -> Form:
     return Form(chart.field, terms)
 
 
-def nabla_direction(chart, u: VectorField, x: VectorField) -> VectorField:
+def nabla_direction(chart, u: VectorValuedForm, x: VectorValuedForm) -> VectorValuedForm:
     """nabla_U X, the covariant derivative of X along U."""
-    nx = chart.nabla_vector(x)
-    return VectorField(
-        chart.field,
-        [insert_vector(c, u).scalar_part() for c in nx.components],
-    )
+    nx = chart.dnabla(x)
+    return VectorValuedForm(chart.field, [insert_vector(c, u) for c in nx.components], degree=0)
 
 
 # -- graded calculus ------------------------------------------------------------

@@ -16,7 +16,7 @@ from gradedpoisson.brackets import (
     ks_bracket,
     solve_hamiltonian,
 )
-from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
+from gradedpoisson.forms import Derivation, Form, VectorValuedForm
 from gradedpoisson.geometry import ChartError, builtin_chart, builtin_names
 from gradedpoisson.graded import (
     components_by_degree,
@@ -74,7 +74,7 @@ def test_flat_function_solution_is_single_covariant_term():
     assert not ins
     assert list(even) == [0]
     # seeded at minus the classical field, per the recorded calibration
-    expected = -(FLAT2.classical_hamiltonian(x).as_vvform())
+    expected = -FLAT2.classical_hamiltonian(x)
     assert even[0] == expected
     assert sol == Derivation.lie(expected)
 
@@ -85,7 +85,7 @@ def test_flat_coordinate_differential_solution_is_pure_insertion():
     sol = solve_hamiltonian(even_theta(FLAT2), dx)
     # the Hessian of x vanishes, so nothing beyond the metric sharp survives
     assert not components_by_degree(FLAT2, sol)[0]
-    assert sol == Derivation.insertion(VectorField.basis(f, 0))
+    assert sol == Derivation.insertion(VectorValuedForm.basis(f, 0))
 
 
 def test_curved_function_solution_carries_curvature_tail():
@@ -150,7 +150,7 @@ def test_exact_differential_solutions_sharp_plus_odd(name):
     sol = solve_hamiltonian(even_theta(chart), df)
     even, ins = components_by_degree(chart, sol)
     assert list(ins) == [0]
-    assert ins[0] == chart.sharp(df).as_vvform()
+    assert ins[0] == chart.sharp(df)
     assert all(m % 2 == 1 for m in even)
 
 
@@ -214,7 +214,7 @@ def test_kahler_chain_links_even_and_odd_components(name):
     for scalar in (f.gens[0] ** 2, f.gens[0] * f.gens[1]):
         evens = [-component for component in k_even(chart, scalar)]
         odds = k_odd(chart, scalar)
-        assert evens[0] == chart.classical_hamiltonian(scalar).as_vvform()
+        assert evens[0] == chart.classical_hamiltonian(scalar)
         for i, odd in enumerate(odds):
             shift = chart.dnabla(evens[i])
             assert odd == (-shift if i % 2 == 0 else shift)
@@ -638,7 +638,7 @@ def test_differential_derives_the_odd_bracket(name):
 def test_symplectic_form_generates_the_compatibility_insertion(name):
     chart = builtin_chart(name)
     sol = solve_hamiltonian(even_theta(chart), chart.omega_form())
-    assert sol == Derivation.insertion(chart.j_vvform())
+    assert sol == Derivation.insertion(chart.endo_form(chart.j_matrix))
 
 
 # -- the derivative defect --------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedpoisson.brackets import solve_hamiltonian
-from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
+from gradedpoisson.forms import Derivation, Form, VectorValuedForm
 from gradedpoisson.geometry import builtin_chart
 from gradedpoisson.graded import _decompose, basics, theta_even_cached
 from gradedpoisson.scalars import coordinate_field
@@ -15,6 +15,7 @@ from reference import (
     insert_vvform,
     lie_derivative,
     normal_form,
+    scale_vector,
     vector_bracket,
     wedge,
 )
@@ -23,8 +24,8 @@ F = coordinate_field(("x", "y"))
 X, Y = F.gens
 DX = Form.coordinate_diff(F, 0)
 DY = Form.coordinate_diff(F, 1)
-EX = VectorField.basis(F, 0)
-EY = VectorField.basis(F, 1)
+EX = VectorValuedForm.basis(F, 0)
+EY = VectorValuedForm.basis(F, 1)
 D_OP = Derivation.exterior(F)
 F4 = coordinate_field(("x", "y", "z", "w"))
 
@@ -64,7 +65,7 @@ def forms(draw, field=F, degree=None, coeffs=polys):
 
 @st.composite
 def vector_fields(draw, field=F):
-    return VectorField(field, [draw(polys(field)) for _ in range(field.dimension)])
+    return VectorValuedForm(field, [draw(polys(field)) for _ in range(field.dimension)], degree=0)
 
 
 def test_wedge_examples():
@@ -83,7 +84,7 @@ def test_exterior_derivative_examples():
 def test_insertion_examples():
     assert insert_vector(DX.wedge(DY), EX) == DY
     assert insert_vector(Form.function(X * Y), EX).is_zero
-    assert insert_vector(DY, EY * X) == Form.function(X)
+    assert insert_vector(DY, scale_vector(EY, X)) == Form.function(X)
 
 
 def test_lie_derivative_examples():
@@ -145,6 +146,15 @@ def test_sum_of_nothing_is_zero_and_charts_must_agree():
         DX + Form.coordinate_diff(F4, 0)
 
 
+def test_a_form_equals_only_forms():
+    # equal values must hash equal, and no scalar hashes like a Form, so the
+    # zero form equals neither the integer 0 nor the zero scalar
+    zero = Form.zero(F)
+    assert zero != 0 and zero != F.zero
+    assert Form.function(X) != X
+    assert 0 not in {zero} and zero not in {0, F.zero}
+
+
 @given(forms(), forms())
 def test_wedge_graded_commutativity(a, b):
     for pa, ha in a.homogeneous_parts().items():
@@ -175,7 +185,7 @@ def test_cartan_formula_matches_leibniz_expansion(x, a):
         base = Form._raw(F, {idx: F.one})
         direct = direct + base * directional(x, coeff)
         for pos, i in enumerate(idx):
-            dxm = Form.function(x.components[i]).d()
+            dxm = x.components[i].d()
             rest_before = idx[:pos]
             rest_after = idx[pos + 1 :]
             piece = Form._raw(F, {rest_before: F.one}) if rest_before else Form.function(F.one)
@@ -220,9 +230,9 @@ def derivation_pairs(draw, field=F):
     """The normal-form pairs of a homogeneous derivation."""
     kind = draw(st.integers(0, 2))
     if kind == 0:
-        return [(None, draw(vector_fields(field)).as_vvform())]
+        return [(None, draw(vector_fields(field)))]
     if kind == 1:
-        return [(draw(vector_fields(field)).as_vvform(), None)]
+        return [(draw(vector_fields(field)), None)]
     k = VectorValuedForm(field, [draw(forms(field, degree=1)) for _ in range(field.dimension)], degree=1)
     lp = VectorValuedForm(field, [draw(forms(field, degree=2)) for _ in range(field.dimension)], degree=2)
     return [(k, lp)]
@@ -290,9 +300,10 @@ def test_equal_values_hash_equal(pairs, x):
     rebuilt = from_pairs(F, normal_form(dv))
     assert rebuilt == dv and hash(rebuilt) == hash(dv)
     assert len({dv, rebuilt}) == 1
-    doubled = x * 2
-    assert x + x == doubled and hash(x + x) == hash(doubled)
-    assert len({x + x, doubled}) == 1
+    doubled = scale_vector(x, 2)
+    twice = VectorValuedForm(F, [c + c for c in x.components], degree=0)
+    assert twice == doubled and hash(twice) == hash(doubled)
+    assert len({twice, doubled}) == 1
     for kpart, apart in pairs:
         for part in (kpart, apart):
             if part is not None:
@@ -308,7 +319,7 @@ def test_basis_coefficients_reproduce_action(pairs, a):
     coeffs = from_pairs(F, pairs).coefficients
     out = Form.zero(F)
     for i in range(2):
-        basis = VectorField.basis(F, i)
+        basis = VectorValuedForm.basis(F, i)
         out = out + coeffs[i].wedge(lie_derivative(a, basis))
         out = out + coeffs[2 + i].wedge(a.insert_basis(i))
     assert out == derivation_apply(pairs, a)

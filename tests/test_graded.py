@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gradedpoisson.forms import Derivation, Form, VectorField, VectorValuedForm
+from gradedpoisson.forms import Derivation, Form, VectorValuedForm
 from gradedpoisson import graded, suites
 from gradedpoisson.geometry import ChartGeometry, builtin_chart, builtin_names
 from gradedpoisson.graded import (
@@ -67,9 +67,9 @@ def homogeneous_derivations(draw, field):
     kind = draw(st.integers(0, 2))
     comps = [draw(polys(field)) for _ in range(field.dimension)]
     if kind == 0:
-        return Derivation.insertion(VectorField(field, comps))
+        return Derivation.insertion(VectorValuedForm(field, comps, degree=0))
     if kind == 1:
-        return Derivation.lie(VectorField(field, comps))
+        return Derivation.lie(VectorValuedForm(field, comps, degree=0))
     k = VectorValuedForm(
         field, [draw(forms(field, degree=1)) for _ in range(field.dimension)], degree=1
     )
@@ -379,9 +379,9 @@ def test_lie_derivative_matches_generic_commutators(chart, kind):
     pad = [field.zero] * (chart.dim - 2)
     derivation = {
         "d": Derivation.exterior(field),
-        "i_J": Derivation.insertion(chart.j_vvform()),
-        "L_X": Derivation.lie(VectorField(field, [x * y, x + field.one, *pad])),
-        "i_Y": Derivation.insertion(VectorField(field, [y * y, x, *pad])),
+        "i_J": Derivation.insertion(chart.endo_form(chart.j_matrix)),
+        "L_X": Derivation.lie(VectorValuedForm(field, [x * y, x + field.one, *pad])),
+        "i_Y": Derivation.insertion(VectorValuedForm(field, [y * y, x, *pad])),
     }[kind]
     for theta in (theta_even(chart, "omega_g"), theta_ks(chart)):
         got = lieG_two(derivation, theta)
@@ -435,7 +435,7 @@ def test_graded_calculus_needs_the_lie_basis():
 )
 def test_insert_endomorphism_into_metric_potential(name):
     chart = builtin_chart(name)
-    ij = Derivation.insertion(chart.j_vvform())
+    ij = Derivation.insertion(chart.endo_form(chart.j_matrix))
     assert eval_one(lambda_metric(chart), ij) == chart.omega_form() * 2
 
 
@@ -459,14 +459,14 @@ def _flat4_with_l(entries, name):
 
 def test_compatible_tensor_keeps_insertion_locally_hamiltonian():
     chart = _flat4_with_l({(0, 0, 2): 1}, "flat4_compat")
-    ij = Derivation.insertion(chart.j_vvform())
+    ij = Derivation.insertion(chart.endo_form(chart.j_matrix))
     theta = theta_even(chart, "omega_g_l")
     assert lieG_two(ij, theta).is_zero
 
 
 def test_incompatible_tensor_breaks_local_hamiltonianity():
     chart = _flat4_with_l({(0, 0, 1): 1}, "flat4_viol")
-    ij = Derivation.insertion(chart.j_vvform())
+    ij = Derivation.insertion(chart.endo_form(chart.j_matrix))
     theta = theta_even(chart, "omega_g_l")
     assert not lieG_two(ij, theta).is_zero
 
@@ -476,7 +476,7 @@ def test_tensor_variant_covariant_mixed_block():
     th = convert_two(theta_even(chart, "omega_g_l"), "nabla")
     for a in range(4):
         for b in range(4):
-            want = chart.l_slice(VectorField.basis(chart.field, a)).insert_basis(b)
+            want = chart.l_slice(VectorValuedForm.basis(chart.field, a)).insert_basis(b)
             assert th.blocks[a][chart.dim + b] == want * Fraction(-1, 2)
 
 
