@@ -290,16 +290,16 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
 
     # each slot pattern builds only what it reads: [[f, h]] reads no dxh,
     # [[df, dh]] no even chain
+    if kind in ("ff", "f_dh"):
+        # displayed seeding: the first entry is X_f, so it pairs into {f, h}
+        evens = [-k for k in k_even(chart, f)]
+        poisson = Form.function(chart.pair(chart.w, evens[0], x_h).scalar_part())
     if kind == "ff":
-        terms = [Form.function(chart.classical_poisson(f, h))]
-        evens = [-k for k in k_even(chart, f)]  # displayed seeding: first entry X_f
-        terms += [_curvature_pair(chart, ke, x_h) for ke in evens]
-        return Form.sum(field, terms)
+        return Form.sum(field, [poisson] + [_curvature_pair(chart, ke, x_h) for ke in evens])
 
     dxh = chart.dnabla(x_h)
     if kind == "f_dh":
-        terms = [Form.function(chart.classical_poisson(f, h)).d()]
-        evens = [-k for k in k_even(chart, f)]
+        terms = [poisson.d()]
         for ke in evens:
             dke = chart.dnabla(ke)
             terms.append(-chart.pair(chart.w, dke, x_h))

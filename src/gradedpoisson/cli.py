@@ -1,8 +1,8 @@
 """Command-line surface: suite runs, single brackets, chart listing.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-usage, manifest, or expression errors, and for a polynomial beyond the
-scalar layer's size bound.
+usage, manifest, or expression errors, and for a polynomial or an integer
+beyond the scalar layer's size or digit bound.
 
 bracket solves the even bracket over the lie tabulation of the even
 symplectic form. D_alpha is the unique derivation with
@@ -10,6 +10,15 @@ iota_D Theta = d^G alpha, so the basis of the solve does not change the
 answer, and the lie tabulation is built straight from the definition: no
 basis conversion, and no derived chart tensor such as the Christoffel
 symbols.
+
+Each command loads only the layers it runs. Importing this module loads
+scalars, forms, geometry, graded, brackets, exprparse and manifest, all that
+bracket and charts need; check also imports suites (and json) on its first
+call. factoring loads on the first denominator of two or more terms, and
+sympy only where factoring cannot certify a factor. Under
+PYTHONDONTWRITEBYTECODE every fresh interpreter compiles each module it
+imports, and that compiling is most of a fresh call's fixed cost: bracket
+and charts never compile the suites.
 
 The argument parser is built once per process, on the first main() call,
 and reused: argparse keeps no state between parse_args calls and looks up
@@ -22,13 +31,13 @@ import argparse
 import functools
 import sys
 
+from . import SUITES
 from .brackets import bracket_fastpath, even_bracket, ks_bracket
 from .exprparse import ExprError, parse_form_expr, parse_scalar_expr
 from .geometry import ChartError, builtin_chart, builtin_names
 from .graded import theta_even_cached
 from .manifest import ManifestError, parse_manifest
 from .scalars import SizeError, clear_memos
-from .suites import SUITES, run_suite
 
 
 def load_chart(target: str):
@@ -43,6 +52,9 @@ def load_chart(target: str):
 
 
 def _cmd_check(args) -> int:
+    # the one command that runs the suites compiles them (see the module docstring)
+    from .suites import run_suite
+
     chart = load_chart(args.target)
     report = run_suite(
         chart,

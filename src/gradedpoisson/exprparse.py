@@ -164,7 +164,11 @@ class _Parser:
     def atom(self):
         kind, text, position = self.advance()
         if kind == "int":
-            number = int(text)
+            try:
+                number = int(text)
+            except ValueError:  # past the interpreter's limit on converted digits
+                message = f"integer literal of {len(text)} digits is too long"
+                raise ExprError(message, position) from None
             return Form.function(self.field.constant(number)), number
         if kind == "name":
             return self.resolve(text, position), None

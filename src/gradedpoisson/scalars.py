@@ -75,6 +75,14 @@ it, 1/(x**(2**64) + 1) would hand sympy a polynomial it cannot factor in
 any time, (x + 1)**(2**64) would expand 2**64 + 1 terms, and dividing
 x**(2**64) + x by x - 1 would run 2**64 steps before it found a remainder.
 
+``DIGIT_BOUND`` caps the one step whose integers grow with an exponent: a
+power stops with ``SizeError``, before it is computed, when its leading
+coefficient or its content would have more digits. Python prints no
+integer longer than that by default, so such a power could not be printed
+anyway, and 3**10_000_000 would take seconds to compute. A value whose
+integers outgrow it by products stops with ``SizeError`` when it is
+printed.
+
 No polynomial gcd is taken. A factor can cancel only if an operand already
 holds it, so canonical form comes from trial division by those few
 factors. This is Henrici's fraction arithmetic (Knuth, TAOCP vol. 2,
@@ -109,16 +117,20 @@ an earlier one.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from math import comb, gcd
+from math import comb, gcd, log10
 from operator import attrgetter
 
 # see the module docstring; far above what charts need: full checks of the
 # built-in charts and of the Fubini-Study metric on CP^2 make quotients of
 # at most 637 terms and factor nothing above total degree 4
 SIZE_BOUND = 10_000
+# see the module docstring; Python's default limit on the digits of an int
+# it converts to or from text
+DIGIT_BOUND = 4_300
 
 _FIELDS: dict[tuple[str, ...], "ScalarField"] = {}
 
@@ -351,14 +363,28 @@ def _poly_mul(lay, p, q):
     return tuple(sorted([term for term in terms.items() if term[1]], reverse=True))
 
 
+def _check_int_pow(base, k):
+    """Refuse base**k for a nonzero int base, before computing it, when it
+    would have more than ``DIGIT_BOUND`` digits."""
+    if k * log10(abs(base)) >= DIGIT_BOUND:
+        raise SizeError(
+            f"cannot raise an integer to the power {k}: the result would have "
+            f"more than {DIGIT_BOUND} digits, the digit bound"
+        )
+
+
 def _poly_pow(lay, p, k):
     """p**k for k >= 1.
 
-    A power of two or more terms stops with ``SizeError`` when it could
-    have more than ``SIZE_BOUND`` terms: a product of k of the t terms is one
-    of at most comb(t + k - 1, t - 1) monomials, and in n coordinates at
-    most comb(k * degree + n, n) monomials have a degree up to k * degree.
+    The leading coefficient of p**k is that of p to the k, so a power whose
+    leading coefficient would pass ``DIGIT_BOUND`` stops with ``SizeError``.
+    A power of two or more terms also stops when it could have more than
+    ``SIZE_BOUND`` terms: a product of k of the t terms is one of at most
+    comb(t + k - 1, t - 1) monomials, and in n coordinates at most
+    comb(k * degree + n, n) monomials have a degree up to k * degree.
     """
+    if p:
+        _check_int_pow(p[0][1], k)
     if len(p) <= 1:
         if p and p[0][0] * k >= lay.limit:
             return _wide(lay, _poly_pow, (p,), _degree(lay, p) * k, k)
@@ -679,7 +705,12 @@ def _poly_str(field, poly):
             if exp
         ]
         if abs(coeff) != 1 or not factors:
-            factors.insert(0, str(abs(coeff)))
+            try:
+                factors.insert(0, str(abs(coeff)))
+            except ValueError:  # past the interpreter's limit on printed digits
+                raise SizeError(
+                    f"cannot print an integer of more than {sys.get_int_max_str_digits()} digits"
+                ) from None
         pieces.append("*".join(factors))
     pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
@@ -780,6 +811,7 @@ class RationalFunction:
         elif exponent < 0:
             base, exponent = _inverse(self), -exponent
         # powers of coprime parts stay coprime: already canonical
+        _check_int_pow(base.cont, exponent)
         return RationalFunction(
             self.field,
             _poly_pow(self.field.layout, base.num, exponent),

@@ -18,6 +18,7 @@ import json
 import random
 from functools import partial
 
+from . import SUITES
 from .brackets import (
     bracket_fastpath,
     d_defect,
@@ -45,8 +46,6 @@ from .graded import (
     theta_ks_closed,
 )
 from .scalars import clear_memos
-
-SUITES = ("axioms", "theorems", "recursion", "kahler", "paracomplex", "all")
 
 
 # -- corpus ---------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,6 +14,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("exact")
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(*args, timeout):
+    """Run a fresh interpreter on the package sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -402,6 +402,23 @@ def test_unknown_fastpath_kind_rejected():
         bracket_fastpath("dh_df", FLAT2.field.one, FLAT2.field.one, FLAT2)
 
 
+@pytest.mark.parametrize("kind, built", [("ff", 2), ("f_dh", 2), ("df_dh", 1)])
+def test_fastpath_builds_each_classical_field_once(kind, built, monkeypatch):
+    # X_h, plus X_f as the even chain's seed, which also pairs into {f, h}
+    chart = builtin_chart("sphere2")
+    calls = []
+    original = type(chart).classical_hamiltonian
+
+    def counting(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(type(chart), "classical_hamiltonian", counting)
+    x, y = chart.field.gens
+    bracket_fastpath(kind, x * y, x + y**2, chart)
+    assert len(calls) == built
+
+
 # -- odd bracket ------------------------------------------------------------------
 
 

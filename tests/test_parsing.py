@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fresh_python
 from gradedpoisson import manifest, scalars
 from gradedpoisson.cli import main
 from gradedpoisson.exprparse import ExprError, parse_form_expr, parse_scalar_expr
@@ -31,6 +32,8 @@ g.2.2=1
 [symplectic]
 w.1.2=1
 """
+# past the 4,300 digits that Python converts from text by default
+HUGE_LITERAL = "7" * 5000
 
 
 def test_expression_examples():
@@ -185,6 +188,7 @@ def test_manifest_reports_a_repeated_bad_entry_at_its_first_line():
         ("[metric]\ng=1\n", 2, "g.i.i style key"),
         ("[chart] name=p, coords=x,y\n[symplectic]\nw.1.2=0^0\n", 3, "power zero"),
         (PLANE + "[metric]\ng.1.1=x*dy\n", 9, "positive degree (column 3)"),
+        (PLANE + f"[metric]\ng.1.1={HUGE_LITERAL}\n", 9, "of 5000 digits is too long (column 1)"),
     ],
 )
 def test_manifest_errors_carry_line_numbers(text, line, fragment):
@@ -426,10 +430,19 @@ def test_cli_fastpath_matches_solver(target, fast, solver, want, capsys, tmp_pat
         ["bracket", "builtin:flat2", "--alpha", "x", "--beta", "y", "--fastpath", "--odd"],
         # a manifest that is not UTF-8, written by the test
         ["bracket", "{tmp}/bad.chart", "--alpha=x", "--beta=y"],
+        # integers past the digit bound: a power is refused before it is
+        # computed, a literal past the interpreter's limit is a syntax error
+        ["bracket", "builtin:flat2", "--alpha=3^10000*x", "--beta=y"],
+        ["bracket", "builtin:flat2", f"--alpha={HUGE_LITERAL}*x", "--beta=y"],
+        ["bracket", "{tmp}/huge.chart", "--alpha=x", "--beta=y"],
+        ["bracket", "builtin:flat2", "--alpha=3^10000000", "--beta=y"],
+        # a product past the interpreter's limit fails when it is printed
+        ["bracket", "builtin:flat2", "--alpha=3^4000*3^4000*3^4000*x", "--beta=y"],
     ],
 )
 def test_cli_usage_errors_exit_two(argv, capsys, tmp_path):
     (tmp_path / "bad.chart").write_bytes(b"\xff\xfe[chart]\n")
+    (tmp_path / "huge.chart").write_text(PLANE.replace("w.1.2=1", f"w.1.2={HUGE_LITERAL}"))
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -457,6 +470,10 @@ def test_cli_usage_errors_exit_two(argv, capsys, tmp_path):
             ["--alpha=d(x*dy)", "--beta=y", "--fastpath"],
             "--alpha: expected a scalar expression, got a form of positive degree (column 5)",
         ),
+        (
+            ["--alpha=x+" + HUGE_LITERAL, "--beta=y"],
+            "--alpha: integer literal of 5000 digits is too long (column 3)",
+        ),
     ],
 )
 def test_cli_bracket_error_lines(argv, line):
@@ -477,6 +494,44 @@ def test_cli_rejects_unknown_command(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# runs each command of sys.argv[1] (a Python literal) in one fresh interpreter
+# and prints, after the import and after each call, whether the suites and
+# json are loaded; it imports neither itself
+LOADS_SUITES = """
+import ast, contextlib, io, sys
+from gradedpoisson.cli import main
+loaded = lambda: ("gradedpoisson.suites" in sys.modules, "json" in sys.modules)
+seen = [loaded()]
+for argv in ast.literal_eval(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    seen.append(loaded())
+print(seen)
+"""
+
+
+def test_only_check_imports_the_suites():
+    argvs = [
+        ["bracket", "builtin:sphere2", "--alpha=x*dy", "--beta=y^2"],
+        ["bracket", "builtin:sphere2", "--alpha=x*dy", "--beta=y^2", "--odd"],
+        ["bracket", "builtin:sphere2", "--alpha=x*y", "--beta=d(x)", "--fastpath"],
+        ["charts"],
+        ["check", "builtin:flat2", "--suite", "axioms", "--samples", "1"],
+    ]
+    done = fresh_python("-c", LOADS_SUITES, repr(argvs), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr([(False, False)] * 5 + [(True, True)]) + "\n"
+
+
+def test_an_unknown_suite_lists_the_six_in_order():
+    argv = ["check", "builtin:flat2", "--suite", "nope"]
+    done = fresh_python("-m", "gradedpoisson.cli", *argv, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    listed = done.stderr.splitlines()[-1].partition("choose from ")[2]
+    want = ("axioms", "theorems", "recursion", "kahler", "paracomplex", "all")
+    assert [name.strip("'") for name in listed.rstrip(")").split(", ")] == list(want)
 
 
 # -- exit-code fuzzing ------------------------------------------------------------

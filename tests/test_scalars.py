@@ -1,9 +1,6 @@
 """Field arithmetic, differentiation and evaluation of exact scalars."""
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import comb, gcd
 
@@ -12,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
 
+from conftest import fresh_python
 from gradedpoisson import scalars as scalar_module
 from gradedpoisson.cli import main
 from gradedpoisson.factoring import factor
@@ -573,18 +571,6 @@ def test_huge_exponents_print_the_same_bytes(argv, out, capsys):
     assert capsys.readouterr().out == out
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def _python(*args, timeout):
-    """Run a fresh interpreter on the package sources."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
-    )
-
-
 @pytest.mark.parametrize(
     "alpha, beta",
     [
@@ -598,11 +584,23 @@ def _python(*args, timeout):
 )
 def test_huge_polynomials_stop_at_the_size_bound(alpha, beta):
     argv = ["bracket", "builtin:flat2", f"--alpha={alpha}", f"--beta={beta}"]
-    done = _python("-m", "gradedpoisson.cli", *argv, timeout=5)
+    done = fresh_python("-m", "gradedpoisson.cli", *argv, timeout=5)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "the size bound" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "alpha", ["3^10000000", "(1/3)^18446744073709551616", "(2*x)^18446744073709551616"]
+)
+def test_huge_integer_powers_stop_at_the_digit_bound(alpha):
+    # refused before they are computed: 3**(2**64) would not fit in memory
+    argv = ["bracket", "builtin:flat2", f"--alpha={alpha}", "--beta=y"]
+    done = fresh_python("-m", "gradedpoisson.cli", *argv, timeout=5)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "the digit bound" in done.stderr
 
 
 def test_powers_below_the_size_bound_expand_exactly():
@@ -615,11 +613,24 @@ def test_powers_below_the_size_bound_expand_exactly():
         _poly_pow(F.layout, (X + Y).num, scalar_module.SIZE_BOUND)
 
 
+def test_integer_powers_stop_at_the_digit_bound():
+    # 3**9000 has 4,294 digits, 3**9013 one more than the bound; the content
+    # of a negative power is checked as the numerator of a positive one
+    assert str((3 * X) ** 9000).startswith(f"{3**9000}*x**9000")
+    refused = [(3 * X, 9013), (3 * X + 1, 9013), (F.one / 3, 9013), (F.constant(3), -9013)]
+    for value, exponent in refused:
+        with pytest.raises(scalar_module.SizeError, match="the digit bound"):
+            value**exponent
+    # a product may outgrow the bound, but it cannot be printed
+    with pytest.raises(scalar_module.SizeError, match="cannot print an integer"):
+        str(F.constant(3**9000) * 3**9000)
+
+
 def test_a_coordinate_divides_out_in_one_step():
     # x**(2**64) cancels by its exponent, not one power of x at a time
     big = "18446744073709551616"
     argv = ["bracket", "builtin:flat2", f"--alpha=(x^{big}*x+x^{big}*y)/x^{big}", "--beta=y"]
-    done = _python("-m", "gradedpoisson.cli", *argv, timeout=5)
+    done = fresh_python("-m", "gradedpoisson.cli", *argv, timeout=5)
     assert (done.returncode, done.stdout, done.stderr) == (0, "(1)\n", "")
 
 
@@ -657,7 +668,7 @@ def test_sympy_is_imported_only_to_factor():
         ["bracket", "builtin:flat4", "--alpha=x1^2/(3*x2)*dx3", "--beta=x3*x4+x1"],
         ["bracket", "builtin:flat2", "--alpha=1/(x^4+1)", "--beta=y"],
     ]
-    done = _python("-c", LOADS_SYMPY, json.dumps(argvs), timeout=120)
+    done = fresh_python("-c", LOADS_SYMPY, json.dumps(argvs), timeout=120)
     assert done.returncode == 0, done.stderr
     # the import alone loads neither sympy nor the factoring module
     assert json.loads(done.stdout) == [[False, False]] + [[0, False]] * 7 + [[0, True]]
