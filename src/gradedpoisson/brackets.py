@@ -311,7 +311,8 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
         df = Form.function(f).d()
         dh = Form.function(h).d()
         sharp_df = chart.sharp(df)
-        terms = [Form.function(chart.cometric_eval(df, dh))]
+        # g^-1(df, dh) = i_{sharp df} dh
+        terms = [Derivation.insertion(sharp_df)(dh)]
         terms.append(chart.pair(chart.g, chart.dnabla(sharp_df), dxh))
         terms.append(_curvature_pair(chart, sharp_df, x_h))
         for ko in k_odd(chart, f):

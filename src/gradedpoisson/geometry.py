@@ -7,13 +7,15 @@ structures, musical isomorphisms, and classical Hamiltonian mechanics.
 Construction validates symmetry, antisymmetry, closedness and
 non-degeneracy, so no degenerate chart ever circulates.
 
-A vector field is a VectorValuedForm of degree 0. A matrix M of the chart
-(g, omega, their inverses, J, a Hessian) meets vector-valued forms in three
-contractions: apply_endo(M, K) applies M to the vector slot, pair(M, K, L)
-evaluates the bilinear form of M, and endo_form(M) is the vector-valued
-1-form dx^j (x) M e_j. So X_f = lam . grad f and sharp(alpha) = g^-1 . alpha
-are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J as a 1-form is
-endo_form. row_form, flat, l_slice and cometric_eval contract scalars.
+The chart's matrices (g, omega, their inverses, J, a Hessian) are contracted
+among scalars by dot and matmul: Gamma^i_{jk} = g^{im} Gamma_{m,jk},
+J = g^-1 omega^T, J^2 and the curvature's [Gamma_u, Gamma_v] are matmul. A
+vector field is a VectorValuedForm of degree 0, and vector-valued forms
+meet a matrix M in apply_endo(M, K) on the vector slot, pair(M, K, L), the
+bilinear form of M, and endo_form(M), the 1-form dx^j (x) M e_j, whose
+component a is the row M(e_a, _). So X_f = lam . grad f and sharp(alpha) =
+g^-1 . alpha are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J and
+the rows of g and omega as 1-forms are endo_form.
 
 The derived tensors are built on first read, each once per chart, and
 none of them can fail once construction has passed: the Christoffel
@@ -76,6 +78,12 @@ def dot(field: ScalarField, pairs) -> RationalFunction:
     return total
 
 
+def matmul(field: ScalarField, a, b):
+    """The product a . b of two square scalar matrices, each entry one dot."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(dot(field, zip(row, col)) for col in columns) for row in a)
+
+
 def christoffel_first(g):
     """Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{mj} - d_m g_{jk}), the Christoffel
     symbols of the first kind of the metric matrix g on the first len(g)
@@ -92,13 +100,8 @@ def christoffel_first(g):
 def christoffel(g_inv, first, field: ScalarField):
     """Gamma^i_{jk} = g^{im} Gamma_{m,jk}: the first-kind symbols raised."""
     rng = range(len(first))
-    return tuple(
-        tuple(
-            tuple(dot(field, ((g_inv[i][m], first[m][j][k]) for m in rng)) for k in rng)
-            for j in rng
-        )
-        for i in rng
-    )
+    raised = [matmul(field, g_inv, [slab[j] for slab in first]) for j in rng]
+    return tuple(tuple(raised[j][i] for j in rng) for i in rng)
 
 
 class ChartGeometry:
@@ -204,23 +207,23 @@ class ChartGeometry:
     def riemann(self):
         """R^i_{juv}: the coefficient of e_i in R(e_u, e_v) e_j.
 
-        Antisymmetric in (u, v), so only u < v is computed.
+        Antisymmetric in (u, v), so only u < v is computed. With the matrices
+        (Gamma_u)^i_m = Gamma^i_{um}, R(e_u, e_v) = d_u Gamma_v - d_v Gamma_u
+        + [Gamma_u, Gamma_v].
         """
         dim, field, gamma = self.dim, self.field, self.gamma
         rng = range(dim)
+        slices = [[row[u] for row in gamma] for u in rng]
         out = [[[[field.zero] * dim for _ in rng] for _ in rng] for _ in rng]
-        for i in rng:
-            for j in rng:
-                block = out[i][j]
-                for u, v in combinations(rng, 2):
-                    total = (
-                        gamma[i][v][j].partial(u)
-                        - gamma[i][u][j].partial(v)
-                        + dot(field, ((gamma[i][u][m], gamma[m][v][j]) for m in rng))
-                        - dot(field, ((gamma[i][v][m], gamma[m][u][j]) for m in rng))
-                    )
-                    block[u][v] = total
-                    block[v][u] = -total
+        for u, v in combinations(rng, 2):
+            uv = matmul(field, slices[u], slices[v])
+            vu = matmul(field, slices[v], slices[u])
+            for i in rng:
+                for j in rng:
+                    total = gamma[i][v][j].partial(u) - gamma[i][u][j].partial(v)
+                    total = total + uv[i][j] - vu[i][j]
+                    out[i][j][u][v] = total
+                    out[i][j][v][u] = -total
         return tuple(tuple(tuple(tuple(row) for row in bj) for bj in bi) for bi in out)
 
     @cached_property
@@ -261,12 +264,8 @@ class ChartGeometry:
 
     @cached_property
     def j_matrix(self):
-        """J e_j = J^b_j e_b with omega(X,Y) = g(JX,Y), that is J = g^-1 omega."""
-        rng, field = range(self.dim), self.field
-        return tuple(
-            tuple(dot(field, ((self.g_inv[b][l], self.w[j][l]) for l in rng)) for j in rng)
-            for b in rng
-        )
+        """J e_j = J^b_j e_b with omega(X,Y) = g(JX,Y), that is J = g^-1 omega^T."""
+        return matmul(self.field, self.g_inv, tuple(zip(*self.w)))
 
     @cached_property
     def j_inv(self):
@@ -285,19 +284,6 @@ class ChartGeometry:
         )
         return Form.sum(self.field, terms)
 
-    def cometric_eval(self, lam: Form, mu: Form) -> RationalFunction:
-        """g^{-1} on two 1-forms."""
-        rng, lams = range(self.dim), [lam.coefficient((i,)) for i in range(self.dim)]
-        return dot(
-            self.field,
-            (
-                (self.g_inv[i][j] * lams[i], mu.coefficient((j,)))
-                for i in rng
-                for j in rng
-                if self.g_inv[i][j] and lams[i]
-            ),
-        )
-
     def omega_form(self) -> Form:
         terms = {}
         for i in range(self.dim):
@@ -306,21 +292,7 @@ class ChartGeometry:
                     terms[(i, j)] = self.w[i][j]
         return Form(self.field, terms)
 
-    def row_form(self, matrix, x: VectorValuedForm) -> Form:
-        """The 1-form B(X, _) for the matrix of B (chart.g or chart.w) and a
-        vector field X."""
-        xs = [c.scalar_part() for c in x.components]
-        coeffs = {}
-        for j in range(self.dim):
-            c = dot(self.field, ((matrix[i][j], xs[i]) for i in range(self.dim)))
-            if not c.is_zero:
-                coeffs[(j,)] = c
-        return Form(self.field, coeffs)
-
     # -- musical isomorphisms --------------------------------------------
-
-    def flat(self, x: VectorValuedForm) -> Form:
-        return self.row_form(self.g, x)
 
     def sharp(self, one_form: Form) -> VectorValuedForm:
         """The vector field g^-1 . alpha of a 1-form alpha."""
@@ -352,25 +324,15 @@ class ChartGeometry:
 
     def j_square_scalar(self):
         """+1 or -1 when J^2 is that multiple of the identity, else None."""
-        sign, j_matrix, rng = None, self.j_matrix, range(self.dim)
-        for b in rng:
-            for j in rng:
-                total = dot(self.field, ((j_matrix[b][m], j_matrix[m][j]) for m in rng))
-                if b != j:
-                    if not total.is_zero:
-                        return None
-                    continue
-                if total == self.field.one:
-                    here = 1
-                elif total == -self.field.one:
-                    here = -1
-                else:
-                    return None
-                if sign is None:
-                    sign = here
-                elif sign != here:
-                    return None
-        return sign
+        square = matmul(self.field, self.j_matrix, self.j_matrix)
+        for sign in (1, -1):
+            if all(
+                entry == (sign if b == j else 0)
+                for b, row in enumerate(square)
+                for j, entry in enumerate(row)
+            ):
+                return sign
+        return None
 
     # -- curvature ------------------------------------------------------------
 
@@ -444,18 +406,12 @@ class ChartGeometry:
 
     # -- compatibility tensor ----------------------------------------------
 
-    def l_slice(self, x: VectorValuedForm) -> Form:
-        """The 2-form L(X; _, _) of a vector field X."""
+    def l_slice(self, a: int) -> Form:
+        """The 2-form L(e_a; _, _) of the coordinate field e_a."""
         if self.l_tensor is None:
             raise ChartError(f"chart {self.name} has no compatibility tensor")
-        xs = [c.scalar_part() for c in x.components]
-        terms = {}
-        for j in range(self.dim):
-            for k in range(j + 1, self.dim):
-                c = dot(self.field, ((self.l_tensor[i][j][k], xs[i]) for i in range(self.dim)))
-                if not c.is_zero:
-                    terms[(j, k)] = c
-        return Form(self.field, terms)
+        slab = self.l_tensor[a]
+        return Form(self.field, {(j, k): slab[j][k] for j, k in combinations(range(self.dim), 2)})
 
     def __repr__(self):
         return f"ChartGeometry({self.name!r}, dim={self.dim})"
@@ -492,12 +448,7 @@ def tangent_lift_chart(name: str, base_coords, base_metric) -> ChartGeometry:
     vel = [field.coordinate(vc) for vc in vel_coords]
 
     # symplectic form from the Lagrangian: d( dL/dv^i dq^i ) with L = g_ij v^i v^j / 2
-    pot = []
-    for i in range(n):
-        coeff = field.zero
-        for j in range(n):
-            coeff = coeff + gbar[i][j] * vel[j]
-        pot.append(Form.coordinate_diff(field, i) * coeff)
+    pot = [Form.coordinate_diff(field, i) * dot(field, zip(gbar[i], vel)) for i in range(n)]
     omega_l = Form.sum(field, pot).d()
     w = [[field.zero] * dim for _ in range(dim)]
     for a in range(dim):
@@ -506,31 +457,20 @@ def tangent_lift_chart(name: str, base_coords, base_metric) -> ChartGeometry:
             w[a][b] = c
             w[b][a] = -c
 
-    # metric from the adapted coframe: theta^i = dq^i, eta^i = dv^i + Gam^i_{jk} v^j dq^k
-    gh = [[field.zero] * dim for _ in range(dim)]
-    for a in range(n):
-        for b in range(n):
-            total = field.zero
-            for i in range(n):
-                for k in range(n):
-                    total = total + gbar[a][i] * gam[i][k][b] * vel[k]
-                    total = total + gbar[i][b] * gam[i][k][a] * vel[k]
-            gh[a][b] = total
-    for a in range(n):
-        for b in range(n):
-            gh[a][n + b] = gbar[a][b]
-            gh[n + a][b] = gbar[b][a]
+    # N^i_b = Gam^i_{kb} v^k, so the adapted coframe is theta^i = dq^i,
+    # eta^i = dv^i + N^i_b dq^b; the metric pairs them as [[gN + (gN)^T, g], [g, 0]]
+    rng = range(n)
+    nmat = [[dot(field, ((gam[i][k][b], vel[k]) for k in rng)) for b in rng] for i in rng]
+    gn = matmul(field, gbar, nmat)
+    one, zero = field.one, field.zero
+    gh = [[gn[a][b] + gn[b][a] for b in rng] + gbar[a] for a in rng]
+    gh += [gbar[a] + [zero] * n for a in rng]
 
-    # canonical almost product structure: J(vertical) = +, J(horizontal) = -
-    jc = [[field.zero] * dim for _ in range(dim)]
-    for a in range(n):
-        jc[a][a] = -field.one
-        jc[n + a][n + a] = field.one
-        for jdx in range(n):
-            coeff = field.zero
-            for k in range(n):
-                coeff = coeff + 2 * gam[jdx][a][k] * vel[k]
-            jc[n + jdx][a] = coeff
+    # canonical almost product structure: J(vertical) = +, J(horizontal) = -,
+    # that is J = [[-Id, 0], [2N, Id]]
+    ident = [[one if b == a else zero for b in rng] for a in rng]
+    jc = [[-e for e in ident[a]] + [zero] * n for a in rng]
+    jc += [[2 * e for e in nmat[a]] + ident[a] for a in rng]
 
     return ChartGeometry(
         name,

@@ -420,21 +420,20 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
 
 
 def lambda_metric(geom: ChartGeometry, include_l: bool = False) -> GradedOneForm:
-    """The graded 1-form with <i_X> = flat(X) and <L_X> = d flat(X), plus the
-    compatibility-tensor slice on the Lie slot when requested."""
-    units = [VectorValuedForm.basis(geom.field, a) for a in range(geom.dim)]
-    flats = [geom.flat(u) for u in units]
+    """The graded 1-form with <i_a> = g(e_a, _) and <L_a> = d g(e_a, _), plus
+    the compatibility-tensor slice L(e_a; _, _) on the Lie slot when requested."""
+    flats = list(geom.endo_form(geom.g).components)
     on_even = [v.d() for v in flats]
     if include_l:
         if geom.l_tensor is None:
             raise ValueError(f"chart {geom.name} has no compatibility tensor")
-        on_even = [v + geom.l_slice(u) for v, u in zip(on_even, units)]
+        on_even = [v + geom.l_slice(a) for a, v in enumerate(on_even)]
     return GradedOneForm(geom, "lie", on_even + flats, 2)
 
 
 def lambda_omega(geom: ChartGeometry) -> GradedOneForm:
-    """The odd potential: <i_X> = 0, <L_X> = omega(X, _); bidegree (1, -1)."""
-    on_even = [geom.row_form(geom.w, VectorValuedForm.basis(geom.field, a)) for a in range(geom.dim)]
+    """The odd potential: <i_a> = 0, <L_a> = omega(e_a, _); bidegree (1, -1)."""
+    on_even = list(geom.endo_form(geom.w).components)
     return GradedOneForm(geom, "lie", on_even + [Form.zero(geom.field)] * geom.dim, -1)
 
 

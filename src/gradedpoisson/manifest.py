@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .exprparse import ExprError, parse_scalar_expr
 from .geometry import ChartGeometry
-from .scalars import coordinate_field
+from .scalars import SizeError, coordinate_field
 
 _SECTIONS = ("chart", "metric", "symplectic", "ltensor")
 
@@ -78,20 +78,21 @@ class ChartManifest:
             if value is None:
                 try:
                     value = parsed[text] = parse_scalar_expr(text, field)
-                except ExprError as err:
+                except (ExprError, SizeError) as err:
                     raise ManifestError(str(err), line) from None
             return value
+
+        def settle(seen, slot, value, entry, line):
+            """Record the value of an independent slot; two entries that fill
+            it must agree."""
+            if seen.setdefault(slot, value) != value:
+                raise ManifestError(f"{entry} conflicts with an earlier one", line)
 
         g = [[field.zero] * dim for _ in range(dim)]
         seen = {}
         for _, i, j, text, line in self.metric_entries:
             value = parse_entry(text, line)
-            pair = (min(i, j), max(i, j))
-            if pair in seen and seen[pair] != value:
-                raise ManifestError(
-                    f"metric entry ({i + 1},{j + 1}) conflicts with an earlier one", line
-                )
-            seen[pair] = value
+            settle(seen, (min(i, j), max(i, j)), value, f"metric entry ({i + 1},{j + 1})", line)
             g[i][j] = value
             g[j][i] = value
 
@@ -107,13 +108,8 @@ class ChartManifest:
                         f"diagonal symplectic entry ({i + 1},{i + 1}) must be zero", line
                     )
                 continue
-            signed = value if i < j else -value
-            pair = (min(i, j), max(i, j))
-            if pair in seen and seen[pair] != signed:
-                raise ManifestError(
-                    f"symplectic entry ({i + 1},{j + 1}) conflicts with an earlier one", line
-                )
-            seen[pair] = signed
+            entry = f"symplectic entry ({i + 1},{j + 1})"
+            settle(seen, (min(i, j), max(i, j)), value if i < j else -value, entry, line)
             w[i][j] = value
             w[j][i] = -value
 
@@ -122,6 +118,7 @@ class ChartManifest:
             l_tensor = [
                 [[field.zero] * dim for _ in range(dim)] for _ in range(dim)
             ]
+            seen = {}
             for _, i, j, k, text, line in self.l_entries:
                 value = parse_entry(text, line)
                 if j == k:
@@ -132,6 +129,8 @@ class ChartManifest:
                             line,
                         )
                     continue
+                entry = f"tensor entry ({i + 1},{j + 1},{k + 1})"
+                settle(seen, (i, min(j, k), max(j, k)), value if j < k else -value, entry, line)
                 l_tensor[i][j][k] = value
                 l_tensor[i][k][j] = -value
 

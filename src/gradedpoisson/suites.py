@@ -29,7 +29,7 @@ from .brackets import (
     solve_hamiltonian,
 )
 from .forms import Derivation, Form
-from .geometry import ChartGeometry, dot
+from .geometry import ChartGeometry, matmul
 from .graded import (
     components_by_degree,
     eval_one,
@@ -336,30 +336,27 @@ def check_metric_potential_pairing(ctx):
 
 
 def _nabla_j(chart, a: int):
-    """(nabla_a J) as a matrix of scalars."""
-    dim = chart.dim
-    field = chart.field
-    out = [[field.zero] * dim for _ in range(dim)]
-    gamma, j_matrix = chart.gamma, chart.j_matrix
-    for b in range(dim):
-        for j in range(dim):
-            value = j_matrix[b][j].partial(a)
-            value = value + dot(field, ((gamma[b][a][m], j_matrix[m][j]) for m in range(dim)))
-            value = value - dot(field, ((gamma[m][a][j], j_matrix[b][m]) for m in range(dim)))
-            out[b][j] = value
-    return out
+    """(nabla_a J) = d_a J + Gamma_a J - J Gamma_a as a matrix of scalars,
+    with (Gamma_a)^b_m = Gamma^b_{am}."""
+    gamma_a = [row[a] for row in chart.gamma]
+    j_matrix = chart.j_matrix
+    left = matmul(chart.field, gamma_a, j_matrix)
+    right = matmul(chart.field, j_matrix, gamma_a)
+    return [
+        [entry.partial(a) + l - r for entry, l, r in zip(*rows)]
+        for rows in zip(j_matrix, left, right)
+    ]
 
 
 def check_nabla_j_symmetry(ctx):
     chart = ctx.chart
     dim = chart.dim
-    field = chart.field
     for a in range(dim):
-        nj = _nabla_j(chart, a)
+        # g is symmetric, so g((nabla_a J)e_y, e_z) is entry (z, y) of g . nabla_a J
+        lowered = matmul(chart.field, chart.g, _nabla_j(chart, a))
         for y in range(dim):
             for z in range(y + 1, dim):
-                lhs = dot(field, ((chart.g[m][z], nj[m][y]) for m in range(dim)))
-                rhs = dot(field, ((chart.g[m][y], nj[m][z]) for m in range(dim)))
+                lhs, rhs = lowered[z][y], lowered[y][z]
                 if lhs != rhs:
                     return False, (
                         f"g((nabla_{a} J)e_{y}, e_{z}) - g((nabla_{a} J)e_{z}, e_{y})"
@@ -542,10 +539,11 @@ def check_kahler_chain(ctx):
 
 def check_j_compatibility(ctx):
     chart = ctx.chart
-    field = chart.field
+    # g(J e_a, e_b) is entry (a, b) of J^T g
+    lowered = matmul(chart.field, tuple(zip(*chart.j_matrix)), chart.g)
     for a in range(chart.dim):
         for b in range(chart.dim):
-            value = dot(field, ((chart.g[m][b], chart.j_matrix[m][a]) for m in range(chart.dim)))
+            value = lowered[a][b]
             if value != chart.w[a][b]:
                 return False, f"omega(e_{a}, e_{b}) - g(J e_{a}, e_{b}) = {chart.w[a][b] - value}"
     if chart.canonical_j is not None:
@@ -579,17 +577,11 @@ def check_para_hermitian(ctx):
     sign = chart.j_square_scalar()
     expected = -1 if sign == 1 else 1
     g, j_matrix, rng = chart.g, chart.j_matrix, range(chart.dim)
+    # g(J e_a, J e_b) is entry (a, b) of J^T g J
+    paired = matmul(field, matmul(field, tuple(zip(*j_matrix)), g), j_matrix)
     for a in rng:
         for b in rng:
-            value = dot(
-                field,
-                (
-                    (g[m][n] * j_matrix[m][a], j_matrix[n][b])
-                    for m in rng
-                    for n in rng
-                    if g[m][n] and j_matrix[m][a]
-                ),
-            )
+            value = paired[a][b]
             want = g[a][b] if expected == 1 else -g[a][b]
             if value != want:
                 return False, f"g(J e_{a}, J e_{b}) != {expected} g(e_{a}, e_{b})"

@@ -101,17 +101,20 @@ def test_recursion_checks_shift_each_solution_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, mul_budget, partial_budget", [("flat4", 981, 2009), ("sphere2", 1555, 616)], ids=["flat4", "sphere2"]
+    "name, mul_budget, partial_budget",
+    [("flat4", 908, 1977), ("sphere2", 1516, 600), ("tlift1q", 863, 560)],
+    ids=["flat4", "sphere2", "tlift1q"],
 )
 def test_contracts_skip_zero_christoffel_and_curvature_entries(monkeypatch, name, mul_budget, partial_budget):
     # flat4's Christoffel symbols and curvature all vanish, and most entries
     # of its matrices are zero; contractions over their nonzero entries leave
-    # 981 scalar products in a full check, where dense loops over every
+    # 908 scalar products in a full check, where dense loops over every
     # entry made 13,375. d differentiates a coefficient only along the
-    # directions its term lacks, and X_f takes each d_b f once: 2,009
+    # directions its term lacks, and X_f takes each d_b f once: 1,977
     # partial derivatives, 2,417 when X_f took each n times. sphere2 is
     # curved and its metric conformal, so most Christoffel entries and every
-    # curvature table are live there
+    # curvature table are live there. tlift1q's metric and J are assembled
+    # from the blocks g N and N of the tangent lift, each entry one dot
     calls = {"__mul__": 0, "partial": 0}
 
     def counting(name):

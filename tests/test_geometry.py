@@ -1,5 +1,7 @@
 """Connection, curvature, J, musical maps, classical mechanics, chart library."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from gradedpoisson.geometry import (
     ChartGeometry,
     builtin_chart,
     builtin_names,
+    matmul,
     matrix_inverse,
     tangent_lift_chart,
 )
@@ -230,6 +233,38 @@ def test_j_examples():
     assert f4.j_square_scalar() == 1
 
 
+def test_j_square_is_none_unless_a_unit_multiple_of_the_identity():
+    # g = diag(2, 1) with omega_12 = 1: J^2 = -Id / 2
+    field = coordinate_field(("x", "y"))
+    one, zero = field.one, field.zero
+    scaled = ChartGeometry("scaled", ("x", "y"), [[2 * one, zero], [zero, one]], [[zero, one], [-one, zero]])
+    square = matmul(field, scaled.j_matrix, scaled.j_matrix)
+    assert square == ((field.constant(Fraction(-1, 2)), zero), (zero, field.constant(Fraction(-1, 2))))
+    assert scaled.j_square_scalar() is None
+    # g = diag(1, 1, 1, -1) with omega = dx1^dx2 + dx3^dx4: J^2 is -Id on the
+    # first plane and +Id on the second
+    f4 = coordinate_field(("x1", "x2", "x3", "x4"))
+    o, z = f4.one, f4.zero
+    g = [[(-o if i == 3 else o) if i == j else z for j in range(4)] for i in range(4)]
+    w = [[z] * 4 for _ in range(4)]
+    w[0][1], w[1][0], w[2][3], w[3][2] = o, -o, o, -o
+    mixed = ChartGeometry("mixed", ("x1", "x2", "x3", "x4"), g, w)
+    square = matmul(f4, mixed.j_matrix, mixed.j_matrix)
+    assert [square[i][j] for i in range(4) for j in range(4) if i != j] == [0] * 12
+    assert [square[i][i] for i in range(4)] == [-1, -1, 1, 1]
+    assert mixed.j_square_scalar() is None
+
+
+@given(data=st.data())
+def test_matmul_is_the_entrywise_triple_sum(data):
+    field = CHARTS["sphere2"].field
+    n = data.draw(st.integers(1, 3))
+    a, b = ([[data.draw(polys(field)) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    rng = range(n)
+    want = [[sum((a[i][m] * b[m][j] for m in rng), field.zero) for j in rng] for i in rng]
+    assert matmul(field, a, b) == tuple(tuple(row) for row in want)
+
+
 def ch_eq(a, b):
     return a == b
 
@@ -274,12 +309,16 @@ def test_nabla_j_antisymmetry_with_generic_metric():
 
 
 def test_musical_examples():
+    # row a of endo_form(g) is the 1-form g(e_a, _), and sharp takes it back to e_a
     f2 = CHARTS["flat2"]
-    ex = VectorValuedForm.basis(f2.field, 0)
-    assert f2.flat(ex) == Form.coordinate_diff(f2.field, 0)
+    row = f2.endo_form(f2.g).components[0]
+    assert row == Form.coordinate_diff(f2.field, 0)
+    assert f2.sharp(row) == VectorValuedForm.basis(f2.field, 0)
     hp = CHARTS["halfplane"]
     y = hp.field.gens[1]
-    assert hp.flat(VectorValuedForm.basis(hp.field, 0)) == Form.coordinate_diff(hp.field, 0) * (1 / y**2)
+    row = hp.endo_form(hp.g).components[0]
+    assert row == Form.coordinate_diff(hp.field, 0) * (1 / y**2)
+    assert hp.sharp(row) == VectorValuedForm.basis(hp.field, 0)
 
 
 @pytest.mark.parametrize("name", ["sphere2", "tlift1q"])
@@ -288,7 +327,12 @@ def test_musical_round_trip(name, data):
     ch = CHARTS[name]
     comps = [data.draw(polys(ch.field)) for _ in range(ch.dim)]
     x = VectorValuedForm(ch.field, comps, degree=0)
-    assert ch.sharp(ch.flat(x)) == x
+    rows = ch.endo_form(ch.g).components
+    for a, row in enumerate(rows):
+        assert ch.sharp(row) == VectorValuedForm.basis(ch.field, a)
+    # g(X, _) = sum_a X^a g(e_a, _)
+    flat = Form.sum(ch.field, (row * c for row, c in zip(rows, comps)))
+    assert ch.sharp(flat) == x
 
 
 @pytest.mark.parametrize("name", builtin_names())

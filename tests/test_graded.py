@@ -476,7 +476,7 @@ def test_tensor_variant_covariant_mixed_block():
     th = convert_two(theta_even(chart, "omega_g_l"), "nabla")
     for a in range(4):
         for b in range(4):
-            want = chart.l_slice(VectorValuedForm.basis(chart.field, a)).insert_basis(b)
+            want = chart.l_slice(a).insert_basis(b)
             assert th.blocks[a][chart.dim + b] == want * Fraction(-1, 2)
 
 

@@ -189,6 +189,9 @@ def test_manifest_reports_a_repeated_bad_entry_at_its_first_line():
         ("[chart] name=p, coords=x,y\n[symplectic]\nw.1.2=0^0\n", 3, "power zero"),
         (PLANE + "[metric]\ng.1.1=x*dy\n", 9, "positive degree (column 3)"),
         (PLANE + f"[metric]\ng.1.1={HUGE_LITERAL}\n", 9, "of 5000 digits is too long (column 1)"),
+        (PLANE + "[metric]\ng.1.2=3^10000\n", 9, "more than 4300 digits, the digit bound"),
+        (PLANE + "[metric]\ng.1.2=(x+y+1)^20000\n", 9, "more than 10000 terms, the size bound"),
+        (PLANE + "[ltensor]\nL.1.1.2=x\nL.1.2.1=y\n", 10, "tensor entry (1,2,1) conflicts with an earlier one"),
     ],
 )
 def test_manifest_errors_carry_line_numbers(text, line, fragment):
