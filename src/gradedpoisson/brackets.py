@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import Derivation, Form, VectorValuedForm
+from .forms import Derivation, Form, VectorValuedForm, _accumulate, _wedge_into
 from .geometry import ChartError, ChartGeometry, matrix_inverse
 from .graded import (
     GradedOneForm,
@@ -89,9 +89,10 @@ def _plan(theta: GradedTwoForm):
     """theta's solver plan, built once per chart: (inverse, higher, memo).
 
     inverse is the inverse of the degree-0 part of theta's block matrix,
-    higher[row][col] lists the (degree, part) pairs of positive degree of
-    block (row, col), and memo maps an operand key to its verified
-    derivation. A degenerate form raises ChartError and leaves no plan behind.
+    higher[row][col] lists the (degree, terms) pairs of the parts of
+    positive degree of block (row, col), each part by its term dict, and
+    memo maps an operand key to its verified derivation. A degenerate form
+    raises ChartError and leaves no plan behind.
     """
 
     def build():
@@ -101,7 +102,7 @@ def _plan(theta: GradedTwoForm):
         if inverse is None:
             raise ChartError("matrix is singular")
         higher = [
-            [[(j, part) for j, part in block.homogeneous_parts().items() if j] for block in row]
+            [[(j, part.terms) for j, part in block.homogeneous_parts().items() if j] for block in row]
             for row in theta.blocks
         ]
         return inverse, higher, {}
@@ -122,6 +123,13 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     leaves A unsigned. A singular A, i.e. a degenerate form, raises
     ChartError.
 
+    Each residual row r_m and each x_m entry is one term dict, into which
+    the signed wedges of the higher blocks and the products c * e of a
+    residual coefficient c with an entry e of A^-1 are accumulated as
+    they are made; no Form is built per addend, and a scaled row is never
+    a wedge with a 0-form. The degree parts are disjoint, so a
+    coefficient's total is their union.
+
     A and the higher blocks come from theta's plan, built once per chart.
     The result is the derivation by its coefficients over the lie basics;
     over the nabla basics they differ by the connection twist, and
@@ -141,27 +149,34 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     size = 2 * dim
     targets = rhs.values
 
-    coeffs: dict[int, list[Form]] = {}
+    # coeffs[m][col] and each residual row are term dicts of degree m
+    coeffs: dict[int, list[dict]] = {}
     for m in range(dim + 1):
         residual = []
         for row in range(size):
             koszul = row >= dim
-            val = targets[row].homogeneous_part(m)
-            addends = [-val if koszul and m % 2 else val]
+            flip = koszul and m % 2
+            terms = {i: -c if flip else c for i, c in targets[row].terms.items() if len(i) == m}
             for col in range(size):
                 for j, part in higher[row][col]:
-                    if j > m:
-                        continue
-                    term = coeffs[m - j][col].wedge(part)
-                    addends.append(term if koszul and j % 2 else -term)
-            residual.append(Form.sum(field, addends))
+                    if j <= m and coeffs[m - j][col]:
+                        _wedge_into(terms, coeffs[m - j][col], part, 1 if koszul and j % 2 else -1)
+            residual.append(terms)
         # most entries of the inverse vanish (12 of 16 on sphere2), as do many residuals
-        coeffs[m] = [
-            Form.sum(field, (r * e for r, e in zip(residual, inv_row) if not (r.is_zero or e.is_zero)))
-            for inv_row in inverse
-        ]
+        coeffs[m] = []
+        for inv_row in inverse:
+            terms = {}
+            for r, e in zip(residual, inv_row):
+                if r and not e.is_zero:
+                    for i, c in r.items():
+                        _accumulate(terms, i, c * e)
+            coeffs[m].append(terms)
 
-    totals = [Form.sum(field, (part[r] for part in coeffs.values())) for r in range(size)]
+    # the degree parts are disjoint, so the totals merge without additions
+    totals = [Form.zero(field) for _ in range(size)]
+    for part in coeffs.values():
+        for total, terms in zip(totals, part):
+            total.terms.update(terms)
     even, ins = totals[:dim], totals[dim:]
     if theta.basis == "nabla":
         # nabla_b = L_b - sum_i T(e_b)_i i_i, so over the lie basics C loses T(K)

@@ -20,9 +20,13 @@ normal form D = L_K + i_{L'}, C_a = L'_a + (-1)^k (dK)_a on the part of
 degree k.
 
 Index tuples in a form are strictly increasing and zero coefficients are
-never stored, so equality is literal dictionary equality. Every sum of
-forms, from a + b to the contractions of the graded layer, is accumulated
-by Form.sum into one dictionary.
+never stored, so equality is literal dictionary equality. Every sum is
+accumulated term by term into one dictionary by _accumulate: a sum of
+finished forms through Form.sum, and a sum of products through
+_wedge_into, the one wedge loop, which Form.wedge, the graded layer's
+contractions and the solver's elimination share. The derivation action
+accumulates its products term by term in the same way, so none of these
+builds a Form per addend.
 """
 
 from __future__ import annotations
@@ -64,6 +68,25 @@ def _accumulate(terms, idx, coeff):
         terms.pop(idx, None)
     else:
         terms[idx] = total
+
+
+def _wedge_into(terms, left, right, sign=1, koszul=False):
+    """Accumulate sign * (left ^ right) into the term dict ``terms``.
+
+    left and right are term dicts of forms on one chart. With ``koszul``
+    each left term of odd degree flips its sign, the (-1)^{|gamma|} a
+    coefficient gamma picks up passing an insertion. Each product is
+    accumulated as it is made, so no partial result is built as a Form.
+    """
+    for li, lc in left.items():
+        lsign = -sign if koszul and len(li) % 2 else sign
+        for ri, rc in right.items():
+            merged = _merge_indices(li, ri)
+            if merged is None:
+                continue
+            msign, idx = merged
+            product = lc * rc
+            _accumulate(terms, idx, product if msign == lsign else -product)
 
 
 class Form:
@@ -164,13 +187,7 @@ class Form:
         if other.field is not self.field:
             raise ValueError("forms on different charts")
         terms: dict = {}
-        for li, lc in self.terms.items():
-            for ri, rc in other.terms.items():
-                merged = _merge_indices(li, ri)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                _accumulate(terms, idx, lc * rc if sign > 0 else -(lc * rc))
+        _wedge_into(terms, self.terms, other.terms)
         return Form._raw(self.field, terms)
 
     # -- calculus ------------------------------------------------------------
@@ -194,10 +211,9 @@ class Form:
         """Interior product with the coordinate field along ``index``."""
         terms: dict = {}
         for idx, coeff in self.terms.items():
-            try:
-                pos = idx.index(index)
-            except ValueError:
+            if index not in idx:
                 continue
+            pos = idx.index(index)
             rest = idx[:pos] + idx[pos + 1 :]
             _accumulate(terms, rest, coeff if pos % 2 == 0 else -coeff)
         return Form._raw(self.field, terms)
@@ -438,11 +454,33 @@ class Derivation:
     # -- action --------------------------------------------------------------
 
     def __call__(self, form) -> Form:
-        """D(beta) = sum_a K_a ^ L_a beta + sum_a C_a ^ i_a beta."""
+        """D(beta) = sum_a K_a ^ L_a beta + sum_a C_a ^ i_a beta, term by term.
+
+        A term c dx^I of beta contributes K_a ^ (partial_a c) dx^I and, for
+        each a in I, C_a ^ (+-c) dx^{I - a}, the sign that of moving dx^a to
+        the front. Every product goes straight into the result's terms.
+        """
         if isinstance(form, RationalFunction):
             form = Form.function(form)
-        values = ((c, form.lie_basic(r)) for r, c in enumerate(self.coefficients) if not c.is_zero)
-        return Form.sum(self.field, (c.wedge(v) for c, v in values if not v.is_zero))
+        field = self.field
+        if form.field is not field:
+            raise ValueError("forms on different charts")
+        dim = field.dimension
+        coeffs = self.coefficients
+        lies = [(a, c.terms) for a, c in enumerate(coeffs[:dim]) if c.terms]
+        inserts = [(a, c.terms) for a, c in enumerate(coeffs[dim:]) if c.terms]
+        terms: dict = {}
+        for idx, coeff in form.terms.items():
+            for a, left in lies:
+                value = coeff.partial(a)
+                if not value.is_zero:
+                    _wedge_into(terms, left, {idx: value})
+            for a, left in inserts:
+                if a in idx:
+                    pos = idx.index(a)
+                    rest = {idx[:pos] + idx[pos + 1 :]: coeff}
+                    _wedge_into(terms, left, rest, -1 if pos % 2 else 1)
+        return Form._raw(field, terms)
 
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [D, E], read off coordinatewise.

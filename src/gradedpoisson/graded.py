@@ -31,7 +31,8 @@ there are converted with convert_one / convert_two first.
 The lie basics also act in closed form (Form.lie_basic), which dG_function
 and dG_one use instead of the generic Derivation action. convert_two
 decomposes each target basic over the source basics once and contracts
-each (source, target) row once, so every entry is one Form.sum of wedges.
+each (source, target) row once, so every entry is one accumulated sum of
+wedges.
 
 lieG_two takes L^G_D as a derivation of the pairing, so it needs only the
 2n commutators [D, E_r]. No [E_r, E_s] enters: in the Cartan formula its
@@ -49,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import Derivation, Form, VectorValuedForm
+from .forms import Derivation, Form, VectorValuedForm, _wedge_into
 from .geometry import ChartGeometry, dot, matrix_inverse
 from .scalars import RationalFunction
 
@@ -264,36 +265,38 @@ def tabulate_two(geom: ChartGeometry, basis: str, entry, weight) -> GradedTwoFor
 # -- evaluation ----------------------------------------------------------------
 
 
+def _pair_sum(field, lefts, rights, koszul=False) -> Form:
+    """sum_k lefts[k] ^ rights[k], each product accumulated into one Form;
+    with ``koszul`` every left term of odd degree flips its sign."""
+    terms: dict = {}
+    for left, right in zip(lefts, rights):
+        if left.terms and right.terms:
+            _wedge_into(terms, left.terms, right.terms, koszul=koszul)
+    return Form._raw(field, terms)
+
+
 def eval_one(lam: GradedOneForm, derivation: Derivation) -> Form:
     """<D; lam> for an arbitrary derivation."""
-    pairs = zip(_decompose(lam.geom, derivation, lam.basis), lam.values)
-    return Form.sum(lam.geom.field, (b.wedge(v) for b, v in pairs if not (b.is_zero or v.is_zero)))
+    return _pair_sum(lam.geom.field, _decompose(lam.geom, derivation, lam.basis), lam.values)
 
 
 def _contract_row(theta: GradedTwoForm, r: int, coeffs) -> Form:
     """<E_r, D; theta> from the coefficients of D over the basics.
 
     A coefficient gamma passes E_r on its way to the second slot, so an
-    insertion E_r brings the Koszul sign (-1)^{|gamma|}.
+    insertion E_r brings the Koszul sign (-1)^{|gamma|}, term by term.
     """
-    pairs = [(c, b) for c, b in zip(coeffs, theta.blocks[r]) if not (c.is_zero or b.is_zero)]
-    if r < theta.geom.dim:
-        terms = (gamma.wedge(block) for gamma, block in pairs)
-    else:
-        terms = (
-            -part.wedge(block) if pg % 2 else part.wedge(block)
-            for gamma, block in pairs
-            for pg, part in gamma.homogeneous_parts().items()
-        )
-    return Form.sum(theta.geom.field, terms)
+    return _pair_sum(theta.geom.field, coeffs, theta.blocks[r], koszul=r >= theta.geom.dim)
 
 
 def eval_two(theta: GradedTwoForm, d1: Derivation, d2: Derivation) -> Form:
     """<D1, D2; theta> for arbitrary derivations."""
     coeffs2 = _decompose(theta.geom, d2, theta.basis)
-    rows = enumerate(_decompose(theta.geom, d1, theta.basis))
-    terms = (beta.wedge(_contract_row(theta, r, coeffs2)) for r, beta in rows if not beta.is_zero)
-    return Form.sum(theta.geom.field, terms)
+    terms: dict = {}
+    for r, beta in enumerate(_decompose(theta.geom, d1, theta.basis)):
+        if beta.terms:
+            _wedge_into(terms, beta.terms, _contract_row(theta, r, coeffs2).terms)
+    return Form._raw(theta.geom.field, terms)
 
 
 def iota(derivation: Derivation, theta: GradedTwoForm) -> GradedOneForm:
@@ -401,7 +404,7 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
 
     Each F_r is decomposed over theta's basics E_k once, and each row
     rows[s][k] = <E_k, F_s; theta> is contracted once, so an entry
-    <F_r, F_s> is the one Form.sum of coeffs[r][k] ^ rows[s][k] over k.
+    <F_r, F_s> is the one accumulated sum of coeffs[r][k] ^ rows[s][k] over k.
     """
     if theta.basis == basis:
         return theta
@@ -410,8 +413,7 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
     rows = [[_contract_row(theta, k, c) for k in range(2 * geom.dim)] for c in coeffs]
 
     def entry(r, s):
-        pairs = zip(coeffs[r], rows[s])
-        return Form.sum(geom.field, (b.wedge(v) for b, v in pairs if not (b.is_zero or v.is_zero)))
+        return _pair_sum(geom.field, coeffs[r], rows[s])
 
     return tabulate_two(geom, basis, entry, theta.weight)
 

@@ -1,16 +1,17 @@
 """Reference formulas that only the tests call.
 
-Each is the textbook definition of something the package computes another
-way, or no longer needs: a scalar as a sympy fraction-field element, for
-sympy's printing and arithmetic, a value at a rational point, the Lie
-derivative of a form by Cartan's formula, a derivation's normal form
-L_K + i_{L'} and its action through Cartan's formula for K, the Lie
-bracket of vector fields, the lowered curvature tensor entry by entry and
-the closed-form even-even block as its double sum over Christoffel
-symbols, d^G of a graded 2-form by the graded Palais formula, the even
-symplectic form with the half applied to d^G lambda_g entry by entry. Kept
-outside the package, they stay independent oracles for what the package
-does.
+Each is the textbook definition of something the package computes
+another way, or no longer needs: a scalar as a sympy fraction-field
+element, for sympy's printing and arithmetic, a value at a rational
+point, the Lie derivative of a form by Cartan's formula, a derivation's
+normal form L_K + i_{L'} and its action through Cartan's formula for K
+or as one Form per lie basic, the Lie bracket of vector fields, the
+lowered curvature tensor entry by entry and the closed-form even-even
+block as its double sum over Christoffel symbols, a graded 2-form's row
+contraction split into homogeneous parts with their Koszul signs, d^G of
+a graded 2-form by the graded Palais formula, the even symplectic form
+with the half applied to d^G lambda_g entry by entry. Kept outside the
+package, they stay independent oracles for what the package does.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from gradedpoisson.forms import Form, VectorValuedForm
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
+    _decompose,
     _parity,
     dG_function,
     dG_one,
@@ -300,7 +302,39 @@ def nabla_direction(chart, u: VectorValuedForm, x: VectorValuedForm) -> VectorVa
     return VectorValuedForm(chart.field, [insert_vector(c, u) for c in nx.components], degree=0)
 
 
+def per_basic_apply(derivation, form: Form) -> Form:
+    """D(form) as sum_r c_r ^ form.lie_basic(r) over the lie basics, each
+    product a Form of its own, summed by Form.sum."""
+    products = (c.wedge(form.lie_basic(r)) for r, c in enumerate(derivation.coefficients))
+    return Form.sum(form.field, products)
+
+
 # -- graded calculus ------------------------------------------------------------
+
+
+def contract_row_by_parts(theta: GradedTwoForm, r: int, coeffs) -> Form:
+    """<E_r, D; theta> with each coefficient split into its homogeneous
+    parts, an insertion E_r signing a part of degree p by (-1)^p."""
+    dim = theta.geom.dim
+    products = (
+        -part.wedge(block) if r >= dim and p % 2 else part.wedge(block)
+        for gamma, block in zip(coeffs, theta.blocks[r])
+        for p, part in gamma.homogeneous_parts().items()
+    )
+    return Form.sum(theta.geom.field, products)
+
+
+def iota_by_parts(derivation, theta: GradedTwoForm) -> list:
+    """The values <E_r, D; theta> of iota_D theta, row by row."""
+    coeffs = _decompose(theta.geom, derivation, theta.basis)
+    return [contract_row_by_parts(theta, r, coeffs) for r in range(2 * theta.geom.dim)]
+
+
+def eval_two_by_parts(theta: GradedTwoForm, d1, d2) -> Form:
+    """<D1, D2; theta> as sum_r beta_r ^ <E_r, D2; theta>, one Form per row."""
+    rows = iota_by_parts(d2, theta)
+    betas = _decompose(theta.geom, d1, theta.basis)
+    return Form.sum(theta.geom.field, (beta.wedge(row) for beta, row in zip(betas, rows)))
 
 
 def dG_two_eval(theta, d1, d2, d3) -> Form:

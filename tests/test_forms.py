@@ -15,6 +15,7 @@ from reference import (
     insert_vvform,
     lie_derivative,
     normal_form,
+    per_basic_apply,
     scale_vector,
     vector_bracket,
     wedge,
@@ -348,6 +349,46 @@ def test_action_matches_cartan_formula(field, coeffs, data):
     pairs = data.draw(mixed_derivations(field, coeffs))
     a = data.draw(forms(field, coeffs=coeffs))
     assert from_pairs(field, pairs)(a) == derivation_apply(pairs, a)
+
+
+@pytest.mark.parametrize(
+    "field, coeffs", [(F, polys), (F, quotients), (F4, polys)], ids=["polynomial", "rational", "4d"]
+)
+@given(data=st.data())
+def test_action_matches_one_form_per_basic(field, coeffs, data):
+    dv = from_pairs(field, data.draw(mixed_derivations(field, coeffs)))
+    a = data.draw(forms(field, coeffs=coeffs))
+    assert dv(a) == per_basic_apply(dv, a)
+    # d(d a) = 0: each product of the action meets its negative
+    d_op, da = Derivation.exterior(field), a.d()
+    assert d_op(da) == per_basic_apply(d_op, da) == Form.zero(field)
+
+
+def test_action_builds_one_form(monkeypatch):
+    # the products go straight into the result, so no Form per lie basic
+    kpart = VectorValuedForm(F4, [Form.function(g * g) for g in F4.gens], degree=0)
+    apart = VectorValuedForm(F4, [Form.coordinate_diff(F4, i) for i in range(4)], degree=1)
+    dv = from_pairs(F4, [(kpart, None), (None, apart)])
+    beta = Form(F4, {(0, 1): F4.gens[2], (1, 3): F4.one, (): F4.gens[0]})
+    built = []
+    raw = Form._raw.__func__
+
+    def counting_raw(cls, *args):
+        built.append(args)
+        return raw(cls, *args)
+
+    monkeypatch.setattr(Form, "_raw", classmethod(counting_raw))
+    assert not dv(beta).is_zero
+    assert len(built) == 1
+
+
+def test_action_refuses_a_form_on_another_chart():
+    d_flat2 = Derivation.exterior(builtin_chart("flat2").field)
+    flat4 = builtin_chart("flat4").field
+    dx1 = Form.coordinate_diff(flat4, 0)
+    for beta in (dx1, Form.function(flat4.one), dx1 * flat4.gens[0]):
+        with pytest.raises(ValueError, match="different charts"):
+            d_flat2(beta)
 
 
 SPHERE = builtin_chart("sphere2")

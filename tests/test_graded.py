@@ -31,7 +31,13 @@ from gradedpoisson.graded import (
     theta_ks_closed,
     theta_omega,
 )
-from reference import dG_two_eval, lieG_one, theta_even_entrywise
+from reference import (
+    dG_two_eval,
+    eval_two_by_parts,
+    iota_by_parts,
+    lieG_one,
+    theta_even_entrywise,
+)
 
 FLAT2 = builtin_chart("flat2")
 HALF = builtin_chart("halfplane")
@@ -128,6 +134,51 @@ def test_eval_two_graded_antisymmetry(d1, d2):
 def test_iota_is_last_slot_insertion(d, e):
     theta = theta_ks(FLAT2)
     assert eval_one(iota(d, theta), e) == eval_two(theta, e, d)
+
+
+@st.composite
+def pooled_forms(draw, field, size):
+    """size forms, each 0 or +-one of two drawn mixed-degree forms, so that
+    products of them often meet their negatives in a sum."""
+    pool = [Form.sum(field, [draw(forms(field, degree=k)) for k in range(field.dimension + 1)])
+            for _ in range(2)]
+    choices = [Form.zero(field)] + pool + [-f for f in pool]
+    return [draw(st.sampled_from(choices)) for _ in range(size)]
+
+
+@st.composite
+def graded_two_forms(draw, geom, basis):
+    """A graded 2-form with mixed-degree entries, no weight: one drawn
+    value for each of its 2 dim^2 independent entries."""
+    dim = geom.dim
+    values = iter(draw(pooled_forms(geom.field, 2 * dim * dim)))
+    upper = {}
+
+    def entry(r, s):
+        if r == s < dim:
+            return Form.zero(geom.field)
+        if (r < dim) != (s < dim):
+            return next(values)
+        # antisymmetric among the even basics, symmetric among insertions
+        key = (min(r, s), max(r, s))
+        if key not in upper:
+            upper[key] = next(values)
+        return -upper[key] if s < r < dim else upper[key]
+
+    return tabulate_two(geom, basis, entry, None)
+
+
+@pytest.mark.parametrize(
+    "geom, basis", [(FLAT2, "lie"), (builtin_chart("flat4"), "lie"), (SPHERE, "nabla")],
+    ids=["flat2", "flat4", "sphere2-nabla"],
+)
+@given(data=st.data())
+def test_contractions_match_the_split_by_degree(geom, basis, data):
+    field = geom.field
+    theta = data.draw(graded_two_forms(geom, basis))
+    d1, d2 = (Derivation(field, data.draw(pooled_forms(field, 2 * geom.dim))) for _ in range(2))
+    assert list(iota(d2, theta).values) == iota_by_parts(d2, theta)
+    assert eval_two(theta, d1, d2) == eval_two_by_parts(theta, d1, d2)
 
 
 def test_mixed_block_signs_of_odd_form():
