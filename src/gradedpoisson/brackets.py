@@ -26,8 +26,8 @@ Two calibration signs are fixed here once and used consistently:
 
   * the even solve seeds its degree-0 component at minus the classical
     Hamiltonian field of f (insertion in the first slot of omega forces
-    the sign; the displayed seed with the opposite sign is obtained by
-    negating the whole even sequence);
+    the sign; the displayed seeding with the opposite sign is the same
+    chain seeded at plus the field, every step being linear);
   * the odd bracket is minus the application of the odd Hamiltonian
     derivation, which makes the bracket of two exact differentials come
     out as d of the classical Poisson bracket.
@@ -86,13 +86,15 @@ def _verify(theta: GradedTwoForm, derivation: Derivation, rhs: GradedOneForm) ->
 
 
 def _plan(theta: GradedTwoForm):
-    """theta's solver plan, built once per chart: (inverse, higher, memo).
+    """theta's sparse solver plan, built once per chart: (inverse, higher, memo).
 
-    inverse is the inverse of the degree-0 part of theta's block matrix,
-    higher[row][col] lists the (degree, terms) pairs of the parts of
-    positive degree of block (row, col), each part by its term dict, and
-    memo maps an operand key to its verified derivation. A degenerate form
-    raises ChartError and leaves no plan behind.
+    inverse[row] lists the (col, entry) pairs of the nonzero entries in that
+    row of the inverse of the degree-0 part of theta's block matrix, and
+    higher[row] the (col, degree, terms) triples of the nonempty parts of
+    positive degree of the blocks (row, col), each part by its term dict,
+    in column order and then by degree. memo maps an operand key to its
+    verified derivation. A degenerate form raises ChartError and leaves no
+    plan behind.
     """
 
     def build():
@@ -101,8 +103,15 @@ def _plan(theta: GradedTwoForm):
         )
         if inverse is None:
             raise ChartError("matrix is singular")
+        # most entries of the inverse vanish (12 of 16 on sphere2)
+        inverse = [[(col, e) for col, e in enumerate(row) if not e.is_zero] for row in inverse]
         higher = [
-            [[(j, part.terms) for j, part in block.homogeneous_parts().items() if j] for block in row]
+            [
+                (col, j, part.terms)
+                for col, block in enumerate(row)
+                for j, part in block.homogeneous_parts().items()
+                if j
+            ]
             for row in theta.blocks
         ]
         return inverse, higher, {}
@@ -130,7 +139,11 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     a wedge with a 0-form. The degree parts are disjoint, so a
     coefficient's total is their union.
 
-    A and the higher blocks come from theta's plan, built once per chart.
+    A^-1 and the higher blocks come from theta's sparse plan, built once
+    per chart, which keeps only the nonzero entries of A^-1 and the
+    nonempty higher parts, so the elimination visits no zero entry and no
+    empty block. The targets' terms are sorted by degree in one pass
+    before it starts.
     The result is the derivation by its coefficients over the lie basics;
     over the nabla basics they differ by the connection twist, and
     graded.components_by_degree reads those back by degree.
@@ -147,34 +160,35 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     field = geom.field
     rhs = _as_rhs(geom, alpha, theta.basis)
     size = 2 * dim
-    targets = rhs.values
+
+    # parts[m][row] is the degree-m part of target row, the Koszul sign
+    # (-1)^m of an insertion row applied
+    parts = [[{} for _ in range(size)] for _ in range(dim + 1)]
+    for row, target in enumerate(rhs.values):
+        flip = row >= dim
+        for i, c in target.terms.items():
+            parts[len(i)][row][i] = -c if flip and len(i) % 2 else c
 
     # coeffs[m][col] and each residual row are term dicts of degree m
-    coeffs: dict[int, list[dict]] = {}
-    for m in range(dim + 1):
-        residual = []
-        for row in range(size):
+    coeffs: list[list[dict]] = []
+    for m, residual in enumerate(parts):
+        for row, terms in enumerate(residual):
             koszul = row >= dim
-            flip = koszul and m % 2
-            terms = {i: -c if flip else c for i, c in targets[row].terms.items() if len(i) == m}
-            for col in range(size):
-                for j, part in higher[row][col]:
-                    if j <= m and coeffs[m - j][col]:
-                        _wedge_into(terms, coeffs[m - j][col], part, 1 if koszul and j % 2 else -1)
-            residual.append(terms)
-        # most entries of the inverse vanish (12 of 16 on sphere2), as do many residuals
-        coeffs[m] = []
+            for col, j, part in higher[row]:
+                if j <= m and coeffs[m - j][col]:
+                    _wedge_into(terms, coeffs[m - j][col], part, 1 if koszul and j % 2 else -1)
+        solved = []
         for inv_row in inverse:
             terms = {}
-            for r, e in zip(residual, inv_row):
-                if r and not e.is_zero:
-                    for i, c in r.items():
-                        _accumulate(terms, i, c * e)
-            coeffs[m].append(terms)
+            for col, e in inv_row:
+                for i, c in residual[col].items():
+                    _accumulate(terms, i, c * e)
+            solved.append(terms)
+        coeffs.append(solved)
 
     # the degree parts are disjoint, so the totals merge without additions
     totals = [Form.zero(field) for _ in range(size)]
-    for part in coeffs.values():
+    for part in coeffs:
         for total, terms in zip(totals, part):
             total.terms.update(terms)
     even, ins = totals[:dim], totals[dim:]
@@ -307,7 +321,7 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
     # [[df, dh]] no even chain
     if kind in ("ff", "f_dh"):
         # displayed seeding: the first entry is X_f, so it pairs into {f, h}
-        evens = [-k for k in k_even(chart, f)]
+        evens = _chain(chart, chart.classical_hamiltonian(f), -1)
         poisson = Form.function(chart.pair(chart.w, evens[0], x_h).scalar_part())
     if kind == "ff":
         return Form.sum(field, [poisson] + [_curvature_pair(chart, ke, x_h) for ke in evens])

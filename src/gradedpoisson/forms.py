@@ -26,7 +26,11 @@ finished forms through Form.sum, and a sum of products through
 _wedge_into, the one wedge loop, which Form.wedge, the graded layer's
 contractions and the solver's elimination share. The derivation action
 accumulates its products term by term in the same way, so none of these
-builds a Form per addend.
+builds a Form per addend. _accumulate carries the addend's sign: onto an
+existing entry it subtracts, and it negates a coefficient only when that
+coefficient starts a new entry, so a signed product, a term of d or of an
+insertion, and the subtrahend of Form.__sub__ are never negated just to be
+added.
 """
 
 from __future__ import annotations
@@ -61,9 +65,13 @@ def _merge_indices(left, right):
     return sign, tuple(merged)
 
 
-def _accumulate(terms, idx, coeff):
+def _accumulate(terms, idx, coeff, sign=1):
+    """Add sign * coeff, sign 1 or -1, to the entry idx of the term dict."""
     current = terms.get(idx)
-    total = coeff if current is None else current + coeff
+    if current is None:
+        total = coeff if sign > 0 else -coeff
+    else:
+        total = current + coeff if sign > 0 else current - coeff
     if total.is_zero:
         terms.pop(idx, None)
     else:
@@ -85,8 +93,7 @@ def _wedge_into(terms, left, right, sign=1, koszul=False):
             if merged is None:
                 continue
             msign, idx = merged
-            product = lc * rc
-            _accumulate(terms, idx, product if msign == lsign else -product)
+            _accumulate(terms, idx, lc * rc, msign * lsign)
 
 
 class Form:
@@ -165,7 +172,12 @@ class Form:
     def __sub__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self + (-other)
+        if other.field is not self.field:
+            raise ValueError("forms on different charts")
+        terms = dict(self.terms)
+        for idx, coeff in other.terms.items():
+            _accumulate(terms, idx, coeff, -1)
+        return Form._raw(self.field, terms)
 
     def __neg__(self):
         return Form._raw(self.field, {i: -c for i, c in self.terms.items()})
@@ -204,7 +216,7 @@ class Form:
                     continue
                 # k is not in idx, so dx^k ^ dx^idx does not vanish
                 sign, midx = _merge_indices((k,), idx)
-                _accumulate(terms, midx, dc if sign > 0 else -dc)
+                _accumulate(terms, midx, dc, sign)
         return Form._raw(self.field, terms)
 
     def insert_basis(self, index: int) -> "Form":
@@ -215,7 +227,7 @@ class Form:
                 continue
             pos = idx.index(index)
             rest = idx[:pos] + idx[pos + 1 :]
-            _accumulate(terms, rest, coeff if pos % 2 == 0 else -coeff)
+            _accumulate(terms, rest, coeff, -1 if pos % 2 else 1)
         return Form._raw(self.field, terms)
 
     def partial(self, index: int) -> "Form":
@@ -265,13 +277,23 @@ class Form:
         """The 0-form coefficient."""
         return self.terms.get((), self.field.zero)
 
+    def is_negation_of(self, other: "Form") -> bool:
+        """self == -other, compared term by term without building -other."""
+        if self.field is not other.field or len(self.terms) != len(other.terms):
+            return False
+        terms = other.terms
+        return all(
+            idx in terms and coeff.is_negation_of(terms[idx])
+            for idx, coeff in self.terms.items()
+        )
+
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         return self.field is other.field and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])))))
+        return hash((self.field, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:

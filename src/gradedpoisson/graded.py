@@ -112,12 +112,12 @@ def _parity(derivation: Derivation) -> int:
 
 
 def _check_parity(value: Form, parity: int, weight, where) -> None:
-    for degree in value.degrees():
-        if (degree - parity) % 2:
-            raise ValueError(
-                f"value {value} at {where} has degree {degree}, "
-                f"incompatible with weight {weight}"
-            )
+    if any((len(idx) - parity) % 2 for idx in value.terms):
+        degree = next(d for d in value.degrees() if (d - parity) % 2)
+        raise ValueError(
+            f"value {value} at {where} has degree {degree}, "
+            f"incompatible with weight {weight}"
+        )
 
 
 class GradedOneForm:
@@ -188,8 +188,8 @@ class GradedTwoForm:
         for r in range(size):
             for s in range(r, size):
                 # s >= r, so both basics are insertions exactly when r is one
-                mirror = blocks[s][r] if r >= dim else -blocks[s][r]
-                if blocks[r][s] != mirror:
+                value, mirror = blocks[r][s], blocks[s][r]
+                if not (value == mirror if r >= dim else value.is_negation_of(mirror)):
                     raise ValueError(f"blocks break graded antisymmetry at ({r},{s})")
         if weight is not None:
             for r, row in enumerate(blocks):

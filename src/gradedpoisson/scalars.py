@@ -846,6 +846,17 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
+    def is_negation_of(self, other: "RationalFunction") -> bool:
+        """self == -other, compared term by term without building -other:
+        negation keeps the canonical denominator and negates the numerator."""
+        return (
+            self.field is other.field
+            and self.cont == other.cont
+            and self.facs == other.facs
+            and len(self.num) == len(other.num)
+            and all(m == n and c == -d for (m, c), (n, d) in zip(self.num, other.num))
+        )
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.constant(other)

@@ -17,7 +17,7 @@ from gradedpoisson.brackets import (
     solve_hamiltonian,
 )
 from gradedpoisson.forms import Derivation, Form, VectorValuedForm
-from gradedpoisson.geometry import ChartError, builtin_chart, builtin_names
+from gradedpoisson.geometry import ChartError, builtin_chart, builtin_names, matrix_inverse
 from gradedpoisson.graded import (
     components_by_degree,
     convert_two,
@@ -31,6 +31,7 @@ from gradedpoisson.graded import (
 )
 from gradedpoisson.exprparse import parse_form_expr
 from gradedpoisson.manifest import parse_manifest
+from test_geometry import PRODUCT
 
 FLAT2 = builtin_chart("flat2")
 HALF = builtin_chart("halfplane")
@@ -418,6 +419,15 @@ def test_fastpath_builds_each_classical_field_once(kind, built, monkeypatch):
     assert len(calls) == built
 
 
+@pytest.mark.parametrize("chart", [SPHERE, builtin_chart("flat4"), PRODUCT], ids=["sphere2", "flat4", "product"])
+def test_displayed_even_chain_is_the_negated_solver_chain(chart):
+    # every step of the chain is linear, so seeding at +X_f negates each entry
+    x, y = chart.field.gens[:2]
+    for f in (x * y, x**2 + chart.field.gens[-1]):
+        displayed = brackets._chain(chart, chart.classical_hamiltonian(f), -1)
+        assert displayed == [-k for k in k_even(chart, f)]
+
+
 # -- odd bracket ------------------------------------------------------------------
 
 
@@ -482,6 +492,28 @@ def test_solver_rejects_degenerate_form():
     for _ in range(2):
         with pytest.raises(ChartError, match="singular"):
             solve_hamiltonian(theta, FLAT2.field.gens[0])
+
+
+@pytest.mark.parametrize("name", ["flat2", "flat4", "sphere2", "halfplane", "tlift1q"])
+def test_solver_plan_is_sparse(name):
+    # the plan keeps no zero entry of A^-1 and no empty higher part, yet
+    # still holds all of A^-1 and every block
+    chart = builtin_chart(name)
+    field = chart.field
+    for theta in (even_theta(chart), theta_ks_cached(chart)):
+        inverse, higher, _ = brackets._plan(theta)
+        _, dense = matrix_inverse([[b.scalar_part() for b in row] for row in theta.blocks], field)
+        for sparse, row in zip(inverse, dense):
+            assert all(not e.is_zero for _, e in sparse)
+            assert dict(sparse) == {col: e for col, e in enumerate(row) if not e.is_zero}
+        for parts, blocks in zip(higher, theta.blocks):
+            assert all(j > 0 and terms for _, j, terms in parts)
+            for col, block in enumerate(blocks):
+                rebuilt = Form.function(block.scalar_part()).terms
+                for c, j, terms in parts:
+                    if c == col:
+                        rebuilt.update(terms)
+                assert rebuilt == block.terms
 
 
 @pytest.fixture

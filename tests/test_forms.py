@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedpoisson.brackets import solve_hamiltonian
-from gradedpoisson.forms import Derivation, Form, VectorValuedForm
+from gradedpoisson.forms import Derivation, Form, VectorValuedForm, _accumulate
 from gradedpoisson.geometry import builtin_chart
 from gradedpoisson.graded import _decompose, basics, theta_even_cached
 from gradedpoisson.scalars import coordinate_field
@@ -380,6 +380,51 @@ def test_action_builds_one_form(monkeypatch):
     monkeypatch.setattr(Form, "_raw", classmethod(counting_raw))
     assert not dv(beta).is_zero
     assert len(built) == 1
+
+
+@given(data=st.data())
+def test_signed_accumulation_adds_the_negation(data):
+    degree = data.draw(st.integers(0, 2))
+    a, b = (data.draw(forms(F, degree, quotients)) for _ in range(2))
+    signed, negated = dict(a.terms), dict(a.terms)
+    for idx, coeff in b.terms.items():
+        _accumulate(signed, idx, coeff, -1)
+        _accumulate(negated, idx, -coeff)
+    assert signed == negated == (a + (-b)).terms
+    # a pair that cancels leaves no key behind, whichever sign comes first
+    for idx, coeff in b.terms.items():
+        for first, second in ((1, -1), (-1, 1)):
+            terms = {}
+            _accumulate(terms, idx, coeff, first)
+            _accumulate(terms, idx, coeff, second)
+            assert terms == {}
+
+
+def test_subtraction_builds_no_negation_and_no_sum(monkeypatch):
+    calls = []
+    for name in ("__neg__", "__add__"):
+        method = getattr(Form, name)
+
+        def counted(*args, name=name, method=method):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(Form, name, counted)
+    a = Form(F, {(0,): X, (0, 1): Y / (1 + X * X)})
+    b = Form(F, {(0,): X, (1,): F.one})
+    assert a - b == Form(F, {(0, 1): Y / (1 + X * X), (1,): -F.one})
+    assert b - b == Form.zero(F)
+    assert calls == []
+
+
+def test_equal_forms_hash_equal_in_any_term_order():
+    terms = [((0, 1), X / (1 + Y * Y)), ((), X * Y), ((1,), F.one), ((0,), -Y)]
+    forward, backward = Form(F, terms), Form(F, terms[::-1])
+    assert list(forward.terms) != list(backward.terms)
+    assert forward == backward
+    assert hash(forward) == hash(backward)
+    summed = Form.sum(F, [Form(F, [term]) for term in terms[1::2] + terms[::2]])
+    assert summed == forward and hash(summed) == hash(forward)
 
 
 def test_action_refuses_a_form_on_another_chart():

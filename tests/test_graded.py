@@ -534,8 +534,9 @@ def test_tensor_variant_covariant_mixed_block():
 # -- validation ----------------------------------------------------------------
 
 
-def _flat2_blocks(entries):
-    rows = [[Form.zero(FLAT2.field)] * 4 for _ in range(4)]
+def _blocks(entries, chart=FLAT2):
+    size = 2 * chart.dim
+    rows = [[Form.zero(chart.field)] * size for _ in range(size)]
     for (r, s), value in entries.items():
         rows[r][s] = value
     return rows
@@ -545,14 +546,48 @@ def test_two_form_blocks_must_be_graded_antisymmetric():
     one = Form.function(FLAT2.field.one)
     even_even = {(r, s): one for r in range(2) for s in range(2)}
     with pytest.raises(ValueError, match="antisymmetry"):
-        GradedTwoForm(FLAT2, "lie", _flat2_blocks(even_even), None)
+        GradedTwoForm(FLAT2, "lie", _blocks(even_even), None)
     # two insertions: the block is symmetric, so an antisymmetric one fails
     with pytest.raises(ValueError, match="symmetry"):
-        GradedTwoForm(FLAT2, "lie", _flat2_blocks({(2, 3): one, (3, 2): -one}), None)
+        GradedTwoForm(FLAT2, "lie", _blocks({(2, 3): one, (3, 2): -one}), None)
     # (ins, even) must be minus its (even, ins) mirror
     with pytest.raises(ValueError, match="antisymmetry"):
-        GradedTwoForm(FLAT2, "lie", _flat2_blocks({(0, 2): one, (2, 0): one}), None)
-    GradedTwoForm(FLAT2, "lie", _flat2_blocks({(0, 2): one, (2, 0): -one}), None)
+        GradedTwoForm(FLAT2, "lie", _blocks({(0, 2): one, (2, 0): one}), None)
+    GradedTwoForm(FLAT2, "lie", _blocks({(0, 2): one, (2, 0): -one}), None)
+    # rational mirrors that miss the negation in one coefficient, left
+    # unnegated or negated over another denominator, and mirrors with
+    # another index set
+    field = HALF.field
+    x, y = field.gens
+    block = Form(field, {(): (x + 1) / y, (0,): 1 / y**2})
+    mirrors = [
+        Form(field, {(): -(x + 1) / y, (0,): 1 / y**2}),
+        Form(field, {(): -(x + 1) / y, (0,): -1 / y**3}),
+        Form(field, {(): -(x + 1) / y, (0,): Fraction(-1, 2) / y**2}),
+        Form(field, {(): -(y + 1) / y, (0,): -1 / y**2}),
+        Form(field, {(): -(x + 1) / y, (1,): -1 / y**2}),
+        Form(field, {(): -(x + 1) / y}),
+    ]
+    for pair in ((0, 1), (0, 2), (1, 3)):
+        for mirror in mirrors:
+            with pytest.raises(ValueError, match="antisymmetry"):
+                GradedTwoForm(HALF, "lie", _blocks({pair: block, pair[::-1]: mirror}, HALF), None)
+        GradedTwoForm(HALF, "lie", _blocks({pair: block, pair[::-1]: -block}, HALF), None)
+
+
+def test_graded_antisymmetry_check_builds_no_negated_form(monkeypatch):
+    theta = theta_even(SPHERE, "omega_g")
+    negations = []
+    negate = Form.__neg__
+
+    def counted(self):
+        negations.append(self)
+        return negate(self)
+
+    monkeypatch.setattr(Form, "__neg__", counted)
+    rebuilt = GradedTwoForm(theta.geom, theta.basis, theta.blocks, theta.weight)
+    assert rebuilt == theta
+    assert negations == []
 
 
 def test_weight_parity_is_validated():
@@ -562,6 +597,13 @@ def test_weight_parity_is_validated():
     with pytest.raises(ValueError, match="weight"):
         GradedOneForm(FLAT2, "lie", [dx, zero, zero, zero], 2)
     GradedOneForm(FLAT2, "lie", [dx, zero, zero, zero], 1)
+    # degrees 3 and 1 both break weight 0: the message names the lowest,
+    # whatever the order of the terms
+    flat4 = builtin_chart("flat4")
+    f4 = flat4.field
+    value = Form(f4, {(0, 1, 2): f4.one, (0,): f4.one})
+    with pytest.raises(ValueError, match="has degree 1, incompatible with weight 0"):
+        GradedOneForm(flat4, "lie", [value] + [Form.zero(f4)] * 7, 0)
 
 
 def test_mismatched_tabulations_do_not_add():
