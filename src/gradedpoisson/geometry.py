@@ -370,7 +370,7 @@ class ChartGeometry:
             return VectorValuedForm(self.field, [Form.zero(self.field)] * self.dim, degree=self.dim)
         twist = self.connection_twist(vvform.components)
         odd = vvform.degree % 2
-        comps = [c.d() + (-t if odd else t) for c, t in zip(vvform.components, twist)]
+        comps = [c.d() - t if odd else c.d() + t for c, t in zip(vvform.components, twist)]
         return VectorValuedForm(self.field, comps, degree=vvform.degree + 1)
 
     def nabla_derivation(self, x: VectorValuedForm) -> Derivation:

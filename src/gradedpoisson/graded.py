@@ -50,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import Derivation, Form, VectorValuedForm, _wedge_into
+from .forms import Derivation, Form, VectorValuedForm, _accumulate, _wedge_into
 from .geometry import ChartGeometry, dot, matrix_inverse
 from .scalars import RationalFunction
 
@@ -349,8 +349,8 @@ def dG_one(lam: GradedOneForm) -> GradedTwoForm:
     values = lam.values
 
     def entry(r, s):
-        second = values[r].lie_basic(s)
-        return values[s].lie_basic(r) - (-second if r >= dim and s >= dim else second)
+        first, second = values[s].lie_basic(r), values[r].lie_basic(s)
+        return first + second if r >= dim and s >= dim else first - second
 
     return tabulate_two(geom, "lie", entry, lam.weight)
 
@@ -376,12 +376,21 @@ def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
 
     def entry(r, s):
         pr, ps = r >= dim, s >= dim
+        # the entry's outer sign, folded into the sign of each addend
+        outer = 1 if p * (pr + ps) % 2 else -1
         # <[D, E_r], E_s> = -(-1)^{(|D| + |E_r|)|E_s|} pulled[r][s]
-        back = -pulled[r][s] if (p + pr) * ps % 2 else pulled[r][s]
+        back = -outer if (p + pr) * ps % 2 else outer
         # -(-1)^{|D||E_r|} <E_r, [D, E_s]>, where <E_r, [D, E_s]> = pulled[s][r]
-        ahead = pulled[s][r] if p * pr % 2 else -pulled[s][r]
-        inner = derivation(theta.blocks[r][s]) + back + ahead
-        return inner if p * (pr + ps) % 2 else -inner
+        ahead = outer if p * pr % 2 else -outer
+        terms: dict = {}
+        for form, sign in (
+            (derivation(theta.blocks[r][s]), outer),
+            (pulled[r][s], back),
+            (pulled[s][r], ahead),
+        ):
+            for idx, coeff in form.terms.items():
+                _accumulate(terms, idx, coeff, sign)
+        return Form._raw(geom.field, terms)
 
     weight = None
     if theta.weight is not None and derivation.degree is not None:

@@ -86,14 +86,20 @@ printed.
 No polynomial gcd is taken. A factor can cancel only if an operand already
 holds it, so canonical form comes from trial division by those few
 factors. This is Henrici's fraction arithmetic (Knuth, TAOCP vol. 2,
-section 4.5.1) on the factored denominator:
+section 4.5.1) on the factored denominator. A product or a sum makes one
+ordered walk over the two sorted factor lists, a merge that meets each
+factor once and emits the result's list in order, so it needs no sort:
 
-* A product trial-divides each numerator by the factors that only the
-  other operand holds, and takes an integer gcd of the contents.
+* A product adds the exponents of a factor both operands hold. It
+  trial-divides each numerator by the factors that only the other operand
+  holds, and takes an integer gcd of the contents. When one operand has
+  no factor, only its numerator is tried, and the other's tuple is reused
+  unless a factor cancels.
 * A sum raises both sides to the larger exponent of each factor. Where the
   exponents differ, the factor divides one term of the new numerator and
   not the other, so only factors with equal exponents are tried. The same
-  holds prime by prime for the contents.
+  holds prime by prime for the contents. When the two lists are equal,
+  every factor is tried, and the tuple is reused unless a factor cancels.
 * A partial derivative by the quotient rule gives each factor that depends
   on the coordinate exactly one more power. That power cannot cancel: the
   factor is irreducible and divides neither the numerator nor its own
@@ -543,22 +549,29 @@ def _common_content(poly, n):
     return n
 
 
-def _reduce(field, num, cont, shared, exps, tried):
-    """The canonical value of num / (cont * prod f**exps[f]).
+def _reduce(field, num, cont, shared, facs, tried):
+    """The canonical value of num / (cont * prod f**e) over the ordered
+    (factor, exponent) pairs ``facs``.
 
-    ``tried`` lists the factors that may divide num; every other factor of
-    ``exps`` is known not to. ``shared`` divides cont, and every integer
-    common to num's content and cont divides it.
+    ``tried`` lists the positions in facs of the factors that may divide
+    num; every other factor is known not to. facs is kept as it is unless
+    a factor cancels. ``shared`` divides cont, and every integer common to
+    num's content and cont divides it.
     """
     if not num:
         return field.zero
-    for factor in tried:
-        num, count = _divide_out(field.layout, num, factor, exps[factor])
-        exps[factor] -= count
+    cut = None
+    for pos in tried:
+        factor, exp = facs[pos]
+        num, count = _divide_out(field.layout, num, factor, exp)
+        if count:
+            if cut is None:
+                cut = list(facs)
+            cut[pos] = (factor, exp - count)
     common = _common_content(num, shared)
     if common != 1:
         num, cont = _poly_quo(num, common), cont // common
-    facs = tuple(sorted(((f, e) for f, e in exps.items() if e), key=_by_order))
+    facs = tuple(facs) if cut is None else tuple([pair for pair in cut if pair[1]])
     return RationalFunction(field, num, cont, facs)
 
 
@@ -566,17 +579,38 @@ def _mul(a, b):
     if not a.num or not b.num:
         return a.field.zero
     lay = a.field.layout
-    aexps, bexps = dict(a.facs), dict(b.facs)
-    anum, bnum = a.num, b.num
-    # a's numerator is coprime to a's own factors, so only b's others can cancel
-    for factor, exp in b.facs:
-        if factor not in aexps:
-            anum, count = _divide_out(lay, anum, factor, exp)
-            bexps[factor] -= count
-    for factor, exp in a.facs:
-        if factor not in bexps:
+    anum, bnum, afacs, bfacs = a.num, b.num, a.facs, b.facs
+    # one ordered walk over both factor lists: a factor both operands hold
+    # adds its exponents, and one that only one holds may divide the other's
+    # numerator (an operand's numerator is coprime to its own factors)
+    facs, cancelled, i, j, na, nb = [], 0, 0, 0, len(afacs), len(bfacs)
+    while i < na or j < nb:
+        if i < na and j < nb:
+            f, e = afacs[i]
+            g, k = bfacs[j]
+            if f is g or f.poly == g.poly:
+                facs.append((f, e + k))
+                i, j = i + 1, j + 1
+                continue
+            a_first = f.poly < g.poly
+        else:
+            a_first = i < na
+        if a_first:
+            pair = factor, exp = afacs[i]
             bnum, count = _divide_out(lay, bnum, factor, exp)
-            aexps[factor] -= count
+            i += 1
+        else:
+            pair = factor, exp = bfacs[j]
+            anum, count = _divide_out(lay, anum, factor, exp)
+            j += 1
+        if count:
+            cancelled += count
+            if count < exp:
+                facs.append((factor, exp - count))
+        else:
+            facs.append(pair)
+    # with no factor on one side and none cancelled, the walk copied the other
+    facs = tuple(facs) if cancelled or (afacs and bfacs) else afacs or bfacs
     # Fraction-style: gcd(content(a.num), a.cont) = 1 already
     acommon = _common_content(anum, b.cont)
     bcommon = _common_content(bnum, a.cont)
@@ -584,9 +618,6 @@ def _mul(a, b):
         anum = _poly_quo(anum, acommon)
     if bcommon != 1:
         bnum = _poly_quo(bnum, bcommon)
-    for factor, exp in bexps.items():
-        aexps[factor] = aexps.get(factor, 0) + exp
-    facs = tuple(sorted(((f, e) for f, e in aexps.items() if e), key=_by_order))
     cont = (a.cont // bcommon) * (b.cont // acommon)
     return RationalFunction(a.field, _poly_mul(lay, anum, bnum), cont, facs)
 
@@ -598,49 +629,70 @@ def _add(a, b, sign):
     if not a.num:
         return b if sign == 1 else RationalFunction(b.field, _poly_neg(b.num), b.cont, b.facs)
     lay = a.field.layout
-    aexps, bexps = dict(a.facs), dict(b.facs)
     shared = gcd(a.cont, b.cont)
     anum = _poly_scale(a.num, b.cont // shared)
     bnum = _poly_scale(b.num, sign * (a.cont // shared))
-    exps, tried = {}, []
-    for factor in aexps.keys() | bexps.keys():
-        aexp, bexp = aexps.get(factor, 0), bexps.get(factor, 0)
-        if aexp > bexp:
-            bnum = _poly_mul(lay, bnum, _poly_pow(lay, factor.poly, aexp - bexp))
-        elif bexp > aexp:
-            anum = _poly_mul(lay, anum, _poly_pow(lay, factor.poly, bexp - aexp))
+    afacs, bfacs = a.facs, b.facs
+    # one ordered walk over both factor lists raises each side to the larger
+    # exponent of every factor; only factors with equal exponents are tried
+    facs, tried, i, j, na, nb = [], [], 0, 0, len(afacs), len(bfacs)
+    while i < na or j < nb:
+        if i < na and j < nb:
+            f, e = afacs[i]
+            g, k = bfacs[j]
+            if f is g or f.poly == g.poly:
+                if e > k:
+                    bnum = _poly_mul(lay, bnum, _poly_pow(lay, f.poly, e - k))
+                elif k > e:
+                    anum = _poly_mul(lay, anum, _poly_pow(lay, f.poly, k - e))
+                else:
+                    tried.append(len(facs))
+                facs.append(afacs[i] if e >= k else bfacs[j])
+                i, j = i + 1, j + 1
+                continue
+            a_first = f.poly < g.poly
         else:
-            tried.append(factor)
-        exps[factor] = max(aexp, bexp)
+            a_first = i < na
+        if a_first:
+            pair = afacs[i]
+            bnum = _poly_mul(lay, bnum, _poly_pow(lay, pair[0].poly, pair[1]))
+            i += 1
+        else:
+            pair = bfacs[j]
+            anum = _poly_mul(lay, anum, _poly_pow(lay, pair[0].poly, pair[1]))
+            j += 1
+        facs.append(pair)
+    if len(tried) == len(facs):
+        facs = afacs  # equal lists: every factor tried, and a's tuple reused
     # a prime can divide both num and the new content only if it divides
     # both contents, and then only to its power in shared (Henrici)
     num = _poly_add(lay, anum, bnum)
-    return _reduce(a.field, num, a.cont // shared * b.cont, shared, exps, tried)
+    return _reduce(a.field, num, a.cont // shared * b.cont, shared, facs, tried)
 
 
 def _partial(a, index):
     lay = a.field.layout
     dnum = _poly_diff(lay, a.num, index)
-    moving = [factor for factor, _ in a.facs if factor.depends[index]]
-    exps = dict(a.facs)
+    facs = a.facs
+    moving = [pair for pair in facs if pair[0].depends[index]]
     if moving:
         # d(N / (c prod f**e)) = (N' Q - N sum e f' Q/f) / (c prod f**e * Q),
         # Q the product of the factors that depend on the coordinate
-        product, total = moving[0].poly, ()
-        for other in moving[1:]:
+        product, total = moving[0][0].poly, ()
+        for other, _ in moving[1:]:
             product = _poly_mul(lay, product, other.poly)
-        for factor in moving:
-            term = _poly_scale(_poly_diff(lay, factor.poly, index), exps[factor])
-            for other in moving:
+        for factor, exp in moving:
+            term = _poly_scale(_poly_diff(lay, factor.poly, index), exp)
+            for other, _ in moving:
                 if other is not factor:
                     term = _poly_mul(lay, term, other.poly)
             total = _poly_add(lay, total, term)
-            exps[factor] += 1
         dnum = _poly_add(
             lay, _poly_mul(lay, dnum, product), _poly_neg(_poly_mul(lay, a.num, total))
         )
-    tried = [factor for factor, _ in a.facs if not factor.depends[index]]
-    return _reduce(a.field, dnum, a.cont, a.cont, exps, tried)
+        facs = [(f, e + 1) if f.depends[index] else (f, e) for f, e in facs]
+    tried = [pos for pos, (factor, _) in enumerate(a.facs) if not factor.depends[index]]
+    return _reduce(a.field, dnum, a.cont, a.cont, facs, tried)
 
 
 def _factor(field, num):

@@ -10,8 +10,11 @@ lowered curvature tensor entry by entry and the closed-form even-even
 block as its double sum over Christoffel symbols, a graded 2-form's row
 contraction split into homogeneous parts with their Koszul signs, d^G of
 a graded 2-form by the graded Palais formula, the even symplectic form
-with the half applied to d^G lambda_g entry by entry. Kept outside the
-package, they stay independent oracles for what the package does.
+with the half applied to d^G lambda_g entry by entry, and d^G of a
+graded 1-form, the graded Lie derivative of a graded 2-form and the
+exterior covariant derivative with every sign applied by negating a whole
+Form. Kept outside the package, they stay independent oracles for what
+the package does.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from gradedpoisson.graded import (
     GradedTwoForm,
     _decompose,
     _parity,
+    basics,
     dG_function,
     dG_one,
     eval_one,
     eval_two,
     iota,
     lambda_metric,
+    tabulate_two,
     theta_omega,
 )
 
@@ -376,3 +381,48 @@ def theta_even_entrywise(geom, variant: str = "omega_g") -> GradedTwoForm:
         for w_row, e_row in zip(theta_omega(geom).blocks, exact)
     ]
     return GradedTwoForm(geom, "lie", blocks, None)
+
+
+# -- sums with negated Forms ------------------------------------------------------
+
+
+def dG_one_negating(lam: GradedOneForm) -> GradedTwoForm:
+    """d^G lam on the lie basics, D1<D2; lam> - (-1)^{|D1||D2|} D2<D1; lam>,
+    the sign applied by negating D2<D1; lam>."""
+    dim, values = lam.geom.dim, lam.values
+
+    def entry(r, s):
+        second = values[r].lie_basic(s)
+        return values[s].lie_basic(r) - (-second if r >= dim and s >= dim else second)
+
+    return tabulate_two(lam.geom, "lie", entry, lam.weight)
+
+
+def lieG_two_negating(derivation, theta: GradedTwoForm) -> GradedTwoForm:
+    """L^G_D theta on the lie basics, -(-1)^{|D|(|E_r| + |E_s|)} (D<E_r, E_s>
+    - <[D, E_r], E_s> - (-1)^{|D||E_r|} <E_r, [D, E_s]>), each sign applied
+    by negating a Form."""
+    geom, dim, p = theta.geom, theta.geom.dim, _parity(derivation)
+    pulled = [iota(derivation.commutator(e), theta).values for e in basics(geom, "lie")]
+
+    def entry(r, s):
+        pr, ps = r >= dim, s >= dim
+        back = -pulled[r][s] if (p + pr) * ps % 2 else pulled[r][s]
+        ahead = pulled[s][r] if p * pr % 2 else -pulled[s][r]
+        inner = derivation(theta.blocks[r][s]) + back + ahead
+        return inner if p * (pr + ps) % 2 else -inner
+
+    weight = None
+    if theta.weight is not None and derivation.degree is not None:
+        weight = theta.weight + derivation.degree
+    return tabulate_two(geom, "lie", entry, weight)
+
+
+def dnabla_negating(chart, vvform: VectorValuedForm) -> VectorValuedForm:
+    """dK + (-1)^k T(K), the sign applied by negating each twist component."""
+    if vvform.degree == chart.dim:
+        return VectorValuedForm(chart.field, [Form.zero(chart.field)] * chart.dim, degree=chart.dim)
+    twist = chart.connection_twist(vvform.components)
+    odd = vvform.degree % 2
+    comps = [c.d() + (-t if odd else t) for c, t in zip(vvform.components, twist)]
+    return VectorValuedForm(chart.field, comps, degree=vvform.degree + 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedpoisson import suites
+from gradedpoisson import scalars, suites
 from gradedpoisson.geometry import ChartGeometry, builtin_chart
 from gradedpoisson.graded import theta_even_cached
 from gradedpoisson.scalars import RationalFunction
@@ -132,6 +132,30 @@ def test_contracts_skip_zero_christoffel_and_curvature_entries(monkeypatch, name
     assert report.failed == 0
     assert calls["__mul__"] <= mul_budget
     assert calls["partial"] <= partial_budget
+
+
+@pytest.mark.parametrize(
+    "name, succeeded, failed",
+    [("sphere2", 322, 228), ("tlift1q", 96, 326)],
+    ids=["sphere2", "tlift1q"],
+)
+def test_scalar_trial_divisions_are_pinned(monkeypatch, name, succeeded, failed):
+    # products, sums and partial derivatives cancel a factor only by trial
+    # division; how they find which factors to try may change, but never
+    # which divisions they make: a full check of each curved chart makes
+    # exactly these exact quotients, and fails exactly these
+    outcomes = {True: 0, False: 0}
+    exact_quotient = scalars._exact_quotient
+
+    def counted(lay, num, factor):
+        quotient = exact_quotient(lay, num, factor)
+        outcomes[quotient is not None] += 1
+        return quotient
+
+    monkeypatch.setattr(scalars, "_exact_quotient", counted)
+    report = run_suite(builtin_chart(name), suite="all", seed=42, samples=2)
+    assert report.failed == 0
+    assert (outcomes[True], outcomes[False]) == (succeeded, failed)
 
 
 def test_a_failing_axiom_check_carries_a_nonzero_witness():

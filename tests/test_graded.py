@@ -32,10 +32,13 @@ from gradedpoisson.graded import (
     theta_omega,
 )
 from reference import (
+    dG_one_negating,
     dG_two_eval,
+    dnabla_negating,
     eval_two_by_parts,
     iota_by_parts,
     lieG_one,
+    lieG_two_negating,
     theta_even_entrywise,
 )
 
@@ -464,6 +467,70 @@ def test_lie_derivative_needs_no_generic_evaluation(monkeypatch):
     for name in ("dG_one", "eval_two"):
         monkeypatch.setattr(graded, name, forbidden)
     assert lieG_two(Derivation.exterior(HALF.field), theta) == want
+
+
+@pytest.mark.parametrize("name", ["flat4", "sphere2"])
+def test_signed_sums_negate_no_form(monkeypatch, name):
+    # d^G lam, L^G_D theta and dnabla fold each sign into a subtraction or
+    # a signed accumulation: no Form is negated only to be added. The
+    # mirrored half that tabulate_two fills by antisymmetry is not theirs
+    chart = builtin_chart(name)
+    field = chart.field
+    x, y = field.gens[:2]
+    pad = [field.zero] * (chart.dim - 2)
+    derivations = (
+        Derivation.exterior(field),
+        Derivation.insertion(chart.endo_form(chart.j_matrix)),
+        Derivation.lie(VectorValuedForm(field, [x * y, x + field.one, *pad])),
+        Derivation.insertion(VectorValuedForm(field, [y * y, x, *pad])),
+    )
+    lam, theta = lambda_metric(chart), theta_even(chart)
+    identity = VectorValuedForm.identity(field)
+    vvforms = (
+        VectorValuedForm(field, [x * y, x + field.one, *pad], degree=0),
+        identity,
+        chart.dnabla(identity),
+    )
+    want = (
+        dG_one_negating(lam),
+        [lieG_two_negating(d, theta) for d in derivations],
+        [dnabla_negating(chart, vv) for vv in vvforms],
+    )
+
+    negations = []
+    watching = [False]
+    negate = Form.__neg__
+
+    def counting(self):
+        if watching[0]:
+            negations.append(self)
+        return negate(self)
+
+    def watched(fn):
+        def call(*args):
+            watching[0] = True
+            try:
+                return fn(*args)
+            finally:
+                watching[0] = False
+
+        return call
+
+    tabulate = graded.tabulate_two
+    monkeypatch.setattr(Form, "__neg__", counting)
+    monkeypatch.setattr(
+        graded,
+        "tabulate_two",
+        lambda geom, basis, entry, weight: tabulate(geom, basis, watched(entry), weight),
+    )
+    monkeypatch.setattr(ChartGeometry, "dnabla", watched(ChartGeometry.dnabla))
+    got = (
+        dG_one(lam),
+        [lieG_two(d, theta) for d in derivations],
+        [chart.dnabla(vv) for vv in vvforms],
+    )
+    assert negations == []
+    assert got == want
 
 
 def test_graded_calculus_needs_the_lie_basis():

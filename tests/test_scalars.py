@@ -319,6 +319,71 @@ def test_factored_form_stays_canonical(a, b, k):
         _assert_factored_canonical(value)
 
 
+# irreducible and distinct; listed in no particular order
+IRREDUCIBLES = (Y**2 + 2, 1 + X, X * Y + 1, X, X**2 - Y, 1 + Y, X**2 + Y**2 + 1, Y)
+
+
+@st.composite
+def walk_cases(draw):
+    """Operands whose product or sum cancels what the factor walk must find.
+
+    * free: p*f**k times q/(f**m*g), a numerator with no factor divisible
+      by the other operand's factors;
+    * shared: (u*f + s)/(f**k*g) and (f*t - s)/(f**k*g), one factor list,
+      whose sum cancels f wholly (k = 1) or in part;
+    * content: the same over c*m*f**k*g with c*u and c*t, so the sum's
+      numerator shares the content c, and c*p*f times q/(c*m*f*g);
+    * interleaved: four factors in their stored order, alternating between
+      the two denominators, each numerator a multiple of some of the other
+      side's factors, so the merge must keep the order.
+    """
+    kind = draw(st.sampled_from(("free", "shared", "content", "interleaved")))
+    picks = draw(st.permutations(IRREDUCIBLES))
+    p, q, u, s, t = (draw(polynomials()) for _ in range(5))
+    p, q = (value if value else F.one for value in (p, q))
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if kind == "free":
+        f, g = picks[:2]
+        return p * f**k, q / (f**m * g)
+    if kind == "shared":
+        f, g = picks[:2]
+        return (u * f + s) / (f**k * g), (f * t - s) / (f**k * g)
+    if kind == "content":
+        f, g = picks[:2]
+        c = draw(st.integers(2, 6))
+        if draw(st.booleans()):
+            return c * p * f, q / (c * m * f * g)
+        return (c * u * f + s) / (c * m * f**k * g), (c * t * f - s) / (c * m * f**k * g)
+    ordered = sorted(picks[:4], key=lambda value: value.num)
+    exps = [draw(st.integers(1, 2)) for _ in ordered]
+    left, right = ordered[0::2], ordered[1::2]
+    a, b = p, q
+    for factor, exp in zip(left, exps[0::2]):
+        a = a / factor**exp
+    for factor, exp in zip(right, exps[1::2]):
+        b = b / factor**exp
+    for factor in draw(st.lists(st.sampled_from(left), max_size=2)):
+        b = b * factor
+    for factor in draw(st.lists(st.sampled_from(right), max_size=2)):
+        a = a * factor
+    return a, b
+
+
+@given(walk_cases())
+def test_the_factor_walk_cancels_what_the_oracle_cancels(case):
+    a, b = case
+    qa, qb = _to_oracle(a), _to_oracle(b)
+    for value, expected in (
+        (a * b, qa * qb),
+        (b * a, qb * qa),
+        (a + b, qa + qb),
+        (a - b, qa - qb),
+        (b - a, qb - qa),
+    ):
+        _assert_factored_canonical(value)
+        _assert_canonical(value, expected)
+
+
 def test_factor_signs_follow_graded_lex_order():
     # factor_list makes the lex leading coefficient positive; for x - y**2
     # the graded-lex one is -1, so the stored factor must be y**2 - x
