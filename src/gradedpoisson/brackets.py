@@ -145,8 +145,9 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     empty block. The targets' terms are sorted by degree in one pass
     before it starts.
     The result is the derivation by its coefficients over the lie basics;
-    over the nabla basics they differ by the connection twist, and
-    graded.components_by_degree reads those back by degree.
+    over the nabla basics they differ by the connection twist, which
+    ChartGeometry.twist_into subtracts from the insertion totals in place,
+    and graded.components_by_degree reads those back by degree.
     Derivations are memoized on the plan after _verify has passed, so
     _verify runs once per distinct solve and a repeated solve returns the
     same Derivation; callers must treat it as read-only.
@@ -191,11 +192,10 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     for part in coeffs:
         for total, terms in zip(totals, part):
             total.terms.update(terms)
-    even, ins = totals[:dim], totals[dim:]
     if theta.basis == "nabla":
         # nabla_b = L_b - sum_i T(e_b)_i i_i, so over the lie basics C loses T(K)
-        ins = [c - t for c, t in zip(ins, geom.connection_twist(even))]
-    derivation = Derivation(field, even + ins)
+        geom.twist_into([c.terms for c in totals[dim:]], totals[:dim], -1)
+    derivation = Derivation(field, totals)
     _verify(theta, derivation, rhs)
     memo[key] = derivation
     return derivation

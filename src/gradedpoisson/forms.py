@@ -25,12 +25,14 @@ accumulated term by term into one dictionary by _accumulate: a sum of
 finished forms through Form.sum, and a sum of products through
 _wedge_into, the one wedge loop, which Form.wedge, the graded layer's
 contractions and the solver's elimination share. The derivation action
-accumulates its products term by term in the same way, so none of these
-builds a Form per addend. _accumulate carries the addend's sign: onto an
-existing entry it subtracts, and it negates a coefficient only when that
-coefficient starts a new entry, so a signed product, a term of d or of an
-insertion, and the subtrahend of Form.__sub__ are never negated just to be
-added.
+accumulates its products term by term in the same way, and so do the
+geometry layer's loops: ChartGeometry.twist_into, the connection twist,
+and apply_endo, pair and curvature_apply. None of these builds a Form per
+addend. _accumulate carries the addend's sign: onto an existing entry it
+subtracts, and it negates a coefficient only when that coefficient starts
+a new entry, so a signed product, a term of d or of an insertion, a term
+of the twist, and the subtrahend of Form.__sub__ are never negated just to
+be added.
 """
 
 from __future__ import annotations
@@ -370,6 +372,14 @@ class VectorValuedForm:
         return VectorValuedForm(
             self.field, [-c for c in self.components], degree=self.degree
         )
+
+    def is_negation_of(self, other: "VectorValuedForm") -> bool:
+        """self == -other, compared componentwise without building -other."""
+        if self.field is not other.field:
+            return False
+        if not all(a.is_negation_of(b) for a, b in zip(self.components, other.components)):
+            return False
+        return self.is_zero or self.degree == other.degree
 
     def __eq__(self, other):
         if not isinstance(other, VectorValuedForm):

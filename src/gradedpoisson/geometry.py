@@ -17,6 +17,14 @@ component a is the row M(e_a, _). So X_f = lam . grad f and sharp(alpha) =
 g^-1 . alpha are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J and
 the rows of g and omega as 1-forms are endo_form.
 
+twist_into accumulates the connection twist T_i = Gamma^i_{jk} K_k ^ dx^j
+into term dicts the caller owns: dnabla into each dK_i, nabla_derivation
+into empty ones, graded._decompose and the solver into a derivation's
+insertion coefficients. It, apply_endo, pair and curvature_apply are
+accumulating loops like forms._wedge_into: each product goes into one term
+dict per component through forms._accumulate, and no Form is built per
+addend.
+
 The derived tensors are built on first read, each once per chart, and
 none of them can fail once construction has passed: the Christoffel
 symbols of both kinds (gamma_first, gamma) and the list of nonzero ones
@@ -34,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .forms import Derivation, Form, VectorValuedForm
+from .forms import Derivation, Form, VectorValuedForm, _accumulate, _merge_indices, _wedge_into
 from .scalars import RationalFunction, ScalarField, coordinate_field
 
 
@@ -276,13 +284,24 @@ class ChartGeometry:
 
     def pair(self, matrix, left: VectorValuedForm, right: VectorValuedForm) -> Form:
         """B(left, right) for the matrix of B (chart.g or chart.w), form
-        coefficients wedged left to right."""
-        terms = (
-            lc.wedge(rc) * coeff
-            for lc, row in zip(left.components, matrix) if not lc.is_zero
-            for rc, coeff in zip(right.components, row) if not (rc.is_zero or coeff.is_zero)
-        )
-        return Form.sum(self.field, terms)
+        coefficients wedged left to right.
+
+        Each wedge lc ^ rc is made in a scratch dict and its entries scaled
+        by the matrix entry into one result dict, so no Form is built per
+        addend.
+        """
+        terms = {}
+        for lc, row in zip(left.components, matrix):
+            if lc.is_zero:
+                continue
+            for rc, coeff in zip(right.components, row):
+                if rc.is_zero or coeff.is_zero:
+                    continue
+                wedge = {}
+                _wedge_into(wedge, lc.terms, rc.terms)
+                for idx, value in wedge.items():
+                    _accumulate(terms, idx, value * coeff)
+        return Form._raw(self.field, terms)
 
     def omega_form(self) -> Form:
         terms = {}
@@ -312,14 +331,17 @@ class ChartGeometry:
         return VectorValuedForm(self.field, comps, degree=1)
 
     def apply_endo(self, matrix, vvform: VectorValuedForm) -> VectorValuedForm:
-        """Apply an endomorphism matrix to the vector slot, componentwise."""
-        comps = [
-            Form.sum(
-                self.field,
-                (c * e for c, e in zip(vvform.components, row) if not (c.is_zero or e.is_zero)),
-            )
-            for row in matrix
-        ]
+        """Apply an endomorphism matrix to the vector slot, componentwise:
+        component b accumulates c * M[b][k] over the terms c of K_k."""
+        comps = []
+        for row in matrix:
+            terms = {}
+            for comp, entry in zip(vvform.components, row):
+                if entry.is_zero:
+                    continue
+                for idx, c in comp.terms.items():
+                    _accumulate(terms, idx, c * entry)
+            comps.append(Form._raw(self.field, terms))
         return VectorValuedForm(self.field, comps, degree=vvform.degree)
 
     def j_square_scalar(self):
@@ -337,28 +359,36 @@ class ChartGeometry:
     # -- curvature ------------------------------------------------------------
 
     def curvature_apply(self, vvform: VectorValuedForm) -> VectorValuedForm:
-        """R(_,_) K: wedge the curvature 2-form into the form slot."""
-        comps = [
-            Form.sum(self.field, (block.wedge(comp) for block, comp in zip(row, vvform.components)))
-            for row in self.curvature_forms
-        ]
+        """R(_,_) K: wedge the curvature 2-form into the form slot, component
+        b accumulating R^b_j ^ K_j over j."""
+        comps = []
+        for row in self.curvature_forms:
+            terms = {}
+            for block, comp in zip(row, vvform.components):
+                _wedge_into(terms, block.terms, comp.terms)
+            comps.append(Form._raw(self.field, terms))
         degree = min(vvform.degree + 2, self.dim)
         return VectorValuedForm(self.field, comps, degree=degree)
 
     # -- covariant calculus -----------------------------------------------
 
-    def connection_twist(self, coeffs) -> tuple[Form, ...]:
-        """T_i = sum_{j,k} Gamma^i_{jk} K_k ^ dx^j for n forms K_k of any degrees.
+    def twist_into(self, terms, coeffs, sign=1):
+        """Accumulate sign * T_i, sign 1 or -1, into the term dict terms[i],
+        where T_i = sum_{j,k} Gamma^i_{jk} K_k ^ dx^j for the n forms K_k of
+        coeffs, of any degrees.
 
-        It is algebraic: over the nabla basics a derivation's insertion
+        T is algebraic: over the nabla basics a derivation's insertion
         coefficients are its lie ones plus T of its even coefficients K.
+        Each term c dx^I of K_k adds c * Gamma^i_{jk} at the sorted I + j,
+        so no Form is built per addend.
         """
-        addends = [[] for _ in range(self.dim)]
-        for i, j, k, coeff in self.gamma_nonzero:
-            if not coeffs[k].is_zero:
-                dxj = Form.coordinate_diff(self.field, j)
-                addends[i].append(coeffs[k].wedge(dxj) * coeff)
-        return tuple(Form.sum(self.field, a) for a in addends)
+        for i, j, k, gamma in self.gamma_nonzero:
+            target = terms[i]
+            for idx, c in coeffs[k].terms.items():
+                merged = _merge_indices(idx, (j,))
+                if merged is not None:
+                    msign, midx = merged
+                    _accumulate(target, midx, c * gamma, msign * sign)
 
     def dnabla(self, vvform: VectorValuedForm) -> VectorValuedForm:
         """Exterior covariant derivative on vector-valued forms: dK + (-1)^k T(K).
@@ -368,16 +398,17 @@ class ChartGeometry:
         """
         if vvform.degree == self.dim:
             return VectorValuedForm(self.field, [Form.zero(self.field)] * self.dim, degree=self.dim)
-        twist = self.connection_twist(vvform.components)
-        odd = vvform.degree % 2
-        comps = [c.d() - t if odd else c.d() + t for c, t in zip(vvform.components, twist)]
+        # each d() is a fresh Form, so its terms take the twist in place
+        comps = [c.d() for c in vvform.components]
+        self.twist_into([c.terms for c in comps], vvform.components, -1 if vvform.degree % 2 else 1)
         return VectorValuedForm(self.field, comps, degree=vvform.degree + 1)
 
     def nabla_derivation(self, x: VectorValuedForm) -> Derivation:
         """The covariant derivative along a vector field X as a degree-0
         derivation: L_X - i_{T(X)}."""
-        kpart = x.components
-        return Derivation(self.field, kpart + tuple(-t for t in self.connection_twist(kpart)))
+        ins = [{} for _ in range(self.dim)]
+        self.twist_into(ins, x.components, -1)
+        return Derivation(self.field, x.components + tuple(Form._raw(self.field, t) for t in ins))
 
     def covariant_hessian(self, f: RationalFunction):
         """Hess_{ab} = d_a d_b f - Gamma^m_{ab} d_m f (symmetric)."""

@@ -79,8 +79,9 @@ def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str) -> tuple
     if basis == "lie":
         return coeffs
     even = coeffs[: geom.dim]
-    twist = geom.connection_twist(even)
-    return even + tuple(c + t for c, t in zip(coeffs[geom.dim :], twist))
+    ins = [dict(c.terms) for c in coeffs[geom.dim :]]
+    geom.twist_into(ins, even)
+    return even + tuple(Form._raw(geom.field, terms) for terms in ins)
 
 
 def components_by_degree(geom: ChartGeometry, derivation: Derivation):

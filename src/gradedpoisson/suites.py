@@ -505,14 +505,15 @@ def check_fastpath(ctx):
 def _kahler_chain_defect(ctx):
     chart = ctx.chart
     for f in ctx.functions:
-        evens = [-component for component in k_even(chart, f)]
-        if evens[0] != chart.classical_hamiltonian(f):
+        # k_even is seeded at -X_f, so it lists the renormalized K^{2i} negated
+        evens = k_even(chart, f)
+        if not evens[0].is_negation_of(chart.classical_hamiltonian(f)):
             return f"renormalized seed is not the classical field for f = {f}"
         odds = k_odd(chart, f)
         for i, odd in enumerate(odds):
+            # d^nabla is linear, so (-1)^{i+1} d^nabla K^{2i} = (-1)^i shift
             shift = chart.dnabla(evens[i])
-            want = -shift if i % 2 == 0 else shift
-            if odd != want:
+            if not (odd == shift if i % 2 == 0 else odd.is_negation_of(shift)):
                 return f"K^{2 * i + 1} != (-1)^{i + 1} d^nabla K^{2 * i} for f = {f}"
     return None
 
@@ -521,7 +522,7 @@ def _kahler_seed_defect(ctx):
     chart = ctx.chart
     for f in ctx.functions:
         seed = k_odd(chart, f)[0]
-        if seed != -chart.dnabla(chart.classical_hamiltonian(f)):
+        if not seed.is_negation_of(chart.dnabla(chart.classical_hamiltonian(f))):
             return f"K^1 + d^nabla X_f != 0 for f = {f}"
     return None
 

@@ -7,7 +7,9 @@ point, the Lie derivative of a form by Cartan's formula, a derivation's
 normal form L_K + i_{L'} and its action through Cartan's formula for K
 or as one Form per lie basic, the Lie bracket of vector fields, the
 lowered curvature tensor entry by entry and the closed-form even-even
-block as its double sum over Christoffel symbols, a graded 2-form's row
+block as its double sum over Christoffel symbols, the connection twist,
+an endomorphism's action, a bilinear pairing and the curvature's action
+on a vector-valued form as sums of one Form per addend, a graded 2-form's row
 contraction split into homogeneous parts with their Koszul signs, d^G of
 a graded 2-form by the graded Palais formula, the even symplectic form
 with the half applied to d^G lambda_g entry by entry, and d^G of a
@@ -307,6 +309,48 @@ def nabla_direction(chart, u: VectorValuedForm, x: VectorValuedForm) -> VectorVa
     return VectorValuedForm(chart.field, [insert_vector(c, u) for c in nx.components], degree=0)
 
 
+def connection_twist(chart, coeffs) -> tuple[Form, ...]:
+    """T_i = sum_{j,k} Gamma^i_{jk} K_k ^ dx^j for n forms K_k, one Form per
+    nonzero Gamma: K_k ^ dx^j scaled by the symbol, summed by Form.sum."""
+    addends = [[] for _ in range(chart.dim)]
+    for i, j, k, coeff in chart.gamma_nonzero:
+        if not coeffs[k].is_zero:
+            dxj = Form.coordinate_diff(chart.field, j)
+            addends[i].append(coeffs[k].wedge(dxj) * coeff)
+    return tuple(Form.sum(chart.field, a) for a in addends)
+
+
+def apply_endo_by_sum(chart, matrix, vvform: VectorValuedForm) -> VectorValuedForm:
+    """M K, component b the Form.sum of the scaled Forms K_k * M[b][k]."""
+    comps = [
+        Form.sum(
+            chart.field,
+            (c * e for c, e in zip(vvform.components, row) if not (c.is_zero or e.is_zero)),
+        )
+        for row in matrix
+    ]
+    return VectorValuedForm(chart.field, comps, degree=vvform.degree)
+
+
+def pair_by_sum(chart, matrix, left: VectorValuedForm, right: VectorValuedForm) -> Form:
+    """B(left, right) as the Form.sum of the Forms (l_a ^ r_b) * B[a][b]."""
+    terms = (
+        lc.wedge(rc) * coeff
+        for lc, row in zip(left.components, matrix) if not lc.is_zero
+        for rc, coeff in zip(right.components, row) if not (rc.is_zero or coeff.is_zero)
+    )
+    return Form.sum(chart.field, terms)
+
+
+def curvature_apply_by_sum(chart, vvform: VectorValuedForm) -> VectorValuedForm:
+    """R(_,_) K, component b the Form.sum of the Forms R^b_j ^ K_j."""
+    comps = [
+        Form.sum(chart.field, (block.wedge(comp) for block, comp in zip(row, vvform.components)))
+        for row in chart.curvature_forms
+    ]
+    return VectorValuedForm(chart.field, comps, degree=min(vvform.degree + 2, chart.dim))
+
+
 def per_basic_apply(derivation, form: Form) -> Form:
     """D(form) as sum_r c_r ^ form.lie_basic(r) over the lie basics, each
     product a Form of its own, summed by Form.sum."""
@@ -422,7 +466,7 @@ def dnabla_negating(chart, vvform: VectorValuedForm) -> VectorValuedForm:
     """dK + (-1)^k T(K), the sign applied by negating each twist component."""
     if vvform.degree == chart.dim:
         return VectorValuedForm(chart.field, [Form.zero(chart.field)] * chart.dim, degree=chart.dim)
-    twist = chart.connection_twist(vvform.components)
+    twist = connection_twist(chart, vvform.components)
     odd = vvform.degree % 2
     comps = [c.d() + (-t if odd else t) for c, t in zip(vvform.components, twist)]
     return VectorValuedForm(chart.field, comps, degree=vvform.degree + 1)

@@ -102,6 +102,24 @@ def test_insert_vvform_identity_counts_degree():
     assert Derivation.exterior(F)(Form.function(X) * 1) == DX
 
 
+@given(data=st.data())
+def test_vector_valued_negation_test_matches_negating(data):
+    # is_negation_of answers self == -other without building -other
+    degree = data.draw(st.integers(0, 2))
+    a, b = (
+        VectorValuedForm(F, [data.draw(forms(F, degree, quotients)) for _ in range(2)], degree=degree)
+        for _ in range(2)
+    )
+    for other in (a, -a, b, -b):
+        assert a.is_negation_of(other) == (a == -other)
+    # zero forms of every degree are equal, as under ==
+    zero = [VectorValuedForm(F, [Form.zero(F)] * 2, degree=d) for d in (0, 2)]
+    assert zero[0].is_negation_of(zero[1])
+    assert EX.is_negation_of(-EX)
+    # a form on another chart is never the negation
+    assert not EX.is_negation_of(-VectorValuedForm.basis(coordinate_field(("u", "v")), 0))
+
+
 def test_form_validation():
     with pytest.raises(ValueError):
         Form(F, {(1, 0): F.one})

@@ -19,10 +19,14 @@ from gradedpoisson.graded import theta_even_closed_lie
 from gradedpoisson.manifest import parse_manifest
 from gradedpoisson.scalars import coordinate_field
 from reference import (
+    apply_endo_by_sum,
     closed_alpha,
+    connection_twist,
+    curvature_apply_by_sum,
     insert_vector,
     j_apply,
     nabla_direction,
+    pair_by_sum,
     riemann4,
     scale_vector,
     vector_difference,
@@ -55,6 +59,28 @@ def polys(draw, field):
             term = term * field.gens[index]
         value = value + term
     return value
+
+
+@st.composite
+def mixed_forms(draw, field, degrees=None):
+    """A form whose terms have the given degrees (any when None), with
+    polynomial coefficients and quotients by 1 + x^2."""
+    dim = field.dimension
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.sampled_from(degrees)) if degrees else draw(st.integers(0, dim))
+        idx = sorted(draw(st.permutations(range(dim)))[:degree])
+        coeff = draw(polys(field))
+        if draw(st.booleans()):
+            coeff = coeff / (1 + field.gens[0] ** 2)
+        terms.append((idx, coeff))
+    return Form(field, terms)
+
+
+@st.composite
+def vvforms(draw, chart, degree):
+    comps = [draw(mixed_forms(chart.field, [degree])) for _ in range(chart.dim)]
+    return VectorValuedForm(chart.field, comps, degree=degree)
 
 
 def basis_fields(chart):
@@ -374,6 +400,67 @@ def test_top_degree_dnabla_matches_the_formula(name, data):
     out = ch.dnabla(vv)
     assert out.degree == ch.dim and out.is_zero
     assert list(out.components) == _dnabla_by_formula(ch, vv)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", ["sphere2", "tlift1q", "halfplane", "product"])
+@given(data=st.data())
+def test_twist_into_matches_the_per_symbol_wedges(name, sign, data):
+    # sign * T(K) accumulated term by term equals the Form.sum of one wedge
+    # K_k ^ dx^j scaled by Gamma^i_{jk} per nonzero symbol, into empty dicts
+    # and into dicts holding entries that the twist cancels
+    ch = TABLE_CHARTS[name]
+    coeffs = [data.draw(mixed_forms(ch.field)) for _ in range(ch.dim)]
+    twist = connection_twist(ch, coeffs)
+    start = [Form.zero(ch.field)] * ch.dim
+    if data.draw(st.booleans()):
+        kept = [data.draw(mixed_forms(ch.field)) for _ in range(ch.dim)]
+        start = [p - t if sign > 0 else p + t for p, t in zip(kept, twist)]
+    want = [s + t if sign > 0 else s - t for s, t in zip(start, twist)]
+    terms = [dict(s.terms) for s in start]
+    ch.twist_into(terms, coeffs, sign)
+    assert terms == [w.terms for w in want]
+
+
+@pytest.mark.parametrize("name", ["sphere2", "tlift1q", "halfplane", "product"])
+@given(data=st.data())
+def test_vector_slot_contractions_match_their_form_sums(name, data):
+    ch = TABLE_CHARTS[name]
+    degree = data.draw(st.integers(0, ch.dim))
+    left = data.draw(vvforms(ch, degree))
+    right = data.draw(vvforms(ch, data.draw(st.integers(0, ch.dim))))
+    for matrix in (ch.g, ch.w, ch.j_inv, ch.lam):
+        assert ch.apply_endo(matrix, left) == apply_endo_by_sum(ch, matrix, left)
+        assert ch.pair(matrix, left, right) == pair_by_sum(ch, matrix, left, right)
+    assert ch.curvature_apply(left) == curvature_apply_by_sum(ch, left)
+
+
+def test_twist_and_contractions_build_no_form_per_addend(monkeypatch):
+    # twist_into, dnabla, nabla_derivation, apply_endo, pair and
+    # curvature_apply accumulate into term dicts: no Form is wedged, scaled
+    # or summed on the way
+    ch = PRODUCT
+    field = ch.field
+    x, y, u, v = field.gens
+    dx = [Form.coordinate_diff(field, i) for i in range(4)]
+    one = VectorValuedForm(field, [dx[0] * x, dx[1] * (y / v), dx[2] * u, dx[3]], degree=1)
+    vec = VectorValuedForm(field, [x * y, u, field.one, v], degree=0)
+    # the curvature tables are built once per chart, before the watch
+    ch.curvature_forms
+
+    def forbidden(*args):
+        raise AssertionError("a Form was built per addend")
+
+    for name in ("wedge", "__mul__", "sum"):
+        monkeypatch.setattr(Form, name, forbidden)
+    terms = [{} for _ in range(4)]
+    ch.twist_into(terms, one.components, -1)
+    assert any(terms)
+    assert not ch.dnabla(one).is_zero
+    assert not ch.nabla_derivation(vec).is_zero
+    assert not ch.apply_endo(ch.j_inv, one).is_zero
+    assert not ch.pair(ch.g, one, vec).is_zero
+    assert not ch.curvature_apply(vec).is_zero
 
 
 def test_classical_hamiltonian_examples():
