@@ -206,22 +206,22 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
 
 def _chain(chart: ChartGeometry, seed: VectorValuedForm, sign: int) -> list[VectorValuedForm]:
     """seed, then each term sign * J^{-1}(R(_,_) K) of the one before, up to
-    the top degree."""
+    the top degree; apply_endo carries the sign, so no step is negated."""
     seq = [seed]
     for _ in range(seed.degree + 2, chart.dim + 1, 2):
-        step = chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]))
-        seq.append(step if sign > 0 else -step)
+        seq.append(chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]), sign))
     return seq
 
 
 def k_even(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     """Even lie coefficients of the Hamiltonian derivation of a function.
 
-    Seeded at minus the classical Hamiltonian field (the solver's sign);
-    each step applies the curvature 2-form to the vector slot, then the
-    inverse of the metric-symplectic endomorphism, and negates.
+    Seeded at minus the classical Hamiltonian field (the solver's sign),
+    -X_f = omega^{-1} . grad f since lam = -omega^{-1}; each step applies
+    the curvature 2-form to the vector slot, then minus the inverse of the
+    metric-symplectic endomorphism.
     """
-    return _chain(chart, -chart.classical_hamiltonian(f), -1)
+    return _chain(chart, chart.apply_endo(chart.w_inv, chart.gradient(f)), -1)
 
 
 def k_odd(chart: ChartGeometry, f) -> list[VectorValuedForm]:

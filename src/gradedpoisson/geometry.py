@@ -112,6 +112,24 @@ def christoffel(g_inv, first, field: ScalarField):
     return tuple(tuple(raised[j][i] for j in rng) for i in rng)
 
 
+def compatibility_tensor(field: ScalarField, l_tensor):
+    """The slabs L[a][j][k] = L(e_a; e_j, e_k) as scalars of field, checked
+    antisymmetric in the last two slots."""
+    l_tensor = tuple(tuple(tuple(field.wrap(e) for e in row) for row in slab) for slab in l_tensor)
+    rng = range(field.dimension)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                if l_tensor[i][j][k] != -l_tensor[i][k][j]:
+                    raise ChartError(f"compatibility tensor entry ({i},{j},{k}) breaks antisymmetry")
+    return l_tensor
+
+
+def l_slice(field: ScalarField, slab) -> Form:
+    """The 2-form L(e_a; _, _) of one slab L[a] of a compatibility tensor."""
+    return Form(field, {(j, k): slab[j][k] for j, k in combinations(range(field.dimension), 2)})
+
+
 class ChartGeometry:
     """A chart with compatible exact pseudoriemannian and symplectic data."""
 
@@ -156,19 +174,7 @@ class ChartGeometry:
         if not d_omega.is_zero:
             raise ChartError(f"symplectic form is not closed: d(omega) = {d_omega}")
 
-        if l_tensor is not None:
-            l_tensor = tuple(
-                tuple(tuple(field.wrap(e) for e in row) for row in slab)
-                for slab in l_tensor
-            )
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
-                        if l_tensor[i][j][k] != -l_tensor[i][k][j]:
-                            raise ChartError(
-                                f"compatibility tensor entry ({i},{j},{k}) breaks antisymmetry"
-                            )
-        self.l_tensor = l_tensor
+        self.l_tensor = None if l_tensor is None else compatibility_tensor(field, l_tensor)
 
         # bivector normalized so that {f,h} = lam^{ab} d_a f d_b h
         self.lam = tuple(tuple(-e for e in row) for row in self.w_inv)
@@ -330,9 +336,9 @@ class ChartGeometry:
         ]
         return VectorValuedForm(self.field, comps, degree=1)
 
-    def apply_endo(self, matrix, vvform: VectorValuedForm) -> VectorValuedForm:
-        """Apply an endomorphism matrix to the vector slot, componentwise:
-        component b accumulates c * M[b][k] over the terms c of K_k."""
+    def apply_endo(self, matrix, vvform: VectorValuedForm, sign=1) -> VectorValuedForm:
+        """Apply sign * M, sign 1 or -1, to the vector slot, componentwise:
+        component b accumulates sign * c * M[b][k] over the terms c of K_k."""
         comps = []
         for row in matrix:
             terms = {}
@@ -340,7 +346,7 @@ class ChartGeometry:
                 if entry.is_zero:
                     continue
                 for idx, c in comp.terms.items():
-                    _accumulate(terms, idx, c * entry)
+                    _accumulate(terms, idx, c * entry, sign)
             comps.append(Form._raw(self.field, terms))
         return VectorValuedForm(self.field, comps, degree=vvform.degree)
 
@@ -425,24 +431,18 @@ class ChartGeometry:
 
     # -- classical mechanics -----------------------------------------------
 
+    def gradient(self, f: RationalFunction) -> VectorValuedForm:
+        """The partials d_b f of a function as a degree-0 vector-valued form."""
+        f = self.field.wrap(f)
+        return VectorValuedForm(self.field, [f.partial(b) for b in range(self.dim)], degree=0)
+
     def classical_hamiltonian(self, f: RationalFunction) -> VectorValuedForm:
         """The vector field X_f = lam . grad f, so that i_{X_f} omega = df."""
-        f = self.field.wrap(f)
-        grad = VectorValuedForm(self.field, [f.partial(b) for b in range(self.dim)], degree=0)
-        return self.apply_endo(self.lam, grad)
+        return self.apply_endo(self.lam, self.gradient(f))
 
     def classical_poisson(self, f, h) -> RationalFunction:
         x_f, x_h = self.classical_hamiltonian(f), self.classical_hamiltonian(h)
         return self.pair(self.w, x_f, x_h).scalar_part()
-
-    # -- compatibility tensor ----------------------------------------------
-
-    def l_slice(self, a: int) -> Form:
-        """The 2-form L(e_a; _, _) of the coordinate field e_a."""
-        if self.l_tensor is None:
-            raise ChartError(f"chart {self.name} has no compatibility tensor")
-        slab = self.l_tensor[a]
-        return Form(self.field, {(j, k): slab[j][k] for j, k in combinations(range(self.dim), 2)})
 
     def __repr__(self):
         return f"ChartGeometry({self.name!r}, dim={self.dim})"

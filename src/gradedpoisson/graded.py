@@ -29,29 +29,41 @@ the nabla basis these commutators are curvature terms, so tabulations
 there are converted with convert_one / convert_two first.
 
 The lie basics also act in closed form (Form.lie_basic), which dG_function
-and dG_one use instead of the generic Derivation action. convert_two
-decomposes each target basic over the source basics once and contracts
-each (source, target) row once, so every entry is one accumulated sum of
-wedges.
+and _dG_entry, the one d^G entry that dG_one and theta_even share, use
+instead of the generic Derivation action. convert_two decomposes each
+target basic over the source basics once and contracts each (source,
+target) row once, so every entry is one accumulated sum of wedges.
 
 lieG_two takes L^G_D as a derivation of the pairing, so it needs only the
 2n commutators [D, E_r]. No [E_r, E_s] enters: in the Cartan formula its
 terms cancel between d^G iota_D theta and iota_D d^G theta.
 
+The even symplectic form Theta_{omega,g} = Theta_omega + (1/2) d^G lambda_g
+is one tabulation: each entry is omega_rs plus the d^G entry of the halved
+lambda_g on the even-even block, and the d^G entry elsewhere, so neither
+addend is tabulated on its own. With a compatibility tensor L the potential
+gains l_L = L(e_a; _, _) on the slots L_a, and d^G is linear, so
+Theta_{omega,g,L} = Theta_{omega,g} + (1/2) d^G l_L is tabulated once more
+as a correction to the chart's cached Theta_{omega,g}, on the same chart.
+Every table is still one GradedTwoForm, so graded antisymmetry and parity
+are checked on every entry of the form that is used, once.
+
 The stored weight is the second component of the bidegree: the value
 <E_r, E_s> has the parity of weight + |E_r| + |E_s| (weight + |E_r| for a
-1-form). Sums of tabulated forms can mix representatives that agree mod 2
-(the even symplectic form is such a sum), so validation is parity-only and
-the stored integer is a conventional representative.
+1-form). A tabulation may mix representatives that agree mod 2 (the even
+symplectic form adds omega, of weight 0, to d^G lambda_g, of weight 2), so
+validation is parity-only and the stored integer is a conventional
+representative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .forms import Derivation, Form, VectorValuedForm, _accumulate, _wedge_into
-from .geometry import ChartGeometry, dot, matrix_inverse
+from .geometry import ChartGeometry, compatibility_tensor, dot, l_slice, matrix_inverse
 from .scalars import RationalFunction
 
 
@@ -160,14 +172,6 @@ class GradedOneForm:
         return "GradedOneForm(" + "; ".join(rows) + ")"
 
 
-def _merge_weights(a, b):
-    if a is None or b is None:
-        return None
-    if (a - b) % 2:
-        raise ValueError(f"weights {a} and {b} have different parity")
-    return a
-
-
 class GradedTwoForm:
     """A graded 2-form tabulated on ordered pairs of basics:
     blocks[r][s] = <E_r, E_s>.
@@ -205,24 +209,6 @@ class GradedTwoForm:
     @property
     def is_zero(self) -> bool:
         return all(v.is_zero for row in self.blocks for v in row)
-
-    def __add__(self, other):
-        if not isinstance(other, GradedTwoForm):
-            return NotImplemented
-        if other.geom is not self.geom or other.basis != self.basis:
-            raise ValueError("graded 2-forms live on different tabulations")
-        if self.is_zero:
-            weight = other.weight
-        elif other.is_zero:
-            weight = self.weight
-        else:
-            weight = _merge_weights(self.weight, other.weight)
-        return GradedTwoForm(
-            self.geom,
-            self.basis,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.blocks, other.blocks)],
-            weight,
-        )
 
     def __eq__(self, other):
         if not isinstance(other, GradedTwoForm):
@@ -336,24 +322,22 @@ def _require_lie(basis: str, name: str) -> None:
         )
 
 
-def dG_one(lam: GradedOneForm) -> GradedTwoForm:
-    """d^G of a graded 1-form tabulated in the lie basis.
+def _dG_entry(values, dim: int, r: int, s: int) -> Form:
+    """<E_r, E_s; d^G lam> from the values of lam on the lie basics.
 
     <D1, D2; dG lam> = D1<D2; lam> - (-1)^{|D1||D2|} D2<D1; lam>
                        - <[D1, D2]; lam>
-    evaluated on all basic pairs. The lie basics commute, so the bracket
-    term is zero on every pair and is not computed.
+    on a pair of lie basics, which commute, so the bracket term is zero and
+    is not computed.
     """
+    first, second = values[s].lie_basic(r), values[r].lie_basic(s)
+    return first + second if r >= dim and s >= dim else first - second
+
+
+def dG_one(lam: GradedOneForm) -> GradedTwoForm:
+    """d^G of a graded 1-form tabulated in the lie basis."""
     _require_lie(lam.basis, "dG_one")
-    geom = lam.geom
-    dim = geom.dim
-    values = lam.values
-
-    def entry(r, s):
-        first, second = values[s].lie_basic(r), values[r].lie_basic(s)
-        return first + second if r >= dim and s >= dim else first - second
-
-    return tabulate_two(geom, "lie", entry, lam.weight)
+    return tabulate_two(lam.geom, "lie", partial(_dG_entry, lam.values, lam.geom.dim), lam.weight)
 
 
 # -- graded Lie derivative -----------------------------------------------------
@@ -431,16 +415,10 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
 # -- builders -------------------------------------------------------------------
 
 
-def lambda_metric(geom: ChartGeometry, include_l: bool = False) -> GradedOneForm:
-    """The graded 1-form with <i_a> = g(e_a, _) and <L_a> = d g(e_a, _), plus
-    the compatibility-tensor slice L(e_a; _, _) on the Lie slot when requested."""
+def lambda_metric(geom: ChartGeometry) -> GradedOneForm:
+    """The graded 1-form with <i_a> = g(e_a, _) and <L_a> = d g(e_a, _)."""
     flats = list(geom.endo_form(geom.g).components)
-    on_even = [v.d() for v in flats]
-    if include_l:
-        if geom.l_tensor is None:
-            raise ValueError(f"chart {geom.name} has no compatibility tensor")
-        on_even = [v + geom.l_slice(a) for a, v in enumerate(on_even)]
-    return GradedOneForm(geom, "lie", on_even + flats, 2)
+    return GradedOneForm(geom, "lie", [v.d() for v in flats] + flats, 2)
 
 
 def lambda_omega(geom: ChartGeometry) -> GradedOneForm:
@@ -449,34 +427,46 @@ def lambda_omega(geom: ChartGeometry) -> GradedOneForm:
     return GradedOneForm(geom, "lie", on_even + [Form.zero(geom.field)] * geom.dim, -1)
 
 
-def theta_omega(geom: ChartGeometry) -> GradedTwoForm:
-    """The naive lift of omega, in the lie basis: <D1, D2> = omega on the
-    even-even block only."""
-    dim = geom.dim
-    zero = Form.zero(geom.field)
-
-    def entry(r, s):
-        return Form.function(geom.w[r][s]) if s < dim else zero
-
-    return tabulate_two(geom, "lie", entry, 0)
-
-
-def theta_even(geom: ChartGeometry, variant: str = "omega_g") -> GradedTwoForm:
+def theta_even(geom: ChartGeometry, l_tensor=None) -> GradedTwoForm:
     """The even symplectic form, built from its definition, in the lie basis.
 
-    variant "omega_g" adds half the exact correction from the metric
-    potential to the naive lift of omega; "omega_g_l" uses the potential
-    with the compatibility tensor included.
+    Without l_tensor this is Theta_{omega,g} = Theta_omega + (1/2) d^G
+    lambda_g, the naive lift of omega (omega on the even-even block) plus
+    half the exact correction from the metric potential, in one tabulation:
+    each entry is omega_rs plus the d^G entry of the halved lambda_g, in
+    that order. The half goes on the potential: d^G is linear over
+    constants, so d^G(lambda_g / 2) = (d^G lambda_g) / 2, and halving the 2n
+    values of lambda_g costs less than halving the 4n^2 entries of its d^G.
 
-    The half goes on the potential: d^G is linear over constants, so
-    d^G(lambda_g / 2) = (d^G lambda_g) / 2, and halving the 2n values of
-    lambda_g costs less than halving the 4n^2 entries of its d^G.
+    With a compatibility tensor L (slabs L[a][j][k] = L(e_a; e_j, e_k)), the
+    potential gains l_L, L(e_a; _, _) on the slot L_a and zero on the
+    insertions. d^G is linear, so Theta_{omega,g,L} = Theta_{omega,g} +
+    (1/2) d^G l_L: each entry is the chart's cached Theta_{omega,g} entry
+    plus the d^G entry of the halved l_L, and no chart is built for L.
+
+    Either way the result is one full GradedTwoForm, validated entry by
+    entry like any other tabulation, so no check is skipped.
     """
-    if variant not in ("omega_g", "omega_g_l"):
-        raise ValueError(f"unknown variant {variant!r}")
-    lam = lambda_metric(geom, include_l=(variant == "omega_g_l"))
-    halved = GradedOneForm(geom, "lie", [v * Fraction(1, 2) for v in lam.values], lam.weight)
-    return theta_omega(geom) + dG_one(halved)
+    dim = geom.dim
+    if l_tensor is None:
+        halved = [v * Fraction(1, 2) for v in lambda_metric(geom).values]
+
+        def entry(r, s):
+            exact = _dG_entry(halved, dim, r, s)
+            return Form.function(geom.w[r][s]) + exact if s < dim else exact
+
+        return tabulate_two(geom, "lie", entry, 0)
+
+    base = theta_even_cached(geom, "lie")
+    halved = [
+        l_slice(geom.field, slab) * Fraction(1, 2)
+        for slab in compatibility_tensor(geom.field, l_tensor)
+    ] + [Form.zero(geom.field)] * dim
+
+    def corrected(r, s):
+        return base.blocks[r][s] + _dG_entry(halved, dim, r, s)
+
+    return tabulate_two(geom, "lie", corrected, base.weight)
 
 
 def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:
@@ -569,7 +559,7 @@ def theta_ks_closed(geom: ChartGeometry) -> GradedTwoForm:
 
 
 def theta_even_cached(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:
-    """theta_even (variant omega_g) memoized per chart; builds the lie tabulation once."""
+    """Theta_{omega,g} memoized per chart; builds the lie tabulation once."""
     lie = geom.cached(("theta_even", "lie"), lambda: theta_even(geom))
     return geom.cached(("theta_even", basis), lambda: convert_two(lie, basis))
 

@@ -225,11 +225,21 @@ def check_poisson_extension(ctx):
 # -- theorem checks ------------------------------------------------------------------
 
 
+def _exterior_insertion(chart):
+    """(iota_d Theta_{omega,g}, lambda_omega), built once per chart: the
+    exterior-insertion check and the L = 0 step of the tensor
+    characterization compare the same pair."""
+
+    def build():
+        got = iota(Derivation.exterior(chart.field), theta_even_cached(chart, "lie"))
+        return got, lambda_omega(chart)
+
+    return chart.cached("exterior_insertion", build)
+
+
 def check_exterior_insertion(ctx):
     chart = ctx.chart
-    theta = theta_even_cached(chart, "lie")
-    got = iota(Derivation.exterior(chart.field), theta)
-    want = lambda_omega(chart)
+    got, want = _exterior_insertion(chart)
     if got == want:
         return True, None
     coords = chart.field.coords
@@ -274,28 +284,16 @@ def _l_samples(chart):
     return out
 
 
-def _with_l(chart, rows, tag):
-    return ChartGeometry(
-        f"{chart.name}+{tag}",
-        chart.field.coords,
-        chart.g,
-        chart.w,
-        l_tensor=rows,
-        kahler_expected=None,
-        canonical_j=chart.canonical_j,
-    )
-
-
 def check_tensor_insertion_characterization(ctx):
     chart = ctx.chart
-    d_op = Derivation.exterior(chart.field)
-    base = iota(d_op, theta_even_cached(chart, "lie"))
-    if base != lambda_omega(chart):
+    base, want = _exterior_insertion(chart)
+    if base != want:
         return False, "the tensor-free form already misses the odd potential"
+    d_op = Derivation.exterior(chart.field)
     for index, rows in enumerate(_l_samples(chart)):
-        tensored = _with_l(chart, rows, f"L{index}")
-        got = iota(d_op, theta_even(tensored, "omega_g_l"))
-        if got == lambda_omega(tensored):
+        # Theta_{omega,g,L} on this chart: lambda_omega does not depend on L
+        got = iota(d_op, theta_even(chart, rows))
+        if got == want:
             return False, (
                 f"nonzero sample {index} with L(e_1; e_1, e_2) = "
                 f"{rows[0][0][1]} left the insertion unchanged"
@@ -368,7 +366,7 @@ def check_nabla_j_symmetry(ctx):
 def check_locally_hamiltonian(ctx):
     chart = ctx.chart
     if chart.l_tensor is not None:
-        theta = theta_even(chart, "omega_g_l")
+        theta = theta_even(chart, chart.l_tensor)
     else:
         theta = theta_even_cached(chart, "lie")
     value = lieG_two(Derivation.insertion(chart.endo_form(chart.j_matrix)), theta)

@@ -11,12 +11,14 @@ block as its double sum over Christoffel symbols, the connection twist,
 an endomorphism's action, a bilinear pairing and the curvature's action
 on a vector-valued form as sums of one Form per addend, a graded 2-form's row
 contraction split into homogeneous parts with their Koszul signs, d^G of
-a graded 2-form by the graded Palais formula, the even symplectic form
-with the half applied to d^G lambda_g entry by entry, and d^G of a
-graded 1-form, the graded Lie derivative of a graded 2-form and the
-exterior covariant derivative with every sign applied by negating a whole
-Form. Kept outside the package, they stay independent oracles for what
-the package does.
+a graded 2-form by the graded Palais formula, the naive lift of omega,
+the even symplectic form (with or without a compatibility tensor) as the
+sum of two full tabulations and with the half applied to d^G lambda_g
+entry by entry, d^G of a graded 1-form, the graded Lie derivative of a
+graded 2-form and the exterior covariant derivative with every sign
+applied by negating a whole Form, and the even recursion chain with its
+seed and every step negated as a whole vector-valued form. Kept outside
+the package, they stay independent oracles for what the package does.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracField
 
 from gradedpoisson.forms import Form, VectorValuedForm
+from gradedpoisson.geometry import l_slice
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -40,7 +43,6 @@ from gradedpoisson.graded import (
     iota,
     lambda_metric,
     tabulate_two,
-    theta_omega,
 )
 
 
@@ -415,11 +417,45 @@ def lieG_one(derivation, lam: GradedOneForm) -> GradedOneForm:
     return GradedOneForm(lam.geom, "lie", values, cartan.weight)
 
 
-def theta_even_entrywise(geom, variant: str = "omega_g") -> GradedTwoForm:
-    """theta_omega + (1/2) d^G lambda_g, the half taken on each of the 4n^2
-    entries of d^G lambda_g after it is tabulated."""
-    lam = lambda_metric(geom, include_l=(variant == "omega_g_l"))
-    exact = dG_one(lam).blocks
+def theta_omega(geom) -> GradedTwoForm:
+    """The naive lift of omega, in the lie basis: <D1, D2> = omega on the
+    even-even block only."""
+    dim = geom.dim
+    zero = Form.zero(geom.field)
+
+    def entry(r, s):
+        return Form.function(geom.w[r][s]) if s < dim else zero
+
+    return tabulate_two(geom, "lie", entry, 0)
+
+
+def metric_potential(geom, l_tensor=None) -> GradedOneForm:
+    """lambda_g, plus l_L = L(e_a; _, _) on each slot L_a for a compatibility
+    tensor L given by its slabs L[a][j][k]."""
+    lam = lambda_metric(geom)
+    if l_tensor is None:
+        return lam
+    dim = geom.dim
+    on_even = [v + l_slice(geom.field, slab) for v, slab in zip(lam.values, l_tensor)]
+    return GradedOneForm(geom, "lie", on_even + list(lam.values[dim:]), lam.weight)
+
+
+def theta_even_two_tables(geom, l_tensor=None) -> GradedTwoForm:
+    """theta_omega + d^G((lambda_g + l_L) / 2), the two tables tabulated in
+    full and added entry by entry."""
+    lam = metric_potential(geom, l_tensor)
+    halved = GradedOneForm(geom, "lie", [v * Fraction(1, 2) for v in lam.values], lam.weight)
+    blocks = [
+        [w + e for w, e in zip(w_row, e_row)]
+        for w_row, e_row in zip(theta_omega(geom).blocks, dG_one(halved).blocks)
+    ]
+    return GradedTwoForm(geom, "lie", blocks, 0)
+
+
+def theta_even_entrywise(geom, l_tensor=None) -> GradedTwoForm:
+    """theta_omega + (1/2) d^G (lambda_g + l_L), the half taken on each of the
+    4n^2 entries of d^G after it is tabulated."""
+    exact = dG_one(metric_potential(geom, l_tensor)).blocks
     blocks = [
         [w + e * Fraction(1, 2) for w, e in zip(w_row, e_row)]
         for w_row, e_row in zip(theta_omega(geom).blocks, exact)
@@ -470,3 +506,19 @@ def dnabla_negating(chart, vvform: VectorValuedForm) -> VectorValuedForm:
     odd = vvform.degree % 2
     comps = [c.d() + (-t if odd else t) for c, t in zip(vvform.components, twist)]
     return VectorValuedForm(chart.field, comps, degree=vvform.degree + 1)
+
+
+def k_even_negating(chart, f) -> list[VectorValuedForm]:
+    """K^0, K^2, ... of D_f: seeded at -X_f, the negation of the classical
+    Hamiltonian field, and each step J^{-1}(R(_,_) K) negated as a whole."""
+    return chain_negating(chart, -chart.classical_hamiltonian(f), -1)
+
+
+def chain_negating(chart, seed: VectorValuedForm, sign: int) -> list[VectorValuedForm]:
+    """seed, then each sign * J^{-1}(R(_,_) K), the sign applied by negating
+    the step."""
+    seq = [seed]
+    for _ in range(seed.degree + 2, chart.dim + 1, 2):
+        step = chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]))
+        seq.append(step if sign > 0 else -step)
+    return seq

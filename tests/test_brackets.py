@@ -27,10 +27,10 @@ from gradedpoisson.graded import (
     theta_even_cached,
     theta_even_closed_nabla,
     theta_ks_cached,
-    theta_omega,
 )
 from gradedpoisson.exprparse import parse_form_expr
 from gradedpoisson.manifest import parse_manifest
+from reference import chain_negating, k_even_negating, theta_omega
 from test_geometry import PRODUCT
 
 FLAT2 = builtin_chart("flat2")
@@ -428,6 +428,37 @@ def test_displayed_even_chain_is_the_negated_solver_chain(chart):
         assert displayed == [-k for k in k_even(chart, f)]
 
 
+@pytest.mark.parametrize("chart", [SPHERE, builtin_chart("flat4"), PRODUCT], ids=["sphere2", "flat4", "product"])
+def test_even_chain_negates_no_vector_valued_form(chart, monkeypatch):
+    # apply_endo carries the chain's sign, and k_even seeds at
+    # omega^-1 . grad f, which is -X_f: the values are those of the formulas
+    # that negate the seed and every step, and no vector-valued form is negated
+    x, y = chart.field.gens[:2]
+    functions = (x * y, x**2 + chart.field.gens[-1])
+    kinds = ("ff", "f_dh", "df_dh")
+    with monkeypatch.context() as patch:
+        patch.setattr(brackets, "_chain", chain_negating)
+        want = (
+            [k_even_negating(chart, f) for f in functions],
+            [bracket_fastpath(kind, f, y, chart) for f in functions for kind in kinds],
+        )
+
+    negations = []
+    negate = VectorValuedForm.__neg__
+
+    def counting(self):
+        negations.append(self)
+        return negate(self)
+
+    monkeypatch.setattr(VectorValuedForm, "__neg__", counting)
+    got = (
+        [k_even(chart, f) for f in functions],
+        [bracket_fastpath(kind, f, y, chart) for f in functions for kind in kinds],
+    )
+    assert negations == []
+    assert got == want
+
+
 # -- odd bracket ------------------------------------------------------------------
 
 
@@ -569,7 +600,7 @@ def test_equal_graded_two_forms_hash_equal():
     cached = theta_even_cached(chart, "nabla")
     for other in (
         theta_even_closed_nabla(chart),
-        convert_two(theta_even(chart, "omega_g"), "nabla"),
+        convert_two(theta_even(chart), "nabla"),
     ):
         assert other is not cached
         assert other == cached

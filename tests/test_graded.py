@@ -1,13 +1,14 @@
 """Tabulated graded forms: evaluation engine, d^G, Cartan calculus."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gradedpoisson.forms import Derivation, Form, VectorValuedForm
 from gradedpoisson import graded, suites
-from gradedpoisson.geometry import ChartGeometry, builtin_chart, builtin_names
+from gradedpoisson.geometry import ChartGeometry, builtin_chart, builtin_names, l_slice
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -25,11 +26,11 @@ from gradedpoisson.graded import (
     scalar_block_det,
     tabulate_two,
     theta_even,
+    theta_even_cached,
     theta_even_closed_lie,
     theta_even_closed_nabla,
     theta_ks,
     theta_ks_closed,
-    theta_omega,
 )
 from reference import (
     dG_one_negating,
@@ -40,6 +41,8 @@ from reference import (
     lieG_one,
     lieG_two_negating,
     theta_even_entrywise,
+    theta_even_two_tables,
+    theta_omega,
 )
 
 FLAT2 = builtin_chart("flat2")
@@ -92,7 +95,7 @@ def homogeneous_derivations(draw, field):
 
 
 def test_first_slot_coefficient_pulls_out():
-    theta = theta_even(HALF, "omega_g")
+    theta = theta_even(HALF)
     f = HALF.field
     beta = Form(f, {(0,): f.coordinate("x")})
     scaled = Derivation.insertion(
@@ -107,7 +110,7 @@ def test_first_slot_coefficient_pulls_out():
 
 @given(forms(HALF.field))
 def test_second_slot_coefficient_brings_koszul_sign(beta):
-    theta = theta_even(HALF, "omega_g")
+    theta = theta_even(HALF)
     f = HALF.field
     scaled = Derivation.insertion(VectorValuedForm(f, [Form.zero(f), beta]))
     basic = basics(HALF, "lie")
@@ -126,7 +129,7 @@ def test_second_slot_coefficient_brings_koszul_sign(beta):
 def test_eval_two_graded_antisymmetry(d1, d2):
     if d1.is_zero or d2.is_zero:
         return
-    theta = theta_even(FLAT2, "omega_g")
+    theta = theta_even(FLAT2)
     p1, p2 = d1.degree % 2, d2.degree % 2
     lhs = eval_two(theta, d1, d2)
     rhs = eval_two(theta, d2, d1)
@@ -214,7 +217,7 @@ def test_exact_two_forms_are_closed(chart):
 
 @pytest.mark.parametrize("chart", [FLAT2, HALF, SPHERE])
 def test_even_symplectic_form_is_closed(chart):
-    theta = theta_even(chart, "omega_g")
+    theta = theta_even(chart)
     basic = basics(chart, "lie")
     for d1 in basic:
         for d2 in basic:
@@ -227,7 +230,7 @@ def test_even_symplectic_form_is_closed(chart):
 
 @pytest.mark.parametrize("chart", [FLAT2, HALF, SPHERE])
 def test_construction_paths_agree(chart):
-    th_def = theta_even(chart, "omega_g")
+    th_def = theta_even(chart)
     assert th_def == theta_even_closed_lie(chart)
     assert convert_two(th_def, "nabla") == theta_even_closed_nabla(chart)
 
@@ -240,13 +243,71 @@ def test_half_on_the_potential_matches_the_half_on_its_d_G(name):
 
 def test_half_on_the_potential_matches_with_a_tensor():
     chart = _flat4_with_l({(0, 0, 2): 1, (1, 2, 3): -2}, "flat4_mixed")
-    assert theta_even(chart, "omega_g_l") == theta_even_entrywise(chart, "omega_g_l")
+    assert theta_even(chart, chart.l_tensor) == theta_even_entrywise(chart, chart.l_tensor)
+
+
+ONE_TABLE_CHARTS = {name: builtin_chart(name) for name in ("sphere2", "halfplane", "tlift1q", "flat4")}
+
+
+@given(st.sampled_from(sorted(ONE_TABLE_CHARTS)), st.sampled_from([None, 0, 1, 2]))
+def test_one_tabulation_matches_the_sum_of_two_tables(name, sample):
+    # Theta_{omega,g} in one tabulation, and Theta_{omega,g,L} for the
+    # tensor check's L samples as a correction to it, equal theta_omega plus
+    # the full table d^G((lambda_g + l_L) / 2)
+    chart = ONE_TABLE_CHARTS[name]
+    l_tensor = None if sample is None else suites._l_samples(chart)[sample]
+    assert theta_even(chart, l_tensor) == theta_even_two_tables(chart, l_tensor)
+
+
+@st.composite
+def antisymmetric_tensors(draw, field):
+    dim = field.dimension
+    rows = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for slab in rows:
+        for j, k in combinations(range(dim), 2):
+            value = draw(polys(field))
+            slab[j][k], slab[k][j] = value, -value
+    return rows
+
+
+@given(antisymmetric_tensors(ONE_TABLE_CHARTS["flat4"].field))
+def test_tensor_correction_matches_the_sum_of_two_tables(rows):
+    chart = ONE_TABLE_CHARTS["flat4"]
+    assert theta_even(chart, rows) == theta_even_two_tables(chart, rows)
+
+
+def test_even_symplectic_form_is_one_tabulation(monkeypatch):
+    # no table for theta_omega or d^G lambda_g on its own, and with a tensor
+    # one table on top of the chart's cached Theta_{omega,g}
+    built = []
+    init = GradedTwoForm.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(GradedTwoForm, "__init__", counting)
+    chart = builtin_chart("sphere2")
+    theta_even(chart)
+    assert len(built) == 1
+    theta_even_cached(chart, "lie")
+    built.clear()
+    theta_even(chart, suites._l_samples(chart)[1])
+    assert len(built) == 1
+
+
+def test_tensor_correction_checks_the_tensor():
+    chart = builtin_chart("flat2")
+    one, zero = chart.field.one, chart.field.zero
+    rows = [[[zero, one], [one, zero]], [[zero, zero], [zero, zero]]]
+    with pytest.raises(ValueError, match="compatibility tensor entry \\(0,0,1\\) breaks antisymmetry"):
+        theta_even(chart, rows)
 
 
 def test_halfplane_covariant_block_value():
     f = HALF.field
     y = f.coordinate("y")
-    th = convert_two(theta_even(HALF, "omega_g"), "nabla")
+    th = convert_two(theta_even(HALF), "nabla")
     want = Form.function(1 / (y * y)) + Form(f, {(0, 1): 1 / y**4})
     dim = HALF.dim
     assert th.blocks[0][1] == want
@@ -261,13 +322,13 @@ def test_odd_symplectic_blocks(chart):
 
 @pytest.mark.parametrize("chart", [FLAT2, HALF, SPHERE])
 def test_scalar_block_determinant(chart):
-    theta = theta_even(chart, "omega_g")
+    theta = theta_even(chart)
     assert scalar_block_det(theta) == chart.det_w * chart.det_g
     assert not scalar_block_det(theta).is_zero
 
 
 def test_basis_conversion_round_trip():
-    theta = theta_even(HALF, "omega_g")
+    theta = theta_even(HALF)
     assert convert_two(convert_two(theta, "nabla"), "lie") == theta
     lam = lambda_metric(HALF)
     assert convert_one(convert_one(lam, "nabla"), "lie") == lam
@@ -281,7 +342,7 @@ def test_equal_graded_forms_hash_equal():
     assert len({lam, rebuilt}) == 1
     x = FLAT2.field.coordinate("x")
     assert hash(dG_function(FLAT2, x)) == hash(dG_function(FLAT2, x))
-    theta = theta_even(HALF, "omega_g")
+    theta = theta_even(HALF)
     rebuilt = convert_two(convert_two(theta, "nabla"), "lie")
     assert rebuilt is not theta and hash(rebuilt) == hash(theta)
     assert len({theta, rebuilt, lam}) == 2
@@ -290,7 +351,7 @@ def test_equal_graded_forms_hash_equal():
 @pytest.mark.parametrize("basis", ["lie", "nabla"])
 def test_evaluation_on_basics_reads_the_tabulation(basis):
     lam = convert_one(lambda_metric(HALF), basis)
-    theta = convert_two(theta_even(HALF, "omega_g"), basis)
+    theta = convert_two(theta_even(HALF), basis)
     basic = basics(HALF, basis)
     for r, e_r in enumerate(basic):
         assert eval_one(lam, e_r) == lam.values[r]
@@ -309,7 +370,7 @@ def test_metric_potential_kills_exterior_derivation(chart):
 
 @pytest.mark.parametrize("chart", [FLAT2, HALF, SPHERE])
 def test_insert_exterior_into_even_form_gives_odd_potential(chart):
-    theta = theta_even(chart, "omega_g")
+    theta = theta_even(chart)
     d = Derivation.exterior(chart.field)
     assert iota(d, theta) == lambda_omega(chart)
 
@@ -321,15 +382,17 @@ def test_exterior_insertion_witness_names_the_differing_basic(monkeypatch):
         values[chart.dim] = values[chart.dim] + Form.function(chart.field.one)
         return GradedOneForm(chart, "lie", values, lam.weight)
 
+    # a fresh chart: the check keeps the pair it compares in the chart's cache
     monkeypatch.setattr(suites, "lambda_omega", shifted)
-    ok, witness = suites.check_exterior_insertion(suites.SuiteContext(HALF, 42, 1, 1))
+    chart = builtin_chart("halfplane")
+    ok, witness = suites.check_exterior_insertion(suites.SuiteContext(chart, 42, 1, 1))
     assert not ok
     assert witness == "difference at <i_x>: (-1)"
 
 
 @pytest.mark.parametrize("chart", [FLAT2, HALF])
 def test_lie_along_exterior_turns_even_into_odd(chart):
-    theta = theta_even(chart, "omega_g")
+    theta = theta_even(chart)
     d = Derivation.exterior(chart.field)
     assert lieG_two(d, theta) == theta_ks(chart)
 
@@ -437,7 +500,7 @@ def test_lie_derivative_matches_generic_commutators(chart, kind):
         "L_X": Derivation.lie(VectorValuedForm(field, [x * y, x + field.one, *pad])),
         "i_Y": Derivation.insertion(VectorValuedForm(field, [y * y, x, *pad])),
     }[kind]
-    for theta in (theta_even(chart, "omega_g"), theta_ks(chart)):
+    for theta in (theta_even(chart), theta_ks(chart)):
         got = lieG_two(derivation, theta)
         want = _lie_derivative_reference(derivation, theta)
         assert [list(row) for row in got.blocks] == want, theta
@@ -452,14 +515,14 @@ def test_closed_form_commutator_calls(monkeypatch):
         return generic(self, other)
 
     monkeypatch.setattr(Derivation, "commutator", counting)
-    theta = theta_even(HALF, "omega_g")
+    theta = theta_even(HALF)
     assert not calls
     lieG_two(Derivation.exterior(HALF.field), theta)
     assert len(calls) == 2 * HALF.dim
 
 
 def test_lie_derivative_needs_no_generic_evaluation(monkeypatch):
-    theta, want = theta_even(HALF, "omega_g"), theta_ks(HALF)
+    theta, want = theta_even(HALF), theta_ks(HALF)
 
     def forbidden(*args):
         raise AssertionError("lieG_two took the Cartan route")
@@ -535,7 +598,7 @@ def test_signed_sums_negate_no_form(monkeypatch, name):
 
 def test_graded_calculus_needs_the_lie_basis():
     lam = convert_one(lambda_metric(HALF), "nabla")
-    theta = convert_two(theta_even(HALF, "omega_g"), "nabla")
+    theta = convert_two(theta_even(HALF), "nabla")
     d = Derivation.exterior(HALF.field)
     with pytest.raises(ValueError, match="lie-basis"):
         dG_one(lam)
@@ -578,23 +641,23 @@ def _flat4_with_l(entries, name):
 def test_compatible_tensor_keeps_insertion_locally_hamiltonian():
     chart = _flat4_with_l({(0, 0, 2): 1}, "flat4_compat")
     ij = Derivation.insertion(chart.endo_form(chart.j_matrix))
-    theta = theta_even(chart, "omega_g_l")
+    theta = theta_even(chart, chart.l_tensor)
     assert lieG_two(ij, theta).is_zero
 
 
 def test_incompatible_tensor_breaks_local_hamiltonianity():
     chart = _flat4_with_l({(0, 0, 1): 1}, "flat4_viol")
     ij = Derivation.insertion(chart.endo_form(chart.j_matrix))
-    theta = theta_even(chart, "omega_g_l")
+    theta = theta_even(chart, chart.l_tensor)
     assert not lieG_two(ij, theta).is_zero
 
 
 def test_tensor_variant_covariant_mixed_block():
     chart = _flat4_with_l({(0, 0, 2): 1, (1, 2, 3): -2}, "flat4_mixed")
-    th = convert_two(theta_even(chart, "omega_g_l"), "nabla")
+    th = convert_two(theta_even(chart, chart.l_tensor), "nabla")
     for a in range(4):
         for b in range(4):
-            want = chart.l_slice(a).insert_basis(b)
+            want = l_slice(chart.field, chart.l_tensor[a]).insert_basis(b)
             assert th.blocks[a][chart.dim + b] == want * Fraction(-1, 2)
 
 
@@ -643,7 +706,7 @@ def test_two_form_blocks_must_be_graded_antisymmetric():
 
 
 def test_graded_antisymmetry_check_builds_no_negated_form(monkeypatch):
-    theta = theta_even(SPHERE, "omega_g")
+    theta = theta_even(SPHERE)
     negations = []
     negate = Form.__neg__
 
@@ -673,17 +736,7 @@ def test_weight_parity_is_validated():
         GradedOneForm(flat4, "lie", [value] + [Form.zero(f4)] * 7, 0)
 
 
-def test_mismatched_tabulations_do_not_add():
-    # graded 2-forms are the tabulations the package adds
-    theta = theta_omega(FLAT2)
-    other = theta_omega(HALF)
-    with pytest.raises(ValueError, match="different tabulations"):
-        theta + other
-    with pytest.raises(ValueError, match="different tabulations"):
-        theta + convert_two(theta, "nabla")
-
-
 def test_naive_lift_is_degenerate_without_correction():
     theta = theta_omega(HALF)
     assert scalar_block_det(theta).is_zero
-    assert not scalar_block_det(theta_even(HALF, "omega_g")).is_zero
+    assert not scalar_block_det(theta_even(HALF)).is_zero
