@@ -187,7 +187,9 @@ class ChartGeometry:
         """The value memoized under key on this chart, built by build() once.
 
         The one cache home for everything that depends only on the chart:
-        basic derivations and tabulated symplectic forms.
+        basic derivations, tabulated symplectic forms, each form's solver
+        plan with its memo of verified solves (brackets._plan), and the
+        exterior-insertion pair (suites._exterior_insertion).
         """
         if key not in self._cache:
             self._cache[key] = build()

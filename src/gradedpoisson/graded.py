@@ -45,8 +45,8 @@ addend is tabulated on its own. With a compatibility tensor L the potential
 gains l_L = L(e_a; _, _) on the slots L_a, and d^G is linear, so
 Theta_{omega,g,L} = Theta_{omega,g} + (1/2) d^G l_L is tabulated once more
 as a correction to the chart's cached Theta_{omega,g}, on the same chart.
-Every table is still one GradedTwoForm, so graded antisymmetry and parity
-are checked on every entry of the form that is used, once.
+Every table is one GradedTwoForm, built from an entry function by the one
+constructor, which checks only the entries that function computes.
 
 The stored weight is the second component of the bidegree: the value
 <E_r, E_s> has the parity of weight + |E_r| + |E_s| (weight + |E_r| for a
@@ -173,36 +173,46 @@ class GradedOneForm:
 
 
 class GradedTwoForm:
-    """A graded 2-form tabulated on ordered pairs of basics:
-    blocks[r][s] = <E_r, E_s>.
+    """The graded 2-form with blocks[r][s] = <E_r, E_s> = entry(r, s).
 
-    The matrix must be graded antisymmetric: antisymmetric wherever an even
-    basic takes part, symmetric on pairs of insertions.
+    entry is called on every pair whose first basic is even and on every
+    pair of insertions. The (insertion, even) block is the negated
+    (even, insertion) block, graded antisymmetric by construction, so only
+    what entry can break is checked: the even-even block is antisymmetric
+    with a zero diagonal, the insertion block symmetric, and with a weight
+    each entry with s >= r has its parity; the others share the degrees of
+    their mirrors.
     """
 
     __slots__ = ("geom", "basis", "blocks", "weight", "_hash")
 
-    def __init__(self, geom: ChartGeometry, basis: str, blocks, weight):
+    def __init__(self, geom: ChartGeometry, basis: str, entry, weight):
         if basis not in ("lie", "nabla"):
             raise ValueError(f"unknown basis {basis!r}")
-        blocks = tuple(tuple(row) for row in blocks)
         dim = geom.dim
         size = 2 * dim
-        if len(blocks) != size or any(len(row) != size for row in blocks):
-            raise ValueError("block matrix is not 2dim x 2dim")
+        blocks = [tuple(entry(r, s) for s in range(size)) for r in range(dim)]
+        for r in range(dim, size):
+            blocks.append(
+                tuple(-blocks[s][r] for s in range(dim))
+                + tuple(entry(r, s) for s in range(dim, size))
+            )
         for r in range(size):
             for s in range(r, size):
-                # s >= r, so both basics are insertions exactly when r is one
                 value, mirror = blocks[r][s], blocks[s][r]
-                if not (value == mirror if r >= dim else value.is_negation_of(mirror)):
+                # (even, insertion) pairs hold by construction, and an
+                # insertion on the diagonal is its own mirror
+                if s < dim:
+                    broken = not value.is_negation_of(mirror)
+                else:
+                    broken = dim <= r < s and value != mirror
+                if broken:
                     raise ValueError(f"blocks break graded antisymmetry at ({r},{s})")
-        if weight is not None:
-            for r, row in enumerate(blocks):
-                for s, value in enumerate(row):
+                if weight is not None:
                     _check_parity(value, weight + (r >= dim) + (s >= dim), weight, (r, s))
         self.geom = geom
         self.basis = basis
-        self.blocks = blocks
+        self.blocks = tuple(blocks)
         self.weight = weight
         self._hash = None
 
@@ -230,23 +240,6 @@ class GradedTwoForm:
             f"GradedTwoForm(chart={self.geom.name}, basis={self.basis}, "
             f"weight={self.weight})"
         )
-
-
-def tabulate_two(geom: ChartGeometry, basis: str, entry, weight) -> GradedTwoForm:
-    """The graded 2-form with <E_r, E_s> = entry(r, s).
-
-    entry is called on every pair whose first basic is even and on every
-    pair of insertions; the (insertion, even) values follow by graded
-    antisymmetry.
-    """
-    dim = geom.dim
-    size = 2 * dim
-    blocks = [[entry(r, s) for s in range(size)] for r in range(dim)]
-    for r in range(dim, size):
-        blocks.append(
-            [-blocks[s][r] for s in range(dim)] + [entry(r, s) for s in range(dim, size)]
-        )
-    return GradedTwoForm(geom, basis, blocks, weight)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -337,7 +330,7 @@ def _dG_entry(values, dim: int, r: int, s: int) -> Form:
 def dG_one(lam: GradedOneForm) -> GradedTwoForm:
     """d^G of a graded 1-form tabulated in the lie basis."""
     _require_lie(lam.basis, "dG_one")
-    return tabulate_two(lam.geom, "lie", partial(_dG_entry, lam.values, lam.geom.dim), lam.weight)
+    return GradedTwoForm(lam.geom, "lie", partial(_dG_entry, lam.values, lam.geom.dim), lam.weight)
 
 
 # -- graded Lie derivative -----------------------------------------------------
@@ -380,7 +373,7 @@ def lieG_two(derivation: Derivation, theta: GradedTwoForm) -> GradedTwoForm:
     weight = None
     if theta.weight is not None and derivation.degree is not None:
         weight = theta.weight + derivation.degree
-    return tabulate_two(geom, "lie", entry, weight)
+    return GradedTwoForm(geom, "lie", entry, weight)
 
 
 # -- basis conversion ----------------------------------------------------------
@@ -409,7 +402,7 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
     def entry(r, s):
         return _pair_sum(geom.field, coeffs[r], rows[s])
 
-    return tabulate_two(geom, basis, entry, theta.weight)
+    return GradedTwoForm(geom, basis, entry, theta.weight)
 
 
 # -- builders -------------------------------------------------------------------
@@ -436,7 +429,8 @@ def theta_even(geom: ChartGeometry, l_tensor=None) -> GradedTwoForm:
     each entry is omega_rs plus the d^G entry of the halved lambda_g, in
     that order. The half goes on the potential: d^G is linear over
     constants, so d^G(lambda_g / 2) = (d^G lambda_g) / 2, and halving the 2n
-    values of lambda_g costs less than halving the 4n^2 entries of its d^G.
+    values of lambda_g costs less than halving the 3n^2 computed entries of
+    its d^G.
 
     With a compatibility tensor L (slabs L[a][j][k] = L(e_a; e_j, e_k)), the
     potential gains l_L, L(e_a; _, _) on the slot L_a and zero on the
@@ -444,8 +438,8 @@ def theta_even(geom: ChartGeometry, l_tensor=None) -> GradedTwoForm:
     (1/2) d^G l_L: each entry is the chart's cached Theta_{omega,g} entry
     plus the d^G entry of the halved l_L, and no chart is built for L.
 
-    Either way the result is one full GradedTwoForm, validated entry by
-    entry like any other tabulation, so no check is skipped.
+    Either way the result is one GradedTwoForm, checked by its constructor
+    like any other tabulation.
     """
     dim = geom.dim
     if l_tensor is None:
@@ -455,7 +449,7 @@ def theta_even(geom: ChartGeometry, l_tensor=None) -> GradedTwoForm:
             exact = _dG_entry(halved, dim, r, s)
             return Form.function(geom.w[r][s]) + exact if s < dim else exact
 
-        return tabulate_two(geom, "lie", entry, 0)
+        return GradedTwoForm(geom, "lie", entry, 0)
 
     base = theta_even_cached(geom, "lie")
     halved = [
@@ -466,7 +460,7 @@ def theta_even(geom: ChartGeometry, l_tensor=None) -> GradedTwoForm:
     def corrected(r, s):
         return base.blocks[r][s] + _dG_entry(halved, dim, r, s)
 
-    return tabulate_two(geom, "lie", corrected, base.weight)
+    return GradedTwoForm(geom, "lie", corrected, base.weight)
 
 
 def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:
@@ -504,7 +498,7 @@ def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:
             return mixed(r, s - dim)
         return Form.function(geom.g[r - dim][s - dim])
 
-    return tabulate_two(geom, "lie", entry, 2)
+    return GradedTwoForm(geom, "lie", entry, 2)
 
 
 def theta_even_closed_nabla(geom: ChartGeometry) -> GradedTwoForm:
@@ -524,7 +518,7 @@ def theta_even_closed_nabla(geom: ChartGeometry) -> GradedTwoForm:
             return zero
         return Form.function(geom.g[r - dim][s - dim])
 
-    return tabulate_two(geom, "nabla", entry, 2)
+    return GradedTwoForm(geom, "nabla", entry, 2)
 
 
 def theta_ks(geom: ChartGeometry) -> GradedTwoForm:
@@ -555,7 +549,7 @@ def theta_ks_closed(geom: ChartGeometry) -> GradedTwoForm:
             return Form.function(-geom.w[r][s - dim])
         return zero
 
-    return tabulate_two(geom, "lie", entry, -1)
+    return GradedTwoForm(geom, "lie", entry, -1)
 
 
 def theta_even_cached(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
+from itertools import combinations
 
 from . import SUITES
 from .brackets import (
@@ -64,8 +65,6 @@ def _random_poly(rng: random.Random, field):
 
 
 def _random_form(rng: random.Random, field, degree: int) -> Form:
-    from itertools import combinations
-
     terms = {}
     for idx in combinations(range(field.dimension), degree):
         if rng.random() < 0.7:

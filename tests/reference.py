@@ -42,7 +42,6 @@ from gradedpoisson.graded import (
     eval_two,
     iota,
     lambda_metric,
-    tabulate_two,
 )
 
 
@@ -426,7 +425,7 @@ def theta_omega(geom) -> GradedTwoForm:
     def entry(r, s):
         return Form.function(geom.w[r][s]) if s < dim else zero
 
-    return tabulate_two(geom, "lie", entry, 0)
+    return GradedTwoForm(geom, "lie", entry, 0)
 
 
 def metric_potential(geom, l_tensor=None) -> GradedOneForm:
@@ -445,22 +444,20 @@ def theta_even_two_tables(geom, l_tensor=None) -> GradedTwoForm:
     full and added entry by entry."""
     lam = metric_potential(geom, l_tensor)
     halved = GradedOneForm(geom, "lie", [v * Fraction(1, 2) for v in lam.values], lam.weight)
-    blocks = [
-        [w + e for w, e in zip(w_row, e_row)]
-        for w_row, e_row in zip(theta_omega(geom).blocks, dG_one(halved).blocks)
-    ]
-    return GradedTwoForm(geom, "lie", blocks, 0)
+    omega, exact = theta_omega(geom).blocks, dG_one(halved).blocks
+    return GradedTwoForm(geom, "lie", lambda r, s: omega[r][s] + exact[r][s], 0)
 
 
 def theta_even_entrywise(geom, l_tensor=None) -> GradedTwoForm:
     """theta_omega + (1/2) d^G (lambda_g + l_L), the half taken on each of the
-    4n^2 entries of d^G after it is tabulated."""
+    3n^2 entries of d^G the table computes, after it is tabulated."""
+    omega = theta_omega(geom).blocks
     exact = dG_one(metric_potential(geom, l_tensor)).blocks
-    blocks = [
-        [w + e * Fraction(1, 2) for w, e in zip(w_row, e_row)]
-        for w_row, e_row in zip(theta_omega(geom).blocks, exact)
-    ]
-    return GradedTwoForm(geom, "lie", blocks, None)
+
+    def entry(r, s):
+        return omega[r][s] + exact[r][s] * Fraction(1, 2)
+
+    return GradedTwoForm(geom, "lie", entry, None)
 
 
 # -- sums with negated Forms ------------------------------------------------------
@@ -475,7 +472,7 @@ def dG_one_negating(lam: GradedOneForm) -> GradedTwoForm:
         second = values[r].lie_basic(s)
         return values[s].lie_basic(r) - (-second if r >= dim and s >= dim else second)
 
-    return tabulate_two(lam.geom, "lie", entry, lam.weight)
+    return GradedTwoForm(lam.geom, "lie", entry, lam.weight)
 
 
 def lieG_two_negating(derivation, theta: GradedTwoForm) -> GradedTwoForm:
@@ -495,7 +492,7 @@ def lieG_two_negating(derivation, theta: GradedTwoForm) -> GradedTwoForm:
     weight = None
     if theta.weight is not None and derivation.degree is not None:
         weight = theta.weight + derivation.degree
-    return tabulate_two(geom, "lie", entry, weight)
+    return GradedTwoForm(geom, "lie", entry, weight)
 
 
 def dnabla_negating(chart, vvform: VectorValuedForm) -> VectorValuedForm:

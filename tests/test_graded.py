@@ -24,7 +24,6 @@ from gradedpoisson.graded import (
     lambda_omega,
     lieG_two,
     scalar_block_det,
-    tabulate_two,
     theta_even,
     theta_even_cached,
     theta_even_closed_lie,
@@ -171,7 +170,7 @@ def graded_two_forms(draw, geom, basis):
             upper[key] = next(values)
         return -upper[key] if s < r < dim else upper[key]
 
-    return tabulate_two(geom, basis, entry, None)
+    return GradedTwoForm(geom, basis, entry, None)
 
 
 @pytest.mark.parametrize(
@@ -445,7 +444,7 @@ def test_convert_two_matches_entrywise_evaluation(name):
 
     def reference(theta, basis):
         basic = basics(chart, basis)
-        return tabulate_two(
+        return GradedTwoForm(
             chart, basis, lambda r, s: eval_two(theta, basic[r], basic[s]), theta.weight
         )
 
@@ -536,7 +535,7 @@ def test_lie_derivative_needs_no_generic_evaluation(monkeypatch):
 def test_signed_sums_negate_no_form(monkeypatch, name):
     # d^G lam, L^G_D theta and dnabla fold each sign into a subtraction or
     # a signed accumulation: no Form is negated only to be added. The
-    # mirrored half that tabulate_two fills by antisymmetry is not theirs
+    # mirrored half that GradedTwoForm fills by antisymmetry is not theirs
     chart = builtin_chart(name)
     field = chart.field
     x, y = field.gens[:2]
@@ -579,12 +578,12 @@ def test_signed_sums_negate_no_form(monkeypatch, name):
 
         return call
 
-    tabulate = graded.tabulate_two
+    init = GradedTwoForm.__init__
     monkeypatch.setattr(Form, "__neg__", counting)
     monkeypatch.setattr(
-        graded,
-        "tabulate_two",
-        lambda geom, basis, entry, weight: tabulate(geom, basis, watched(entry), weight),
+        GradedTwoForm,
+        "__init__",
+        lambda self, geom, basis, entry, weight: init(self, geom, basis, watched(entry), weight),
     )
     monkeypatch.setattr(ChartGeometry, "dnabla", watched(ChartGeometry.dnabla))
     got = (
@@ -664,29 +663,29 @@ def test_tensor_variant_covariant_mixed_block():
 # -- validation ----------------------------------------------------------------
 
 
-def _blocks(entries, chart=FLAT2):
-    size = 2 * chart.dim
-    rows = [[Form.zero(chart.field)] * size for _ in range(size)]
-    for (r, s), value in entries.items():
-        rows[r][s] = value
-    return rows
+def _two_form(values, chart=FLAT2, weight=None):
+    """The lie-basis 2-form whose entry function reads values[(r, s)], zero
+    elsewhere."""
+    zero = Form.zero(chart.field)
+    return GradedTwoForm(chart, "lie", lambda r, s: values.get((r, s), zero), weight)
 
 
 def test_two_form_blocks_must_be_graded_antisymmetric():
     one = Form.function(FLAT2.field.one)
-    even_even = {(r, s): one for r in range(2) for s in range(2)}
+    # two even basics: the block is antisymmetric, its diagonal zero
     with pytest.raises(ValueError, match="antisymmetry"):
-        GradedTwoForm(FLAT2, "lie", _blocks(even_even), None)
+        _two_form({(0, 1): one, (1, 0): one})
+    with pytest.raises(ValueError, match="antisymmetry"):
+        _two_form({(1, 1): one})
     # two insertions: the block is symmetric, so an antisymmetric one fails
     with pytest.raises(ValueError, match="symmetry"):
-        GradedTwoForm(FLAT2, "lie", _blocks({(2, 3): one, (3, 2): -one}), None)
-    # (ins, even) must be minus its (even, ins) mirror
-    with pytest.raises(ValueError, match="antisymmetry"):
-        GradedTwoForm(FLAT2, "lie", _blocks({(0, 2): one, (2, 0): one}), None)
-    GradedTwoForm(FLAT2, "lie", _blocks({(0, 2): one, (2, 0): -one}), None)
+        _two_form({(2, 3): one, (3, 2): -one})
+    # (ins, even) is the negated (even, ins) mirror, whatever entry returns
+    # there
+    assert _two_form({(0, 2): one, (2, 0): one}).blocks[2][0] == -one
     # rational mirrors that miss the negation in one coefficient, left
     # unnegated or negated over another denominator, and mirrors with
-    # another index set
+    # another index set; negated, they miss the copy an insertion pair needs
     field = HALF.field
     x, y = field.gens
     block = Form(field, {(): (x + 1) / y, (0,): 1 / y**2})
@@ -698,26 +697,38 @@ def test_two_form_blocks_must_be_graded_antisymmetric():
         Form(field, {(): -(x + 1) / y, (1,): -1 / y**2}),
         Form(field, {(): -(x + 1) / y}),
     ]
-    for pair in ((0, 1), (0, 2), (1, 3)):
+    for pair, sign in (((0, 1), 1), ((2, 3), -1)):
         for mirror in mirrors:
             with pytest.raises(ValueError, match="antisymmetry"):
-                GradedTwoForm(HALF, "lie", _blocks({pair: block, pair[::-1]: mirror}, HALF), None)
-        GradedTwoForm(HALF, "lie", _blocks({pair: block, pair[::-1]: -block}, HALF), None)
+                _two_form({pair: block, pair[::-1]: mirror * sign}, HALF)
+        _two_form({pair: block, pair[::-1]: -block * sign}, HALF)
 
 
 def test_graded_antisymmetry_check_builds_no_negated_form(monkeypatch):
+    # the constructor negates only the n^2 (even, insertion) entries it
+    # mirrors, and makes n(n+1)/2 negation checks, on the even-even upper
+    # triangle and its diagonal: the mirrored block is not re-checked
     theta = theta_even(SPHERE)
-    negations = []
-    negate = Form.__neg__
+    dim = SPHERE.dim
+    negations, checks = [], []
+    negate, is_negation_of = Form.__neg__, Form.is_negation_of
 
     def counted(self):
         negations.append(self)
         return negate(self)
 
+    def checked(self, other):
+        checks.append(self)
+        return is_negation_of(self, other)
+
     monkeypatch.setattr(Form, "__neg__", counted)
-    rebuilt = GradedTwoForm(theta.geom, theta.basis, theta.blocks, theta.weight)
+    monkeypatch.setattr(Form, "is_negation_of", checked)
+    rebuilt = GradedTwoForm(SPHERE, theta.basis, lambda r, s: theta.blocks[r][s], theta.weight)
     assert rebuilt == theta
-    assert negations == []
+    mirrored = [theta.blocks[s][r] for r in range(dim, 2 * dim) for s in range(dim)]
+    assert len(negations) == len(mirrored)
+    assert all(a is b for a, b in zip(negations, mirrored))
+    assert len(checks) == dim * (dim + 1) // 2 == 3
 
 
 def test_weight_parity_is_validated():
@@ -734,6 +745,10 @@ def test_weight_parity_is_validated():
     value = Form(f4, {(0, 1, 2): f4.one, (0,): f4.one})
     with pytest.raises(ValueError, match="has degree 1, incompatible with weight 0"):
         GradedOneForm(flat4, "lie", [value] + [Form.zero(f4)] * 7, 0)
+    # an (even, insertion) entry is checked; its mirror has its degrees
+    with pytest.raises(ValueError, match="incompatible with weight"):
+        _two_form({(0, 2): Form.function(f.one)}, weight=0)
+    _two_form({(0, 2): dx}, weight=0)
 
 
 def test_naive_lift_is_degenerate_without_correction():
