@@ -35,9 +35,7 @@ Two calibration signs are fixed here once and used consistently:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .forms import Derivation, Form, VectorValuedForm, _accumulate, _wedge_into
+from .forms import Derivation, Form, VectorValuedForm, _accumulate, _pair_into, _scale_into, _wedge_into
 from .geometry import ChartError, ChartGeometry, matrix_inverse
 from .graded import (
     GradedOneForm,
@@ -248,11 +246,14 @@ def even_bracket(alpha, beta, theta: GradedTwoForm) -> Form:
 
 
 def _bivector_insertion(chart: ChartGeometry, form: Form) -> Form:
-    terms = (
-        form.insert_basis(b).insert_basis(a) * coeff
-        for a, row in enumerate(chart.lam) for b, coeff in enumerate(row) if not coeff.is_zero
+    """(1/2) sum_{a,b} lam^{ab} i_a i_b form = sum_{a<b} lam^{ab} i_a i_b form,
+    since lam is antisymmetric and i_a i_b = -i_b i_a; the scaled
+    insertions are accumulated into one term dict."""
+    pairs = (
+        (form.insert_basis(b).insert_basis(a).terms, coeff)
+        for a, row in enumerate(chart.lam) for b, coeff in enumerate(row) if a < b
     )
-    return Form.sum(chart.field, terms) * Fraction(1, 2)
+    return Form._raw(chart.field, _scale_into({}, pairs))
 
 
 def generator_operator(chart: ChartGeometry, form: Form) -> Form:
@@ -294,13 +295,14 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
 
 
 def _curvature_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
-    """R4(left, right, _, _) with form coefficients wedged on the left."""
-    terms = (
-        lc.wedge(rc).wedge(block)
-        for lc, row in zip(left.components, chart.riemann4_forms) if not lc.is_zero
-        for rc, block in zip(right.components, row) if not (rc.is_zero or block.is_zero)
-    )
-    return Form.sum(chart.field, terms)
+    """R4(left, right, _, _) = sum_{a,b} (left_a ^ right_b) ^ R4(e_a, e_b, _, _),
+    each left_a ^ right_b made in a scratch dict where its R4 block is nonzero."""
+    field, terms, rights = chart.field, {}, right.components
+    for lc, row in zip(left.components, chart.riemann4_forms):
+        if lc.terms:
+            made = (_wedge_into({}, lc.terms, rc.terms) if b.terms else {} for rc, b in zip(rights, row))
+            _pair_into(terms, [Form._raw(field, w) for w in made], row)
+    return Form._raw(field, terms)
 
 
 def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:

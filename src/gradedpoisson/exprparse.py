@@ -109,7 +109,8 @@ class _Parser:
                 value = value * (self.field.one / divisor)
             literal = None
 
-    def signed(self):
+    def unary_sign(self) -> int:
+        """Consume a run of unary + and -: -1 for an odd number of minuses, else 1."""
         kind, op, _ = self.peek()
         sign = 1
         while kind == "op" and op in "+-":
@@ -117,6 +118,10 @@ class _Parser:
                 sign = -sign
             self.advance()
             kind, op, _ = self.peek()
+        return sign
+
+    def signed(self):
+        sign = self.unary_sign()
         value, literal = self.power()
         if sign < 0:
             return -value, None
@@ -149,13 +154,7 @@ class _Parser:
 
     def exponent_operand(self):
         # one signed atom; negative literals stay literal so x^-2 works
-        kind, op, _ = self.peek()
-        sign = 1
-        while kind == "op" and op in "+-":
-            if op == "-":
-                sign = -sign
-            self.advance()
-            kind, op, _ = self.peek()
+        sign = self.unary_sign()
         value, literal = self.atom()
         if literal is not None:
             return value, sign * literal

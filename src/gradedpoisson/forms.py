@@ -22,13 +22,15 @@ degree k.
 Index tuples in a form are strictly increasing and zero coefficients are
 never stored, so equality is literal dictionary equality. Every sum is
 accumulated term by term into one dictionary by _accumulate: a sum of
-finished forms through Form.sum, and a sum of products through
-_wedge_into, the one wedge loop, which Form.wedge, the graded layer's
-contractions and the solver's elimination share. The derivation action
-accumulates its products term by term in the same way, and so do the
-geometry layer's loops: ChartGeometry.twist_into, the connection twist,
-and apply_endo, pair and curvature_apply. None of these builds a Form per
-addend. _accumulate carries the addend's sign: onto an existing entry it
+finished forms through Form.sum, a sum of products through _wedge_into,
+the one wedge loop, and a vector-slot or table-row contraction through one
+of two row kernels beside it: _pair_into, the wedges of two rows of forms
+(the twist, the curvature's action, the graded contractions and the
+curvature pairing), and _scale_into, term dicts scaled by scalars
+(apply_endo, pair and the bivector insertion). The derivation action and
+the solver's A^-1 step keep their own per-term loops. None of these
+builds a Form per addend.
+_accumulate carries the addend's sign: onto an existing entry it
 subtracts, and it negates a coefficient only when that coefficient starts
 a new entry, so a signed product, a term of d or of an insertion, a term
 of the twist, and the subtrahend of Form.__sub__ are never negated just to
@@ -81,7 +83,7 @@ def _accumulate(terms, idx, coeff, sign=1):
 
 
 def _wedge_into(terms, left, right, sign=1, koszul=False):
-    """Accumulate sign * (left ^ right) into the term dict ``terms``.
+    """Accumulate sign * (left ^ right) into the term dict ``terms`` and return it.
 
     left and right are term dicts of forms on one chart. With ``koszul``
     each left term of odd degree flips its sign, the (-1)^{|gamma|} a
@@ -96,6 +98,29 @@ def _wedge_into(terms, left, right, sign=1, koszul=False):
                 continue
             msign, idx = merged
             _accumulate(terms, idx, lc * rc, msign * lsign)
+    return terms
+
+
+def _pair_into(terms, lefts, rights, sign=1, koszul=False):
+    """Accumulate sign * sum_k lefts[k] ^ rights[k] into the term dict
+    ``terms`` and return it, for forms lefts[k] and rights[k]; a pair with
+    a zero form is skipped, and ``koszul`` is _wedge_into's."""
+    for left, right in zip(lefts, rights):
+        if left.terms and right.terms:
+            _wedge_into(terms, left.terms, right.terms, sign, koszul)
+    return terms
+
+
+def _scale_into(terms, pairs, sign=1):
+    """Accumulate sign * sum m * part into ``terms`` and return it, over the
+    (part, m) pairs of a term dict and a scalar, skipping an empty part or
+    a zero m; each term c of a part adds c * m, so no scaled part is built."""
+    for part, m in pairs:
+        if not part or m.is_zero:
+            continue
+        for idx, c in part.items():
+            _accumulate(terms, idx, c * m, sign)
+    return terms
 
 
 class Form:
@@ -200,9 +225,7 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         if other.field is not self.field:
             raise ValueError("forms on different charts")
-        terms: dict = {}
-        _wedge_into(terms, self.terms, other.terms)
-        return Form._raw(self.field, terms)
+        return Form._raw(self.field, _wedge_into({}, self.terms, other.terms))
 
     # -- calculus ------------------------------------------------------------
 

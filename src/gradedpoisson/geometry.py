@@ -17,23 +17,26 @@ component a is the row M(e_a, _). So X_f = lam . grad f and sharp(alpha) =
 g^-1 . alpha are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J and
 the rows of g and omega as 1-forms are endo_form.
 
-twist_into accumulates the connection twist T_i = Gamma^i_{jk} K_k ^ dx^j
-into term dicts the caller owns: dnabla into each dK_i, nabla_derivation
-into empty ones, graded._decompose and the solver into a derivation's
-insertion coefficients. It, apply_endo, pair and curvature_apply are
-accumulating loops like forms._wedge_into: each product goes into one term
-dict per component through forms._accumulate, and no Form is built per
-addend.
+twist_into accumulates the connection twist T_i = sum_k K_k ^ omega^i_k,
+with omega^i_k = Gamma^i_{jk} dx^j the connection 1-forms, into term dicts
+the caller owns: dnabla into each dK_i, nabla_derivation into empty ones,
+graded._decompose and the solver into a derivation's insertion
+coefficients. It and curvature_apply apply table rows through
+forms._pair_into, apply_endo and pair scale through forms._scale_into,
+and none of them builds a Form per addend.
 
 The derived tensors are built on first read, each once per chart, and
 none of them can fail once construction has passed: the Christoffel
-symbols of both kinds (gamma_first, gamma) and the list of nonzero ones
-(gamma_nonzero), the curvature endomorphism riemann and its lowered form
-riemann_lowered, the tables riemann4_forms and curvature_forms of their
-2-forms, and J with its inverse (j_matrix, j_inv). Contractions skip zero
-Christoffel and curvature entries, so a flat chart pays for none of them.
+symbols of both kinds (gamma_first, gamma), the connection 1-forms
+(connection_forms) and their nonzero rows (connection_rows), the
+curvature endomorphism riemann and its lowered form riemann_lowered, the
+tables riemann4_forms and curvature_forms of their 2-forms, and J with its
+inverse (j_matrix, j_inv). Contractions skip zero Christoffel and
+curvature entries, and the twist visits only connection_rows, so a flat
+chart pays for none of them.
 The odd (Koszul-Schouten) bracket and the even bracket over the lie basics
-read none of the tables; over the nabla basics it reads only Gamma.
+read none of the tables; over the nabla basics it reads only Gamma and
+the connection 1-forms.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .forms import Derivation, Form, VectorValuedForm, _accumulate, _merge_indices, _wedge_into
+from .forms import Derivation, Form, VectorValuedForm, _pair_into, _scale_into, _wedge_into
 from .scalars import RationalFunction, ScalarField, coordinate_field
 
 
@@ -208,16 +211,19 @@ class ChartGeometry:
         return christoffel(self.g_inv, self.gamma_first, self.field)
 
     @cached_property
-    def gamma_nonzero(self):
-        """The (i, j, k, Gamma^i_{jk}) with a nonzero symbol, in index order."""
+    def connection_forms(self):
+        """[i][k]: the connection 1-form sum_j Gamma^i_{jk} dx^j."""
         rng = range(self.dim)
         return tuple(
-            (i, j, k, c)
+            tuple(Form(self.field, {(j,): self.gamma[i][j][k] for j in rng}) for k in rng)
             for i in rng
-            for j in rng
-            for k, c in enumerate(self.gamma[i][j])
-            if not c.is_zero
         )
+
+    @cached_property
+    def connection_rows(self):
+        """The (i, connection_forms[i]) whose row has a nonzero form."""
+        rows = enumerate(self.connection_forms)
+        return tuple((i, row) for i, row in rows if any(form.terms for form in row))
 
     @cached_property
     def riemann(self):
@@ -291,25 +297,15 @@ class ChartGeometry:
     # -- tensor evaluation ---------------------------------------------------
 
     def pair(self, matrix, left: VectorValuedForm, right: VectorValuedForm) -> Form:
-        """B(left, right) for the matrix of B (chart.g or chart.w), form
-        coefficients wedged left to right.
-
-        Each wedge lc ^ rc is made in a scratch dict and its entries scaled
-        by the matrix entry into one result dict, so no Form is built per
-        addend.
-        """
-        terms = {}
-        for lc, row in zip(left.components, matrix):
-            if lc.is_zero:
-                continue
-            for rc, coeff in zip(right.components, row):
-                if rc.is_zero or coeff.is_zero:
-                    continue
-                wedge = {}
-                _wedge_into(wedge, lc.terms, rc.terms)
-                for idx, value in wedge.items():
-                    _accumulate(terms, idx, value * coeff)
-        return Form._raw(self.field, terms)
+        """B(left, right) = sum_{a,b} B[a][b] left_a ^ right_b for the matrix
+        of B (chart.g or chart.w), form coefficients wedged left to right:
+        each wedge is made in a scratch dict and scaled into the result."""
+        pairs = (
+            (_wedge_into({}, lc.terms, rc.terms), coeff)
+            for lc, row in zip(left.components, matrix) if lc.terms
+            for rc, coeff in zip(right.components, row) if rc.terms and not coeff.is_zero
+        )
+        return Form._raw(self.field, _scale_into({}, pairs))
 
     def omega_form(self) -> Form:
         terms = {}
@@ -339,17 +335,10 @@ class ChartGeometry:
         return VectorValuedForm(self.field, comps, degree=1)
 
     def apply_endo(self, matrix, vvform: VectorValuedForm, sign=1) -> VectorValuedForm:
-        """Apply sign * M, sign 1 or -1, to the vector slot, componentwise:
-        component b accumulates sign * c * M[b][k] over the terms c of K_k."""
-        comps = []
-        for row in matrix:
-            terms = {}
-            for comp, entry in zip(vvform.components, row):
-                if entry.is_zero:
-                    continue
-                for idx, c in comp.terms.items():
-                    _accumulate(terms, idx, c * entry, sign)
-            comps.append(Form._raw(self.field, terms))
+        """Apply sign * M, sign 1 or -1, to the vector slot: component b
+        scales the K_k by row b of M."""
+        parts = [c.terms for c in vvform.components]
+        comps = [Form._raw(self.field, _scale_into({}, zip(parts, row), sign)) for row in matrix]
         return VectorValuedForm(self.field, comps, degree=vvform.degree)
 
     def j_square_scalar(self):
@@ -367,14 +356,12 @@ class ChartGeometry:
     # -- curvature ------------------------------------------------------------
 
     def curvature_apply(self, vvform: VectorValuedForm) -> VectorValuedForm:
-        """R(_,_) K: wedge the curvature 2-form into the form slot, component
-        b accumulating R^b_j ^ K_j over j."""
-        comps = []
-        for row in self.curvature_forms:
-            terms = {}
-            for block, comp in zip(row, vvform.components):
-                _wedge_into(terms, block.terms, comp.terms)
-            comps.append(Form._raw(self.field, terms))
+        """R(_,_) K: component b is row b of the curvature table applied
+        to K, sum_j R^b_j ^ K_j."""
+        comps = [
+            Form._raw(self.field, _pair_into({}, row, vvform.components))
+            for row in self.curvature_forms
+        ]
         degree = min(vvform.degree + 2, self.dim)
         return VectorValuedForm(self.field, comps, degree=degree)
 
@@ -382,21 +369,14 @@ class ChartGeometry:
 
     def twist_into(self, terms, coeffs, sign=1):
         """Accumulate sign * T_i, sign 1 or -1, into the term dict terms[i],
-        where T_i = sum_{j,k} Gamma^i_{jk} K_k ^ dx^j for the n forms K_k of
-        coeffs, of any degrees.
+        where T_i = sum_k K_k ^ connection_forms[i][k] = sum_{j,k}
+        Gamma^i_{jk} K_k ^ dx^j for the n forms K_k of coeffs, of any degrees.
 
         T is algebraic: over the nabla basics a derivation's insertion
         coefficients are its lie ones plus T of its even coefficients K.
-        Each term c dx^I of K_k adds c * Gamma^i_{jk} at the sorted I + j,
-        so no Form is built per addend.
         """
-        for i, j, k, gamma in self.gamma_nonzero:
-            target = terms[i]
-            for idx, c in coeffs[k].terms.items():
-                merged = _merge_indices(idx, (j,))
-                if merged is not None:
-                    msign, midx = merged
-                    _accumulate(target, midx, c * gamma, msign * sign)
+        for i, row in self.connection_rows:
+            _pair_into(terms[i], coeffs, row, sign)
 
     def dnabla(self, vvform: VectorValuedForm) -> VectorValuedForm:
         """Exterior covariant derivative on vector-valued forms: dK + (-1)^k T(K).

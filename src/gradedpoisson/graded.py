@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .forms import Derivation, Form, VectorValuedForm, _accumulate, _wedge_into
+from .forms import Derivation, Form, VectorValuedForm, _accumulate, _pair_into
 from .geometry import ChartGeometry, compatibility_tensor, dot, l_slice, matrix_inverse
 from .scalars import RationalFunction
 
@@ -245,19 +245,10 @@ class GradedTwoForm:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _pair_sum(field, lefts, rights, koszul=False) -> Form:
-    """sum_k lefts[k] ^ rights[k], each product accumulated into one Form;
-    with ``koszul`` every left term of odd degree flips its sign."""
-    terms: dict = {}
-    for left, right in zip(lefts, rights):
-        if left.terms and right.terms:
-            _wedge_into(terms, left.terms, right.terms, koszul=koszul)
-    return Form._raw(field, terms)
-
-
 def eval_one(lam: GradedOneForm, derivation: Derivation) -> Form:
     """<D; lam> for an arbitrary derivation."""
-    return _pair_sum(lam.geom.field, _decompose(lam.geom, derivation, lam.basis), lam.values)
+    coeffs = _decompose(lam.geom, derivation, lam.basis)
+    return Form._raw(lam.geom.field, _pair_into({}, coeffs, lam.values))
 
 
 def _contract_row(theta: GradedTwoForm, r: int, coeffs) -> Form:
@@ -266,17 +257,18 @@ def _contract_row(theta: GradedTwoForm, r: int, coeffs) -> Form:
     A coefficient gamma passes E_r on its way to the second slot, so an
     insertion E_r brings the Koszul sign (-1)^{|gamma|}, term by term.
     """
-    return _pair_sum(theta.geom.field, coeffs, theta.blocks[r], koszul=r >= theta.geom.dim)
+    terms = _pair_into({}, coeffs, theta.blocks[r], koszul=r >= theta.geom.dim)
+    return Form._raw(theta.geom.field, terms)
 
 
 def eval_two(theta: GradedTwoForm, d1: Derivation, d2: Derivation) -> Form:
-    """<D1, D2; theta> for arbitrary derivations."""
-    coeffs2 = _decompose(theta.geom, d2, theta.basis)
-    terms: dict = {}
-    for r, beta in enumerate(_decompose(theta.geom, d1, theta.basis)):
-        if beta.terms:
-            _wedge_into(terms, beta.terms, _contract_row(theta, r, coeffs2).terms)
-    return Form._raw(theta.geom.field, terms)
+    """<D1, D2; theta>: D1's coefficients paired with the rows <E_r, D2; theta>,
+    a row contracted only where D1's coefficient is nonzero."""
+    geom = theta.geom
+    coeffs1, coeffs2 = (_decompose(geom, d, theta.basis) for d in (d1, d2))
+    zero = Form.zero(geom.field)
+    rows = [_contract_row(theta, r, coeffs2) if c.terms else zero for r, c in enumerate(coeffs1)]
+    return Form._raw(geom.field, _pair_into({}, coeffs1, rows))
 
 
 def iota(derivation: Derivation, theta: GradedTwoForm) -> GradedOneForm:
@@ -400,7 +392,7 @@ def convert_two(theta: GradedTwoForm, basis: str) -> GradedTwoForm:
     rows = [[_contract_row(theta, k, c) for k in range(2 * geom.dim)] for c in coeffs]
 
     def entry(r, s):
-        return _pair_sum(geom.field, coeffs[r], rows[s])
+        return Form._raw(geom.field, _pair_into({}, coeffs[r], rows[s]))
 
     return GradedTwoForm(geom, basis, entry, theta.weight)
 

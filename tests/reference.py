@@ -8,8 +8,9 @@ normal form L_K + i_{L'} and its action through Cartan's formula for K
 or as one Form per lie basic, the Lie bracket of vector fields, the
 lowered curvature tensor entry by entry and the closed-form even-even
 block as its double sum over Christoffel symbols, the connection twist,
-an endomorphism's action, a bilinear pairing and the curvature's action
-on a vector-valued form as sums of one Form per addend, a graded 2-form's row
+an endomorphism's action, a bilinear pairing, the curvature's action on
+a vector-valued form and the curvature pairing R4(left, right, _, _) as
+sums of one Form per addend, a graded 2-form's row
 contraction split into homogeneous parts with their Koszul signs, d^G of
 a graded 2-form by the graded Palais formula, the naive lift of omega,
 the even symplectic form (with or without a compatibility tensor) as the
@@ -312,12 +313,17 @@ def nabla_direction(chart, u: VectorValuedForm, x: VectorValuedForm) -> VectorVa
 
 def connection_twist(chart, coeffs) -> tuple[Form, ...]:
     """T_i = sum_{j,k} Gamma^i_{jk} K_k ^ dx^j for n forms K_k, one Form per
-    nonzero Gamma: K_k ^ dx^j scaled by the symbol, summed by Form.sum."""
-    addends = [[] for _ in range(chart.dim)]
-    for i, j, k, coeff in chart.gamma_nonzero:
-        if not coeffs[k].is_zero:
-            dxj = Form.coordinate_diff(chart.field, j)
-            addends[i].append(coeffs[k].wedge(dxj) * coeff)
+    nonzero entry of the dense table chart.gamma: K_k ^ dx^j scaled by the
+    symbol, summed by Form.sum."""
+    rng = range(chart.dim)
+    addends = [[] for _ in rng]
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                coeff = chart.gamma[i][j][k]
+                if not (coeff.is_zero or coeffs[k].is_zero):
+                    dxj = Form.coordinate_diff(chart.field, j)
+                    addends[i].append(coeffs[k].wedge(dxj) * coeff)
     return tuple(Form.sum(chart.field, a) for a in addends)
 
 
@@ -340,6 +346,23 @@ def pair_by_sum(chart, matrix, left: VectorValuedForm, right: VectorValuedForm) 
         for lc, row in zip(left.components, matrix) if not lc.is_zero
         for rc, coeff in zip(right.components, row) if not (rc.is_zero or coeff.is_zero)
     )
+    return Form.sum(chart.field, terms)
+
+
+def curvature_pair_by_sum(chart, left: VectorValuedForm, right: VectorValuedForm) -> Form:
+    """R4(left, right, _, _) as the Form.sum of the Forms
+    R4(a, b, u, v) l_a ^ r_b ^ dx^u ^ dx^v over u < v, each entry of R4
+    from riemann4."""
+    rng = range(chart.dim)
+    terms = []
+    for a, lc in enumerate(left.components):
+        for b, rc in enumerate(right.components):
+            for u in rng:
+                for v in range(u + 1, chart.dim):
+                    entry = riemann4(chart, a, b, u, v)
+                    if not entry.is_zero:
+                        block = Form(chart.field, {(u, v): entry})
+                        terms.append(lc.wedge(rc).wedge(block))
     return Form.sum(chart.field, terms)
 
 

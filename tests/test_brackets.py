@@ -30,8 +30,8 @@ from gradedpoisson.graded import (
 )
 from gradedpoisson.exprparse import parse_form_expr
 from gradedpoisson.manifest import parse_manifest
-from reference import chain_negating, k_even_negating, theta_omega
-from test_geometry import PRODUCT
+from reference import chain_negating, curvature_pair_by_sum, k_even_negating, theta_omega
+from test_geometry import PRODUCT, vvforms
 
 FLAT2 = builtin_chart("flat2")
 HALF = builtin_chart("halfplane")
@@ -428,6 +428,30 @@ def test_displayed_even_chain_is_the_negated_solver_chain(chart):
         assert displayed == [-k for k in k_even(chart, f)]
 
 
+@given(data=st.data())
+def test_curvature_pair_matches_the_per_entry_sum(data):
+    # on the 2-D built-ins every R4 block is a top-degree 2-form, so an
+    # operand of positive degree pairs to zero there; on the 4-D product
+    # chart operands of degree 0 to 2 pair to forms of degree 2 to 4
+    left = data.draw(vvforms(PRODUCT, data.draw(st.integers(0, 2))))
+    right = data.draw(vvforms(PRODUCT, data.draw(st.integers(0, 2))))
+    want = curvature_pair_by_sum(PRODUCT, left, right)
+    assert brackets._curvature_pair(PRODUCT, left, right) == want
+
+
+def test_curvature_pair_of_one_forms_is_nonzero():
+    # dx^u ^ dx^v ^ R4(e_x, e_y, _, _), the sphere's curvature block
+    field = PRODUCT.field
+    zero = Form.zero(field)
+    du, dv = Form.coordinate_diff(field, 2), Form.coordinate_diff(field, 3)
+    left = VectorValuedForm(field, [du, zero, zero, zero], degree=1)
+    right = VectorValuedForm(field, [zero, dv, zero, zero], degree=1)
+    got = brackets._curvature_pair(PRODUCT, left, right)
+    assert got == du.wedge(dv).wedge(PRODUCT.riemann4_forms[0][1])
+    assert got.is_homogeneous(4) and not got.is_zero
+    assert got == curvature_pair_by_sum(PRODUCT, left, right)
+
+
 @pytest.mark.parametrize("chart", [SPHERE, builtin_chart("flat4"), PRODUCT], ids=["sphere2", "flat4", "product"])
 def test_even_chain_negates_no_vector_valued_form(chart, monkeypatch):
     # apply_endo carries the chain's sign, and k_even seeds at
@@ -778,7 +802,8 @@ w.1.2=1/(1+x^2+y^2)
 DERIVED = {
     "gamma_first",
     "gamma",
-    "gamma_nonzero",
+    "connection_forms",
+    "connection_rows",
     "riemann",
     "riemann_lowered",
     "riemann4_forms",
@@ -787,11 +812,13 @@ DERIVED = {
     "j_inv",
 }
 # the nabla basics read only Gamma (raised from the first kind) and its
-# nonzero list; [[f, h]] takes no covariant derivative, so it reads no list
+# connection 1-forms; [[f, h]] takes no covariant derivative, so it reads
+# no connection form
+CONNECTION = {"connection_forms", "connection_rows"}
 BUILT_BY = {
     "odd": set(),
-    "even": {"gamma_first", "gamma", "gamma_nonzero"},
-    "fastpath": DERIVED - {"gamma_nonzero"},
+    "even": {"gamma_first", "gamma"} | CONNECTION,
+    "fastpath": DERIVED - CONNECTION,
 }
 
 

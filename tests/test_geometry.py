@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gradedpoisson import brackets
 from gradedpoisson.forms import Form, VectorValuedForm
 from gradedpoisson.geometry import (
     ChartError,
@@ -185,8 +186,15 @@ def test_christoffel_tables_match_their_definitions(name):
             for k in rng:
                 lowered = sum((ch.g[m][n] * ch.gamma[m][j][k] for m in rng), ch.field.zero)
                 assert ch.gamma_first[n][j][k] == lowered
-    every = [(i, j, k, ch.gamma[i][j][k]) for i in rng for j in rng for k in rng]
-    assert list(ch.gamma_nonzero) == [entry for entry in every if not entry[3].is_zero]
+    for i in rng:
+        for k in rng:
+            form = ch.connection_forms[i][k]
+            assert form.is_homogeneous(1)
+            for j in rng:
+                assert form.coefficient((j,)) == ch.gamma[i][j][k]
+    nonzero = [i for i in rng if any(not form.is_zero for form in ch.connection_forms[i])]
+    assert [i for i, _ in ch.connection_rows] == nonzero
+    assert all(row is ch.connection_forms[i] for i, row in ch.connection_rows)
 
 
 @pytest.mark.parametrize("name", TABLE_CHARTS)
@@ -436,17 +444,20 @@ def test_vector_slot_contractions_match_their_form_sums(name, data):
 
 
 def test_twist_and_contractions_build_no_form_per_addend(monkeypatch):
-    # twist_into, dnabla, nabla_derivation, apply_endo, pair and
-    # curvature_apply accumulate into term dicts: no Form is wedged, scaled
-    # or summed on the way
+    # twist_into, dnabla, nabla_derivation, apply_endo, pair,
+    # curvature_apply and the brackets' curvature pairing and bivector
+    # insertion accumulate into term dicts: no Form is wedged, scaled or
+    # summed on the way
     ch = PRODUCT
     field = ch.field
     x, y, u, v = field.gens
     dx = [Form.coordinate_diff(field, i) for i in range(4)]
     one = VectorValuedForm(field, [dx[0] * x, dx[1] * (y / v), dx[2] * u, dx[3]], degree=1)
     vec = VectorValuedForm(field, [x * y, u, field.one, v], degree=0)
+    other = VectorValuedForm(field, [v, x, y * u, field.one], degree=0)
+    two = Form(field, {(0, 1): x * u, (1, 3): y, (2, 3): field.one})
     # the curvature tables are built once per chart, before the watch
-    ch.curvature_forms
+    ch.curvature_forms, ch.riemann4_forms
 
     def forbidden(*args):
         raise AssertionError("a Form was built per addend")
@@ -461,6 +472,8 @@ def test_twist_and_contractions_build_no_form_per_addend(monkeypatch):
     assert not ch.apply_endo(ch.j_inv, one).is_zero
     assert not ch.pair(ch.g, one, vec).is_zero
     assert not ch.curvature_apply(vec).is_zero
+    assert not brackets._curvature_pair(ch, vec, other).is_zero
+    assert not brackets._bivector_insertion(ch, two).is_zero
 
 
 def test_classical_hamiltonian_examples():
