@@ -261,23 +261,21 @@ def generator_operator(chart: ChartGeometry, form: Form) -> Form:
     return _bivector_insertion(chart, form.d()) - _bivector_insertion(chart, form).d()
 
 
-def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -> Form:
-    """The odd graded Poisson bracket of two forms.
-
-    method "hamiltonian" goes through the odd symplectic form; method
-    "generator" expands the defect of the generator operator against the
-    wedge product. The global signs of both routes are calibrated so that
-    [[df, dh]] = d{f, h}.
+def ks_bracket(alpha, beta, chart: ChartGeometry) -> Form:
+    """The odd graded Poisson bracket of two forms, through the odd
+    symplectic form. The global sign is calibrated so that
+    [[df, dh]] = d{f, h}; ks_bracket_by_generator is the independent route.
     """
-    field = chart.field
+    return -solve_hamiltonian(theta_ks_cached(chart), alpha)(beta)
+
+
+def ks_bracket_by_generator(alpha, beta, chart: ChartGeometry) -> Form:
+    """The odd graded Poisson bracket as the defect of the generator operator
+    against the wedge product, calibrated like ks_bracket."""
     if isinstance(alpha, RationalFunction):
         alpha = Form.function(alpha)
     if isinstance(beta, RationalFunction):
         beta = Form.function(beta)
-    if method == "hamiltonian":
-        return -solve_hamiltonian(theta_ks_cached(chart), alpha)(beta)
-    if method != "generator":
-        raise ValueError(f"unknown method {method!r}")
     defects = []
     for degree, part in alpha.homogeneous_parts().items():
         head = (
@@ -288,7 +286,7 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
         # the raw defect is head - (-1)^degree tail; the global calibration
         # takes minus it
         defects.append(head + tail if degree % 2 else tail - head)
-    return Form.sum(field, defects)
+    return Form.sum(chart.field, defects)
 
 
 # -- closed-form bracket fast paths ---------------------------------------------
@@ -296,8 +294,12 @@ def ks_bracket(alpha, beta, chart: ChartGeometry, method: str = "hamiltonian") -
 
 def _curvature_pair(chart: ChartGeometry, left: VectorValuedForm, right: VectorValuedForm) -> Form:
     """R4(left, right, _, _) = sum_{a,b} (left_a ^ right_b) ^ R4(e_a, e_b, _, _),
-    each left_a ^ right_b made in a scratch dict where its R4 block is nonzero."""
+    each left_a ^ right_b made in a scratch dict where its R4 block is nonzero.
+    Every such wedge vanishes when deg(left) + deg(right) + 2 exceeds the
+    chart's dimension, and the pairing is zero at once."""
     field, terms, rights = chart.field, {}, right.components
+    if left.degree + right.degree + 2 > chart.dim:
+        return Form.zero(field)
     for lc, row in zip(left.components, chart.riemann4_forms):
         if lc.terms:
             made = (_wedge_into({}, lc.terms, rc.terms) if b.terms else {} for rc, b in zip(rights, row))

@@ -15,7 +15,9 @@ meet a matrix M in apply_endo(M, K) on the vector slot, pair(M, K, L), the
 bilinear form of M, and endo_form(M), the 1-form dx^j (x) M e_j, whose
 component a is the row M(e_a, _). So X_f = lam . grad f and sharp(alpha) =
 g^-1 . alpha are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J and
-the rows of g and omega as 1-forms are endo_form.
+the rows of g and omega as 1-forms are endo_form. two_form(field, M) is
+the 2-form sum_{j<k} M[j][k] dx^j wedge dx^k of an antisymmetric M: omega,
+each slab L(e_a; _, _) of a compatibility tensor and each curvature block.
 
 twist_into accumulates the connection twist T_i = sum_k K_k ^ omega^i_k,
 with omega^i_k = Gamma^i_{jk} dx^j the connection 1-forms, into term dicts
@@ -128,9 +130,9 @@ def compatibility_tensor(field: ScalarField, l_tensor):
     return l_tensor
 
 
-def l_slice(field: ScalarField, slab) -> Form:
-    """The 2-form L(e_a; _, _) of one slab L[a] of a compatibility tensor."""
-    return Form(field, {(j, k): slab[j][k] for j, k in combinations(range(field.dimension), 2)})
+def two_form(field: ScalarField, matrix) -> Form:
+    """The 2-form sum_{j<k} matrix[j][k] dx^j wedge dx^k of an antisymmetric matrix."""
+    return Form(field, {(j, k): matrix[j][k] for j, k in combinations(range(field.dimension), 2)})
 
 
 class ChartGeometry:
@@ -269,20 +271,12 @@ class ChartGeometry:
     @cached_property
     def riemann4_forms(self):
         """[u][v]: the 2-form R4(e_u, e_v, _, _)."""
-        return self._two_forms(self.riemann_lowered)
+        return tuple(tuple(two_form(self.field, block) for block in row) for row in self.riemann_lowered)
 
     @cached_property
     def curvature_forms(self):
         """[b][j]: the curvature 2-form R^b_j = sum_{u<v} R^b_{juv} dx^u wedge dx^v."""
-        return self._two_forms(self.riemann)
-
-    def _two_forms(self, table):
-        """[a][b]: the 2-form sum_{u<v} table[a][b][u][v] dx^u wedge dx^v."""
-        pairs = list(combinations(range(self.dim), 2))
-        return tuple(
-            tuple(Form(self.field, {(u, v): block[u][v] for u, v in pairs}) for block in row)
-            for row in table
-        )
+        return tuple(tuple(two_form(self.field, block) for block in row) for row in self.riemann)
 
     @cached_property
     def j_matrix(self):
@@ -308,12 +302,7 @@ class ChartGeometry:
         return Form._raw(self.field, _scale_into({}, pairs))
 
     def omega_form(self) -> Form:
-        terms = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if not self.w[i][j].is_zero:
-                    terms[(i, j)] = self.w[i][j]
-        return Form(self.field, terms)
+        return two_form(self.field, self.w)
 
     # -- musical isomorphisms --------------------------------------------
 
@@ -328,10 +317,7 @@ class ChartGeometry:
 
     def endo_form(self, matrix) -> VectorValuedForm:
         """The endomorphism M as a vector-valued 1-form dx^j (x) M e_j."""
-        comps = [
-            Form(self.field, {(j,): entry for j, entry in enumerate(row) if not entry.is_zero})
-            for row in matrix
-        ]
+        comps = [Form(self.field, {(j,): entry for j, entry in enumerate(row)}) for row in matrix]
         return VectorValuedForm(self.field, comps, degree=1)
 
     def apply_endo(self, matrix, vvform: VectorValuedForm, sign=1) -> VectorValuedForm:

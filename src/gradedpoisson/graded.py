@@ -63,7 +63,7 @@ from functools import partial
 from itertools import combinations
 
 from .forms import Derivation, Form, VectorValuedForm, _accumulate, _pair_into
-from .geometry import ChartGeometry, compatibility_tensor, dot, l_slice, matrix_inverse
+from .geometry import ChartGeometry, compatibility_tensor, dot, matrix_inverse, two_form
 from .scalars import RationalFunction
 
 
@@ -445,7 +445,7 @@ def theta_even(geom: ChartGeometry, l_tensor=None) -> GradedTwoForm:
 
     base = theta_even_cached(geom, "lie")
     halved = [
-        l_slice(geom.field, slab) * Fraction(1, 2)
+        two_form(geom.field, slab) * Fraction(1, 2)
         for slab in compatibility_tensor(geom.field, l_tensor)
     ] + [Form.zero(geom.field)] * dim
 

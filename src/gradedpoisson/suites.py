@@ -27,6 +27,7 @@ from .brackets import (
     k_even,
     k_odd,
     ks_bracket,
+    ks_bracket_by_generator,
     solve_hamiltonian,
 )
 from .forms import Derivation, Form
@@ -405,8 +406,8 @@ def check_theta_determinant(ctx):
 
 def check_ks_cross_oracle(ctx):
     for p, alpha, q, beta in ctx.pairs():
-        ham = ks_bracket(alpha, beta, ctx.chart, method="hamiltonian")
-        gen = ks_bracket(alpha, beta, ctx.chart, method="generator")
+        ham = ks_bracket(alpha, beta, ctx.chart)
+        gen = ks_bracket_by_generator(alpha, beta, ctx.chart)
         if ham != gen:
             return False, _defect_witness(ham, gen)
     return True, "routes agree with calibration sign +1"

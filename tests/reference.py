@@ -30,7 +30,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracField
 
 from gradedpoisson.forms import Form, VectorValuedForm
-from gradedpoisson.geometry import l_slice
+from gradedpoisson.geometry import two_form
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -458,7 +458,7 @@ def metric_potential(geom, l_tensor=None) -> GradedOneForm:
     if l_tensor is None:
         return lam
     dim = geom.dim
-    on_even = [v + l_slice(geom.field, slab) for v, slab in zip(lam.values, l_tensor)]
+    on_even = [v + two_form(geom.field, slab) for v, slab in zip(lam.values, l_tensor)]
     return GradedOneForm(geom, "lie", on_even + list(lam.values[dim:]), lam.weight)
 
 

@@ -14,6 +14,7 @@ from gradedpoisson.brackets import (
     k_even,
     k_odd,
     ks_bracket,
+    ks_bracket_by_generator,
     solve_hamiltonian,
 )
 from gradedpoisson.forms import Derivation, Form, VectorValuedForm
@@ -489,8 +490,8 @@ def test_even_chain_negates_no_vector_valued_form(chart, monkeypatch):
 def test_odd_bracket_of_functions_vanishes():
     field = FLAT2.field
     x, y = field.gens
-    for method in ("hamiltonian", "generator"):
-        assert ks_bracket(x * y, x + y, FLAT2, method=method).is_zero
+    for route in (ks_bracket, ks_bracket_by_generator):
+        assert route(x * y, x + y, FLAT2).is_zero
 
 
 @pytest.mark.parametrize("name", ["flat2", "halfplane"])
@@ -502,10 +503,8 @@ def test_odd_bracket_of_differentials_is_poisson_differential(name):
         (field.gens[0] * field.gens[1], field.gens[0] ** 2 + field.gens[1]),
     ]:
         expected = Form.function(chart.classical_poisson(f, h)).d()
-        for method in ("hamiltonian", "generator"):
-            got = ks_bracket(
-                Form.function(f).d(), Form.function(h).d(), chart, method=method
-            )
+        for route in (ks_bracket, ks_bracket_by_generator):
+            got = route(Form.function(f).d(), Form.function(h).d(), chart)
             assert got == expected
 
 
@@ -514,8 +513,8 @@ def test_odd_bracket_differential_against_function():
     x, y = field.gens
     f, h = x * y, x + y**2
     expected = Form.function(FLAT2.classical_poisson(f, h))
-    for method in ("hamiltonian", "generator"):
-        got = ks_bracket(Form.function(f).d(), h, FLAT2, method=method)
+    for route in (ks_bracket, ks_bracket_by_generator):
+        got = route(Form.function(f).d(), h, FLAT2)
         assert got == expected
 
 
@@ -535,9 +534,7 @@ def test_odd_bracket_routes_agree(name):
     ]
     for alpha in corpus:
         for beta in corpus:
-            assert ks_bracket(alpha, beta, chart, method="hamiltonian") == ks_bracket(
-                alpha, beta, chart, method="generator"
-            )
+            assert ks_bracket(alpha, beta, chart) == ks_bracket_by_generator(alpha, beta, chart)
 
 
 def test_solver_rejects_degenerate_form():

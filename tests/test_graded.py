@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from gradedpoisson.forms import Derivation, Form, VectorValuedForm
 from gradedpoisson import graded, suites
-from gradedpoisson.geometry import ChartGeometry, builtin_chart, builtin_names, l_slice
+from gradedpoisson.geometry import ChartGeometry, builtin_chart, builtin_names, two_form
 from gradedpoisson.graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -656,7 +656,7 @@ def test_tensor_variant_covariant_mixed_block():
     th = convert_two(theta_even(chart, chart.l_tensor), "nabla")
     for a in range(4):
         for b in range(4):
-            want = l_slice(chart.field, chart.l_tensor[a]).insert_basis(b)
+            want = two_form(chart.field, chart.l_tensor[a]).insert_basis(b)
             assert th.blocks[a][chart.dim + b] == want * Fraction(-1, 2)
 
 

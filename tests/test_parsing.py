@@ -221,6 +221,42 @@ def test_manifest_rejects_singular_metric():
         parse_manifest(text)
 
 
+# the built-ins with no canonical J, as manifests; some entries are written
+# as their mirrors, which the mirror sign of their section fills back
+BUILTIN_MANIFESTS = {
+    "flat2": """\
+    [chart] name=flat2, coords=x,y, kahler-expected=true
+    [metric] g.1.1=1, g.2.2=1
+    [symplectic] w.1.2=1
+    """,
+    "flat4": """\
+    [chart] name=flat4, coords=x1,x2,x3,x4, kahler-expected=false
+    [metric] g.1.3=1, g.4.2=1
+    [symplectic] w.1.3=1, w.4.2=-1
+    """,
+    "sphere2": """\
+    [chart] name=sphere2, coords=x,y, kahler-expected=true
+    [metric] g.1.1=4/(1+x^2+y^2)^2, g.2.2=4*(x^2+y^2+1)^-2
+    [symplectic] w.2.1=-4/(1+x^2+y^2)^2
+    """,
+    "halfplane": """\
+    [chart] name=halfplane, coords=x,y, kahler-expected=true
+    [metric] g.1.1=1/y^2, g.2.2=y^-2, g.2.1=0
+    [symplectic] w.1.2=1/(y*y), w.1.1=0
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MANIFESTS))
+def test_builtin_charts_read_back_from_manifests(name):
+    chart, builtin = parse_manifest(BUILTIN_MANIFESTS[name]), builtin_chart(name)
+    assert chart.name == builtin.name
+    assert (chart.g, chart.w, chart.kahler_expected) == (builtin.g, builtin.w, builtin.kahler_expected)
+    assert chart.l_tensor is None
+    got = run_suite(chart, suite="all", seed=42, samples=2).to_text()
+    assert got == run_suite(builtin, suite="all", seed=42, samples=2).to_text()
+
+
 def test_reports_are_deterministic():
     first = run_suite(CHART, suite="axioms", seed=7, samples=3)
     second = run_suite(CHART, suite="axioms", seed=7, samples=3)
@@ -574,15 +610,25 @@ def test_any_bracket_operand_exits_cleanly(alpha, beta, route):
     assert "Traceback" not in err
 
 
+# a key for each path of the tensor fill: a diagonal and a mirrored metric
+# entry, an independent and a mirrored symplectic one, and an [ltensor]
+# entry in either order of its last index pair or on its zero diagonal
 @settings(max_examples=100, deadline=None)
-@given(EXPRESSIONS, st.sampled_from(("g.1.1", "w.1.2")), st.booleans())
+@given(
+    EXPRESSIONS,
+    st.sampled_from(("g.1.1", "g.2.1", "w.1.2", "w.2.1", "L.1.1.2", "L.1.2.1", "L.1.2.2")),
+    st.booleans(),
+)
 def test_any_manifest_entry_exits_cleanly(tmp_path_factory, entry, key, odd):
-    values = {"g.1.1": "1", "w.1.2": "1", key: entry}
+    values = {"g.1.1": "1", "g.2.2": "1", "w.1.2": "1"}
+    if key == "w.2.1":
+        del values["w.1.2"]  # the mirror stands in for the entry
+    values[key] = entry
+    sections = {"g": "[metric]", "w": "[symplectic]", "L": "[ltensor]"}
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.chart"
     path.write_text(
         "[chart] name=fuzz, coords=x,y\n"
-        f"[metric]\ng.1.1={values['g.1.1']}\ng.2.2=1\n"
-        f"[symplectic]\nw.1.2={values['w.1.2']}\n"
+        + "".join(f"{sections[k[0]]}\n{k}={v}\n" for k, v in values.items())
     )
     argv = ["bracket", str(path), "--alpha=x*dy", "--beta=y"] + (["--odd"] if odd else [])
     code, err = _run_cli(argv)
