@@ -202,11 +202,11 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
 # -- recursion fast paths ------------------------------------------------------
 
 
-def _chain(chart: ChartGeometry, seed: VectorValuedForm, sign: int) -> list[VectorValuedForm]:
+def _chain(chart: ChartGeometry, seed: VectorValuedForm, sign: int, top: int) -> list[VectorValuedForm]:
     """seed, then each term sign * J^{-1}(R(_,_) K) of the one before, up to
-    the top degree; apply_endo carries the sign, so no step is negated."""
+    degree top; apply_endo carries the sign, so no step is negated."""
     seq = [seed]
-    for _ in range(seed.degree + 2, chart.dim + 1, 2):
+    for _ in range(seed.degree + 2, top + 1, 2):
         seq.append(chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]), sign))
     return seq
 
@@ -219,7 +219,7 @@ def k_even(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     the curvature 2-form to the vector slot, then minus the inverse of the
     metric-symplectic endomorphism.
     """
-    return _chain(chart, chart.apply_endo(chart.w_inv, chart.gradient(f)), -1)
+    return _chain(chart, chart.apply_endo(chart.w_inv, chart.gradient(f)), -1, chart.dim)
 
 
 def k_odd(chart: ChartGeometry, f) -> list[VectorValuedForm]:
@@ -228,7 +228,7 @@ def k_odd(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     covariant Hessian, omega^{-1} . Hess f; higher ones follow the displayed
     curvature recursion (without the extra minus of the even chain)."""
     seed = chart.apply_endo(chart.w_inv, chart.endo_form(chart.covariant_hessian(f)))
-    return _chain(chart, seed, 1)
+    return _chain(chart, seed, 1, chart.dim)
 
 
 # -- brackets -------------------------------------------------------------------
@@ -315,6 +315,12 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
     with the even components taken in the displayed seeding (plus the
     classical Hamiltonian field). The generic solver remains authoritative;
     the test suite keeps the two routes equal on Kaehler charts.
+
+    The even chain stops at degree dim - 2, one step short of k_even's.
+    [[f, h]] reads an entry K of degree m only through R4(K, X_h, _, _),
+    which vanishes once m + 2 > dim, and [[f, dh]] reads a top-degree
+    entry only through d^nabla of it, a form of degree dim + 1, which is
+    zero. So on a 2-D chart the chain is its seed alone.
     """
     field = chart.field
     f = field.wrap(f)
@@ -325,7 +331,7 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
     # [[df, dh]] no even chain
     if kind in ("ff", "f_dh"):
         # displayed seeding: the first entry is X_f, so it pairs into {f, h}
-        evens = _chain(chart, chart.classical_hamiltonian(f), -1)
+        evens = _chain(chart, chart.classical_hamiltonian(f), -1, chart.dim - 2)
         poisson = Form.function(chart.pair(chart.w, evens[0], x_h).scalar_part())
     if kind == "ff":
         return Form.sum(field, [poisson] + [_curvature_pair(chart, ke, x_h) for ke in evens])

@@ -18,6 +18,9 @@ g^-1 . alpha are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J and
 the rows of g and omega as 1-forms are endo_form. two_form(field, M) is
 the 2-form sum_{j<k} M[j][k] dx^j wedge dx^k of an antisymmetric M: omega,
 each slab L(e_a; _, _) of a compatibility tensor and each curvature block.
+A determinant and an inverse come from matrix_inverse, one Gauss-Jordan
+elimination whose pivots are exact: it writes the one and the zeros of a
+reduced pivot column rather than computing p * p^-1 and a - a * 1.
 
 twist_into accumulates the connection twist T_i = sum_k K_k ^ omega^i_k,
 with omega^i_k = Gamma^i_{jk} dx^j the connection 1-forms, into term dicts
@@ -60,6 +63,11 @@ def matrix_inverse(rows, field: ScalarField):
 
     The determinant is the product of the pivots, negated once per row
     swap. inverse is None when det is zero.
+
+    The pivots are exact: the pivot entry becomes field.one and the rest of
+    its column field.zero, the values p * p^-1 and a - a * 1 take, without
+    computing them. Only the columns right of the pivot are scaled and
+    reduced; left of it the pivot row is already zero.
     """
     n = len(rows)
     work = [list(row) + [field.one if i == j else field.zero for j in range(n)] for i, row in enumerate(rows)]
@@ -71,14 +79,17 @@ def matrix_inverse(rows, field: ScalarField):
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             det = -det
-        det = det * work[col][col]
-        inv = 1 / work[col][col]
-        work[col] = [entry * inv if entry else entry for entry in work[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero:
+        row, rest = work[col], col + 1
+        det = det * row[col]
+        inv = 1 / row[col]
+        row[rest:] = [entry * inv if entry else entry for entry in row[rest:]]
+        row[col] = field.one
+        for other in work:
+            factor = other[col]
+            if other is row or factor.is_zero:
                 continue
-            factor = work[r][col]
-            work[r] = [a - factor * b if b else a for a, b in zip(work[r], work[col])]
+            other[rest:] = [a - factor * b if b else a for a, b in zip(other[rest:], row[rest:])]
+            other[col] = field.zero
     return det, tuple(tuple(row[n:]) for row in work)
 
 

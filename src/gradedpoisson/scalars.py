@@ -111,14 +111,16 @@ denominator. It is factored once.
 The brackets differentiate, multiply and divide by the same few values
 again and again. So each interned field (see ``coordinate_field``) keeps
 one memo dict of results, keyed by value: a product by its two operands in
-order, a partial derivative by ``("partial", index, operand)``, and the
-factorization of a numerator by ``("factor", numerator)``. A hit returns
-what a fresh computation would, and values are never mutated, so one
-result can serve every caller. Factors are compared by their polynomial,
-never by where they were first seen, so a value stays valid across
-``clear_memos``. That empties every field's memo; ``cli.main`` and
-``suites.run_suite`` call it when they end, so no call reuses the work of
-an earlier one.
+order, a partial derivative by ``("partial", index, operand)``, a
+reciprocal by ``("reciprocal", operand)``, and the factorization of a
+numerator by ``("factor", numerator)``. So a value is inverted once per
+call, and a quotient 1 / x is that reciprocal itself, with no product by
+one. A hit returns what a fresh computation would, and values are never
+mutated, so one result can serve every caller. Factors are compared by
+their polynomial, never by where they were first seen, so a value stays
+valid across ``clear_memos``. That empties every field's memo;
+``cli.main`` and ``suites.run_suite`` call it when they end, so no call
+reuses the work of an earlier one.
 """
 
 from __future__ import annotations
@@ -156,8 +158,8 @@ def coordinate_field(coords) -> "ScalarField":
 
 
 def clear_memos() -> None:
-    """Empty the product, derivative and factorization memo of every
-    interned field."""
+    """Empty the product, derivative, reciprocal and factorization memo of
+    every interned field."""
     for field in _FIELDS.values():
         field._memo.clear()
 
@@ -519,7 +521,9 @@ def _divide_out(base, num, factor, limit):
     Returns the quotient and how often it divided. A factor of one term is
     a coordinate x_i, which divides num as often as it divides every term:
     that count is read off the exponents, not found one division at a
-    time, which would take as many steps as an exponent is large.
+    time, which would take as many steps as an exponent is large. A single
+    term has only single-term divisors, so once num is one term no longer
+    factor is trial-divided into it.
     """
     if len(factor.poly) == 1:
         index = factor.depends.index(True)
@@ -532,7 +536,7 @@ def _divide_out(base, num, factor, limit):
             num = _narrow(base, tuple([(monom - drop, coeff) for monom, coeff in num]), lay)
         return num, count
     count = 0
-    while count < limit:
+    while count < limit and len(num) > 1:
         quotient = _exact_quotient(base, num, factor.poly)
         if quotient is None:
             break
@@ -725,14 +729,27 @@ def _factor(field, num):
 
 
 def _inverse(a):
-    """1 / a for nonzero a, factoring a's numerator once per field memo."""
+    """1 / a for nonzero a, computed once per value and factoring a's
+    numerator once per field memo."""
     field = a.field
-    key = ("factor", a.num)
-    factored = field._memo.get(key)
-    if factored is None:
-        factored = field._memo[key] = _factor(field, a.num)
-    sign, content, facs = factored
-    return RationalFunction(field, _expand(field, sign * a.cont, a.facs), content, facs)
+    memo = field._memo
+    # a product key holds two values, never a string, so none equals this
+    key = ("reciprocal", a)
+    result = memo.get(key)
+    if result is None:
+        factor_key = ("factor", a.num)
+        factored = memo.get(factor_key)
+        if factored is None:
+            factored = memo[factor_key] = _factor(field, a.num)
+        sign, content, facs = factored
+        result = memo[key] = RationalFunction(field, _expand(field, sign * a.cont, a.facs), content, facs)
+    return result
+
+
+def _divide(a, b):
+    """a / b for nonzero b: b's reciprocal itself when a is one."""
+    inverse = _inverse(b)
+    return inverse if a == a.field.one else _mul(a, inverse)
 
 
 def _expand(field, cont, facs):
@@ -838,7 +855,7 @@ class RationalFunction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return _mul(self, _inverse(other))
+        return _divide(self, other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -846,7 +863,7 @@ class RationalFunction:
             return NotImplemented
         if not self.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return _mul(other, _inverse(self))
+        return _divide(other, self)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -885,7 +902,8 @@ class RationalFunction:
             index = coord
             if not 0 <= index < field.dimension:
                 raise IndexError(f"coordinate index {coord} out of range")
-        # three entries, so no product or factorization key (two) can equal it
+        # three entries, so no product, reciprocal or factorization key (two)
+        # can equal it
         key = ("partial", index, self)
         result = field._memo.get(key)
         if result is None:

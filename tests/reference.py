@@ -3,10 +3,11 @@
 Each is the textbook definition of something the package computes
 another way, or no longer needs: a scalar as a sympy fraction-field
 element, for sympy's printing and arithmetic, a value at a rational
-point, the Lie derivative of a form by Cartan's formula, a derivation's
-normal form L_K + i_{L'} and its action through Cartan's formula for K
-or as one Form per lie basic, the Lie bracket of vector fields, the
-lowered curvature tensor entry by entry and the closed-form even-even
+point, a determinant by cofactor expansion, the Lie derivative of a form
+by Cartan's formula, a derivation's normal form L_K + i_{L'} and its
+action through Cartan's formula for K or as one Form per lie basic, the
+Lie bracket of vector fields, the lowered curvature tensor entry by
+entry and the closed-form even-even
 block as its double sum over Christoffel symbols, the connection twist,
 an endomorphism's action, a bilinear pairing, the curvature's action on
 a vector-valued form and the curvature pairing R4(left, right, _, _) as
@@ -150,6 +151,19 @@ def eval_at(value, point) -> Fraction:
     if denom == 0:
         raise ZeroDivisionError("denominator vanishes at the point")
     return _eval_poly(elem.numer, values) / denom
+
+
+def det_by_cofactors(field, rows):
+    """The determinant of a square scalar matrix by cofactor expansion along
+    its first row."""
+    if not rows:
+        return field.one
+    total = field.zero
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero:
+            term = entry * det_by_cofactors(field, [row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
 
 
 # -- forms and vector fields ----------------------------------------------------
@@ -531,14 +545,14 @@ def dnabla_negating(chart, vvform: VectorValuedForm) -> VectorValuedForm:
 def k_even_negating(chart, f) -> list[VectorValuedForm]:
     """K^0, K^2, ... of D_f: seeded at -X_f, the negation of the classical
     Hamiltonian field, and each step J^{-1}(R(_,_) K) negated as a whole."""
-    return chain_negating(chart, -chart.classical_hamiltonian(f), -1)
+    return chain_negating(chart, -chart.classical_hamiltonian(f), -1, chart.dim)
 
 
-def chain_negating(chart, seed: VectorValuedForm, sign: int) -> list[VectorValuedForm]:
-    """seed, then each sign * J^{-1}(R(_,_) K), the sign applied by negating
-    the step."""
+def chain_negating(chart, seed: VectorValuedForm, sign: int, top: int) -> list[VectorValuedForm]:
+    """seed, then each sign * J^{-1}(R(_,_) K) up to degree top, the sign
+    applied by negating the step."""
     seq = [seed]
-    for _ in range(seed.degree + 2, chart.dim + 1, 2):
+    for _ in range(seed.degree + 2, top + 1, 2):
         step = chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]))
         seq.append(step if sign > 0 else -step)
     return seq

@@ -204,7 +204,7 @@ def test_contracts_skip_zero_christoffel_and_curvature_entries(monkeypatch, name
 
 @pytest.mark.parametrize(
     "name, succeeded, failed",
-    [("sphere2", 326, 213), ("tlift1q", 96, 297)],
+    [("sphere2", 320, 91), ("tlift1q", 93, 101)],
     ids=["sphere2", "tlift1q"],
 )
 def test_scalar_trial_divisions_are_pinned(monkeypatch, name, succeeded, failed):
@@ -218,7 +218,14 @@ def test_scalar_trial_divisions_are_pinned(monkeypatch, name, succeeded, failed)
     # on the base chart, with no chart per L sample, made only failed
     # divisions go (sphere2 228 -> 213, tlift1q 314 -> 305), and so did
     # summing the bivector insertion over a < b, with no halving of a sum
-    # over every a, b (tlift1q 305 -> 297)
+    # over every a, b (tlift1q 305 -> 297). A numerator of one term is no
+    # longer trial-divided by a factor of two or more terms, which cannot
+    # divide it (failed: sphere2 213 -> 91, tlift1q 297 -> 101). Writing
+    # the one and the zeros of a Gauss-Jordan pivot column, rather than
+    # computing p * p^-1 and a - a * 1, dropped the divisions those products
+    # made (succeeded: sphere2 326 -> 324, tlift1q 96 -> 93), and so did
+    # ending the fast path's even chain at degree dim - 2, which spares a
+    # 2-D chart J and its inverse (sphere2 324 -> 320)
     outcomes = {True: 0, False: 0}
     exact_quotient = scalars._exact_quotient
 

@@ -389,6 +389,21 @@ def test_fastpath_matches_solver(name, kind):
         assert fast == even_bracket(alpha, beta, theta)
 
 
+@pytest.mark.parametrize("kind", ["ff", "f_dh"])
+def test_fastpath_matches_solver_on_the_curved_product(kind):
+    # the fast path's even chain stops at degree dim - 2: [[f, h]] pairs a
+    # top-degree K with the curvature to zero and [[f, dh]] reads only
+    # d^nabla of it, which vanishes; on this 4-D chart K^2 is nonzero for a
+    # function that mixes the two factors, so the bounded chain is tested
+    x, y, u, v = PRODUCT.field.gens
+    f, h = x * u + y, y * v + u
+    assert not all(c.is_zero for c in k_even(PRODUCT, f)[1].components)
+    beta = Form.function(h).d() if kind == "f_dh" else Form.function(h)
+    for basis in ("lie", "nabla"):
+        want = even_bracket(Form.function(f), beta, theta_even_cached(PRODUCT, basis))
+        assert bracket_fastpath(kind, f, h, PRODUCT) == want
+
+
 def test_flat_fastpath_collapses_to_classical():
     field = FLAT2.field
     f = field.gens[0] ** 2
@@ -425,7 +440,7 @@ def test_displayed_even_chain_is_the_negated_solver_chain(chart):
     # every step of the chain is linear, so seeding at +X_f negates each entry
     x, y = chart.field.gens[:2]
     for f in (x * y, x**2 + chart.field.gens[-1]):
-        displayed = brackets._chain(chart, chart.classical_hamiltonian(f), -1)
+        displayed = brackets._chain(chart, chart.classical_hamiltonian(f), -1, chart.dim)
         assert displayed == [-k for k in k_even(chart, f)]
 
 
@@ -810,12 +825,14 @@ DERIVED = {
 }
 # the nabla basics read only Gamma (raised from the first kind) and its
 # connection 1-forms; [[f, h]] takes no covariant derivative, so it reads
-# no connection form
+# no connection form; in 2-D its even chain is the seed alone, so it steps
+# by no J^-1 and no curvature 2-form
 CONNECTION = {"connection_forms", "connection_rows"}
+CHAIN_STEP = {"curvature_forms", "j_matrix", "j_inv"}
 BUILT_BY = {
     "odd": set(),
     "even": {"gamma_first", "gamma"} | CONNECTION,
-    "fastpath": DERIVED - CONNECTION,
+    "fastpath": DERIVED - CONNECTION - CHAIN_STEP,
 }
 
 

@@ -24,6 +24,7 @@ from reference import (
     closed_alpha,
     connection_twist,
     curvature_apply_by_sum,
+    det_by_cofactors,
     insert_vector,
     j_apply,
     nabla_direction,
@@ -574,6 +575,63 @@ def test_matrix_helpers():
     # a row swap negates the determinant
     assert matrix_inverse([m[1], m[0]], field)[0] == -(x**2)
     assert matrix_inverse([[field.zero]], field) == (field.zero, None)
+
+
+@st.composite
+def entries(draw, field):
+    """A polynomial with a rational coefficient over one of a few nonzero
+    denominators, or zero."""
+    x, y = field.gens
+    scale = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    den = draw(st.sampled_from([field.one, y, 1 + x**2, x + y, 1 + x**2 + y**2]))
+    return draw(polys(field)) * scale / den
+
+
+@st.composite
+def square_matrices(draw, field):
+    """A 1x1 to 4x4 scalar matrix: dense, a row permutation of an upper
+    triangular one with a nonzero diagonal (a pivot search that must swap
+    rows unless the permutation fixes the first), or one whose last row is
+    a multiple of its first (singular)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["dense", "swapped", "singular"]))
+    rows = [[draw(entries(field)) for _ in range(n)] for _ in range(n)]
+    if kind == "swapped":
+        for i in range(n):
+            rows[i][:i] = [field.zero] * i
+            rows[i][i] = draw(entries(field).filter(bool))
+        rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    elif kind == "singular":
+        rows[-1] = [entry * draw(entries(field)) for entry in rows[0]] if n > 1 else [field.zero]
+    return rows
+
+
+@given(data=st.data())
+def test_matrix_inverse_is_exact(data):
+    field = coordinate_field(("x", "y"))
+    m = data.draw(square_matrices(field))
+    n = len(m)
+    det, inv = matrix_inverse(m, field)
+    assert det == det_by_cofactors(field, m)
+    if det.is_zero:
+        assert (det, inv) == (field.zero, None)
+        return
+    identity = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+    assert matmul(field, m, inv) == identity
+    assert matmul(field, inv, m) == identity
+
+
+def test_matrix_inverse_swaps_to_a_nonzero_pivot():
+    field = coordinate_field(("x", "y"))
+    x, y = field.gens
+    zero, one = field.zero, field.one
+    # only the last row has a nonzero first entry, so the pivot search swaps
+    m = [[zero, zero, one / (1 + x**2)], [zero, y, x], [Fraction(1, 3) * x, one, y]]
+    det, inv = matrix_inverse(m, field)
+    assert det == det_by_cofactors(field, m) == -(x * y) / (3 + 3 * x**2)
+    identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    assert matmul(field, m, inv) == matmul(field, inv, m) == identity
+    assert matrix_inverse([[x, y], [2 * x, 2 * y]], field) == (zero, None)
 
 
 def test_det_relation_omega_metric():

@@ -10,7 +10,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
 
 from conftest import fresh_python
-from gradedpoisson import scalars as scalar_module
+from gradedpoisson import cli, scalars as scalar_module
 from gradedpoisson.cli import main
 from gradedpoisson.factoring import factor
 from gradedpoisson.scalars import (
@@ -411,6 +411,41 @@ def test_values_outlive_the_memos():
     assert hash(before) == hash(after)
     assert (before - after).is_zero
     assert before / after == 1
+
+
+def _reciprocals():
+    return [key for field in scalar_module._FIELDS.values() for key in field._memo if key[0] == "reciprocal"]
+
+
+@given(scalars())
+def test_a_reciprocal_is_computed_once_per_value(a):
+    assume(a)
+    clear_memos()
+    fresh = 1 / a
+    _assert_canonical(fresh, ORACLE.one / _to_oracle(a))
+    clear_memos()
+    for _ in range(2):  # misses, then hits
+        got = (1 / a, F.one / a, a**-1)
+        assert got == (fresh, fresh, fresh)
+        # 1 / a is the memoized reciprocal itself, not a product by one
+        assert got[0] is got[1]
+    assert len(_reciprocals()) == 1
+    assert a * (1 / a) == 1
+    clear_memos()
+    assert _reciprocals() == []
+
+
+def test_a_cli_call_leaves_no_reciprocal_behind(monkeypatch, capsys):
+    held = []
+
+    def clearing():
+        held.append(len(_reciprocals()))
+        clear_memos()
+
+    monkeypatch.setattr(cli, "clear_memos", clearing)
+    assert main(["bracket", "builtin:sphere2", "--alpha=x/(1+y^2)", "--beta=1/(x+y)"]) == 0
+    assert capsys.readouterr().out
+    assert held[0] > 0 and _reciprocals() == []
 
 
 # -- the sparse polynomial kernel against sympy's PolyElement -------------------
