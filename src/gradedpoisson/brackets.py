@@ -16,11 +16,11 @@ invariant: every closed-form shortcut in this module is validated
 against it.
 
 The elimination's plan, the inverse of Theta's degree-0 block matrix and
-the positive-degree parts of its blocks, is built once per form and kept
-in the chart's cache, together with a memo of the derivations found so
-far. The memo stores a derivation only after the final check has passed,
-so the check runs once for every distinct solve on a chart, and a
-repeated solve returns the shared, read-only derivation.
+the positive-degree parts of its blocks, is built once per form, and each
+derivation once per form and operand: both are kept in the chart's cache
+(geometry.per_chart). A derivation is kept only after the final check
+has passed, so the check runs once for every distinct solve on a chart,
+and a repeated solve returns the shared, read-only derivation.
 
 Two calibration signs are fixed here once and used consistently:
 
@@ -36,7 +36,7 @@ Two calibration signs are fixed here once and used consistently:
 from __future__ import annotations
 
 from .forms import Derivation, Form, VectorValuedForm, _accumulate, _pair_into, _scale_into, _wedge_into
-from .geometry import ChartError, ChartGeometry, matrix_inverse
+from .geometry import ChartError, ChartGeometry, matrix_inverse, per_chart
 from .graded import (
     GradedOneForm,
     GradedTwoForm,
@@ -51,20 +51,17 @@ from .scalars import RationalFunction
 
 
 def _operand(alpha, geom: ChartGeometry):
-    """alpha as a Form or a GradedOneForm, with its key in geom's solve memo.
+    """alpha as a Form or as a GradedOneForm, which must be one of geom's.
 
-    Equal keys mean equal right-hand sides: a function keys as the 0-form
-    it is, a form by value, a tabulated 1-form by its tabulation, which
-    must be one of geom's.
+    A function becomes the 0-form it is, so equal operands compare equal:
+    a form by value, a tabulated 1-form by its tabulation.
     """
     if isinstance(alpha, RationalFunction):
-        alpha = Form.function(alpha)
-    if isinstance(alpha, Form):
-        return alpha, alpha
-    if isinstance(alpha, GradedOneForm):
-        if alpha.geom is not geom:
-            raise ValueError("the form and the right-hand side live on different tabulations")
-        return alpha, (alpha.basis, alpha.values)
+        return Form.function(alpha)
+    if isinstance(alpha, GradedOneForm) and alpha.geom is not geom:
+        raise ValueError("the form and the right-hand side live on different tabulations")
+    if isinstance(alpha, (Form, GradedOneForm)):
+        return alpha
     raise TypeError(f"cannot solve against {type(alpha).__name__}")
 
 
@@ -83,38 +80,33 @@ def _verify(theta: GradedTwoForm, derivation: Derivation, rhs: GradedOneForm) ->
         )
 
 
-def _plan(theta: GradedTwoForm):
-    """theta's sparse solver plan, built once per chart: (inverse, higher, memo).
+@per_chart
+def _plan(geom: ChartGeometry, theta: GradedTwoForm):
+    """theta's sparse solver plan, built once per chart: (inverse, higher).
 
     inverse[row] lists the (col, entry) pairs of the nonzero entries in that
     row of the inverse of the degree-0 part of theta's block matrix, and
     higher[row] the (col, degree, terms) triples of the nonempty parts of
     positive degree of the blocks (row, col), each part by its term dict,
-    in column order and then by degree. memo maps an operand key to its
-    verified derivation. A degenerate form raises ChartError and leaves no
-    plan behind.
+    in column order and then by degree. A degenerate form raises
+    ChartError and leaves no plan behind.
     """
-
-    def build():
-        _, inverse = matrix_inverse(
-            [[block.scalar_part() for block in row] for row in theta.blocks], theta.geom.field
-        )
-        if inverse is None:
-            raise ChartError("matrix is singular")
-        # most entries of the inverse vanish (12 of 16 on sphere2)
-        inverse = [[(col, e) for col, e in enumerate(row) if not e.is_zero] for row in inverse]
-        higher = [
-            [
-                (col, j, part.terms)
-                for col, block in enumerate(row)
-                for j, part in block.homogeneous_parts().items()
-                if j
-            ]
-            for row in theta.blocks
+    rows = [[block.scalar_part() for block in row] for row in theta.blocks]
+    _, inverse = matrix_inverse(rows, geom.field)
+    if inverse is None:
+        raise ChartError("matrix is singular")
+    # most entries of the inverse vanish (12 of 16 on sphere2)
+    inverse = [[(col, e) for col, e in enumerate(row) if not e.is_zero] for row in inverse]
+    higher = [
+        [
+            (col, j, part.terms)
+            for col, block in enumerate(row)
+            for j, part in block.homogeneous_parts().items()
+            if j
         ]
-        return inverse, higher, {}
-
-    return theta.geom.cached(("solve-plan", theta), build)
+        for row in theta.blocks
+    ]
+    return inverse, higher
 
 
 def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
@@ -146,15 +138,18 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
     over the nabla basics they differ by the connection twist, which
     ChartGeometry.twist_into subtracts from the insertion totals in place,
     and graded.components_by_degree reads those back by degree.
-    Derivations are memoized on the plan after _verify has passed, so
-    _verify runs once per distinct solve and a repeated solve returns the
-    same Derivation; callers must treat it as read-only.
+    The solve is kept in the chart's cache under theta and the operand,
+    and only once _verify has passed, so _verify runs once per distinct
+    solve and a repeated solve returns the same Derivation; callers must
+    treat it as read-only.
     """
-    alpha, key = _operand(alpha, theta.geom)
-    inverse, higher, memo = _plan(theta)
-    if key in memo:
-        return memo[key]
-    geom = theta.geom
+    return _solve(theta.geom, theta, _operand(alpha, theta.geom))
+
+
+@per_chart
+def _solve(geom: ChartGeometry, theta: GradedTwoForm, alpha) -> Derivation:
+    """solve_hamiltonian's elimination and its check, for a checked operand."""
+    inverse, higher = _plan(geom, theta)
     dim = geom.dim
     field = geom.field
     rhs = _as_rhs(geom, alpha, theta.basis)
@@ -195,7 +190,6 @@ def solve_hamiltonian(theta: GradedTwoForm, alpha) -> Derivation:
         geom.twist_into([c.terms for c in totals[dim:]], totals[:dim], -1)
     derivation = Derivation(field, totals)
     _verify(theta, derivation, rhs)
-    memo[key] = derivation
     return derivation
 
 
@@ -240,8 +234,6 @@ def even_bracket(alpha, beta, theta: GradedTwoForm) -> Form:
     theta may be tabulated in either basis: D_alpha is the unique
     derivation with iota_D theta = d^G alpha, so the result is the same.
     """
-    if isinstance(beta, RationalFunction):
-        beta = Form.function(beta)
     return solve_hamiltonian(theta, alpha)(beta)
 
 

@@ -4,8 +4,10 @@ The grammar is deliberately small: rational-coefficient arithmetic over
 the chart coordinates with + - * / and integer powers, coordinate
 differentials written d<coord>, and ^ joining wedge factors. A scalar
 multiplies a wedge monomial through *; juxtaposition is a syntax error.
-/ binds like *, and ^ binds tighter than both. Every diagnostic carries
-a 1-based column so manifest errors can point at the offending entry.
+/ binds like *, and ^ binds tighter than both and than a unary sign; it
+is left-associative, and an exponent is an optionally signed integer
+literal. Every diagnostic carries a 1-based column so manifest errors can
+point at the offending entry.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over the token list; values are (form, literal)
-    pairs so integer literals stay available as exponents."""
+    """Recursive descent over the token list; every grammar method returns
+    a Form. An exponent is read as an integer token, never as a Form."""
 
     def __init__(self, text: str, field: ScalarField):
         self.field = field
@@ -73,31 +75,30 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Form:
-        value, _ = self.expr()
+        value = self.expr()
         kind, text, position = self.peek()
         if kind != "end":
             raise ExprError(f"unexpected {text!r}", position)
         return value
 
-    def expr(self):
-        value, literal = self.term()
-        terms = [value]
+    def expr(self) -> Form:
+        terms = [self.term()]
         kind, op, _ = self.peek()
         while kind == "op" and op in "+-":
             self.advance()
-            rhs, _ = self.term()
+            rhs = self.term()
             terms.append(rhs if op == "+" else -rhs)
             kind, op, _ = self.peek()
-        return (value, literal) if len(terms) == 1 else (Form.sum(self.field, terms), None)
+        return terms[0] if len(terms) == 1 else Form.sum(self.field, terms)
 
-    def term(self):
-        value, literal = self.signed()
+    def term(self) -> Form:
+        value = self.signed()
         while True:
             kind, op, position = self.peek()
             if kind != "op" or op not in "*/":
-                return value, literal
+                return value
             self.advance()
-            rhs, _ = self.signed()
+            rhs = self.signed()
             if op == "*":
                 value = value.wedge(rhs)
             else:
@@ -107,7 +108,6 @@ class _Parser:
                 if divisor.is_zero:
                     raise ExprError("division by zero", position)
                 value = value * (self.field.one / divisor)
-            literal = None
 
     def unary_sign(self) -> int:
         """Consume a run of unary + and -: -1 for an odd number of minuses, else 1."""
@@ -120,61 +120,58 @@ class _Parser:
             kind, op, _ = self.peek()
         return sign
 
-    def signed(self):
+    def signed(self) -> Form:
         sign = self.unary_sign()
-        value, literal = self.power()
-        if sign < 0:
-            return -value, None
-        return value, literal
+        value = self.power()
+        return -value if sign < 0 else value
 
-    def power(self):
-        value, literal = self.atom()
+    def power(self) -> Form:
+        value = self.atom()
         while True:
             kind, op, position = self.peek()
             if kind != "op" or op != "^":
-                return value, literal
+                return value
             self.advance()
-            rhs, rhs_literal = self.exponent_operand()
-            if rhs_literal is not None:
+            # one signed operand; a signed integer literal is an exponent, so x^-2 works
+            sign = self.unary_sign()
+            if self.peek()[0] == "int":
+                exponent = sign * self.integer()
                 base = value.scalar_part()
                 if value != Form.function(base):
                     raise ExprError(
                         "cannot raise a form of positive degree to a power", position
                     )
-                if rhs_literal < 0 and base.is_zero:
+                if exponent < 0 and base.is_zero:
                     raise ExprError("division by zero", position)
-                if rhs_literal == 0 and base.is_zero:
+                if exponent == 0 and base.is_zero:
                     raise ExprError("zero to the power zero is undefined", position)
-                value = Form.function(base**rhs_literal)
-            elif rhs.degrees() and rhs.degrees() != [0]:
-                value = value.wedge(rhs)
-            else:
+                value = Form.function(base**exponent)
+                continue
+            rhs = self.atom()
+            if not rhs.degrees() or rhs.degrees() == [0]:
                 raise ExprError("exponent must be an integer literal", position)
-            literal = None
+            value = value.wedge(-rhs if sign < 0 else rhs)
 
-    def exponent_operand(self):
-        # one signed atom; negative literals stay literal so x^-2 works
-        sign = self.unary_sign()
-        value, literal = self.atom()
-        if literal is not None:
-            return value, sign * literal
-        return (-value if sign < 0 else value), None
+    def integer(self) -> int:
+        """The value of the integer token next in line."""
+        _, text, position = self.advance()
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on converted digits
+            message = f"integer literal of {len(text)} digits is too long"
+            raise ExprError(message, position) from None
 
-    def atom(self):
-        kind, text, position = self.advance()
+    def atom(self) -> Form:
+        kind, text, position = self.peek()
         if kind == "int":
-            try:
-                number = int(text)
-            except ValueError:  # past the interpreter's limit on converted digits
-                message = f"integer literal of {len(text)} digits is too long"
-                raise ExprError(message, position) from None
-            return Form.function(self.field.constant(number)), number
+            return Form.function(self.field.constant(self.integer()))
+        self.advance()
         if kind == "name":
-            return self.resolve(text, position), None
+            return self.resolve(text, position)
         if kind == "op" and text == "(":
-            value, _ = self.expr()
+            value = self.expr()
             self.expect_op(")")
-            return value, None
+            return value
         raise ExprError(f"unexpected {text!r}" if text else "unexpected end of expression", position)
 
     def resolve(self, name: str, position: int) -> Form:

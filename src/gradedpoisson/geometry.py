@@ -36,18 +36,22 @@ symbols of both kinds (gamma_first, gamma), the connection 1-forms
 (connection_forms) and their nonzero rows (connection_rows), the
 curvature endomorphism riemann and its lowered form riemann_lowered, the
 tables riemann4_forms and curvature_forms of their 2-forms, and J with its
-inverse (j_matrix, j_inv). Contractions skip zero Christoffel and
+inverse lam . g (j_matrix, j_inv). Contractions skip zero Christoffel and
 curvature entries, and the twist visits only connection_rows, so a flat
 chart pays for none of them.
 The odd (Koszul-Schouten) bracket and the even bracket over the lie basics
 read none of the tables; over the nabla basics it reads only Gamma and
 the connection 1-forms.
+
+A value that a function derives from a chart and hashable arguments
+alone is kept in the chart's one cache by the per_chart decorator, under
+that function and its arguments, so no module names a cache key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 
 from .forms import Derivation, Form, VectorValuedForm, _pair_into, _scale_into, _wedge_into
@@ -56,6 +60,27 @@ from .scalars import RationalFunction, ScalarField, coordinate_field
 
 class ChartError(ValueError):
     """A chart definition violates a structural invariant."""
+
+
+_MISSING = object()
+
+
+def per_chart(build):
+    """build(chart, *args), kept in the chart's cache under (build, args).
+
+    A hit is one lookup. When build raises, nothing is stored, so the next
+    call builds again and raises again. The arguments must be hashable.
+    """
+
+    @wraps(build)
+    def cached(chart, *args):
+        key = (build, args)
+        value = chart._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = chart._cache[key] = build(chart, *args)
+        return value
+
+    return cached
 
 
 def matrix_inverse(rows, field: ScalarField):
@@ -199,18 +224,6 @@ class ChartGeometry:
         self.canonical_j = canonical_j
         self._cache = {}
 
-    def cached(self, key, build):
-        """The value memoized under key on this chart, built by build() once.
-
-        The one cache home for everything that depends only on the chart:
-        basic derivations, tabulated symplectic forms, each form's solver
-        plan with its memo of verified solves (brackets._plan), and the
-        exterior-insertion pair (suites._exterior_insertion).
-        """
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     # -- derived tensors, built on first read ----------------------------
 
     @cached_property
@@ -296,8 +309,8 @@ class ChartGeometry:
 
     @cached_property
     def j_inv(self):
-        # nonsingular: det g and det w are nonzero
-        return matrix_inverse(self.j_matrix, self.field)[1]
+        """J^-1 = -omega^-1 g = lam . g, since J = g^-1 omega^T and omega^T = -omega."""
+        return matmul(self.field, self.lam, self.g)
 
     # -- tensor evaluation ---------------------------------------------------
 

@@ -63,22 +63,19 @@ from functools import partial
 from itertools import combinations
 
 from .forms import Derivation, Form, VectorValuedForm, _accumulate, _pair_into
-from .geometry import ChartGeometry, compatibility_tensor, dot, matrix_inverse, two_form
+from .geometry import ChartGeometry, compatibility_tensor, dot, matrix_inverse, per_chart, two_form
 from .scalars import RationalFunction
 
 
 # -- basic derivations -------------------------------------------------------
 
 
+@per_chart
 def basics(geom: ChartGeometry, basis: str) -> tuple[Derivation, ...]:
     """The 2n basic derivations E_r of the chart: even ones first, then insertions."""
-
-    def build():
-        units = [VectorValuedForm.basis(geom.field, a) for a in range(geom.dim)]
-        even = geom.nabla_derivation if basis == "nabla" else Derivation.lie
-        return tuple(map(even, units)) + tuple(map(Derivation.insertion, units))
-
-    return geom.cached(("basics", basis), build)
+    units = [VectorValuedForm.basis(geom.field, a) for a in range(geom.dim)]
+    even = geom.nabla_derivation if basis == "nabla" else Derivation.lie
+    return tuple(map(even, units)) + tuple(map(Derivation.insertion, units))
 
 
 def _decompose(geom: ChartGeometry, derivation: Derivation, basis: str) -> tuple[Form, ...]:
@@ -544,14 +541,17 @@ def theta_ks_closed(geom: ChartGeometry) -> GradedTwoForm:
     return GradedTwoForm(geom, "lie", entry, -1)
 
 
-def theta_even_cached(geom: ChartGeometry, basis: str = "lie") -> GradedTwoForm:
-    """Theta_{omega,g} memoized per chart; builds the lie tabulation once."""
-    lie = geom.cached(("theta_even", "lie"), lambda: theta_even(geom))
-    return geom.cached(("theta_even", basis), lambda: convert_two(lie, basis))
+@per_chart
+def theta_even_cached(geom: ChartGeometry, basis: str) -> GradedTwoForm:
+    """Theta_{omega,g} in basis, built once per chart; nabla converts the lie table."""
+    if basis == "lie":
+        return theta_even(geom)
+    return convert_two(theta_even_cached(geom, "lie"), basis)
 
 
+@per_chart
 def theta_ks_cached(geom: ChartGeometry) -> GradedTwoForm:
-    return geom.cached("theta_ks", lambda: theta_ks(geom))
+    return theta_ks(geom)
 
 
 def scalar_block_det(theta: GradedTwoForm) -> RationalFunction:

@@ -31,7 +31,7 @@ from .brackets import (
     solve_hamiltonian,
 )
 from .forms import Derivation, Form
-from .geometry import ChartGeometry, matmul
+from .geometry import ChartGeometry, matmul, per_chart
 from .graded import (
     components_by_degree,
     eval_one,
@@ -225,16 +225,13 @@ def check_poisson_extension(ctx):
 # -- theorem checks ------------------------------------------------------------------
 
 
+@per_chart
 def _exterior_insertion(chart):
     """(iota_d Theta_{omega,g}, lambda_omega), built once per chart: the
     exterior-insertion check and the L = 0 step of the tensor
     characterization compare the same pair."""
-
-    def build():
-        got = iota(Derivation.exterior(chart.field), theta_even_cached(chart, "lie"))
-        return got, lambda_omega(chart)
-
-    return chart.cached("exterior_insertion", build)
+    got = iota(Derivation.exterior(chart.field), theta_even_cached(chart, "lie"))
+    return got, lambda_omega(chart)
 
 
 def check_exterior_insertion(ctx):

@@ -1,7 +1,8 @@
 """Reference formulas that only the tests call.
 
 Each is the textbook definition of something the package computes
-another way, or no longer needs: a scalar as a sympy fraction-field
+another way, or no longer needs: the value of a parsed expression's
+tree, a scalar as a sympy fraction-field
 element, for sympy's printing and arithmetic, a value at a rational
 point, a determinant by cofactor expansion, the Lie derivative of a form
 by Cartan's formula, a derivation's normal form L_K + i_{L'} and its
@@ -45,6 +46,46 @@ from gradedpoisson.graded import (
     iota,
     lambda_metric,
 )
+
+
+# -- expressions ----------------------------------------------------------------
+
+
+def expression_value(field, tree) -> Form:
+    """The value of an expression tree by the textbook rules.
+
+    A tree is a leaf ("int", n), ("coord", name) or ("diff", name), or a
+    node ("sign", signs, child), (op, left, right) for op in + - * /, a
+    power ("^", base, signs, n) with the integer exponent signs n, or a
+    wedge ("wedge", left, signs, right). * is the wedge product, / divides
+    by a scalar and a run of signs negates once per minus.
+    """
+    kind = tree[0]
+    if kind == "int":
+        return Form.function(field.constant(tree[1]))
+    if kind == "coord":
+        return Form.function(field.coordinate(tree[1]))
+    if kind == "diff":
+        return Form.coordinate_diff(field, field.coords.index(tree[1]))
+    if kind == "sign":
+        return _signed(tree[1], expression_value(field, tree[2]))
+    left = expression_value(field, tree[1])
+    if kind == "^":
+        return Form.function(left.scalar_part() ** _signed(tree[2], tree[3]))
+    if kind == "wedge":
+        return left.wedge(_signed(tree[2], expression_value(field, tree[3])))
+    right = expression_value(field, tree[2])
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left.wedge(right)
+    return left * (field.one / right.scalar_part())
+
+
+def _signed(signs, value):
+    return -value if signs.count("-") % 2 else value
 
 
 # -- scalars --------------------------------------------------------------------

@@ -568,7 +568,7 @@ def test_solver_plan_is_sparse(name):
     chart = builtin_chart(name)
     field = chart.field
     for theta in (even_theta(chart), theta_ks_cached(chart)):
-        inverse, higher, _ = brackets._plan(theta)
+        inverse, higher = brackets._plan(chart, theta)
         _, dense = matrix_inverse([[b.scalar_part() for b in row] for row in theta.blocks], field)
         for sparse, row in zip(inverse, dense):
             assert all(not e.is_zero for _, e in sparse)

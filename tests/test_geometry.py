@@ -118,6 +118,13 @@ def test_metric_compatibility(name):
 
 
 @pytest.mark.parametrize("name", builtin_names())
+def test_j_inv_is_the_inverse_of_j(name):
+    # J^-1 is the product lam . g; Gauss-Jordan on J is the oracle
+    ch = CHARTS[name]
+    assert ch.j_inv == matrix_inverse(ch.j_matrix, ch.field)[1]
+
+
+@pytest.mark.parametrize("name", builtin_names())
 def test_symplectic_parallel_on_builtins(name):
     ch = CHARTS[name]
     for k in range(ch.dim):

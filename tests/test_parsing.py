@@ -16,6 +16,7 @@ from gradedpoisson.geometry import ChartError, builtin_chart
 from gradedpoisson.manifest import ManifestError, parse_manifest
 from gradedpoisson import suites
 from gradedpoisson.suites import run_suite
+from reference import expression_value
 
 CHART = builtin_chart("flat2")
 F = CHART.field
@@ -608,6 +609,95 @@ def test_any_bracket_operand_exits_cleanly(alpha, beta, route):
     code, err = _run_cli(["bracket", "builtin:flat2", f"--alpha={alpha}", f"--beta={beta}", *route])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# -- value oracle -----------------------------------------------------------------
+
+# Expression trees in the shape reference.expression_value reads, drawn so
+# that every one parses: / divides by a nonzero scalar, a power with an
+# integer exponent has a scalar base (never zero under an exponent <= 0), and
+# the right operand of a wedge ^ has a part of positive degree. Exponents
+# stay in -2..2 so no value grows large.
+_SIGNS = st.text("+-", max_size=3)
+_LEAVES = st.one_of(
+    st.tuples(st.just("int"), st.integers(0, 3)),
+    st.tuples(st.sampled_from(("coord", "diff")), st.sampled_from(F.coords)),
+)
+
+
+def _value(tree):
+    return expression_value(F, tree)
+
+
+def _is_scalar(tree):
+    return set(_value(tree).degrees()) <= {0}
+
+
+def _defined(power):
+    """False for a zero base under an exponent <= 0."""
+    _, base, signs, n = power
+    return (n > 0 and signs.count("-") % 2 == 0) or not _value(base).is_zero
+
+
+def _extend(inner, scalars):
+    divisors = scalars.filter(lambda tree: not _value(tree).is_zero)
+    powers = st.tuples(st.just("^"), scalars, _SIGNS, st.integers(0, 2)).filter(_defined)
+    positive = st.one_of(
+        st.tuples(st.just("diff"), st.sampled_from(F.coords)),
+        inner.filter(lambda tree: not _is_scalar(tree)),
+    )
+    return st.one_of(
+        st.tuples(st.just("sign"), _SIGNS.filter(bool), inner),
+        st.tuples(st.sampled_from("+-*"), inner, inner),
+        st.tuples(st.just("/"), inner, divisors),
+        powers,
+        st.tuples(st.just("wedge"), inner, _SIGNS, positive),
+    )
+
+
+_SCALAR_TREES = st.recursive(
+    st.tuples(st.just("int"), st.integers(0, 3)) | st.tuples(st.just("coord"), st.sampled_from(F.coords)),
+    lambda inner: _extend(inner, inner).filter(_is_scalar),
+    max_leaves=4,
+)
+TREES = st.recursive(_LEAVES, lambda inner: _extend(inner, _SCALAR_TREES), max_leaves=8)
+
+# binding levels: 0 a sum, 1 a product, 2 a signed operand, 3 a power, 4 an atom
+_LEVELS = {"sign": 2, "+": 0, "-": 0, "*": 1, "/": 1, "^": 3, "wedge": 3}
+
+
+def _text(tree, level=0):
+    """tree as text, in parentheses only where the grammar needs them."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1])
+    if kind in ("coord", "diff"):
+        return tree[1] if kind == "coord" else "d" + tree[1]
+    if kind == "sign":
+        text = tree[1] + _text(tree[2], 3)
+    elif kind == "^":
+        text = f"{_text(tree[1], 3)}^{tree[2]}{tree[3]}"
+    elif kind == "wedge":
+        text = f"{_text(tree[1], 3)}^{tree[2]}{_text(tree[3], 4)}"
+    else:
+        inner = _LEVELS[kind]
+        text = f"{_text(tree[1], inner)}{kind}{_text(tree[2], inner + 1)}"
+    return text if _LEVELS[kind] >= level else f"({text})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES)
+def test_parsed_expressions_have_their_trees_values(tree):
+    assert parse_form_expr(_text(tree), CHART) == _value(tree)
+
+
+def test_power_binds_left_to_right_and_tighter_than_a_sign():
+    x = ("coord", "x")
+    cubed_square = ("^", ("^", x, "", 2), "", 3)
+    negated_square = ("sign", "-", ("^", x, "", 2))
+    assert (_text(cubed_square), _text(negated_square)) == ("x^2^3", "-x^2")
+    assert parse_form_expr("x^2^3", CHART) == Form.function(X**6)
+    assert parse_form_expr("-x^2", CHART) == -Form.function(X**2)
 
 
 # a key for each path of the tensor fill: a diagonal and a mirrored metric
