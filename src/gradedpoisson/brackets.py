@@ -196,12 +196,12 @@ def _solve(geom: ChartGeometry, theta: GradedTwoForm, alpha) -> Derivation:
 # -- recursion fast paths ------------------------------------------------------
 
 
-def _chain(chart: ChartGeometry, seed: VectorValuedForm, sign: int, top: int) -> list[VectorValuedForm]:
-    """seed, then each term sign * J^{-1}(R(_,_) K) of the one before, up to
+def _chain(chart: ChartGeometry, seed: VectorValuedForm, top: int) -> list[VectorValuedForm]:
+    """seed, then each term -J^{-1}(R(_,_) K) of the one before, up to
     degree top; apply_endo carries the sign, so no step is negated."""
     seq = [seed]
     for _ in range(seed.degree + 2, top + 1, 2):
-        seq.append(chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]), sign))
+        seq.append(chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]), -1))
     return seq
 
 
@@ -213,16 +213,26 @@ def k_even(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     the curvature 2-form to the vector slot, then minus the inverse of the
     metric-symplectic endomorphism.
     """
-    return _chain(chart, chart.apply_endo(chart.w_inv, chart.gradient(f)), -1, chart.dim)
+    return _chain(chart, chart.apply_endo(chart.w_inv, chart.gradient(f)), chart.dim)
 
 
 def k_odd(chart: ChartGeometry, f) -> list[VectorValuedForm]:
     """Odd lie coefficients of the Hamiltonian derivation of an exact
     differential: the degree-1 coefficient solves omega against the
-    covariant Hessian, omega^{-1} . Hess f; higher ones follow the displayed
-    curvature recursion (without the extra minus of the even chain)."""
+    covariant Hessian, omega^{-1} . Hess f; higher ones take k_even's step.
+
+    The step is the same for D_f and D_df. Over the nabla basics the even
+    coefficients K_a = D(x^a) are the lie ones, Theta's mixed block is zero,
+    and the even slot nabla_r of iota_D Theta = d^G alpha reads, with no
+    Koszul sign, sum_s K_s ^ (omega_rs - R4(e_r, e_s, _, _)) = nabla_r alpha.
+    Its right side, d_r f or Hess f(e_r, _), has one degree, so above the
+    seed sum_s omega_rs K^m_s = sum_s K^{m-2}_s ^ R4(e_r, e_s, _, _) for
+    either parity of m. Pair symmetry makes the right side
+    g(R(_,_) K^{m-2}, e_r) and omega_rs = -g(e_r, J e_s) the left
+    -g(J K^m, e_r), so K^m = -J^{-1}(R(_,_) K^{m-2}) in both chains.
+    """
     seed = chart.apply_endo(chart.w_inv, chart.endo_form(chart.covariant_hessian(f)))
-    return _chain(chart, seed, 1, chart.dim)
+    return _chain(chart, seed, chart.dim)
 
 
 # -- brackets -------------------------------------------------------------------
@@ -323,7 +333,7 @@ def bracket_fastpath(kind: str, f, h, chart: ChartGeometry) -> Form:
     # [[df, dh]] no even chain
     if kind in ("ff", "f_dh"):
         # displayed seeding: the first entry is X_f, so it pairs into {f, h}
-        evens = _chain(chart, chart.classical_hamiltonian(f), -1, chart.dim - 2)
+        evens = _chain(chart, chart.classical_hamiltonian(f), chart.dim - 2)
         poisson = Form.function(chart.pair(chart.w, evens[0], x_h).scalar_part())
     if kind == "ff":
         return Form.sum(field, [poisson] + [_curvature_pair(chart, ke, x_h) for ke in evens])

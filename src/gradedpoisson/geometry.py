@@ -9,15 +9,15 @@ non-degeneracy, so no degenerate chart ever circulates.
 
 The chart's matrices (g, omega, their inverses, J, a Hessian) are contracted
 among scalars by dot and matmul: Gamma^i_{jk} = g^{im} Gamma_{m,jk},
-J = g^-1 omega^T, J^2 and the curvature's [Gamma_u, Gamma_v] are matmul. A
-vector field is a VectorValuedForm of degree 0, and vector-valued forms
-meet a matrix M in apply_endo(M, K) on the vector slot, pair(M, K, L), the
-bilinear form of M, and endo_form(M), the 1-form dx^j (x) M e_j, whose
-component a is the row M(e_a, _). So X_f = lam . grad f and sharp(alpha) =
-g^-1 . alpha are apply_endo, {f, h} = omega(X_f, X_h) is pair, and J and
-the rows of g and omega as 1-forms are endo_form. two_form(field, M) is
-the 2-form sum_{j<k} M[j][k] dx^j wedge dx^k of an antisymmetric M: omega,
-each slab L(e_a; _, _) of a compatibility tensor and each curvature block.
+J = g^-1 omega^T, J^-1 = lam . g and J^2 are matmul. A vector field is a
+VectorValuedForm of degree 0, and vector-valued forms meet a matrix M in
+apply_endo(M, K) on the vector slot, pair(M, K, L), the bilinear form of
+M, and endo_form(M), the 1-form dx^j (x) M e_j, whose component a is the
+row M(e_a, _). So X_f = lam . grad f and sharp(alpha) = g^-1 . alpha are
+apply_endo, {f, h} = omega(X_f, X_h) is pair, and J and the rows of g and
+omega as 1-forms are endo_form. two_form(field, M) is the 2-form
+sum_{j<k} M[j][k] dx^j wedge dx^k of an antisymmetric M: omega and each
+slab L(e_a; _, _) of a compatibility tensor.
 A determinant and an inverse come from matrix_inverse, one Gauss-Jordan
 elimination whose pivots are exact: it writes the one and the zeros of a
 reduced pivot column rather than computing p * p^-1 and a - a * 1.
@@ -28,17 +28,18 @@ the caller owns: dnabla into each dK_i, nabla_derivation into empty ones,
 graded._decompose and the solver into a derivation's insertion
 coefficients. It and curvature_apply apply table rows through
 forms._pair_into, apply_endo and pair scale through forms._scale_into,
-and none of them builds a Form per addend.
+and none of them builds a Form per addend; so do the wedge sums of the
+curvature's structure equation and its lowering with g.
 
 The derived tensors are built on first read, each once per chart, and
 none of them can fail once construction has passed: the Christoffel
 symbols of both kinds (gamma_first, gamma), the connection 1-forms
 (connection_forms) and their nonzero rows (connection_rows), the
-curvature endomorphism riemann and its lowered form riemann_lowered, the
-tables riemann4_forms and curvature_forms of their 2-forms, and J with its
-inverse lam . g (j_matrix, j_inv). Contractions skip zero Christoffel and
-curvature entries, and the twist visits only connection_rows, so a flat
-chart pays for none of them.
+curvature 2-forms (curvature_forms), which Cartan's structure equation
+builds from the connection 1-forms, their lowering with g
+(riemann4_forms), and J with its inverse lam . g (j_matrix, j_inv).
+Contractions skip zero Christoffel and curvature entries, and the twist
+visits only connection_rows, so a flat chart pays for none of them.
 The odd (Koszul-Schouten) bracket and the even bracket over the lie basics
 read none of the tables; over the nabla basics it reads only Gamma and
 the connection 1-forms.
@@ -252,55 +253,39 @@ class ChartGeometry:
         return tuple((i, row) for i, row in rows if any(form.terms for form in row))
 
     @cached_property
-    def riemann(self):
-        """R^i_{juv}: the coefficient of e_i in R(e_u, e_v) e_j.
+    def curvature_forms(self):
+        """[i][j]: the curvature 2-form Omega^i_j = sum_{u<v} R^i_{juv} dx^u ^ dx^v,
+        where R^i_{juv} is the coefficient of e_i in R(e_u, e_v) e_j.
 
-        Antisymmetric in (u, v), so only u < v is computed. With the matrices
-        (Gamma_u)^i_m = Gamma^i_{um}, R(e_u, e_v) = d_u Gamma_v - d_v Gamma_u
-        + [Gamma_u, Gamma_v].
+        Cartan's second structure equation builds it from the connection
+        1-forms: Omega^i_j = d omega^i_j + sum_k omega^i_k ^ omega^k_j, each d
+        a fresh Form whose terms take row i against column j in place.
         """
-        dim, field, gamma = self.dim, self.field, self.gamma
-        rng = range(dim)
-        slices = [[row[u] for row in gamma] for u in rng]
-        out = [[[[field.zero] * dim for _ in rng] for _ in rng] for _ in rng]
-        for u, v in combinations(rng, 2):
-            uv = matmul(field, slices[u], slices[v])
-            vu = matmul(field, slices[v], slices[u])
-            for i in rng:
-                for j in rng:
-                    total = gamma[i][v][j].partial(u) - gamma[i][u][j].partial(v)
-                    total = total + uv[i][j] - vu[i][j]
-                    out[i][j][u][v] = total
-                    out[i][j][v][u] = -total
-        return tuple(tuple(tuple(tuple(row) for row in bj) for bj in bi) for bi in out)
-
-    @cached_property
-    def riemann_lowered(self):
-        """R4[u][v][w][z] = -g(R(e_u, e_v) e_w, e_z) = -sum_i R^i_{wuv} g_{iz}.
-
-        Antisymmetric in (u, v) and in (w, z), so each sum is taken once,
-        for u < v and w < z.
-        """
-        dim, field = self.dim, self.field
-        rng = range(dim)
-        out = [[[[field.zero] * dim for _ in rng] for _ in rng] for _ in rng]
-        pairs = list(combinations(rng, 2))
-        for u, v in pairs:
-            for w, z in pairs:
-                total = -dot(field, ((self.riemann[i][w][u][v], self.g[i][z]) for i in rng))
-                out[u][v][w][z] = out[v][u][z][w] = total
-                out[v][u][w][z] = out[u][v][z][w] = -total
-        return tuple(tuple(tuple(tuple(row) for row in bj) for bj in bi) for bi in out)
+        rows = self.connection_forms
+        columns = tuple(zip(*rows))
+        out = []
+        for row in rows:
+            blocks = tuple(form.d() for form in row)
+            for block, column in zip(blocks, columns):
+                _pair_into(block.terms, row, column)
+            out.append(blocks)
+        return tuple(out)
 
     @cached_property
     def riemann4_forms(self):
-        """[u][v]: the 2-form R4(e_u, e_v, _, _)."""
-        return tuple(tuple(two_form(self.field, block) for block in row) for row in self.riemann_lowered)
+        """[u][v]: the 2-form R4(e_u, e_v, _, _), R4(u, v, w, z) = -g(R(e_u, e_v) e_w, e_z).
 
-    @cached_property
-    def curvature_forms(self):
-        """[b][j]: the curvature 2-form R^b_j = sum_{u<v} R^b_{juv} dx^u wedge dx^v."""
-        return tuple(tuple(two_form(self.field, block) for block in row) for row in self.riemann)
+        The Levi-Civita curvature has the pair symmetry R4(u, v, w, z) =
+        R4(w, z, u, v), so R4(e_u, e_v, _, _) = -g(R(_, _) e_u, e_v) = -sum_i
+        g_{vi} Omega^i_u: one lowering of curvature_forms with g.
+        """
+        field, columns = self.field, tuple(zip(*self.curvature_forms))
+
+        def lowered(column, row):
+            pairs = ((form.terms, g_vi) for form, g_vi in zip(column, row))
+            return Form._raw(field, _scale_into({}, pairs, -1))
+
+        return tuple(tuple(lowered(column, row) for row in self.g) for column in columns)
 
     @cached_property
     def j_matrix(self):

@@ -465,14 +465,14 @@ def theta_even_closed_lie(geom: ChartGeometry) -> GradedTwoForm:
     """
     dim = geom.dim
     field = geom.field
-    first, gamma, r4 = geom.gamma_first, geom.gamma, geom.riemann_lowered
+    first, gamma, r4 = geom.gamma_first, geom.gamma, geom.riemann4_forms
     rng = range(dim)
 
     def alpha(a, b):
         terms = {
             (u, v): dot(field, ((first[n][u][b], gamma[n][v][a]) for n in rng))
             - dot(field, ((first[n][u][a], gamma[n][v][b]) for n in rng))
-            - r4[a][b][u][v]
+            - r4[a][b].coefficient((u, v))
             for u, v in combinations(rng, 2)
         }
         return Form(field, terms)

@@ -331,11 +331,26 @@ def j_apply(chart, x: VectorValuedForm) -> VectorValuedForm:
     return VectorValuedForm(chart.field, comps, degree=0)
 
 
+def riemann(chart, i: int, j: int, u: int, v: int):
+    """R^i_{juv}, the coefficient of e_i in R(e_u, e_v) e_j, by the full
+    formula in the Christoffel symbols:
+
+        d_u Gamma^i_{vj} - d_v Gamma^i_{uj}
+        + sum_m (Gamma^i_{um} Gamma^m_{vj} - Gamma^i_{vm} Gamma^m_{uj})
+    """
+    gam = chart.gamma
+    total = gam[i][v][j].partial(u) - gam[i][u][j].partial(v)
+    for m in range(chart.dim):
+        total = total + gam[i][u][m] * gam[m][v][j] - gam[i][v][m] * gam[m][u][j]
+    return total
+
+
 def riemann4(chart, u: int, v: int, w: int, z: int):
-    """The 4-tensor -g(R(e_u, e_v) e_w, e_z) = -sum_i R^i_{wuv} g_{iz}, entry by entry."""
+    """The 4-tensor -g(R(e_u, e_v) e_w, e_z) = -sum_i R^i_{wuv} g_{iz}, entry
+    by entry from riemann."""
     total = chart.field.zero
     for i in range(chart.dim):
-        total = total + chart.riemann[i][w][u][v] * chart.g[i][z]
+        total = total + riemann(chart, i, w, u, v) * chart.g[i][z]
     return -total
 
 
@@ -586,14 +601,13 @@ def dnabla_negating(chart, vvform: VectorValuedForm) -> VectorValuedForm:
 def k_even_negating(chart, f) -> list[VectorValuedForm]:
     """K^0, K^2, ... of D_f: seeded at -X_f, the negation of the classical
     Hamiltonian field, and each step J^{-1}(R(_,_) K) negated as a whole."""
-    return chain_negating(chart, -chart.classical_hamiltonian(f), -1, chart.dim)
+    return chain_negating(chart, -chart.classical_hamiltonian(f), chart.dim)
 
 
-def chain_negating(chart, seed: VectorValuedForm, sign: int, top: int) -> list[VectorValuedForm]:
-    """seed, then each sign * J^{-1}(R(_,_) K) up to degree top, the sign
-    applied by negating the step."""
+def chain_negating(chart, seed: VectorValuedForm, top: int) -> list[VectorValuedForm]:
+    """seed, then each -J^{-1}(R(_,_) K) up to degree top, the sign applied
+    by negating the step."""
     seq = [seed]
     for _ in range(seed.degree + 2, top + 1, 2):
-        step = chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1]))
-        seq.append(step if sign > 0 else -step)
+        seq.append(-chart.apply_endo(chart.j_inv, chart.curvature_apply(seq[-1])))
     return seq

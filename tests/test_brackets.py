@@ -1,6 +1,6 @@
 """Hamiltonian solvers, recursion fast paths, and both graded brackets."""
 
-from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -209,8 +209,8 @@ def test_flat_even_tail_vanishes():
 
 @pytest.mark.parametrize("name", ["flat2", "sphere2", "halfplane"])
 def test_kahler_chain_links_even_and_odd_components(name):
-    # K^1 = -d^nabla X_f and K^{2i+1} = (-1)^{i+1} d^nabla K^{2i}, with the
-    # even sequence renormalized so its first entry is the classical field
+    # K^1 = -d^nabla X_f and K^{2i+1} = -d^nabla K^{2i}, with the even
+    # sequence renormalized so its first entry is the classical field
     chart = builtin_chart(name)
     f = chart.field
     for scalar in (f.gens[0] ** 2, f.gens[0] * f.gens[1]):
@@ -218,8 +218,41 @@ def test_kahler_chain_links_even_and_odd_components(name):
         odds = k_odd(chart, scalar)
         assert evens[0] == chart.classical_hamiltonian(scalar)
         for i, odd in enumerate(odds):
-            shift = chart.dnabla(evens[i])
-            assert odd == (-shift if i % 2 == 0 else shift)
+            assert odd == -chart.dnabla(evens[i])
+
+
+# the monomials of degree 1 and 2 in x, y, u, v: the order-2 jet basis
+JET_BASIS = list(PRODUCT.field.gens) + [
+    a * b for a, b in combinations_with_replacement(PRODUCT.field.gens, 2)
+]
+
+
+@pytest.mark.parametrize("f", JET_BASIS, ids=str)
+def test_chains_match_the_solver_on_a_jet_basis(f):
+    """k_even(f) and k_odd(f) are D_f's even coefficients and D_df's odd
+    ones, and D_df's degree-(m + 1) coefficient is d^nabla of D_f's
+    degree-m one, for every f on the curved product chart.
+
+    Each side is linear over the chart's functions in the 2-jet of f.
+    k_even(f) and D_f read only df: K^0 = omega^-1 . grad f, and every step
+    (curvature, then J^-1) is tensorial. k_odd(f) reads the 2-jet through
+    K^1 = omega^-1 . Hess f, and D_df reads it through the Leibniz rule in
+    its left slot, D_df = sum_a d_a f D_{dx^a} +- sum_{a,b} d_a d_b f
+    dx^a ^ D_{x^b}. d^nabla of D_f's coefficients adds one derivative to
+    df. A map that is linear over functions in the 2-jet vanishes once it
+    vanishes on the monomials of degree 1 and 2, whose 2-jets span the jet
+    module at every point, so these 14 functions prove each identity.
+    """
+    chart, theta = PRODUCT, even_theta(PRODUCT)
+    zero = VectorValuedForm(chart.field, [Form.zero(chart.field)] * chart.dim, degree=0)
+    even_f, _ = components_by_degree(chart, solve_hamiltonian(theta, f))
+    even_df, _ = components_by_degree(chart, solve_hamiltonian(theta, Form.function(f).d()))
+    for i, component in enumerate(k_even(chart, f)):
+        assert component == even_f.get(2 * i, zero), 2 * i
+    for i, component in enumerate(k_odd(chart, f)):
+        assert component == even_df.get(2 * i + 1, zero), 2 * i + 1
+    for m in range(chart.dim):
+        assert even_df.get(m + 1, zero) == chart.dnabla(even_f.get(m, zero)), m + 1
 
 
 # -- even bracket values --------------------------------------------------------
@@ -440,7 +473,7 @@ def test_displayed_even_chain_is_the_negated_solver_chain(chart):
     # every step of the chain is linear, so seeding at +X_f negates each entry
     x, y = chart.field.gens[:2]
     for f in (x * y, x**2 + chart.field.gens[-1]):
-        displayed = brackets._chain(chart, chart.classical_hamiltonian(f), -1, chart.dim)
+        displayed = brackets._chain(chart, chart.classical_hamiltonian(f), chart.dim)
         assert displayed == [-k for k in k_even(chart, f)]
 
 
@@ -816,23 +849,21 @@ DERIVED = {
     "gamma",
     "connection_forms",
     "connection_rows",
-    "riemann",
-    "riemann_lowered",
-    "riemann4_forms",
     "curvature_forms",
+    "riemann4_forms",
     "j_matrix",
     "j_inv",
 }
 # the nabla basics read only Gamma (raised from the first kind) and its
-# connection 1-forms; [[f, h]] takes no covariant derivative, so it reads
-# no connection form; in 2-D its even chain is the seed alone, so it steps
-# by no J^-1 and no curvature 2-form
+# connection 1-forms; [[f, h]] reads the curvature through R4, the lowered
+# curvature 2-forms, which come from the connection 1-forms; it takes no
+# covariant derivative, so it needs no connection_rows, and in 2-D its
+# even chain is the seed alone, so it steps by no J^-1
 CONNECTION = {"connection_forms", "connection_rows"}
-CHAIN_STEP = {"curvature_forms", "j_matrix", "j_inv"}
 BUILT_BY = {
     "odd": set(),
     "even": {"gamma_first", "gamma"} | CONNECTION,
-    "fastpath": DERIVED - CONNECTION - CHAIN_STEP,
+    "fastpath": DERIVED - {"connection_rows", "j_matrix", "j_inv"},
 }
 
 
